@@ -13,10 +13,10 @@
 // checks, over the non-test files:
 //
 //   - every Op* byte constant is a key of opNames, is encoded somewhere
-//     (passed to rpc/RPC/AppendFrame/respond), and is dispatched: a
-//     request op (high bit clear) needs a case arm in the server's
-//     `handle` function; a response op (high bit set) needs a case arm
-//     outside `handle` (the client's response switches);
+//     (passed to rpc/RPC/exchange/send/beginFrame/AppendFrame/respond), and is
+//     dispatched: a request op (high bit clear) needs a case arm in the
+//     server's `handle` function; a response op (high bit set) needs a
+//     case arm outside `handle` (the client's response switches);
 //   - every Code* uint16 constant is produced by errorToCode and
 //     consumed by a codeToError case — except a code produced only by
 //     errorToCode's default arm (the catch-all, CodeInternal), which
@@ -52,7 +52,7 @@ var Analyzer = &analysis.Analyzer{
 
 // encoders are the callees whose op-code argument constitutes an
 // encode site: the op demonstrably leaves through a frame writer.
-var encoders = map[string]bool{"rpc": true, "RPC": true, "AppendFrame": true, "respond": true}
+var encoders = map[string]bool{"rpc": true, "RPC": true, "exchange": true, "send": true, "beginFrame": true, "AppendFrame": true, "respond": true}
 
 // protoConst is one Op*/Code* constant and where the tables mention it.
 type protoConst struct {
@@ -310,7 +310,7 @@ func checkOps(pass *analysis.Pass, ops map[types.Object]*protoConst) {
 			pass.Reportf(pc.pos, "op %s has no opNames entry; diagnostics and metrics will print a raw byte", pc.name)
 		}
 		if !pc.encoded {
-			pass.Reportf(pc.pos, "op %s is never encoded: no rpc/RPC/AppendFrame/respond call carries it", pc.name)
+			pass.Reportf(pc.pos, "op %s is never encoded: no rpc/RPC/exchange/send/beginFrame/AppendFrame/respond call carries it", pc.name)
 		}
 		if pc.value&0x80 == 0 {
 			if !pc.caseFuncs["handle"] {

@@ -93,9 +93,40 @@ var ErrClientClosed = errors.New("wire: client closed")
 // clientConn is one pooled connection: socket, frame reader, write
 // buffer. Owned by a single RPC at a time.
 type clientConn struct {
-	c  net.Conn
-	fr *frameReader
-	wb []byte
+	c     net.Conn
+	fr    *frameReader
+	wb    []byte
+	armed bool // a socket deadline is set
+}
+
+// send builds one request frame in place in the connection's write
+// buffer — body appends the payload, nil for none — and writes it with a
+// single Write. A buffer that grew past frameBufKeep is dropped after
+// the write.
+func (cc *clientConn) send(op byte, seq uint64, body func(buf []byte) []byte) error {
+	cc.wb = beginFrame(cc.wb[:0], op, seq)
+	if body != nil {
+		cc.wb = body(cc.wb)
+	}
+	cc.wb = sealFrame(cc.wb, 0)
+	_, err := cc.c.Write(cc.wb)
+	if cap(cc.wb) > frameBufKeep {
+		cc.wb = nil
+	}
+	return err
+}
+
+// setDeadline bounds the connection's next exchange to d of wall time;
+// d <= 0 clears a deadline an earlier exchange armed and is free when
+// none is.
+func (cc *clientConn) setDeadline(d time.Duration) {
+	if d > 0 {
+		cc.c.SetDeadline(time.Now().Add(d)) //clampi:walltime per-op socket deadline mapped from the virtual RetryPolicy.Deadline
+		cc.armed = true
+	} else if cc.armed {
+		cc.c.SetDeadline(time.Time{}) //clampi:walltime clears a stale per-op socket deadline
+		cc.armed = false
+	}
 }
 
 // Dial connects to a daemon, performs the handshake on an initial
@@ -141,10 +172,8 @@ func (cl *Client) Close() error {
 	cl.mu.Unlock()
 	for _, cc := range idle {
 		// Best-effort goodbye; the server also handles abrupt closes.
-		seq := cl.seq.Add(1)
-		cc.wb = AppendFrame(cc.wb[:0], OpDetach, seq, nil)
-		cc.c.SetDeadline(time.Now().Add(time.Second)) //clampi:walltime socket I/O deadline on orderly shutdown
-		if _, err := cc.c.Write(cc.wb); err == nil {
+		cc.setDeadline(time.Second)
+		if err := cc.send(OpDetach, cl.seq.Add(1), nil); err == nil {
 			cc.fr.next()
 		}
 		cc.c.Close()
@@ -161,33 +190,37 @@ func (cl *Client) dialConn() (*clientConn, error) {
 	}
 	cc := &clientConn{c: c, fr: newFrameReader(c, cl.cfg.MaxPayload)}
 	cc.fr.tap = cl.cfg.FrameTap
+	if err := cl.handshake(cc); err != nil {
+		c.Close()
+		return nil, err
+	}
+	return cc, nil
+}
+
+// handshake runs the Hello/Welcome exchange on a fresh connection,
+// bounded by the dial timeout.
+func (cl *Client) handshake(cc *clientConn) error {
 	cl.mu.Lock()
 	rank := cl.rank
 	cl.mu.Unlock()
 	hello := helloPayload{Rank: int32(rank), World: int32(cl.cfg.World), Window: cl.cfg.Window}
-	c.SetDeadline(time.Now().Add(cl.cfg.DialTimeout)) //clampi:walltime handshake round trip is bounded in wall time
+	cc.setDeadline(cl.cfg.DialTimeout)
 	seq := cl.seq.Add(1)
-	cc.wb = AppendFrame(cc.wb[:0], OpHello, seq, appendHello(nil, hello))
-	if _, err := c.Write(cc.wb); err != nil {
-		c.Close()
-		return nil, classify(err)
+	if err := cc.send(OpHello, seq, func(b []byte) []byte { return appendHello(b, hello) }); err != nil {
+		return classify(err)
 	}
 	f, err := cc.fr.next()
 	if err != nil {
-		c.Close()
-		return nil, classify(err)
+		return classify(err)
 	}
-	c.SetDeadline(time.Time{}) //clampi:walltime clears the handshake deadline
 	if f.Seq != seq {
-		c.Close()
-		return nil, fmt.Errorf("%w: handshake response seq %d (want %d)", ErrProto, f.Seq, seq)
+		return fmt.Errorf("%w: handshake response seq %d (want %d)", ErrProto, f.Seq, seq)
 	}
 	switch f.Op {
 	case OpWelcome:
 		w, derr := decodeWelcome(f.Payload)
 		if derr != nil {
-			c.Close()
-			return nil, derr
+			return derr
 		}
 		cl.mu.Lock()
 		if cl.regions == nil {
@@ -197,17 +230,11 @@ func (cl *Client) dialConn() (*clientConn, error) {
 			cl.regions = w.Regions
 		}
 		cl.mu.Unlock()
-		return cc, nil
+		return nil
 	case OpError:
-		code, msg, derr := decodeError(f.Payload)
-		c.Close()
-		if derr != nil {
-			return nil, derr
-		}
-		return nil, codeToError(code, msg)
+		return errorFromFrame(f.Payload)
 	default:
-		c.Close()
-		return nil, fmt.Errorf("%w: handshake answered with %s", ErrProto, OpName(f.Op))
+		return fmt.Errorf("%w: handshake answered with %s", ErrProto, OpName(f.Op))
 	}
 }
 
@@ -231,6 +258,7 @@ func (cl *Client) get() (*clientConn, error) {
 // put returns a healthy connection to the pool (or closes it when the
 // pool is full or the client closed).
 func (cl *Client) put(cc *clientConn) {
+	cc.fr.trim() // an idle pooled connection must not pin an oversized frame buffer
 	cl.mu.Lock()
 	if !cl.closed && len(cl.idle) < cl.cfg.PoolSize {
 		cl.idle = append(cl.idle, cc)
@@ -242,70 +270,64 @@ func (cl *Client) put(cc *clientConn) {
 }
 
 // RPC performs one synchronous exchange: request out, response in.
-// deadline, when positive, bounds the whole exchange in wall time
-// (rma.ErrTimeout on expiry). onData consumes an OpData response's
-// payload — valid only during the call; pass nil to require a bare Ack.
-func (cl *Client) RPC(op byte, payload []byte, deadline time.Duration, onData func(data []byte) error) error {
+// body appends the request payload to the frame under construction in
+// the connection's write buffer (nil for an empty payload). deadline,
+// when positive, bounds the whole exchange in wall time (rma.ErrTimeout
+// on expiry). onData consumes an OpData response's payload — valid only
+// during the call; pass nil to require a bare Ack.
+func (cl *Client) RPC(op byte, body func(buf []byte) []byte, deadline time.Duration, onData func(data []byte) error) error {
 	cc, err := cl.get()
 	if err != nil {
 		return err
 	}
-	poison := true
-	defer func() {
-		if poison {
-			cc.c.Close()
-		} else {
-			cl.put(cc)
-		}
-	}()
-	if deadline > 0 {
-		cc.c.SetDeadline(time.Now().Add(deadline)) //clampi:walltime per-op socket deadline mapped from the virtual RetryPolicy.Deadline
+	healthy, err := cl.exchange(cc, op, body, deadline, onData)
+	if healthy {
+		cl.put(cc)
 	} else {
-		cc.c.SetDeadline(time.Time{}) //clampi:walltime clears a stale per-op socket deadline
+		cc.c.Close()
 	}
+	return err
+}
+
+// exchange runs one request/response round on cc. healthy reports
+// whether the stream is still aligned afterwards — true after a
+// success or a server-reported error, false after any transport or
+// protocol failure, which poisons the connection.
+func (cl *Client) exchange(cc *clientConn, op byte, body func(buf []byte) []byte, deadline time.Duration, onData func(data []byte) error) (healthy bool, err error) {
+	cc.setDeadline(deadline)
 	seq := cl.seq.Add(1)
-	cc.wb = AppendFrame(cc.wb[:0], op, seq, payload)
-	if _, err := cc.c.Write(cc.wb); err != nil {
-		return classify(err)
+	if err := cc.send(op, seq, body); err != nil {
+		return false, classify(err)
 	}
 	f, err := cc.fr.next()
 	if err != nil {
-		return classify(err)
+		return false, classify(err)
 	}
 	if f.Seq != seq {
-		return fmt.Errorf("%w: response seq %d (want %d)", ErrProto, f.Seq, seq)
+		return false, fmt.Errorf("%w: response seq %d (want %d)", ErrProto, f.Seq, seq)
 	}
 	switch f.Op {
 	case OpAck:
 		if onData != nil {
-			return fmt.Errorf("%w: bare ack where %s response expected", ErrProto, OpName(op))
+			return false, fmt.Errorf("%w: bare ack where %s response expected", ErrProto, OpName(op))
 		}
-		poison = false
-		return nil
+		return true, nil
 	case OpData:
 		if onData == nil {
-			return fmt.Errorf("%w: unexpected data response to %s", ErrProto, OpName(op))
+			return false, fmt.Errorf("%w: unexpected data response to %s", ErrProto, OpName(op))
 		}
-		if err := onData(f.Payload); err != nil {
-			return err
-		}
-		poison = false
-		return nil
+		err := onData(f.Payload)
+		return err == nil, err
 	case OpError:
 		code, msg, derr := decodeError(f.Payload)
 		if derr != nil {
-			return derr
+			return false, derr
 		}
-		err := codeToError(code, msg)
-		// The exchange itself was healthy: the connection stream is
-		// still aligned, so pool it — unless the server told us it is
-		// going away.
-		if code != CodeShutdown {
-			poison = false
-		}
-		return err
+		// The exchange itself was healthy, so the connection stays usable
+		// — unless the server told us it is going away.
+		return code != CodeShutdown, codeToError(code, msg)
 	default:
-		return fmt.Errorf("%w: response op %s", ErrProto, OpName(f.Op))
+		return false, fmt.Errorf("%w: response op %s", ErrProto, OpName(f.Op))
 	}
 }
 

@@ -49,35 +49,9 @@ func (w *Window) NotifyEnable(capacity int) error {
 	if err != nil {
 		return err
 	}
-	seq := w.cl.seq.Add(1)
-	cc.wb = AppendFrame(cc.wb[:0], OpSubscribe, seq, nil)
-	cc.c.SetDeadline(time.Now().Add(w.cl.cfg.DialTimeout)) //clampi:walltime subscribe handshake is bounded in wall time
-	if _, werr := cc.c.Write(cc.wb); werr != nil {
+	if _, err := w.cl.exchange(cc, OpSubscribe, nil, w.cl.cfg.DialTimeout, nil); err != nil {
 		cc.c.Close()
-		return classify(werr)
-	}
-	f, rerr := cc.fr.next()
-	if rerr != nil {
-		cc.c.Close()
-		return classify(rerr)
-	}
-	cc.c.SetDeadline(time.Time{}) //clampi:walltime clears the subscribe handshake deadline
-	switch f.Op {
-	case OpAck:
-		if f.Seq != seq {
-			cc.c.Close()
-			return fmt.Errorf("%w: subscribe response seq %d (want %d)", ErrProto, f.Seq, seq)
-		}
-	case OpError:
-		code, msg, derr := decodeError(f.Payload)
-		cc.c.Close()
-		if derr != nil {
-			return derr
-		}
-		return codeToError(code, msg)
-	default:
-		cc.c.Close()
-		return fmt.Errorf("%w: subscribe answered with %s", ErrProto, OpName(f.Op))
+		return err
 	}
 	w.nc = cc
 	w.nq = notify.NewQueue(capacity)
@@ -139,30 +113,27 @@ func (w *Window) NotifyWait() error {
 	if w.nc == nil {
 		return fmt.Errorf("%w: notify connection lost", rma.ErrTransient)
 	}
-	w.nc.c.SetDeadline(time.Time{}) //clampi:walltime blocking on the next push is the point of NotifyWait
-	start := time.Now()             //clampi:walltime wire waits charge their measured wall duration to the virtual clock
-	for {
-		f, err := w.nc.fr.next()
-		if err != nil {
-			w.poisonNotify()
-			w.ep.clock.ChargeDuration(time.Since(start)) //clampi:walltime see above
-			return classify(err)
-		}
-		if f.Op != OpNotify {
-			w.poisonNotify()
-			w.ep.clock.ChargeDuration(time.Since(start)) //clampi:walltime see above
-			return fmt.Errorf("%w: %s frame on the subscribe connection outside a pump", ErrProto, OpName(f.Op))
-		}
-		p, derr := decodeNotify(f.Payload)
-		if derr != nil {
-			w.poisonNotify()
-			w.ep.clock.ChargeDuration(time.Since(start)) //clampi:walltime see above
-			return derr
-		}
-		w.enqueueNotify(p)
-		w.ep.clock.ChargeDuration(time.Since(start)) //clampi:walltime see above
-		return nil
+	return w.notifyIO(w.readPush)
+}
+
+// readPush blocks until the server pushes the next frame into the
+// subscribe connection — outside a pump only an OpNotify may arrive —
+// and queues it.
+func (w *Window) readPush() error {
+	w.nc.setDeadline(0) // blocking on the next push is the point of NotifyWait
+	f, err := w.nc.fr.next()
+	if err != nil {
+		return classify(err)
 	}
+	if f.Op != OpNotify {
+		return fmt.Errorf("%w: %s frame on the subscribe connection outside a pump", ErrProto, OpName(f.Op))
+	}
+	p, err := decodeNotify(f.Payload)
+	if err != nil {
+		return err
+	}
+	w.enqueueNotify(p)
+	return nil
 }
 
 // PutNotify writes like Put and asks the server to push a notification
@@ -208,36 +179,36 @@ func (w *Window) PutNotify(src []byte, dtype datatype.Datatype, count int, targe
 }
 
 func (w *Window) putNotifyRange(src []byte, target, disp int, tag uint32) error {
-	w.eb = appendPutNotify(w.eb[:0], putNotifyReq{Target: int32(target), Disp: int64(disp), Tag: tag, Data: src})
-	return w.rpc(OpPutNotify, w.eb, w.opDeadline, nil)
+	req := putNotifyReq{Target: int32(target), Disp: int64(disp), Tag: tag, Data: src}
+	return w.rpc(OpPutNotify, func(b []byte) []byte { return appendPutNotify(b, req) }, w.opDeadline, nil)
 }
 
 // pumpNotify drains every push the server has already written into the
 // subscribe connection: it sends an OpFlush marker and reads frames
 // until the marker's ack (per-connection FIFO makes that exhaustive).
-// The marker round trip is charged to the virtual clock like any RPC;
-// failures poison the connection and latch the overflow flag.
 func (w *Window) pumpNotify() {
-	if w.nq == nil || w.nc == nil {
-		return
+	if w.nq != nil && w.nc != nil {
+		_ = w.notifyIO(w.pumpOnce) // a failure is latched by poisonNotify
 	}
+}
+
+// notifyIO runs one exchange on the subscribe connection. Its wall
+// duration is charged to the virtual clock like any RPC; a failure
+// poisons the connection and latches the overflow flag.
+func (w *Window) notifyIO(exchange func() error) error {
 	start := time.Now() //clampi:walltime wire RPCs charge their measured wall duration to the virtual clock (DESIGN.md §13)
-	err := w.pumpOnce()
+	err := exchange()
 	w.ep.clock.ChargeDuration(time.Since(start)) //clampi:walltime see above
 	if err != nil {
 		w.poisonNotify()
 	}
+	return err
 }
 
 func (w *Window) pumpOnce() error {
 	seq := w.cl.seq.Add(1)
-	w.nb = AppendFrame(w.nb[:0], OpFlush, seq, nil)
-	if d := w.opDeadline; d > 0 {
-		w.nc.c.SetDeadline(time.Now().Add(d.Real())) //clampi:walltime per-op socket deadline mapped from the virtual deadline
-	} else {
-		w.nc.c.SetDeadline(time.Time{}) //clampi:walltime clears a stale per-op socket deadline
-	}
-	if _, err := w.nc.c.Write(w.nb); err != nil {
+	w.nc.setDeadline(w.opDeadline.Real())
+	if err := w.nc.send(OpFlush, seq, nil); err != nil {
 		return classify(err)
 	}
 	for {
@@ -258,11 +229,7 @@ func (w *Window) pumpOnce() error {
 			}
 			return nil
 		case OpError:
-			code, msg, derr := decodeError(f.Payload)
-			if derr != nil {
-				return derr
-			}
-			return codeToError(code, msg)
+			return errorFromFrame(f.Payload)
 		default:
 			return fmt.Errorf("%w: %s frame on the subscribe connection", ErrProto, OpName(f.Op))
 		}

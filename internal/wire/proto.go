@@ -16,31 +16,48 @@
 // Snippet 1, extended with the batch, integrity and synchronization
 // calls the caching layer depends on.
 //
-// # Frame format
+// # Frame format (protocol version 2)
 //
 // Every message — request or response — is one frame:
 //
 //	offset  size  field
 //	0       2     magic 0xC1 0xA7
-//	2       1     version (currently 1)
+//	2       1     version (currently 2)
 //	3       1     op code
 //	4       8     sequence number (little-endian; response echoes request)
 //	12      4     payload length n (little-endian)
 //	16      n     payload
-//	16+n    8     FNV-1a 64 checksum of bytes [0, 16+n) (rma.ChecksumBytes)
+//	16+n    4     CRC32C (Castagnoli) of bytes [0, 16+n), little-endian
 //
 // The trailing checksum covers header and payload, so a frame damaged
 // anywhere on the wire is rejected as rma.ErrCorrupt — the same
 // transient sentinel the fill-verification machinery uses, which makes
 // a corrupted frame indistinguishable from a corrupted RDMA payload to
 // the layers above: the retry policy refetches, and no damaged byte is
-// ever delivered or cached.
+// ever delivered or cached. CRC32C runs on the SSE4.2 / ARMv8 CRC
+// instructions (hash/crc32), so integrity costs a fraction of the copy
+// it guards, and it detects every error burst of up to 32 bits — a
+// guarantee version 1's FNV-1a trailer did not give. The frame code is
+// private to this package: the fill attestation carried by OpChecksum
+// stays rma.ChecksumBytes.
+//
+// # Data path
+//
+// A frame is built in place in the connection's write buffer —
+// beginFrame reserves the header, the payload encoders append the body
+// (bulk data straight from its source: a window region on the server,
+// the caller's slice on the client), sealFrame patches the length and
+// appends the CRC — and leaves in one Write. Inbound, frameReader reads
+// whatever the socket holds into one buffer and parses frames out of
+// it, so a small frame costs one read and a large payload lands where
+// its Frame.Payload will alias it.
 package wire
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"strings"
 
@@ -51,15 +68,23 @@ import (
 const (
 	magic0  = 0xC1
 	magic1  = 0xA7
-	Version = 1
+	Version = 2
 
 	headerSize   = 16
-	checksumSize = 8
+	checksumSize = 4
 
 	// DefaultMaxPayload bounds a frame's payload, defending both sides
 	// against hostile or garbage length fields. Large GetBatch responses
 	// must fit: the client splits batches that would exceed it.
 	DefaultMaxPayload = 64 << 20
+
+	// frameBufMin is the capacity a connection's frame buffers start at
+	// and return to; frameBufKeep is the largest capacity a connection
+	// keeps between frames. A frame above it is served from a buffer that
+	// is dropped once the frame is consumed, so one MaxPayload-sized
+	// transfer does not pin 64 MiB for the connection's life.
+	frameBufMin  = 4 << 10
+	frameBufKeep = 1 << 20
 )
 
 // Op codes. Requests and responses share the namespace; a response
@@ -130,7 +155,7 @@ const (
 var (
 	// ErrProto reports a malformed or unexpected frame.
 	ErrProto = fmt.Errorf("%w: malformed wire frame", rma.ErrCorrupt)
-	// ErrChecksum reports a frame whose trailing FNV-1a digest does not
+	// ErrChecksum reports a frame whose trailing CRC32C does not
 	// match its bytes. Matches rma.ErrCorrupt.
 	ErrChecksum = fmt.Errorf("%w: wire frame checksum mismatch", rma.ErrCorrupt)
 	// ErrFrameTooBig reports a frame whose declared payload exceeds the
@@ -146,17 +171,33 @@ var (
 	ErrShutdown = fmt.Errorf("%w: server shutting down", rma.ErrTransient)
 )
 
+// castagnoli is the CRC32C table; crc32.Update on it uses the CPU's CRC
+// instructions where present.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// beginFrame starts a frame at the end of buf: the header with a zero
+// payload length, which sealFrame patches. The caller appends the
+// payload between the two.
+func beginFrame(buf []byte, op byte, seq uint64) []byte {
+	buf = append(buf, magic0, magic1, Version, op)
+	buf = binary.LittleEndian.AppendUint64(buf, seq)
+	return append(buf, 0, 0, 0, 0)
+}
+
+// sealFrame completes the frame that beginFrame started at buf[start]:
+// it writes the payload length into the header and appends the CRC of
+// header and payload.
+func sealFrame(buf []byte, start int) []byte {
+	binary.LittleEndian.PutUint32(buf[start+12:], uint32(len(buf)-start-headerSize))
+	return binary.LittleEndian.AppendUint32(buf, crc32.Update(0, castagnoli, buf[start:]))
+}
+
 // AppendFrame appends one complete frame (header, payload, checksum) to
 // buf and returns the extended slice. It never fails: length limits are
 // enforced at decode time and by callers that split oversized batches.
 func AppendFrame(buf []byte, op byte, seq uint64, payload []byte) []byte {
 	start := len(buf)
-	buf = append(buf, magic0, magic1, Version, op)
-	buf = binary.LittleEndian.AppendUint64(buf, seq)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = append(buf, payload...)
-	sum := rma.ChecksumBytes(buf[start:])
-	return binary.LittleEndian.AppendUint64(buf, sum)
+	return sealFrame(append(beginFrame(buf, op, seq), payload...), start)
 }
 
 // Frame is one decoded frame.
@@ -164,6 +205,23 @@ type Frame struct {
 	Op      byte
 	Seq     uint64
 	Payload []byte // aliases the decode buffer; copy to retain
+}
+
+// parseHeader validates the fixed header at the start of h (at least
+// headerSize bytes) and returns the payload length it declares. It is
+// the one place magic, version and length limit are checked.
+func parseHeader(h []byte, maxPayload int) (int, error) {
+	if h[0] != magic0 || h[1] != magic1 {
+		return 0, fmt.Errorf("%w: bad magic 0x%02x%02x", ErrProto, h[0], h[1])
+	}
+	if h[2] != Version {
+		return 0, fmt.Errorf("%w: version %d (want %d)", ErrProto, h[2], Version)
+	}
+	n := int(binary.LittleEndian.Uint32(h[12:16]))
+	if n > maxPayload {
+		return 0, fmt.Errorf("%w: payload %d > limit %d", ErrFrameTooBig, n, maxPayload)
+	}
+	return n, nil
 }
 
 // DecodeFrame parses one complete frame from b, returning the frame and
@@ -179,23 +237,17 @@ func DecodeFrame(b []byte, maxPayload int) (Frame, int, error) {
 	if len(b) < headerSize {
 		return Frame{}, 0, fmt.Errorf("%w: short frame header: %w", rma.ErrTransient, io.ErrUnexpectedEOF)
 	}
-	if b[0] != magic0 || b[1] != magic1 {
-		return Frame{}, 0, fmt.Errorf("%w: bad magic 0x%02x%02x", ErrProto, b[0], b[1])
-	}
-	if b[2] != Version {
-		return Frame{}, 0, fmt.Errorf("%w: version %d (want %d)", ErrProto, b[2], Version)
-	}
-	n := int(binary.LittleEndian.Uint32(b[12:16]))
-	if n > maxPayload {
-		return Frame{}, 0, fmt.Errorf("%w: payload %d > limit %d", ErrFrameTooBig, n, maxPayload)
+	n, err := parseHeader(b, maxPayload)
+	if err != nil {
+		return Frame{}, 0, err
 	}
 	total := headerSize + n + checksumSize
 	if len(b) < total {
 		return Frame{}, 0, fmt.Errorf("%w: truncated frame: %w", rma.ErrTransient, io.ErrUnexpectedEOF)
 	}
-	want := binary.LittleEndian.Uint64(b[headerSize+n : total])
-	if got := rma.ChecksumBytes(b[:headerSize+n]); got != want {
-		return Frame{}, 0, fmt.Errorf("%w: got %016x want %016x", ErrChecksum, got, want)
+	want := binary.LittleEndian.Uint32(b[headerSize+n : total])
+	if got := crc32.Update(0, castagnoli, b[:headerSize+n]); got != want {
+		return Frame{}, 0, fmt.Errorf("%w: got %08x want %08x", ErrChecksum, got, want)
 	}
 	return Frame{
 		Op:      b[3],
@@ -204,11 +256,16 @@ func DecodeFrame(b []byte, maxPayload int) (Frame, int, error) {
 	}, total, nil
 }
 
-// frameReader incrementally reads frames from a stream, reusing one
-// buffer. Not safe for concurrent use; each connection owns one.
+// frameReader parses frames out of a buffered stream. It reads whatever
+// the socket holds into buf — often a whole small frame, sometimes
+// several pushed ones — so a frame costs at most one read beyond those
+// its size forces, and a large payload is read straight into the place
+// its Frame.Payload aliases. Not safe for concurrent use; each
+// connection owns one.
 type frameReader struct {
 	r          io.Reader
-	buf        []byte
+	buf        []byte // buf[lo:hi] holds bytes read but not yet parsed
+	lo, hi     int
 	maxPayload int
 	// tap, when set, observes (and may mutate) every raw inbound frame
 	// before checksum verification — the chaos hook that turns injected
@@ -220,44 +277,64 @@ func newFrameReader(r io.Reader, maxPayload int) *frameReader {
 	if maxPayload <= 0 {
 		maxPayload = DefaultMaxPayload
 	}
-	return &frameReader{r: r, buf: make([]byte, 0, 4096), maxPayload: maxPayload}
+	return &frameReader{r: r, buf: make([]byte, frameBufMin), maxPayload: maxPayload}
 }
 
-// next reads one frame from the stream. The returned frame's payload
-// aliases the reader's buffer and is valid until the next call. IO
+// trim resets a reader with no unparsed bytes: the next read starts at
+// the front of the buffer, and a buffer that was allocated for an
+// oversized frame (sized to it, so nothing else is in it) is dropped for
+// a small one. It invalidates the payload of the last frame returned by
+// next.
+func (fr *frameReader) trim() {
+	if fr.lo != fr.hi {
+		return
+	}
+	fr.lo, fr.hi = 0, 0
+	if len(fr.buf) > frameBufKeep {
+		fr.buf = make([]byte, frameBufMin)
+	}
+}
+
+// fill reads until at least need unparsed bytes are buffered, first
+// making room for them: leftovers move to the front, and a frame larger
+// than the buffer gets a new one (doubling up to frameBufKeep, exact
+// above it).
+func (fr *frameReader) fill(need int) error {
+	if fr.hi-fr.lo >= need {
+		return nil
+	}
+	if fr.lo+need > len(fr.buf) {
+		dst := fr.buf
+		if need > len(dst) {
+			dst = make([]byte, max(need, min(2*len(dst), frameBufKeep)))
+		}
+		fr.lo, fr.hi = 0, copy(dst, fr.buf[fr.lo:fr.hi])
+		fr.buf = dst
+	}
+	n, err := io.ReadAtLeast(fr.r, fr.buf[fr.hi:], need-(fr.hi-fr.lo))
+	fr.hi += n
+	return err
+}
+
+// next returns the next frame of the stream. Its payload aliases the
+// reader's buffer and is valid until the next call of next or trim. IO
 // failures are returned as-is (the caller classifies them); structural
 // failures carry the DecodeFrame sentinels.
 func (fr *frameReader) next() (Frame, error) {
-	if cap(fr.buf) < headerSize {
-		fr.buf = make([]byte, 0, 4096)
-	}
-	hdr := fr.buf[:headerSize]
-	if _, err := io.ReadFull(fr.r, hdr); err != nil {
+	fr.trim()
+	if err := fr.fill(headerSize); err != nil {
 		return Frame{}, err
 	}
-	if hdr[0] != magic0 || hdr[1] != magic1 {
-		return Frame{}, fmt.Errorf("%w: bad magic 0x%02x%02x", ErrProto, hdr[0], hdr[1])
-	}
-	if hdr[2] != Version {
-		return Frame{}, fmt.Errorf("%w: version %d (want %d)", ErrProto, hdr[2], Version)
-	}
-	n := int(binary.LittleEndian.Uint32(hdr[12:16]))
-	if n > fr.maxPayload {
-		return Frame{}, fmt.Errorf("%w: payload %d > limit %d", ErrFrameTooBig, n, fr.maxPayload)
+	n, err := parseHeader(fr.buf[fr.lo:], fr.maxPayload)
+	if err != nil {
+		return Frame{}, err
 	}
 	total := headerSize + n + checksumSize
-	if cap(fr.buf) < total {
-		grown := make([]byte, total)
-		copy(grown, hdr)
-		fr.buf = grown[:0]
-	}
-	full := fr.buf[:total]
-	if &full[0] != &hdr[0] {
-		copy(full, hdr)
-	}
-	if _, err := io.ReadFull(fr.r, full[headerSize:]); err != nil {
+	if err := fr.fill(total); err != nil {
 		return Frame{}, err
 	}
+	full := fr.buf[fr.lo : fr.lo+total]
+	fr.lo += total
 	if fr.tap != nil {
 		fr.tap(full)
 	}
@@ -516,20 +593,21 @@ func appendBatch(buf []byte, ops []rma.GetOp) []byte {
 	return buf
 }
 
-func decodeBatch(p []byte) ([]rangeReq, error) {
+// decodeBatch checks an OpGetBatch body's shape and returns its op
+// count; batchRange reads the descriptors where they lie.
+func decodeBatch(p []byte) (int, error) {
 	if len(p) < 4 {
-		return nil, fmt.Errorf("%w: batch payload %dB", ErrProto, len(p))
+		return 0, fmt.Errorf("%w: batch payload %dB", ErrProto, len(p))
 	}
 	n := int(binary.LittleEndian.Uint32(p[0:4]))
 	if n < 0 || len(p) != 4+n*rangeReqSize {
-		return nil, fmt.Errorf("%w: batch count %d vs payload %dB", ErrProto, n, len(p))
+		return 0, fmt.Errorf("%w: batch count %d vs payload %dB", ErrProto, n, len(p))
 	}
-	out := make([]rangeReq, n)
-	for i := 0; i < n; i++ {
-		out[i] = decodeRangeAt(p[4+i*rangeReqSize:])
-	}
-	return out, nil
+	return n, nil
 }
+
+// batchRange returns descriptor i of a body decodeBatch accepted.
+func batchRange(p []byte, i int) rangeReq { return decodeRangeAt(p[4+i*rangeReqSize:]) }
 
 // lockReq is the OpLock/OpUnlock body.
 type lockReq struct {
@@ -560,6 +638,15 @@ func decodeError(p []byte) (uint16, string, error) {
 		return 0, "", fmt.Errorf("%w: error payload %dB", ErrProto, len(p))
 	}
 	return binary.LittleEndian.Uint16(p[0:2]), string(p[2:]), nil
+}
+
+// errorFromFrame turns an OpError payload into the error it reports.
+func errorFromFrame(p []byte) error {
+	code, msg, err := decodeError(p)
+	if err != nil {
+		return err
+	}
+	return codeToError(code, msg)
 }
 
 // codeToError maps an OpError code back onto the rma sentinel family, so

@@ -96,6 +96,7 @@ func FuzzWireFrame(f *testing.F) {
 	f.Add(AppendFrame(nil, OpError, 7, appendError(nil, CodeBounds, "out of range")))
 	f.Add([]byte{magic0, magic1, Version, OpGet, 0, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF})
 	f.Add(bytes.Repeat([]byte{magic0}, 64))
+	f.Add(v1Frame(OpGet, 1, []byte("seed"))) // a version-1 peer: FNV-1a trailer, must fail as ErrProto
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const max = 1 << 20
 		fr, n, err := DecodeFrame(data, max)
@@ -190,9 +191,10 @@ func TestPayloadCodecs(t *testing.T) {
 			{Dst: make([]byte, 16), Target: 0, Disp: 0},
 			{Dst: make([]byte, 32), Target: 3, Disp: 128},
 		}
-		out, err := decodeBatch(appendBatch(nil, ops))
-		if err != nil || len(out) != 2 || out[1] != (rangeReq{Target: 3, Disp: 128, Size: 32}) {
-			t.Fatalf("round trip: %+v, %v", out, err)
+		body := appendBatch(nil, ops)
+		n, err := decodeBatch(body)
+		if err != nil || n != 2 || batchRange(body, 1) != (rangeReq{Target: 3, Disp: 128, Size: 32}) {
+			t.Fatalf("round trip: %d ops, %v", n, err)
 		}
 		if _, err := decodeBatch([]byte{1, 2, 3}); !errors.Is(err, ErrProto) {
 			t.Fatalf("short batch: %v", err)

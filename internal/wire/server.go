@@ -15,6 +15,7 @@ package wire
 // between its origin bookkeeping and the passive RDMA target.
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -280,8 +281,28 @@ type Server struct {
 	mFramesOu *obsv.Counter
 	mBytesIn  *obsv.Counter
 	mBytesOut *obsv.Counter
+	opm       [256]atomic.Pointer[opMetrics] // per-op series, resolved once per op code
 
 	acceptErr atomic.Pointer[error]
+}
+
+// opMetrics are the registry series of one op code.
+type opMetrics struct {
+	wall *obsv.Histogram
+	reqs *obsv.Counter
+}
+
+// opMetrics returns op's series, looking them up in the registry on the
+// op's first request only: the lookup formats and sorts labels, which
+// does not belong on the per-message path.
+func (s *Server) opMetrics(op byte) *opMetrics {
+	if m := s.opm[op].Load(); m != nil {
+		return m
+	}
+	reg, name := s.cfg.Registry, obsv.L("op", OpName(op))
+	m := &opMetrics{wall: reg.Histogram("wire_server_op_wall_ns", name), reqs: reg.Counter("wire_server_requests_total", name)}
+	s.opm[op].Store(m)
+	return m
 }
 
 // Errors of server construction.
@@ -466,11 +487,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			s.mFramesIn.Inc()
 			s.mBytesIn.Add(int64(headerSize + len(f.Payload) + checksumSize))
 		}
-		stop := c.handle(f)
-		if stop {
-			return
-		}
-		if s.draining.Load() {
+		if c.handle(f) || s.draining.Load() {
 			return
 		}
 	}
@@ -480,8 +497,8 @@ func (s *Server) serveConn(conn net.Conn) {
 // return value reports whether the connection should close.
 func (c *serverConn) handle(f Frame) (stop bool) {
 	var start time.Time
-	reg := c.s.cfg.Registry
-	if reg != nil {
+	metered := c.s.cfg.Registry != nil
+	if metered {
 		start = time.Now() //clampi:walltime daemon per-op latency histograms are wall-clock by design (DESIGN.md §13)
 	}
 	op := f.Op
@@ -520,10 +537,10 @@ func (c *serverConn) handle(f Frame) (stop bool) {
 	default:
 		err = c.fail(f.Seq, fmt.Errorf("%w: unexpected op %s", ErrProto, OpName(op)))
 	}
-	if reg != nil {
-		reg.Histogram("wire_server_op_wall_ns", obsv.L("op", OpName(op))).
-			Observe(simtime.FromReal(time.Since(start))) //clampi:walltime daemon per-op latency histograms are wall-clock by design
-		reg.Counter("wire_server_requests_total", obsv.L("op", OpName(op))).Inc()
+	if metered {
+		m := c.s.opMetrics(op)
+		m.wall.Observe(simtime.FromReal(time.Since(start))) //clampi:walltime daemon per-op latency histograms are wall-clock by design
+		m.reqs.Inc()
 	}
 	if err != nil {
 		c.s.logf("wire: conn %v: %s: %v", c.conn.RemoteAddr(), OpName(op), err)
@@ -532,45 +549,55 @@ func (c *serverConn) handle(f Frame) (stop bool) {
 	return false
 }
 
-// respond writes one response frame. Serialized against notification
-// pushes from other connections' goroutines by wmu.
-func (c *serverConn) respond(op byte, seq uint64, payload []byte) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	c.wbuf = AppendFrame(c.wbuf[:0], op, seq, payload)
+// send seals the frame under construction in wbuf (started with
+// beginFrame, body appended in place) and writes it with a single Write.
+// The caller holds wmu, which serializes the connection's own responses
+// against notification pushes from other connections' goroutines. A
+// buffer that grew past frameBufKeep is dropped after the write.
+func (c *serverConn) send() error {
+	c.wbuf = sealFrame(c.wbuf, 0)
 	if c.s.mFramesOu != nil {
 		c.s.mFramesOu.Inc()
 		c.s.mBytesOut.Add(int64(len(c.wbuf)))
 	}
 	_, err := c.conn.Write(c.wbuf)
+	if cap(c.wbuf) > frameBufKeep {
+		c.wbuf = nil
+	}
 	return err
 }
 
 // push writes one OpNotify frame into this (subscribed) connection from
-// another connection's handler goroutine. Pushes carry sequence 0: they
+// another connection's handler goroutine; n.Data may alias the writer's
+// request frame, which outlives the call. Pushes carry sequence 0: they
 // answer no request, and the client's pump matches them by op alone.
 // A write failure is swallowed — the sink's own read loop observes the
 // broken connection and deregisters it; the writer's PutNotify must not
 // fail because one subscriber died (its queue overflow semantics cover
 // the loss).
-func (c *serverConn) push(payload []byte) {
+func (c *serverConn) push(n notifyPayload) {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	c.wbuf = AppendFrame(c.wbuf[:0], OpNotify, 0, payload)
-	if c.s.mFramesOu != nil {
-		c.s.mFramesOu.Inc()
-		c.s.mBytesOut.Add(int64(len(c.wbuf)))
-	}
-	_, _ = c.conn.Write(c.wbuf)
+	c.wbuf = appendNotify(beginFrame(c.wbuf[:0], OpNotify, 0), n)
+	_ = c.send()
 }
 
-func (c *serverConn) ack(seq uint64) error { return c.respond(OpAck, seq, nil) }
+// ack answers a request with the payload-free success frame.
+func (c *serverConn) ack(seq uint64) error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	c.wbuf = beginFrame(c.wbuf[:0], OpAck, seq)
+	return c.send()
+}
 
 // fail answers a request with a classified OpError frame. Only a broken
 // connection is returned as an error (closing the connection); the
 // request-level failure travels to the client instead.
 func (c *serverConn) fail(seq uint64, reqErr error) error {
-	return c.respond(OpError, seq, appendError(nil, errorToCode(reqErr), reqErr.Error()))
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	c.wbuf = appendError(beginFrame(c.wbuf[:0], OpError, seq), errorToCode(reqErr), reqErr.Error())
+	return c.send()
 }
 
 // needWindow guards data ops against pre-handshake use.
@@ -606,7 +633,10 @@ func (c *serverConn) hello(f Frame) error {
 	for i, r := range w.regions {
 		sizes[i] = int64(len(r))
 	}
-	return c.respond(OpWelcome, f.Seq, appendWelcome(nil, welcomePayload{Rank: c.rank, Regions: sizes}))
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	c.wbuf = appendWelcome(beginFrame(c.wbuf[:0], OpWelcome, f.Seq), welcomePayload{Rank: c.rank, Regions: sizes})
+	return c.send()
 }
 
 // checkRange validates a (target, disp, size) triple against the window.
@@ -658,21 +688,22 @@ func (c *serverConn) get(f Frame) error {
 	if verr := checkRange(w, r); verr != nil {
 		return c.fail(f.Seq, verr)
 	}
-	region := w.regions[r.Target]
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	c.wbuf = c.wbuf[:0]
-	// Build the data frame under the stripe read locks so the checksum
-	// and payload are a consistent snapshot even against concurrent puts.
+	c.wbuf = w.appendRegion(beginFrame(c.wbuf[:0], OpData, f.Seq), r)
+	return c.send()
+}
+
+// appendRegion appends the bytes of one validated range to buf under the
+// stripe read locks, so they are a snapshot no concurrent put tears.
+// That copy is the only work done under the locks: the frame CRC is
+// taken afterwards over the private copy, so payload and CRC agree
+// whatever writers do next.
+func (w *serverWindow) appendRegion(buf []byte, r rangeReq) []byte {
 	lo, hi := w.lockStripes(r.Target, r.Disp, r.Size, false)
-	c.wbuf = AppendFrame(c.wbuf, OpData, f.Seq, region[r.Disp:r.Disp+r.Size])
+	buf = append(buf, w.regions[r.Target][r.Disp:r.Disp+r.Size]...)
 	w.unlockStripes(r.Target, lo, hi, false)
-	if c.s.mFramesOu != nil {
-		c.s.mFramesOu.Inc()
-		c.s.mBytesOut.Add(int64(len(c.wbuf)))
-	}
-	_, err = c.conn.Write(c.wbuf)
-	return err
+	return buf
 }
 
 func (c *serverConn) getBatch(f Frame) error {
@@ -680,31 +711,32 @@ func (c *serverConn) getBatch(f Frame) error {
 	if w == nil {
 		return err
 	}
-	ops, derr := decodeBatch(f.Payload)
+	n, derr := decodeBatch(f.Payload)
 	if derr != nil {
 		return c.fail(f.Seq, derr)
 	}
+	// Validate every descriptor where it lies in the request frame before
+	// the first byte of the response is built.
 	total := 0
-	for i := range ops {
-		if verr := checkRange(w, ops[i]); verr != nil {
+	for i := 0; i < n; i++ {
+		r := batchRange(f.Payload, i)
+		if verr := checkRange(w, r); verr != nil {
 			return c.fail(f.Seq, verr)
 		}
-		total += int(ops[i].Size)
+		total += int(r.Size)
 		if total > c.s.cfg.MaxPayload {
 			return c.fail(f.Seq, fmt.Errorf("%w: batch response %dB", ErrFrameTooBig, total))
 		}
 	}
 	// One response frame for the whole batch: this is where k coalesced
 	// client ops become 2 syscalls instead of 2k.
-	payload := make([]byte, 0, total)
-	for i := range ops {
-		r := &ops[i]
-		region := w.regions[r.Target]
-		lo, hi := w.lockStripes(r.Target, r.Disp, r.Size, false)
-		payload = append(payload, region[r.Disp:r.Disp+r.Size]...)
-		w.unlockStripes(r.Target, lo, hi, false)
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	c.wbuf = beginFrame(c.wbuf[:0], OpData, f.Seq)
+	for i := 0; i < n; i++ {
+		c.wbuf = w.appendRegion(c.wbuf, batchRange(f.Payload, i))
 	}
-	return c.respond(OpData, f.Seq, payload)
+	return c.send()
 }
 
 func (c *serverConn) put(f Frame) error {
@@ -759,12 +791,8 @@ func (c *serverConn) putNotify(f Frame) error {
 		n.HasData = true
 		n.Data = p.Data
 	}
-	sinks := w.snapshotSinks(c.rank)
-	if len(sinks) > 0 {
-		payload := appendNotify(nil, n)
-		for _, sink := range sinks {
-			sink.push(payload)
-		}
+	for _, sink := range w.snapshotSinks(c.rank) {
+		sink.push(n)
 	}
 	return c.ack(f.Seq)
 }
@@ -834,9 +862,10 @@ func (c *serverConn) checksum(f Frame) error {
 	lo, hi := w.lockStripes(r.Target, r.Disp, r.Size, false)
 	sum := rma.ChecksumBytes(region[r.Disp : r.Disp+r.Size])
 	w.unlockStripes(r.Target, lo, hi, false)
-	var payload [8]byte
-	putU64(payload[:], sum)
-	return c.respond(OpData, f.Seq, payload[:])
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	c.wbuf = binary.LittleEndian.AppendUint64(beginFrame(c.wbuf[:0], OpData, f.Seq), sum)
+	return c.send()
 }
 
 func (c *serverConn) lock(f Frame, acquire bool) error {

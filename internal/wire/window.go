@@ -70,8 +70,6 @@ type Window struct {
 	// means unbounded.
 	opDeadline simtime.Duration
 
-	eb []byte // request encode scratch
-
 	// rtt holds the per-target round-trip EWMAs behind the
 	// rma.LocalityWindow answers. Origin state, single-goroutine like
 	// the rest of the Window — no atomics needed.
@@ -83,7 +81,6 @@ type Window struct {
 	// pump-failure flag that degrades consumers to blanket invalidation.
 	nq        *notify.Queue
 	nc        *clientConn
-	nb        []byte // subscribe-connection encode scratch
 	notifyBad bool
 }
 
@@ -175,9 +172,9 @@ func (w *Window) SetOpDeadline(d simtime.Duration) {
 // rpc performs one exchange and charges its measured wall duration to
 // the virtual clock — the sanctioned bridge that makes virtual-time
 // budgets (RetryPolicy.Deadline, stats) meaningful on a real transport.
-func (w *Window) rpc(op byte, payload []byte, deadline simtime.Duration, onData func(data []byte) error) error {
+func (w *Window) rpc(op byte, body func(buf []byte) []byte, deadline simtime.Duration, onData func(data []byte) error) error {
 	start := time.Now() //clampi:walltime wire RPCs charge their measured wall duration to the virtual clock (DESIGN.md §13)
-	err := w.cl.RPC(op, payload, deadline.Real(), onData)
+	err := w.cl.RPC(op, body, deadline.Real(), onData)
 	w.ep.clock.ChargeDuration(time.Since(start)) //clampi:walltime see above: wall->virtual charge is this backend's clock model
 	return err
 }
@@ -200,9 +197,9 @@ func (w *Window) closeEpoch() {
 
 // getRange fetches one contiguous validated range into dst.
 func (w *Window) getRange(dst []byte, target, disp int) error {
-	w.eb = appendRange(w.eb[:0], rangeReq{Target: int32(target), Disp: int64(disp), Size: int64(len(dst))})
+	req := rangeReq{Target: int32(target), Disp: int64(disp), Size: int64(len(dst))}
 	start := w.ep.clock.Now() // rpc charges measured wall time, so the clock delta IS the RTT
-	err := w.rpc(OpGet, w.eb, w.opDeadline, func(data []byte) error {
+	err := w.rpc(OpGet, func(b []byte) []byte { return appendRange(b, req) }, w.opDeadline, func(data []byte) error {
 		if len(data) != len(dst) {
 			return fmt.Errorf("%w: get returned %dB (want %d)", ErrProto, len(data), len(dst))
 		}
@@ -354,8 +351,8 @@ func (w *Window) Put(src []byte, dtype datatype.Datatype, count int, target, dis
 }
 
 func (w *Window) putRange(src []byte, target, disp int) error {
-	w.eb = appendPut(w.eb[:0], putReq{Target: int32(target), Disp: int64(disp), Data: src})
-	return w.rpc(OpPut, w.eb, w.opDeadline, nil)
+	req := putReq{Target: int32(target), Disp: int64(disp), Data: src}
+	return w.rpc(OpPut, func(b []byte) []byte { return appendPut(b, req) }, w.opDeadline, nil)
 }
 
 // doneRequest is the Request of a synchronous transport: the operation
@@ -424,8 +421,8 @@ func (w *Window) Accumulate(src []byte, dtype datatype.Datatype, count int, targ
 	if disp < 0 || disp+size > int(w.cl.regions[target]) {
 		return rma.ErrBounds
 	}
-	w.eb = appendAcc(w.eb[:0], accReq{Target: int32(target), Disp: int64(disp), Op: byte(op), Kind: kind, Data: src[:size]})
-	return w.rpc(OpAccumulate, w.eb, w.opDeadline, nil)
+	req := accReq{Target: int32(target), Disp: int64(disp), Op: byte(op), Kind: kind, Data: src[:size]}
+	return w.rpc(OpAccumulate, func(b []byte) []byte { return appendAcc(b, req) }, w.opDeadline, nil)
 }
 
 // GetBatch issues every op in one (or, above the frame payload limit, a
@@ -478,7 +475,6 @@ func (w *Window) GetBatch(ops []rma.GetOp) error {
 // getBatchChunk issues one OpGetBatch round trip and scatters the
 // concatenated response into the ops' dst buffers.
 func (w *Window) getBatchChunk(ops []rma.GetOp, want int) error {
-	w.eb = appendBatch(w.eb[:0], ops)
 	// A single-target chunk is one more RTT sample for that target;
 	// mixed-target chunks are not attributed (no way to split the
 	// round trip fairly).
@@ -487,7 +483,7 @@ func (w *Window) getBatchChunk(ops []rma.GetOp, want int) error {
 		sameTarget = ops[i].Target == ops[0].Target
 	}
 	start := w.ep.clock.Now()
-	err := w.rpc(OpGetBatch, w.eb, w.opDeadline, func(data []byte) error {
+	err := w.rpc(OpGetBatch, func(b []byte) []byte { return appendBatch(b, ops) }, w.opDeadline, func(data []byte) error {
 		if len(data) != want {
 			return fmt.Errorf("%w: batch returned %dB (want %d)", ErrProto, len(data), want)
 		}
@@ -521,8 +517,8 @@ func (w *Window) Checksum(target, disp, size int) (uint64, error) {
 		return 0, rma.ErrBounds
 	}
 	var sum uint64
-	w.eb = appendRange(w.eb[:0], rangeReq{Target: int32(target), Disp: int64(disp), Size: int64(size)})
-	err := w.rpc(OpChecksum, w.eb, w.opDeadline, func(data []byte) error {
+	req := rangeReq{Target: int32(target), Disp: int64(disp), Size: int64(size)}
+	err := w.rpc(OpChecksum, func(b []byte) []byte { return appendRange(b, req) }, w.opDeadline, func(data []byte) error {
 		if len(data) != 8 {
 			return fmt.Errorf("%w: checksum returned %dB", ErrProto, len(data))
 		}
@@ -548,10 +544,10 @@ func (w *Window) LockWithType(typ rma.LockType, target int) error {
 	if _, held := w.lockedTargets[target]; held {
 		return ErrAlreadyLocked
 	}
-	w.eb = appendLock(w.eb[:0], lockReq{Target: int32(target), Type: byte(typ)})
+	req := lockReq{Target: int32(target), Type: byte(typ)}
 	// No op deadline on lock acquisition: blocking on a contended
 	// exclusive lock is the intended semantics, not a fault.
-	if err := w.rpc(OpLock, w.eb, 0, nil); err != nil {
+	if err := w.rpc(OpLock, func(b []byte) []byte { return appendLock(b, req) }, 0, nil); err != nil {
 		return err
 	}
 	if w.lockedTargets == nil {
@@ -583,8 +579,8 @@ func (w *Window) Unlock(target int) error {
 	if !held {
 		return rma.ErrNoEpoch
 	}
-	w.eb = appendLock(w.eb[:0], lockReq{Target: int32(target), Type: byte(typ)})
-	if err := w.rpc(OpUnlock, w.eb, w.opDeadline, nil); err != nil {
+	req := lockReq{Target: int32(target), Type: byte(typ)}
+	if err := w.rpc(OpUnlock, func(b []byte) []byte { return appendLock(b, req) }, w.opDeadline, nil); err != nil {
 		return err
 	}
 	w.closeEpoch()

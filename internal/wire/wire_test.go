@@ -567,7 +567,9 @@ func TestDeadlineWindow(t *testing.T) {
 	// Use the low-level RPC with a short deadline against the blocked
 	// lock path: the server cannot answer until the holder releases.
 	cl := w.Client()
-	err := cl.RPC(OpLock, appendLock(nil, lockReq{Target: 0, Type: byte(rma.LockExclusive)}), 100*time.Millisecond, nil)
+	err := cl.RPC(OpLock, func(b []byte) []byte {
+		return appendLock(b, lockReq{Target: 0, Type: byte(rma.LockExclusive)})
+	}, 100*time.Millisecond, nil)
 	if !errors.Is(err, rma.ErrTimeout) {
 		t.Fatalf("bounded blocked op error = %v, want rma.ErrTimeout", err)
 	}
