@@ -90,40 +90,30 @@ func (c *Cache) GetBatch(ops []GetOp) error {
 		if len(op.Dst) < size {
 			return rma.ErrShortBuf
 		}
-		if len(c.dirty) > 0 {
-			// Read-your-writes, as in Get: a batched read overlapping a
-			// staged dirty span flushes the write-back buffer first.
-			if err := c.flushOverlap(op.Target, op.Disp, datatype.Span(dtype, count)); err != nil {
-				return err
-			}
+		e, err := c.openGet(dtype, count, op.Target, op.Disp, size)
+		if err != nil {
+			return err
 		}
-		c.beginGet(size)
-		key := cuckoo.Key{Target: op.Target, Disp: op.Disp}
-		e, found, lookupT := c.lookup(key)
-		c.last.Lookup = lookupT
-		c.stats.LookupTime += lookupT
-		if found && e.state != stateEvicted {
-			if err := c.serveHit(e, op.Dst, dtype, count, op.Target, op.Disp, size); err != nil {
-				return err
-			}
-			c.emitAccess(op.Target, op.Disp, size, nil)
-			continue
-		}
-		if size == 0 || dtype.Size() != dtype.Extent() {
+		switch {
+		case e != nil && e.state == stateCached && size <= e.payload:
+			c.fullHit(e, op.Dst[:size], op.Target)
+		case e != nil:
+			err = c.serveHit(e, op.Dst, dtype, count, op.Target, op.Disp, size)
+		case size == 0 || dtype.Size() != dtype.Extent():
 			// Strided or empty transfer: scalar miss path.
-			if err := c.serveMiss(key, op.Dst, dtype, count, op.Target, op.Disp, size); err != nil {
-				return err
-			}
-			c.emitAccess(op.Target, op.Disp, size, nil)
-			continue
-		}
-		if c.l2Routed(dtype, size, op.Target) && c.l2Probe(op.Target, op.Disp, op.Dst[:size]) {
+			key := cuckoo.Key{Target: op.Target, Disp: op.Disp}
+			err = c.serveMiss(key, op.Dst, dtype, count, op.Target, op.Disp, size)
+		case c.l2Routed(dtype, size, op.Target) && c.l2Probe(op.Target, op.Disp, op.Dst[:size]):
 			// Far-target miss served from the node-shared tier: never
 			// reaches the coalescer or the network (DESIGN.md §15).
-			c.emitAccess(op.Target, op.Disp, size, nil)
+		default:
+			misses = append(misses, batchMiss{op: i, target: op.Target, disp: op.Disp, size: size, lookup: c.last.Lookup})
 			continue
 		}
-		misses = append(misses, batchMiss{op: i, target: op.Target, disp: op.Disp, size: size, lookup: lookupT})
+		if err != nil {
+			return err
+		}
+		c.emitAccess(op.Target, op.Disp, size, nil)
 	}
 	if len(misses) == 0 {
 		c.bmisses = misses

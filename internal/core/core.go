@@ -300,10 +300,11 @@ const (
 // stored payload size).
 type entry struct {
 	key     cuckoo.Key
-	region  *storage.Region
+	off     int // region.Off(), kept beside the fields a hit reads: one cache line, no pointer chase
 	payload int // valid bytes cached (size(i))
 	state   entryState
-	last    int64  // index in C_w.G of the last matching get_c
+	last    int64 // index in C_w.G of the last matching get_c
+	region  *storage.Region
 	sum     uint64 // payload checksum (0 unless Params.VerifyFills)
 
 	// PENDING bookkeeping: src is the user destination buffer of the
@@ -518,44 +519,68 @@ func (c *Cache) Get(dst []byte, dtype datatype.Datatype, count int, target, disp
 	if len(dst) < size {
 		return rma.ErrShortBuf
 	}
-	if len(c.dirty) > 0 {
-		// Read-your-writes: a read overlapping a staged dirty span must
-		// observe the buffered write, so the buffer flushes first.
-		if err := c.flushOverlap(target, disp, datatype.Span(dtype, count)); err != nil {
-			return err
-		}
+	e, err := c.openGet(dtype, count, target, disp, size)
+	if err != nil {
+		return err
 	}
-	c.beginGet(size)
-
-	key := cuckoo.Key{Target: target, Disp: disp}
-	e, found, lookupT := c.lookup(key)
-	c.last.Lookup = lookupT
-	c.stats.LookupTime += lookupT
-
-	var err error
-	if found && e.state != stateEvicted {
+	switch {
+	case e == nil:
+		err = c.serveMiss(cuckoo.Key{Target: target, Disp: disp}, dst, dtype, count, target, disp, size)
+	case e.state == stateCached && size <= e.payload:
+		c.fullHit(e, dst[:size], target)
+	default:
 		err = c.serveHit(e, dst, dtype, count, target, disp, size)
-	} else {
-		err = c.serveMiss(key, dst, dtype, count, target, disp, size)
 	}
 	c.emitAccess(target, disp, size, err)
 	return err
 }
 
-// beginGet records the arrival of one get_c of the given size. It also
-// drains pending write notifications first (access-time coherence,
-// DESIGN.md §16): the stale spans must leave the cache before the lookup
-// below can hit them. The empty-queue probe is one nil check and one
-// atomic load — nothing is charged and nothing allocates, so the
-// steady-state hit path is unchanged.
-func (c *Cache) beginGet(size int) {
+// openGet records the arrival of one get_c and probes the index for it,
+// returning the live entry under its key (nil on a miss). Two coherence
+// steps come first, each a single test when idle, so the stale bytes leave
+// the cache before the probe can hit them: a read overlapping a staged
+// dirty span flushes the write-back buffer (read-your-writes), and pending
+// write notifications are drained (access-time coherence, DESIGN.md §16).
+func (c *Cache) openGet(dtype datatype.Datatype, count, target, disp, size int) (*entry, error) {
+	if len(c.dirty) > 0 {
+		if err := c.flushOverlap(target, disp, datatype.Span(dtype, count)); err != nil {
+			return nil, err
+		}
+	}
 	if c.nsub && c.nw.NotifyDepth() > 0 {
 		c.drainNotifications()
 	}
 	c.getSeq++
 	c.sumGetSizes += int64(size)
 	c.stats.Gets++
-	c.last = Access{}
+	e, found, lookupT := c.lookup(cuckoo.Key{Target: target, Disp: disp})
+	c.last = Access{Lookup: lookupT}
+	c.stats.LookupTime += lookupT
+	if !found || e.state == stateEvicted {
+		return nil, nil
+	}
+	return e, nil
+}
+
+// fullHit serves a get_c that the CACHED payload of e covers whole: one
+// copy and the hit's accounting (§III-B1). With openGet's probe before it
+// that is the entire hit — every full hit on cached data, from Get and
+// GetBatch alike, is served here and nowhere else.
+func (c *Cache) fullHit(e *entry, dst []byte, target int) {
+	e.last = c.getSeq
+	copyT := c.copyOut(dst, c.store.Slice(e.off, len(dst)))
+	c.last.Type = AccessHit
+	c.last.Copy = copyT
+	c.stats.Hits++
+	c.stats.FullHits++
+	c.stats.CopyTime += copyT
+	c.stats.BytesFromCache += int64(len(dst))
+	if c.staleDefer {
+		// The entry survived a deferred transparent invalidation: this
+		// hit is served stale (DESIGN.md §11).
+		c.stats.StaleServes++
+	}
+	c.noteDistHit(target)
 }
 
 // lookup probes the index under cost accounting. On the modeled-cost
@@ -605,7 +630,10 @@ func (c *Cache) emitAccess(target, disp, size int, err error) {
 	})
 }
 
-// serveHit handles CACHED and PENDING lookups (§III-B1).
+// serveHit handles the hits that are not a plain copy (§III-B1): a CACHED
+// entry shorter than the request (partial hit: the suffix is fetched and
+// the entry extended) and PENDING entries (the copy waits for the epoch
+// closure). Full hits on CACHED entries never get here; see fullHit.
 func (c *Cache) serveHit(e *entry, dst []byte, dtype datatype.Datatype, count, target, disp, size int) error {
 	e.last = c.getSeq
 	c.stats.Hits++
@@ -625,90 +653,71 @@ func (c *Cache) serveHit(e *entry, dst []byte, dtype datatype.Datatype, count, t
 	// is refetched instead (the cached prefix of a differently-shaped
 	// layout could not be trusted anyway).
 	contig := full || datatype.Contig(dtype, count)
+	served := min(size, e.payload)
 
-	switch e.state {
-	case stateCached:
-		if c.staleDefer {
-			// The entry survived a deferred transparent invalidation:
-			// this hit is served stale (DESIGN.md §11).
-			c.stats.StaleServes++
+	if e.state == statePending {
+		// Same-epoch repeat: the data is already on the wire; defer
+		// the copy to epoch closure (§III-B1).
+		c.stats.PendingHits++
+		if !contig {
+			// Strided partial pending hit: refetch everything.
+			if err := c.netGet(dst, dtype, count, target, disp); err != nil {
+				return err
+			}
+			c.last.Issued = true
+			c.stats.BytesFromNetwork += int64(size)
+			return nil
 		}
-		served := min(size, e.payload)
-		copyT := c.copyOut(dst[:served], c.store.Bytes(e.region, served))
-		c.last.Copy = copyT
-		c.stats.CopyTime += copyT
+		e.waiters = append(e.waiters, waiter{dst: dst[:served], size: served})
 		c.stats.BytesFromCache += int64(served)
 		if full {
 			return nil
 		}
-		// Partial hit: fetch the missing part remotely and try to
-		// extend the entry (§III-B1).
-		from := served
-		if contig {
-			if err := c.remoteGetRange(dst[served:size], target, disp+served, size-served); err != nil {
-				return err
-			}
-		} else {
-			if err := c.remoteGet(dst, dtype, count, target, disp); err != nil {
-				return err
-			}
-			from = 0
-		}
-		c.last.Issued = true
-		c.stats.BytesFromNetwork += int64(size - from)
-		var grown bool
-		mgmtT := c.charge(CostAlloc, func() {
-			grown = c.store.Grow(e.region, size-e.region.Size())
-		})
-		c.last.Mgmt = mgmtT
-		c.stats.MgmtTime += mgmtT
-		if grown {
-			e.extSrc = dst[from:size]
-			e.extFrom = from
-			e.extTo = size
-			c.pending = append(c.pending, e)
-		}
-		return nil
-
-	case statePending:
-		// Same-epoch repeat: the data is already on the wire; defer
-		// the copy to epoch closure (§III-B1).
-		c.stats.PendingHits++
-		served := min(size, e.payload)
-		if full || contig {
-			e.waiters = append(e.waiters, waiter{dst: dst[:served], size: served})
-			c.stats.BytesFromCache += int64(served)
-			if full {
-				return nil
-			}
-			if err := c.remoteGetRange(dst[served:size], target, disp+served, size-served); err != nil {
-				return err
-			}
-			c.last.Issued = true
-			c.stats.BytesFromNetwork += int64(size - served)
-			return nil
-		}
-		// Strided partial pending hit: refetch everything.
-		if err := c.remoteGet(dst, dtype, count, target, disp); err != nil {
+		if err := c.netGet(dst[served:size], datatype.Byte, size-served, target, disp+served); err != nil {
 			return err
 		}
 		c.last.Issued = true
-		c.stats.BytesFromNetwork += int64(size)
+		c.stats.BytesFromNetwork += int64(size - served)
 		return nil
 	}
+
+	// Partial hit on a CACHED entry: serve the cached prefix, fetch the
+	// missing part remotely and try to extend the entry (§III-B1).
+	if c.staleDefer {
+		// The entry survived a deferred transparent invalidation: this
+		// hit is served stale (DESIGN.md §11).
+		c.stats.StaleServes++
+	}
+	copyT := c.copyOut(dst[:served], c.store.Slice(e.off, served))
+	c.last.Copy = copyT
+	c.stats.CopyTime += copyT
+	c.stats.BytesFromCache += int64(served)
+	from := served
+	if contig {
+		if err := c.netGet(dst[served:size], datatype.Byte, size-served, target, disp+served); err != nil {
+			return err
+		}
+	} else {
+		if err := c.netGet(dst, dtype, count, target, disp); err != nil {
+			return err
+		}
+		from = 0
+	}
+	c.last.Issued = true
+	c.stats.BytesFromNetwork += int64(size - from)
+	var grown bool
+	mgmtT := c.charge(CostAlloc, func() {
+		grown = c.store.Grow(e.region, size-e.region.Size())
+	})
+	c.last.Mgmt = mgmtT
+	c.stats.MgmtTime += mgmtT
+	if grown {
+		e.extSrc = dst[from:size]
+		e.extFrom = from
+		e.extTo = size
+		c.pending = append(c.pending, e)
+	}
 	return nil
-}
-
-// remoteGetRange issues a plain byte-range MPI_Get through the
-// resilience layer (netGet, a direct Window.Get when disabled).
-func (c *Cache) remoteGetRange(dst []byte, target, disp, n int) error {
-	return c.netGet(dst, datatype.Byte, n, target, disp)
-}
-
-// remoteGet issues the full (possibly strided) MPI_Get for a miss,
-// through the resilience layer.
-func (c *Cache) remoteGet(dst []byte, dtype datatype.Datatype, count, target, disp int) error {
-	return c.netGet(dst, dtype, count, target, disp)
 }
 
 // serveMiss handles MISSING lookups: issue the remote get and try to
@@ -718,7 +727,7 @@ func (c *Cache) serveMiss(key cuckoo.Key, dst []byte, dtype datatype.Datatype, c
 	if c.l2Routed(dtype, size, target) {
 		return c.serveMissL2(key, dst, target, disp, size)
 	}
-	if err := c.remoteGet(dst, dtype, count, target, disp); err != nil {
+	if err := c.netGet(dst, dtype, count, target, disp); err != nil {
 		return err
 	}
 	c.last.Issued = true
@@ -838,6 +847,7 @@ func (c *Cache) newEntry(key cuckoo.Key, region *storage.Region, size int, src [
 	}
 	e.key = key
 	e.region = region
+	e.off = region.Off()
 	e.payload = size
 	e.state = statePending
 	e.last = c.getSeq
@@ -1127,11 +1137,4 @@ func waiterBytes(e *entry) int {
 // and construction share it.
 func newIndex(slots int, seed int64) *cuckoo.Table[*entry] {
 	return cuckoo.New[*entry](slots, seed)
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -151,7 +151,7 @@ func (c *Cache) writePatch(target, disp int, src []byte) bool {
 
 // drainNotifications empties the window's notification queue, applying
 // each descriptor to the cache. Called whenever NotifyDepth reports
-// pending descriptors: at access time (beginGet, write) and at epoch
+// pending descriptors: at access time (openGet, write) and at epoch
 // closure.
 func (c *Cache) drainNotifications() {
 	fellBack := false

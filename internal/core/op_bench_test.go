@@ -75,6 +75,43 @@ func BenchmarkOpHitFull(b *testing.B) {
 	})
 }
 
+// BenchmarkOpBatchHitFull measures one 16-op batch of full hits on 576 B
+// payloads per iteration — the shape lcc_replay_sim issues, where the
+// scalar benchmark above has one 256 B range hot in L1. It must not
+// allocate, and each get costs the lookup plus a 576 B copy: 119 vns.
+func BenchmarkOpBatchHitFull(b *testing.B) {
+	benchCache(b, alwaysParams(), func(c *Cache, win *mpi.Win, clock *simtime.Clock) {
+		const width, opBytes = 16, 576
+		dst := make([]byte, width*opBytes)
+		ops := make([]GetOp, width)
+		for j := range ops {
+			ops[j] = GetOp{Dst: dst[j*opBytes : (j+1)*opBytes], Target: 1, Disp: j * 1024}
+		}
+		if err := c.GetBatch(ops); err != nil {
+			b.Error(err)
+			return
+		}
+		if err := win.FlushAll(); err != nil {
+			b.Error(err)
+			return
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		v0 := clock.Now()
+		for i := 0; i < b.N; i++ {
+			if err := c.GetBatch(ops); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+		b.StopTimer()
+		if st := c.Stats(); st.FullHits != int64(b.N*width) {
+			b.Errorf("%d full hits in %d gets", st.FullHits, b.N*width)
+		}
+		b.ReportMetric(float64(clock.Now()-v0)/float64(b.N*width), "vns/op")
+	})
+}
+
 // BenchmarkOpHitFullResilient is BenchmarkOpHitFull with the full
 // resilience layer compiled in and armed (retry policy, circuit breaker,
 // fill verification) but zero faults injected: the fault-free hit path
@@ -112,7 +149,7 @@ func BenchmarkOpHitFullResilient(b *testing.B) {
 
 // BenchmarkOpNotifyDrain measures the full-hit path with an active
 // notification subscription and an empty queue: the per-access depth
-// probe (one nil check plus one atomic load, see beginGet) must keep the
+// probe (one nil check plus one atomic load, see openGet) must keep the
 // path at 0 allocs/op and must not move the L1 full-hit vns/op —
 // targeted coherence is free until a notification actually arrives.
 func BenchmarkOpNotifyDrain(b *testing.B) {

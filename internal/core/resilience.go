@@ -35,8 +35,8 @@ import (
 var ErrBreakerOpen = fmt.Errorf("%w: circuit breaker open", rma.ErrTransient)
 
 // netGet issues one remote get through the resilience layer. It is the
-// single network funnel of the caching layer: remoteGet, remoteGetRange
-// and issueRanges all land here.
+// single network funnel of the caching layer: misses, partial-hit
+// suffixes and issueRanges all land here.
 //
 // The retry loop is closure-free and allocation-free; backoffs advance
 // the origin's virtual clock with Advance (the origin is blocked

@@ -17,6 +17,7 @@ package cuckoo
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 )
 
@@ -44,9 +45,14 @@ func (k Key) String() string { return fmt.Sprintf("t%d+%d", k.Target, k.Disp) }
 // Not safe for concurrent use: each caching layer owns one table and runs
 // on its rank's goroutine.
 type Table[V any] struct {
-	slots   []slot[V]
+	slots []slot[V]
+	// tags[s] is tagOf the key in slots[s], 0 while the slot is empty. A
+	// probe reads the byte (the array is a thirty-second of the slots')
+	// and touches the slot's own cache line only when it can match.
+	tags    []uint8
 	a, b    [NumHashes]uint64
-	rng     *rand.Rand
+	fastM   uint64    // ^uint64(0)/len(slots) + 1, the fastmod constant of slot
+	rng     rand.Rand // held by value, so that tags adds no allocation per table
 	len     int
 	maxIter int
 	path    []int // reusable walk buffer; InsertResult.Path aliases it
@@ -60,13 +66,20 @@ type slot[V any] struct {
 
 // New creates a table with the given number of slots (minimum 2*p) and a
 // deterministic RNG seed for hash-function selection and walk randomness.
+// The slot reduction is exact only below 2^32 slots; a larger size would
+// silently mis-slot keys, so it panics.
 func New[V any](size int, seed int64) *Table[V] {
 	if size < 2*NumHashes {
 		size = 2 * NumHashes
 	}
+	if uint64(size) >= 1<<32 {
+		panic(fmt.Sprintf("cuckoo: %d slots exceed the 2^32 limit of the slot reduction", size))
+	}
 	t := &Table[V]{
 		slots:   make([]slot[V], size),
-		rng:     rand.New(rand.NewSource(seed)),
+		tags:    make([]uint8, size),
+		fastM:   ^uint64(0)/uint64(size) + 1,
+		rng:     *rand.New(rand.NewSource(seed)),
 		maxIter: DefaultMaxIterations,
 	}
 	t.reseedHashes()
@@ -108,32 +121,73 @@ func mix(k Key) uint64 {
 	return x
 }
 
-// hash returns the i-th candidate slot of key. The product's high half is
+// slot returns the i-th candidate slot of a key folded by mix (callers
+// mix once per operation, not once per probe). The product's high half is
 // used (multiply-shift) so every bit of x influences the slot; reducing
 // the low half modulo the table size would make keys that agree modulo the
-// size collide under *all* hash functions at once.
-func (t *Table[V]) hash(i int, k Key) int {
-	x := mix(k)
-	return int(((t.a[i]*x + t.b[i]) >> 32) % uint64(len(t.slots)))
+// size collide under *all* hash functions at once. The reduction is
+// h % len(slots) without the division (Lemire's fastmod): exact because h
+// and the table size both fit 32 bits.
+func (t *Table[V]) slot(i int, x uint64) int {
+	h := (t.a[i]*x + t.b[i]) >> 32
+	s, _ := bits.Mul64(t.fastM*h, uint64(len(t.slots)))
+	return int(s)
 }
 
-// Candidates returns the p candidate slot indices of key. Slots may
-// repeat if hash functions collide.
-func (t *Table[V]) Candidates(k Key) [NumHashes]int {
+// candidates returns the p candidate slots of a key folded by mix.
+func (t *Table[V]) candidates(x uint64) [NumHashes]int {
 	var c [NumHashes]int
-	for i := 0; i < NumHashes; i++ {
-		c[i] = t.hash(i, k)
+	for i := range c {
+		c[i] = t.slot(i, x)
 	}
 	return c
 }
 
+// Candidates returns the p candidate slot indices of key. Slots may
+// repeat if hash functions collide.
+func (t *Table[V]) Candidates(k Key) [NumHashes]int { return t.candidates(mix(k)) }
+
+// tagOf is the non-zero one-byte fingerprint of a fold.
+func tagOf(x uint64) uint8 { return uint8(x) | 0x80 }
+
+// find returns the slot holding k, whose fold is x, or -1.
+func (t *Table[V]) find(k Key, x uint64) int {
+	tag := tagOf(x)
+	for i := 0; i < NumHashes; i++ {
+		s := t.slot(i, x)
+		if t.tags[s] == tag && t.slots[s].key == k {
+			return s
+		}
+	}
+	return -1
+}
+
+// set stores k/v, whose fold is x, in slot s.
+func (t *Table[V]) set(s int, k Key, v V, x uint64) {
+	t.slots[s] = slot[V]{key: k, val: v, used: true}
+	t.tags[s] = tagOf(x)
+}
+
+// unset empties slot s.
+func (t *Table[V]) unset(s int) {
+	t.slots[s] = slot[V]{}
+	t.tags[s] = 0
+}
+
+// hashIndex returns which hash function maps the fold x to slot s, or -1.
+func (t *Table[V]) hashIndex(x uint64, s int) int {
+	for i := 0; i < NumHashes; i++ {
+		if t.slot(i, x) == s {
+			return i
+		}
+	}
+	return -1
+}
+
 // Lookup returns the value stored for key and the slot holding it.
 func (t *Table[V]) Lookup(k Key) (val V, slotIdx int, ok bool) {
-	for i := 0; i < NumHashes; i++ {
-		s := t.hash(i, k)
-		if t.slots[s].used && t.slots[s].key == k {
-			return t.slots[s].val, s, true
-		}
+	if s := t.find(k, mix(k)); s >= 0 {
+		return t.slots[s].val, s, true
 	}
 	var zero V
 	return zero, -1, false
@@ -142,14 +196,11 @@ func (t *Table[V]) Lookup(k Key) (val V, slotIdx int, ok bool) {
 // Update overwrites the value stored for key; it returns false if the key
 // is absent.
 func (t *Table[V]) Update(k Key, v V) bool {
-	for i := 0; i < NumHashes; i++ {
-		s := t.hash(i, k)
-		if t.slots[s].used && t.slots[s].key == k {
-			t.slots[s].val = v
-			return true
-		}
+	s := t.find(k, mix(k))
+	if s >= 0 {
+		t.slots[s].val = v
 	}
-	return false
+	return s >= 0
 }
 
 // InsertResult reports the outcome of an Insert.
@@ -178,7 +229,8 @@ type InsertResult[V any] struct {
 // already be present (callers Lookup first; a duplicate insert panics, as
 // it would corrupt the structure).
 func (t *Table[V]) Insert(k Key, v V) InsertResult[V] {
-	if _, _, ok := t.Lookup(k); ok {
+	x := mix(k) // fold of the walking element
+	if t.find(k, x) >= 0 {
 		panic(fmt.Sprintf("cuckoo: duplicate insert of %v", k))
 	}
 	res := InsertResult[V]{Path: t.path[:0]}
@@ -193,32 +245,28 @@ func (t *Table[V]) Insert(k Key, v V) InsertResult[V] {
 		if i == avoid {
 			i = (i + 1 + t.rng.Intn(NumHashes-1)) % NumHashes
 		}
-		s := t.hash(i, curKey)
+		s := t.slot(i, x)
 		res.Path = append(res.Path, s)
 		if !t.slots[s].used {
-			t.slots[s] = slot[V]{key: curKey, val: curVal, used: true}
+			t.set(s, curKey, curVal, x)
 			t.len++
 			res.Placed = true
 			t.path = res.Path[:0]
 			return res
 		}
 		// Displace the occupant and walk on with it.
-		t.slots[s].key, curKey = curKey, t.slots[s].key
-		t.slots[s].val, curVal = curVal, t.slots[s].val
+		occ := t.slots[s]
+		t.set(s, curKey, curVal, x)
+		curKey, curVal = occ.key, occ.val
 		// The displaced element sat in slot s; find which of its
 		// hash indices maps there so the next step avoids it.
-		avoid = -1
-		for j := 0; j < NumHashes; j++ {
-			if t.hash(j, curKey) == s {
-				avoid = j
-				break
-			}
-		}
+		x = mix(curKey)
+		avoid = t.hashIndex(x, s)
 	}
 	// Walk exhausted: curKey/curVal is homeless. Its candidate slots
 	// are all occupied (otherwise the walk would have placed it).
 	res.HomelessKey, res.HomelessVal = curKey, curVal
-	res.CandidateSlots = t.Candidates(curKey)
+	res.CandidateSlots = t.candidates(x)
 	t.path = res.Path[:0]
 	// The element that started the walk is now stored (unless the walk
 	// never displaced anyone, i.e. curKey == k after 0 swaps — then
@@ -233,25 +281,16 @@ func (t *Table[V]) Insert(k Key, v V) InsertResult[V] {
 // slot must be one of key's candidate positions; otherwise lookups for
 // key would fail, so ReplaceAt panics. It returns the evicted key/value.
 func (t *Table[V]) ReplaceAt(slotIdx int, k Key, v V) (Key, V) {
-	valid := false
-	for i := 0; i < NumHashes; i++ {
-		if t.hash(i, k) == slotIdx {
-			valid = true
-			break
-		}
-	}
-	if !valid {
+	x := mix(k)
+	if t.hashIndex(x, slotIdx) < 0 {
 		panic(fmt.Sprintf("cuckoo: slot %d is not a candidate of %v", slotIdx, k))
 	}
-	if !t.slots[slotIdx].used {
-		t.slots[slotIdx] = slot[V]{key: k, val: v, used: true}
+	old := t.slots[slotIdx]
+	t.set(slotIdx, k, v, x)
+	if !old.used {
 		t.len++
-		var zero V
-		return Key{}, zero
 	}
-	ek, ev := t.slots[slotIdx].key, t.slots[slotIdx].val
-	t.slots[slotIdx] = slot[V]{key: k, val: v, used: true}
-	return ek, ev
+	return old.key, old.val
 }
 
 // At returns the occupant of slotIdx.
@@ -266,14 +305,11 @@ func (t *Table[V]) At(slotIdx int) (Key, V, bool) {
 
 // Delete removes key, returning its value.
 func (t *Table[V]) Delete(k Key) (V, bool) {
-	for i := 0; i < NumHashes; i++ {
-		s := t.hash(i, k)
-		if t.slots[s].used && t.slots[s].key == k {
-			v := t.slots[s].val
-			t.slots[s] = slot[V]{}
-			t.len--
-			return v, true
-		}
+	if s := t.find(k, mix(k)); s >= 0 {
+		v := t.slots[s].val
+		t.unset(s)
+		t.len--
+		return v, true
 	}
 	var zero V
 	return zero, false
@@ -286,16 +322,15 @@ func (t *Table[V]) DeleteAt(slotIdx int) (Key, V, bool) {
 		return Key{}, zero, false
 	}
 	k, v := t.slots[slotIdx].key, t.slots[slotIdx].val
-	t.slots[slotIdx] = slot[V]{}
+	t.unset(slotIdx)
 	t.len--
 	return k, v, true
 }
 
 // Clear drops all entries, keeping the hash functions and capacity.
 func (t *Table[V]) Clear() {
-	for i := range t.slots {
-		t.slots[i] = slot[V]{}
-	}
+	clear(t.slots)
+	clear(t.tags)
 	t.len = 0
 }
 
@@ -312,11 +347,13 @@ func (t *Table[V]) Scan(start int, visit func(slotIdx int, k Key, v V, used bool
 	if start < 0 {
 		start += n
 	}
-	for i := 0; i < n; i++ {
-		s := (start + i) % n
-		sl := t.slots[s]
+	for i, s := 0, start; i < n; i++ {
+		sl := &t.slots[s]
 		if !visit(s, sl.key, sl.val, sl.used) {
 			return
+		}
+		if s++; s == n {
+			s = 0
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package cuckoo
 
 import (
+	"math/bits"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -10,6 +12,92 @@ func TestNewMinimumSize(t *testing.T) {
 	if tb.Cap() < 2*NumHashes {
 		t.Fatalf("Cap() = %d, want >= %d", tb.Cap(), 2*NumHashes)
 	}
+}
+
+// TestNewRejectsOversizedTable: the division-free slot reduction is exact
+// only below 2^32 slots, so a larger table must not be built.
+func TestNewRejectsOversizedTable(t *testing.T) {
+	if bits.UintSize < 64 {
+		t.Skip("int cannot hold 2^32")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("New with 2^32 slots did not panic")
+		}
+	}()
+	size := 1
+	size <<= 32
+	New[int](size, 1)
+}
+
+// TestSlotReductionExact: slot is ((a·x+b)>>32) % n computed without the
+// division — the same slot, so no placement moves.
+func TestSlotReductionExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{8, 9, 511, 512, 16384, 1000003} {
+		tb := New[struct{}](n, int64(n))
+		for j := 0; j < 200000; j++ {
+			x := mix(Key{Target: rng.Intn(1 << 10), Disp: int(rng.Int63())})
+			switch j { // the folds that drive h to its extremes for b = 0
+			case 0:
+				x = 0
+			case 1:
+				x = ^uint64(0)
+			}
+			for i := 0; i < NumHashes; i++ {
+				want := int(((tb.a[i]*x + tb.b[i]) >> 32) % uint64(n))
+				if got := tb.slot(i, x); got != want {
+					t.Fatalf("n = %d, hash %d, fold %#x: slot %d, want %d", n, i, x, got, want)
+				}
+			}
+		}
+	}
+}
+
+// checkTags fails unless every tag is the fingerprint of its slot's key
+// and zero exactly on the empty slots: find trusts tags without reading
+// the slot.
+func checkTags[V any](t *testing.T, tb *Table[V]) {
+	t.Helper()
+	for s := range tb.slots {
+		want := uint8(0)
+		if tb.slots[s].used {
+			want = tagOf(mix(tb.slots[s].key))
+		}
+		if tb.tags[s] != want {
+			t.Fatalf("slot %d (used %v, key %v): tag %#x, want %#x", s, tb.slots[s].used, tb.slots[s].key, tb.tags[s], want)
+		}
+	}
+}
+
+// TestTagsTrackEverySlotWrite drives every operation that writes a slot
+// (placement, displacement, ReplaceAt on used and empty slots, Delete,
+// DeleteAt, Clear) on a table small enough to overflow.
+func TestTagsTrackEverySlotWrite(t *testing.T) {
+	tb := New[int](32, 9)
+	tb.SetMaxIterations(8)
+	for i := 0; i < 300; i++ {
+		k := Key{Target: i % 3, Disp: i * 8}
+		if res := tb.Insert(k, i); !res.Placed {
+			tb.ReplaceAt(res.CandidateSlots[i%NumHashes], res.HomelessKey, res.HomelessVal)
+		}
+		switch i % 7 {
+		case 2:
+			tb.DeleteAt(i % tb.Cap())
+		case 4:
+			tb.Delete(Key{Target: (i - 3) % 3, Disp: (i - 3) * 8})
+		case 6:
+			free := Key{Target: 7, Disp: i}
+			tb.ReplaceAt(tb.Candidates(free)[0], free, i) // usually an empty slot after the deletes
+			tb.Delete(free)
+		}
+		checkTags(t, tb)
+	}
+	if tb.Len() == 0 {
+		t.Fatalf("table ended empty: the tape checked nothing")
+	}
+	tb.Clear()
+	checkTags(t, tb)
 }
 
 func TestInsertLookupDelete(t *testing.T) {

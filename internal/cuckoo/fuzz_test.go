@@ -50,6 +50,7 @@ func FuzzTableOps(f *testing.F) {
 			if tb.Len() != len(oracle) {
 				t.Fatalf("op %d: len %d vs oracle %d", i, tb.Len(), len(oracle))
 			}
+			checkTags(t, tb)
 		}
 	})
 }

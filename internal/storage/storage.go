@@ -181,6 +181,11 @@ func (m *Manager) Bytes(r *Region, n int) []byte {
 	return m.buf[r.off : r.off+n]
 }
 
+// Slice returns n bytes of the buffer at off, for callers that keep an
+// allocated region's offset (Region.Off) beside their own hot fields
+// instead of chasing the region pointer; Bytes is the checked form.
+func (m *Manager) Slice(off, n int) []byte { return m.buf[off : off+n] }
+
 // Alloc reserves n bytes (cache-line rounded) using the configured
 // policy. It returns nil if no single free region can hold the request —
 // the caller decides whether that is a capacity access (evict and retry)
