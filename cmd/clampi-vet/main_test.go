@@ -12,8 +12,9 @@ import (
 	"clampi/internal/analysis/suite"
 )
 
-// registeredNames is the contract the CI registry guard also asserts:
-// the suite names exactly these eight analyzers, in reporting order.
+// registeredNames is the one place the analyzer set is asserted (go test
+// ./... runs it in CI): the suite names exactly these eight analyzers,
+// in reporting order.
 var registeredNames = []string{
 	"epochcheck", "simclock", "sentinelerr", "atomicfield",
 	"observerlock", "seqlockcheck", "lockorder", "wireproto",

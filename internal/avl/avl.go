@@ -29,12 +29,21 @@ func (k Key) String() string { return fmt.Sprintf("(%d@%d)", k.Size, k.Off) }
 
 // Tree is an AVL tree mapping Keys to values of type V. The zero value is
 // an empty tree ready for use. Not safe for concurrent mutation.
+//
+// A tree owns its nodes: it takes them from the heap nodeChunk at a time
+// and recycles deleted ones through a free list, so a steady-state
+// insert/delete cycle allocates nothing and two trees never share node
+// memory.
 type Tree[V any] struct {
 	root  *node[V]
 	size  int
-	pool  *node[V]  // recycled nodes, linked through right (no arena)
-	arena *Arena[V] // chunked allocator when set (SetArena)
+	free  *node[V]  // recycled nodes, linked through right
+	chunk []node[V] // unissued nodes of the newest chunk
 }
+
+// nodeChunk is how many nodes a tree takes from the heap at a time: 64
+// cover the free-region count of a typical cache without a second chunk.
+const nodeChunk = 64
 
 type node[V any] struct {
 	key         Key
@@ -46,37 +55,34 @@ type node[V any] struct {
 // Len returns the number of entries.
 func (t *Tree[V]) Len() int { return t.size }
 
-// newNode takes a node off the arena (when set) or the private pool.
-// Pooling keeps the storage manager's steady-state alloc/free cycle
-// allocation-free either way.
+// newNode returns a node initialized to (key, val, height 1): a recycled
+// one when there is one, else the next of the current chunk.
 func (t *Tree[V]) newNode(key Key, val V) *node[V] {
-	if t.arena != nil {
-		return t.arena.get(key, val)
+	n := t.free
+	if n != nil {
+		t.free = n.right
+	} else {
+		if len(t.chunk) == 0 {
+			t.chunk = make([]node[V], nodeChunk)
+		}
+		n = &t.chunk[0]
+		t.chunk = t.chunk[1:]
 	}
-	n := t.pool
-	if n == nil {
-		return &node[V]{key: key, val: val, height: 1}
-	}
-	t.pool = n.right
 	*n = node[V]{key: key, val: val, height: 1}
 	return n
 }
 
-// recycle pushes a detached node onto the arena (when set) or the
-// private pool, dropping its value reference.
+// recycle pushes a detached node onto the free list, dropping its value
+// reference.
 func (t *Tree[V]) recycle(n *node[V]) {
-	if t.arena != nil {
-		t.arena.put(n)
-		return
-	}
 	var zero V
 	n.val = zero
 	n.left = nil
-	n.right = t.pool
-	t.pool = n
+	n.right = t.free
+	t.free = n
 }
 
-// Clear empties the tree, recycling every node onto the pool.
+// Clear empties the tree, recycling every node.
 func (t *Tree[V]) Clear() {
 	var drop func(n *node[V])
 	drop = func(n *node[V]) {

@@ -233,6 +233,61 @@ func TestKeyLessAndString(t *testing.T) {
 	}
 }
 
+// TestNodeRecycling checks the tree's node allocator: nodes come from the
+// heap a chunk at a time, deleted and cleared nodes are reused before a
+// new one is carved, and a steady-state insert/delete cycle allocates
+// nothing (what storage.Manager's alloc/free cycle relies on).
+func TestNodeRecycling(t *testing.T) {
+	fill := func(tr *Tree[int]) {
+		for i := 0; i < 100; i++ {
+			tr.Insert(Key{Size: i % 25, Off: i}, i)
+		}
+	}
+	if got, want := testing.AllocsPerRun(10, func() { fill(new(Tree[int])) }), float64((100+nodeChunk-1)/nodeChunk); got != want {
+		t.Fatalf("100 inserts into a fresh tree: %v allocations, want %v (one per chunk)", got, want)
+	}
+
+	var tr Tree[int]
+	fill(&tr)
+	if err := tr.checkInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	unissued := len(tr.chunk)
+
+	// Delete half, re-insert: the recycled nodes are reused.
+	for i := 0; i < 100; i += 2 {
+		if !tr.Delete(Key{Size: i % 25, Off: i}) {
+			t.Fatalf("Delete(%d) missed", i)
+		}
+	}
+	for i := 0; i < 100; i += 2 {
+		tr.Insert(Key{Size: i % 25, Off: i}, i)
+	}
+	if err := tr.checkInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.chunk) != unissued || tr.free != nil {
+		t.Fatalf("re-insert carved %d new nodes with recycled ones waiting", unissued-len(tr.chunk))
+	}
+
+	// Clear recycles everything; the next fill reuses it all.
+	tr.Clear()
+	if tr.Len() != 0 {
+		t.Fatalf("Len after Clear = %d", tr.Len())
+	}
+	fill(&tr)
+	if len(tr.chunk) != unissued || tr.free != nil {
+		t.Fatalf("post-Clear fill carved %d new nodes", unissued-len(tr.chunk))
+	}
+
+	if got := testing.AllocsPerRun(100, func() {
+		tr.Delete(Key{Size: 7, Off: 7})
+		tr.Insert(Key{Size: 7, Off: 7}, 7)
+	}); got != 0 {
+		t.Fatalf("steady-state delete+insert allocates %v times", got)
+	}
+}
+
 func BenchmarkInsertDelete(b *testing.B) {
 	var tr Tree[int]
 	rng := rand.New(rand.NewSource(1))

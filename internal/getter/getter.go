@@ -33,12 +33,9 @@ type Getter interface {
 }
 
 // BatchOp is one contiguous read of a batched get: len(Dst) bytes at
-// byte displacement Disp of Target's region.
-type BatchOp struct {
-	Dst    []byte
-	Target int
-	Disp   int
-}
+// byte displacement Disp of Target's region. It is the transport's own
+// batch descriptor, so Raw hands a batch to the window untranslated.
+type BatchOp = rma.GetOp
 
 // Batcher is the optional vectorized extension of Getter: systems that
 // can issue many gets in one call (coalescing misses, amortizing
@@ -68,8 +65,6 @@ func GetBatch(g Getter, ops []BatchOp) error {
 // Raw issues uncached window gets: the foMPI baseline.
 type Raw struct {
 	Win rma.Window
-
-	scratch []rma.GetOp // reusable GetBatch translation buffer
 }
 
 // NewRaw wraps a window in the baseline getter.
@@ -94,10 +89,7 @@ func (r *Raw) Name() string { return "foMPI" }
 // baseline never coalesces).
 func (r *Raw) GetBatch(ops []BatchOp) error {
 	if bw, ok := r.Win.(rma.BatchWindow); ok {
-		r.scratch = appendRMAOps(r.scratch[:0], ops)
-		err := bw.GetBatch(r.scratch)
-		clearRMAOps(r.scratch)
-		return err
+		return bw.GetBatch(ops)
 	}
 	for i := range ops {
 		op := &ops[i]
@@ -151,22 +143,6 @@ func (c *Cached) GetBatch(ops []BatchOp) error {
 		c.scratch[i].Dst = nil
 	}
 	return err
-}
-
-// appendRMAOps translates getter ops into transport ops.
-func appendRMAOps(dst []rma.GetOp, ops []BatchOp) []rma.GetOp {
-	for i := range ops {
-		op := &ops[i]
-		dst = append(dst, rma.GetOp{Dst: op.Dst, Target: op.Target, Disp: op.Disp})
-	}
-	return dst
-}
-
-// clearRMAOps drops the buffer references of a translated batch.
-func clearRMAOps(ops []rma.GetOp) {
-	for i := range ops {
-		ops[i].Dst = nil
-	}
 }
 
 // Compile-time checks: both built-in getters batch.

@@ -207,10 +207,16 @@ func PublishStats(reg *Registry, s core.Stats, labels ...Label) {
 	set("clampi_stats_failing", s.Failing)
 	set("clampi_stats_prefetches", s.Prefetches)
 	set("clampi_stats_evictions", s.Evictions)
+	set("clampi_stats_visited_slots", s.VisitedSlots)
+	set("clampi_stats_nonempty_visited", s.NonEmptyVisited)
+	set("clampi_stats_eviction_scans", s.EvictionScans)
 	set("clampi_stats_invalidations", s.Invalidations)
 	set("clampi_stats_adjustments", s.Adjustments)
 	set("clampi_stats_bytes_from_cache", s.BytesFromCache)
 	set("clampi_stats_bytes_from_network", s.BytesFromNetwork)
+	set("clampi_stats_batch_ops", s.BatchOps)
+	set("clampi_stats_batch_misses", s.BatchMisses)
+	set("clampi_stats_batch_messages", s.BatchMessages)
 	set("clampi_stats_retries", s.Retries)
 	set("clampi_stats_timeouts", s.Timeouts)
 	set("clampi_stats_stale_serves", s.StaleServes)
@@ -276,6 +282,7 @@ func PublishL2Stats(reg *Registry, s blockcache.L2Stats, labels ...Label) {
 	set("clampi_l2_forwards", s.Forwards)
 	set("clampi_l2_overwrites", s.Overwrites)
 	set("clampi_l2_seqlock_retries", s.Retries)
+	set("clampi_l2_invalidations", s.Invalidations)
 }
 
 // PublishSharedStats exports a concurrent cache's per-shard gauges —

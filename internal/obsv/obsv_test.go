@@ -1,6 +1,7 @@
 package obsv
 
 import (
+	"reflect"
 	"strconv"
 	"sync"
 	"testing"
@@ -280,6 +281,39 @@ func TestPublishSharedStats(t *testing.T) {
 	if used < fills*256 {
 		t.Fatalf("used gauges sum to %d, want >= %d", used, fills*256)
 	}
+}
+
+// TestPublishCoversEveryField fails when a counter is added to core.Stats
+// or blockcache.L2Stats without a gauge: every numeric field, set to a
+// value no other field has, must come out of the registry.
+func TestPublishCoversEveryField(t *testing.T) {
+	// stats points at a zero stats struct that publish reads.
+	check := func(name string, stats any, publish func(*Registry)) {
+		v := reflect.ValueOf(stats).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			if !v.Field(i).CanInt() {
+				t.Fatalf("%s.%s: non-integer field; teach this test how to publish it", name, v.Type().Field(i).Name)
+			}
+			v.Field(i).SetInt(int64(1000 + i))
+		}
+		r := NewRegistry()
+		publish(r)
+		published := make(map[int64]bool)
+		for _, f := range r.snapshot() {
+			for _, s := range f.series {
+				published[s.metric.(*Gauge).Value()] = true
+			}
+		}
+		for i := 0; i < v.NumField(); i++ {
+			if !published[int64(1000+i)] {
+				t.Errorf("%s.%s is not published", name, v.Type().Field(i).Name)
+			}
+		}
+	}
+	var cs core.Stats
+	check("core.Stats", &cs, func(r *Registry) { PublishStats(r, cs) })
+	var ls blockcache.L2Stats
+	check("blockcache.L2Stats", &ls, func(r *Registry) { PublishL2Stats(r, ls) })
 }
 
 // TestPublishLocalityStats proves the locality bridges: the four new

@@ -267,6 +267,10 @@ type BatchWindow interface {
 	// op.Disp); on the first failing op the error is returned and the
 	// remaining ops are not issued. Backends that can identify the
 	// failing op wrap the cause in a *BatchError so callers can resume
-	// after the already-delivered prefix.
+	// after the already-delivered prefix. ops belongs to the caller: an
+	// implementation fills the Dst buffers but neither modifies the
+	// slice's elements nor keeps the slice after returning (internal/mpi,
+	// internal/wire and internal/fault all comply), so callers pass their
+	// own descriptor slice without a defensive copy.
 	GetBatch(ops []GetOp) error
 }

@@ -113,27 +113,18 @@ func (m *Manager) recycle(r *Region) {
 func New(size int) *Manager { return NewWithPolicy(size, BestFit) }
 
 // NewWithPolicy creates a manager with an explicit allocation policy.
-// Every manager owns a private AVL node arena, so managers used as
-// per-shard stores (core's concurrent cache) never contend on node
-// allocation — each shard's free-region index grows from its own
-// chunks.
 func NewWithPolicy(size int, policy Policy) *Manager {
 	if size < CacheLine {
 		size = CacheLine
 	}
 	size = roundUp(size)
 	m := &Manager{buf: make([]byte, size), policy: policy}
-	m.tree.SetArena(avl.NewArena[*Region](treeArenaChunk))
 	r := &Region{off: 0, size: size, free: true}
 	m.head = r
 	m.tree.Insert(key(r), r)
 	m.freeBytes = size
 	return m
 }
-
-// treeArenaChunk sizes the per-manager AVL arena chunks: 64 nodes cover
-// the free-region count of a typical cache shard without a second chunk.
-const treeArenaChunk = 64
 
 // Policy returns the allocation policy in use.
 func (m *Manager) Policy() Policy { return m.policy }
