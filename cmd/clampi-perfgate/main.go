@@ -9,11 +9,15 @@
 //     the shared concurrent cache's lock-free hit path both
 //     single-context (BenchmarkOpSharedHitFull) and contended
 //     (BenchmarkOpSharedHitParallel), and on the node-shared L2 tier
-//     (BenchmarkOpL2Hit, BenchmarkOpL2SiblingForward),
+//     (BenchmarkOpL2Hit, BenchmarkOpL2SiblingForward) — and so do the
+//     coherence paths behind every write and notification: a range query
+//     on a 16384-entry cache (BenchmarkOpInvalidateRange16k) and a
+//     notified write no entry covers (BenchmarkOpPutNotifyUncovered),
 //   - deterministic virtual time stays within its budget: the L1
 //     full-hit path at 108 vns/op (119 per get of the 576 B batch) and
-//     the L2 hit paths under 400 vns/op (vns/op has no host variance,
-//     so any excess is a modeled-cost regression), and
+//     the L2 hit paths under 400 vns/op, a range query at a seek plus
+//     the entries it scans (vns/op has no host variance, so any excess
+//     is a modeled-cost regression), and
 //   - no benchmark's host ns/op regresses past the threshold (default
 //     1.25x) over its baseline.
 //
@@ -57,6 +61,11 @@ var zeroAllocGated = map[string]bool{
 	"BenchmarkOpL2Hit":             true,
 	"BenchmarkOpL2SiblingForward":  true,
 	"BenchmarkOpNotifyDrain":       true,
+	// One allocation per call is what a victim list or a charge closure
+	// escaping to the heap would cost; the flush of the staged writes
+	// leaves 1/32 (mpi's copy of the notification payload).
+	"BenchmarkOpInvalidateRange16k": true,
+	"BenchmarkOpPutNotifyUncovered": true,
 }
 
 // vnsCeiling pins deterministic virtual-time budgets: vns/op is exact
@@ -73,6 +82,14 @@ var vnsCeiling = map[string]float64{
 	"BenchmarkOpNotifyDrain":      108,
 	"BenchmarkOpL2Hit":            400,
 	"BenchmarkOpL2SiblingForward": 400,
+	// Two range queries of ceil(log2(n+1)) + k slot visits each (n =
+	// 16384 then 16383, k = 1 then 0), the victim's removal, and the miss
+	// and flush that fetch it back. A whole-index walk charged per entry,
+	// as before the ordered view, is 821553.
+	"BenchmarkOpInvalidateRange16k": 3128,
+	// Lookup, a range query over a 2-entry view that scans nothing (50),
+	// staging and the copy, and 1/32 of the epoch's flush.
+	"BenchmarkOpPutNotifyUncovered": 287,
 }
 
 // Baseline is the committed PERF_baseline.json schema.

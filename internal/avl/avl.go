@@ -6,6 +6,10 @@
 // offset component makes every free region's key unique, so regions of
 // equal size coexist. Ceiling(size) implements the best-fit policy — the
 // smallest free region large enough for an allocation — in O(log N).
+//
+// The caching layer keeps a second tree over its entries, keyed (target,
+// displacement) in the same two components, and answers "which entries
+// overlap this byte range" with Ascend (core/range.go).
 package avl
 
 import "fmt"
@@ -299,6 +303,23 @@ func walk[V any](n *node[V], f func(Key, V) bool) bool {
 		return true
 	}
 	return walk(n.left, f) && f(n.key, n.val) && walk(n.right, f)
+}
+
+// Ascend visits the entries whose key is not less than from, in ascending
+// key order, until the visitor returns false: a seek and a scan,
+// O(log N + visited).
+func (t *Tree[V]) Ascend(from Key, f func(Key, V) bool) {
+	ascend(t.root, from, f)
+}
+
+func ascend[V any](n *node[V], from Key, f func(Key, V) bool) bool {
+	if n == nil {
+		return true
+	}
+	if !n.key.Less(from) && !(ascend(n.left, from, f) && f(n.key, n.val)) {
+		return false
+	}
+	return ascend(n.right, from, f)
 }
 
 // Height returns the tree height (0 for empty); exposed for balance tests.

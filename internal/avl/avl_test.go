@@ -2,6 +2,7 @@ package avl
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -314,5 +315,48 @@ func BenchmarkCeiling(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr.Ceiling(rng.Intn(1 << 20))
+	}
+}
+
+// TestAscend: a seek to the first key not less than from, then an
+// in-order scan the visitor can stop — checked against Walk for every
+// starting point, keys between entries and beyond both ends included.
+func TestAscend(t *testing.T) {
+	var tr Tree[int]
+	tr.Ascend(Key{}, func(Key, int) bool { t.Fatal("visited an entry of an empty tree"); return false })
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 300; i++ {
+		tr.Insert(Key{Size: rng.Intn(4), Off: rng.Intn(200) * 2}, i)
+	}
+	var all []Key
+	tr.Walk(func(k Key, _ int) bool { all = append(all, k); return true })
+	for size := -1; size <= 4; size++ {
+		for off := -1; off <= 400; off++ {
+			from := Key{Size: size, Off: off}
+			var want []Key
+			for _, k := range all {
+				if !k.Less(from) {
+					want = append(want, k)
+				}
+			}
+			var got []Key
+			tr.Ascend(from, func(k Key, v int) bool {
+				if w, _ := tr.Get(k); w != v {
+					t.Fatalf("Ascend(%v) visited %v with value %d, tree holds %d", from, k, v, w)
+				}
+				got = append(got, k)
+				return true
+			})
+			if !slices.Equal(got, want) {
+				t.Fatalf("Ascend(%v) visited %v, want %v", from, got, want)
+			}
+			if len(want) > 2 {
+				n := 0
+				tr.Ascend(from, func(Key, int) bool { n++; return n < 2 })
+				if n != 2 {
+					t.Fatalf("Ascend(%v) made %d visits after the visitor stopped it at 2", from, n)
+				}
+			}
+		}
 	}
 }

@@ -342,6 +342,11 @@ type Cache struct {
 
 	pending []*entry // entries awaiting epoch-closure copy-in
 
+	// Range-query state (range.go): view is nil until the first range
+	// query this cache receives, victims is that query's scratch.
+	view    *spanView
+	victims []*entry
+
 	// Entry-record pool (allocation-free steady state): evicted records
 	// first land on dead — they may still be referenced from pending
 	// until the epoch closes — and move to free once the pending queue
@@ -818,7 +823,7 @@ func (c *Cache) insertPending(key cuckoo.Key, src []byte, size int) AccessType {
 			if res.HomelessKey == key {
 				return AccessFailing
 			}
-			c.pending = append(c.pending, e)
+			c.indexed(e)
 			return AccessConflicting
 		}
 		mgmtT += c.charge(CostInsert+CostFree, func() {
@@ -829,9 +834,18 @@ func (c *Cache) insertPending(key cuckoo.Key, src []byte, size int) AccessType {
 		})
 		accessType = AccessConflicting
 	}
-	c.pending = append(c.pending, e)
+	c.indexed(e)
 	c.recordMgmt(mgmtT)
 	return accessType
+}
+
+// indexed records that the new PENDING entry e found its index slot: it
+// joins the epoch-closure queue and, where there is one, the ordered view.
+func (c *Cache) indexed(e *entry) {
+	c.pending = append(c.pending, e)
+	if c.view != nil {
+		c.view.add(e)
+	}
 }
 
 // newEntry takes a record off the free list (or allocates one) and
@@ -855,13 +869,18 @@ func (c *Cache) newEntry(key cuckoo.Key, region *storage.Region, size int, src [
 	return e
 }
 
-// retire parks an evicted entry on the graveyard. Records are recycled
-// onto the free list only once the pending queue drains (epoch closure
-// or invalidation), because a stateEvicted record may still sit in
-// c.pending until then. PENDING entries are never retired directly:
-// callers transition them to stateEvicted first, and the record keeps
-// carrying its waiters until recycling.
+// retire parks an evicted entry on the graveyard. Every entry that leaves
+// the index passes through here, so this is also where it leaves the
+// ordered view (range.go). Records are recycled onto the free list only
+// once the pending queue drains (epoch closure or invalidation), because
+// a stateEvicted record may still sit in c.pending until then. PENDING
+// entries are never retired directly: callers transition them to
+// stateEvicted first, and the record keeps carrying its waiters until
+// recycling.
 func (c *Cache) retire(e *entry) {
+	if c.view != nil {
+		c.view.remove(e)
+	}
 	c.dead = append(c.dead, e)
 }
 
@@ -1005,6 +1024,9 @@ func (c *Cache) onEpochClose(epoch int64) {
 				copiedBytes += e.extTo - e.extFrom
 				if e.extTo > e.payload {
 					e.payload = e.extTo
+					if c.view != nil {
+						c.view.maxPayload = max(c.view.maxPayload, e.payload)
+					}
 				}
 				if c.verify {
 					// The payload changed shape: restamp its checksum.
@@ -1102,9 +1124,37 @@ func (c *Cache) invalidate() {
 		e.state = stateEvicted
 		c.retire(e)
 	}
-	// Remaining indexed entries (all CACHED now) are dropped wholesale by
-	// Clear/Reset below; retire their records for reuse. Their regions
-	// are reclaimed by Reset, so no per-entry FreeRegion.
+	est := CostInvalidateBase + simtime.Duration(c.idx.Cap())*CostInvalidatePerSlot
+	if c.idx.Len() == 0 && c.store.Entries() == 0 {
+		// Nothing is indexed or stored — every other fence of a
+		// blanket-mode halo exchange closes an epoch that fetched nothing
+		// — so index and storage are already as Clear and Reset would
+		// leave them. The model charges the invalidation all the same.
+		c.charge(est, func() {})
+	} else {
+		// Remaining indexed entries (all CACHED now) are dropped wholesale
+		// by Clear/Reset. Their regions are reclaimed by Reset, so no
+		// per-entry FreeRegion.
+		c.retireCached()
+		c.charge(est, func() {
+			c.idx.Clear()
+			c.store.Reset()
+		})
+	}
+	c.dropL2Pending()
+	c.pending = c.pending[:0]
+	c.recycleDead()
+	c.arena = c.arena[:0]
+	c.stats.Invalidations++
+}
+
+// retireCached retires the record of every CACHED entry in the index,
+// ahead of the index being cleared or replaced as a whole; the ordered
+// view is emptied the same way rather than entry by entry.
+func (c *Cache) retireCached() {
+	if c.view != nil {
+		c.view.reset()
+	}
 	c.idx.Walk(func(_ cuckoo.Key, e *entry) bool {
 		if e.state == stateCached {
 			e.state = stateEvicted
@@ -1112,16 +1162,6 @@ func (c *Cache) invalidate() {
 		}
 		return true
 	})
-	est := CostInvalidateBase + simtime.Duration(c.idx.Cap())*CostInvalidatePerSlot
-	c.charge(est, func() {
-		c.idx.Clear()
-		c.store.Reset()
-	})
-	c.dropL2Pending()
-	c.pending = c.pending[:0]
-	c.recycleDead()
-	c.arena = c.arena[:0]
-	c.stats.Invalidations++
 }
 
 // waiterBytes sums the bytes owed to an entry's same-epoch waiters.

@@ -17,6 +17,15 @@ func FuzzRangeInvalidation(f *testing.F) {
 	f.Add(uint16(0), uint8(1), uint16(4095), uint8(1), uint16(0), uint8(255))
 	f.Add(uint16(500), uint8(64), uint16(500), uint8(64), uint16(500), uint8(64))
 	f.Add(uint16(4000), uint8(255), uint16(100), uint8(0), uint16(4090), uint8(64))
+	// The ordered view's seek starts maxPayload-1 bytes before the written
+	// span (range.go): a 256 B entry whose last byte alone is written and
+	// whose start is exactly the seek key, the same entry merely abutted,
+	// a write abutting both entries from below, and a short entry nested
+	// in a long one where only the long one reaches the write.
+	f.Add(uint16(100), uint8(255), uint16(360), uint8(7), uint16(355), uint8(0))
+	f.Add(uint16(100), uint8(255), uint16(360), uint8(7), uint16(356), uint8(0))
+	f.Add(uint16(100), uint8(255), uint16(101), uint8(9), uint16(99), uint8(0))
+	f.Add(uint16(200), uint8(99), uint16(250), uint8(9), uint16(260), uint8(49))
 
 	f.Fuzz(func(t *testing.T, d1 uint16, s1 uint8, d2 uint16, s2 uint8, pd uint16, ps uint8) {
 		const regionSize = 4096

@@ -168,6 +168,12 @@ func runHitSeq(t *testing.T, seed int64, d hitDriver) hitRun {
 		}
 		res.stats, res.now = c.Stats(), r.Clock().Now()
 		res.warmStats, res.warmNow = res.stats.Sub(coldStats), res.now-coldNow
+		if c.view != nil {
+			// Evictions, conflicts and failing accesses, but no write and
+			// no notification: the miss path must not be maintaining the
+			// range view (range.go).
+			t.Errorf("%s: a read-only run built the ordered view", d.name)
+		}
 		return win.UnlockAll()
 	})
 	if err != nil {

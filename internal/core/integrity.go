@@ -17,6 +17,8 @@ import (
 //     allocated (not free),
 //   - no two entries share a region,
 //   - every PENDING entry is queued for epoch-closure processing,
+//   - once the ordered view exists (range.go) it holds exactly the
+//     indexed entries, and no payload exceeds its maxPayload,
 //   - the storage manager's own invariants hold.
 func (c *Cache) CheckIntegrity() error {
 	if err := c.store.CheckInvariants(); err != nil {
@@ -70,6 +72,16 @@ func (c *Cache) CheckIntegrity() error {
 			err = fmt.Errorf("core: entry %v payload %d exceeds region %v", k, e.payload, e.region)
 			return false
 		}
+		if c.view != nil {
+			if cur, ok := c.view.tree.Get(viewKey(k)); !ok || cur != e {
+				err = fmt.Errorf("core: indexed entry %v missing from the ordered view", k)
+				return false
+			}
+			if e.payload > c.view.maxPayload {
+				err = fmt.Errorf("core: entry %v payload %d exceeds maxPayload %d", k, e.payload, c.view.maxPayload)
+				return false
+			}
+		}
 		if prev, dup := regions[e.region]; dup {
 			err = fmt.Errorf("core: entries %v and %v share region %v", prev, k, e.region)
 			return false
@@ -82,6 +94,9 @@ func (c *Cache) CheckIntegrity() error {
 	}
 	if indexed != c.idx.Len() {
 		return fmt.Errorf("core: walked %d entries, index reports %d", indexed, c.idx.Len())
+	}
+	if c.view != nil && c.view.tree.Len() != indexed {
+		return fmt.Errorf("core: ordered view holds %d entries, index %d", c.view.tree.Len(), indexed)
 	}
 	// Entries not reachable through the index must not hold storage:
 	// every allocated region belongs to an indexed entry, except the

@@ -61,6 +61,11 @@ func FuzzNotifyCoherence(f *testing.F) {
 	f.Add([]byte{0, 2, 0, 2, 0, 2, 1, 2})             // repeated same-slot writes
 	f.Add([]byte{3, 4, 1, 4, 2, 0, 3, 4, 1, 4})       // sub-span writes
 	f.Add([]byte{0, 0, 0, 1, 0, 2, 0, 3, 0, 4, 0, 5}) // queue pressure
+	// Neighbours cached around the written slot, so the range query scans
+	// past entries it must keep; then further rounds after the ordered
+	// view exists, refilling and re-invalidating it.
+	f.Add([]byte{1, 0, 1, 1, 1, 2, 2, 0, 3, 1, 1, 0, 1, 1, 1, 2, 2, 0, 0, 1, 3, 2, 1, 1, 1, 2})
+	f.Add([]byte{3, 3, 2, 0, 1, 3, 1, 4, 2, 0, 3, 4, 3, 3, 1, 3, 1, 4, 2, 0, 1, 3, 1, 4})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ops := decodeFuzzScript(data)
 		if len(ops) == 0 {

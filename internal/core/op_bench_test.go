@@ -183,6 +183,119 @@ func BenchmarkOpNotifyDrain(b *testing.B) {
 	})
 }
 
+// BenchmarkOpInvalidateRange16k measures range queries on a cache of
+// 16384 entries of 64 B: each iteration drops one entry (k = 1), asks
+// again for the hole it left (k = 0) and fetches the entry back, so the
+// population holds. Both queries are a seek in the ordered view
+// (range.go); walking the index instead would cost 4096 times the slots.
+func BenchmarkOpInvalidateRange16k(b *testing.B) {
+	const entries, size = 16384, 64
+	p := alwaysParams()
+	p.IndexSlots = 4 * entries
+	p.StorageBytes = 4 * entries * size
+	benchCache(b, p, func(c *Cache, win *mpi.Win, clock *simtime.Clock) {
+		dst := make([]byte, size)
+		fetch := func(i int) bool {
+			if err := c.Get(dst, datatype.Byte, size, 1, i*size); err != nil {
+				b.Error(err)
+				return false
+			}
+			return true
+		}
+		for i := 0; i < entries; i++ {
+			if !fetch(i) {
+				return
+			}
+			if i%256 == 255 {
+				if err := win.FlushAll(); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}
+		c.InvalidateRange(0, 0, 1) // the first range query builds the view
+		if c.CachedEntries() != entries {
+			b.Errorf("%d entries cached, want %d", c.CachedEntries(), entries)
+			return
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		v0 := clock.Now()
+		dropped := 0
+		for i := 0; i < b.N; i++ {
+			at := i * 7919 % entries
+			dropped += c.InvalidateRange(1, at*size+size/4, size/2)
+			dropped += c.InvalidateRange(1, at*size+size/4, size/2)
+			if !fetch(at) {
+				return
+			}
+			if err := win.FlushAll(); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+		b.StopTimer()
+		if dropped != b.N || c.CachedEntries() != entries {
+			b.Errorf("%d entries dropped in %d iterations, %d cached", dropped, b.N, c.CachedEntries())
+		}
+		b.ReportMetric(float64(clock.Now()-v0)/float64(b.N), "vns/op")
+	})
+}
+
+// BenchmarkOpPutNotifyUncovered measures a notified write no cached entry
+// covers exactly, as stencil_sim issues them: the rank publishes 512 B
+// rows of its own region while its cache holds two rows of its
+// neighbour, under targeted notifications and write-back. Each call is a
+// failed patch lookup, a range query that finds nothing, and a staged
+// span; every 32 calls an epoch closes and flushes them as one run. The
+// payload copy of that one notification is mpi's and the only allocation
+// left (1/32 per op).
+func BenchmarkOpPutNotifyUncovered(b *testing.B) {
+	p := alwaysParams()
+	p.NotifyTargeted = true
+	p.WriteBack = true
+	benchCache(b, p, func(c *Cache, win *mpi.Win, clock *simtime.Clock) {
+		const row, perEpoch = 512, 32
+		dst := make([]byte, row)
+		for _, disp := range []int{0, row} {
+			if err := c.Get(dst, datatype.Byte, row, 1, disp); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+		epoch := func() bool {
+			for j := 0; j < perEpoch; j++ {
+				if err := c.PutNotify(dst, datatype.Byte, row, 0, j*row, 7); err != nil {
+					b.Error(err)
+					return false
+				}
+			}
+			if err := win.FlushAll(); err != nil {
+				b.Error(err)
+				return false
+			}
+			return true
+		}
+		if !epoch() {
+			return
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		v0 := clock.Now()
+		calls := 0
+		for ; calls < b.N; calls += perEpoch {
+			if !epoch() {
+				return
+			}
+		}
+		b.StopTimer()
+		if st := c.Stats(); st.WriteHits != 0 || c.CachedEntries() != 2 {
+			b.Errorf("%d write hits, %d entries cached: the writes were meant to miss both", st.WriteHits, c.CachedEntries())
+		}
+		b.ReportMetric(float64(clock.Now()-v0)/float64(calls), "vns/op")
+	})
+}
+
 // BenchmarkOpMissEvict measures the steady-state miss path under
 // capacity pressure: every get misses, evicts one entry and inserts a
 // pending one (pools keep it at <= 2 allocs/op).

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"math/bits"
+
+	"clampi/internal/avl"
 	"clampi/internal/cuckoo"
 	"clampi/internal/datatype"
 	"clampi/internal/simtime"
@@ -14,29 +17,103 @@ import (
 // consistency to the user. As a safety extension, Put routes writes
 // through the cache layer and invalidates the (origin-local) entries
 // overlapping the written range first, so a process never reads its own
-// stale writes back. Remote writers are still the user's responsibility,
-// exactly as in the paper — no coherence traffic is ever generated.
+// stale writes back; a drained write notification (notify.go) does the
+// same for a remote writer's span.
+//
+// The Cuckoo index has no spatial structure — the paper trades range
+// queries for O(1) lookups — so "which entries overlap these bytes" is
+// answered from a second, ordered view of the same entries: an AVL tree
+// keyed (target, disp). An entry starting at d overlaps [disp, disp+size)
+// only if d < disp+size and d > disp−payload, and no payload exceeds the
+// cache's high-water mark maxPayload, so the overlapping entries all lie
+// in the key interval [disp−maxPayload+1, disp+size) of the target: one
+// seek and a scan of that interval, O(log n + k), where walking the index
+// costs O(|I_w|) however few entries it holds (DESIGN.md §16).
+//
+// Keeping the view current taxes every insert and eviction, and a cache
+// over a read-only window — the paper's case — never asks a range
+// question. So the view does not exist until the first range query a
+// cache receives: that query builds it with the one index walk the old
+// design spent on every query, and it is maintained from then on
+// (indexed, retire, invalidate, and the partial-hit extension that
+// raises maxPayload). A cache that is never written to and never
+// notified pays one nil test per miss.
+
+// spanView is the ordered (target, disp) view of the indexed entries.
+type spanView struct {
+	tree avl.Tree[*entry]
+	// maxPayload bounds every indexed entry's payload from above. It only
+	// rises while the view holds anything: an eviction may leave it loose,
+	// which widens a scan but never hides an overlap.
+	maxPayload int
+}
+
+func viewKey(k cuckoo.Key) avl.Key { return avl.Key{Size: k.Target, Off: k.Disp} }
+
+func (v *spanView) add(e *entry) {
+	v.tree.Insert(viewKey(e.key), e)
+	v.maxPayload = max(v.maxPayload, e.payload)
+}
+
+// remove drops e from the view. Records are recycled and a record that
+// lost its index slot may share its key with the live entry that took
+// it, so the record itself is compared, not the key alone.
+func (v *spanView) remove(e *entry) {
+	if cur, ok := v.tree.Get(viewKey(e.key)); ok && cur == e {
+		v.tree.Delete(viewKey(e.key))
+		if v.tree.Len() == 0 {
+			v.maxPayload = 0
+		}
+	}
+}
+
+func (v *spanView) reset() {
+	v.tree.Clear()
+	v.maxPayload = 0
+}
+
+// buildView creates the view from the index: the one whole-index walk a
+// cache that receives range queries ever makes for them, charged as the
+// walk was.
+func (c *Cache) buildView() {
+	c.view = &spanView{}
+	c.charge(simtime.Duration(c.idx.Len())*CostPerScanSlot, func() {
+		c.idx.Walk(func(_ cuckoo.Key, e *entry) bool {
+			c.view.add(e)
+			return true
+		})
+	})
+}
 
 // InvalidateRange drops every cached entry of target that overlaps the
-// byte range [disp, disp+size). The index has no spatial structure (the
-// paper's design trades range queries for O(1) lookups), so this is a
-// linear scan over the cached entries — acceptable because writes to
-// cached windows are rare by assumption. Returns the number of entries
-// dropped.
+// byte range [disp, disp+size) and returns how many it dropped. The
+// candidates come from the ordered view — a seek plus the k entries of
+// the interval that can overlap — and the model is charged for exactly
+// that: ⌈log2(n+1)⌉ + k slot visits.
 func (c *Cache) InvalidateRange(target, disp, size int) int {
 	if size <= 0 {
 		return 0
 	}
-	var victims []*entry
-	c.charge(simtime.Duration(c.idx.Len())*CostPerScanSlot, func() {
-		c.idx.Walk(func(k cuckoo.Key, e *entry) bool {
-			if k.Target == target && k.Disp < disp+size && disp < k.Disp+e.payload {
-				victims = append(victims, e)
+	if c.view == nil {
+		c.buildView()
+	}
+	scanned := 0
+	c.chargeFn(func() {
+		from := avl.Key{Size: target, Off: disp - c.view.maxPayload + 1}
+		c.view.tree.Ascend(from, func(k avl.Key, e *entry) bool {
+			if k.Size != target || k.Off >= disp+size {
+				return false
+			}
+			scanned++
+			if disp < k.Off+e.payload {
+				c.victims = append(c.victims, e)
 			}
 			return true
 		})
+	}, func() simtime.Duration {
+		return simtime.Duration(bits.Len(uint(c.idx.Len()))+scanned) * CostPerScanSlot
 	})
-	for _, e := range victims {
+	for _, e := range c.victims {
 		if e.state == statePending {
 			// Same-epoch waiters keep their data (it is complete in
 			// the in-flight source buffer; see invalidate()).
@@ -54,7 +131,10 @@ func (c *Cache) InvalidateRange(target, disp, size int) int {
 		})
 		c.retire(e)
 	}
-	return len(victims)
+	n := len(c.victims)
+	clear(c.victims)
+	c.victims = c.victims[:0]
+	return n
 }
 
 // Put routes a write through the cache layer (notify.go), keeping the

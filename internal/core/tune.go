@@ -82,7 +82,8 @@ func (c *Cache) tune() {
 // resizeIndex applies factor to |I_w|, clamped to
 // [minIndexSlots, MaxIndexSlots]. Returns false if clamping nullified the
 // change. The new table is created empty: a parameter change implies
-// invalidation anyway (§III-E).
+// invalidation anyway (§III-E), and the caller's invalidate() sees only
+// the new table, so the old one's records are retired here.
 func (c *Cache) resizeIndex(factor float64) bool {
 	cur := c.idx.Cap()
 	next := int(float64(cur) * factor)
@@ -95,6 +96,7 @@ func (c *Cache) resizeIndex(factor float64) bool {
 	if next == cur {
 		return false
 	}
+	c.retireCached()
 	c.charge(CostInvalidateBase, func() {
 		c.idx = newIndex(next, c.params.Seed)
 	})

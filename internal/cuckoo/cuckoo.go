@@ -362,10 +362,15 @@ func (t *Table[V]) Scan(start int, visit func(slotIdx int, k Key, v V, used bool
 // start of §III-D).
 func (t *Table[V]) RandomSlot() int { return t.rng.Intn(len(t.slots)) }
 
-// Walk visits every stored entry in slot order.
+// Walk visits every stored entry in slot order. Occupancy is read from
+// the tag bytes, so an empty slot costs one byte, not a slot's cache line.
 func (t *Table[V]) Walk(visit func(k Key, v V) bool) {
-	for _, s := range t.slots {
-		if s.used && !visit(s.key, s.val) {
+	slots := t.slots
+	for s, tag := range t.tags[:len(slots)] {
+		if tag == 0 {
+			continue
+		}
+		if sl := &slots[s]; !visit(sl.key, sl.val) {
 			return
 		}
 	}

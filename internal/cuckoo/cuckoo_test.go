@@ -412,6 +412,31 @@ func TestWalkVisitsAllEntries(t *testing.T) {
 	if n != 1 {
 		t.Fatalf("Walk early stop visited %d", n)
 	}
+	// Walk reads occupancy from the tag bytes: slots emptied by key and
+	// by index are skipped, the rest still visited with their values.
+	for i := 0; i < 50; i += 2 {
+		k := Key{i % 4, i * 16}
+		if i%4 == 0 {
+			tb.Delete(k)
+		} else {
+			_, s, _ := tb.Lookup(k)
+			tb.DeleteAt(s)
+		}
+		delete(want, k)
+	}
+	n = 0
+	tb.Walk(func(k Key, v int) bool {
+		if w, ok := want[k]; !ok || w != v {
+			t.Fatalf("Walk visited %v=%d after deletions, want %d (present %v)", k, v, w, ok)
+		}
+		n++
+		return true
+	})
+	if n != len(want) || n != tb.Len() {
+		t.Fatalf("Walk visited %d entries after deletions, want %d (Len %d)", n, len(want), tb.Len())
+	}
+	tb.Clear()
+	tb.Walk(func(k Key, _ int) bool { t.Fatalf("Walk visited %v in a cleared table", k); return false })
 }
 
 func TestCandidatesAreLookupPositions(t *testing.T) {

@@ -130,9 +130,14 @@ type World struct {
 	size int
 	cfg  Config
 
-	mu    sync.Mutex
-	colls map[int]*collSlot
-	wins  int // window id counter
+	mu sync.Mutex
+	// colls are the two rendezvous in flight at most: a rank can reach
+	// collective n+1 while a peer has yet to leave n, but n+2 completes
+	// n+1 first, which every rank entered only after leaving n. Collective
+	// n uses colls[n&1]; collDone wakes its waiters.
+	colls    [2]collSlot
+	collDone sync.Cond // on mu
+	wins     int       // window id counter
 
 	// token serializes rank execution in FidelityMeasured mode: exactly
 	// one rank goroutine runs user code at a time, yielding only inside
@@ -170,12 +175,13 @@ func (w *World) leave() {
 	}
 }
 
-// collSlot is one in-flight collective rendezvous.
+// collSlot is one in-flight collective rendezvous, reset by its first
+// arrival and read by its participants until the slot's next use.
 type collSlot struct {
 	arrived int
-	data    []any
+	done    int   // rendezvous completed on this slot
+	data    []any // nil unless a rank contributed a value
 	clock   simtime.Duration
-	done    chan struct{}
 }
 
 // Rank is the per-process handle passed to each rank's program. All
@@ -204,9 +210,9 @@ func Run(size int, cfg Config, program func(*Rank) error) error {
 	w := &World{
 		size:  size,
 		cfg:   cfg,
-		colls: make(map[int]*collSlot),
 		ranks: make([]*Rank, size),
 	}
+	w.collDone.L = &w.mu
 	for i := 0; i < size; i++ {
 		w.ranks[i] = &Rank{world: w, id: i, clock: simtime.NewClock()}
 	}
@@ -244,40 +250,48 @@ func (r *Rank) Distance(target int) netsim.Distance {
 
 // collective performs a rendezvous of all ranks, gathering one value per
 // rank and aligning clocks to the slowest participant plus cost. All ranks
-// must call collectives in the same order (the usual SPMD contract).
+// must call collectives in the same order (the usual SPMD contract). The
+// result is nil when no rank contributed a value, so a Barrier or Fence
+// allocates nothing; otherwise it is a fresh slice shared by all ranks.
 func (r *Rank) collective(contrib any, cost simtime.Duration) []any {
 	w := r.world
-	seq := r.colls
+	slot := &w.colls[r.colls&1]
 	r.colls++
 
 	w.mu.Lock()
-	slot, ok := w.colls[seq]
-	if !ok {
-		slot = &collSlot{data: make([]any, w.size), done: make(chan struct{})}
-		w.colls[seq] = slot
+	if slot.arrived == 0 {
+		slot.data, slot.clock = nil, 0
 	}
-	slot.data[r.id] = contrib
+	if contrib != nil {
+		if slot.data == nil {
+			slot.data = make([]any, w.size)
+		}
+		slot.data[r.id] = contrib
+	}
 	if r.clock.Now() > slot.clock {
 		slot.clock = r.clock.Now()
 	}
 	slot.arrived++
 	last := slot.arrived == w.size
 	if last {
-		delete(w.colls, seq)
-	}
-	w.mu.Unlock()
-
-	if last {
-		close(slot.done)
+		slot.arrived = 0
+		slot.done++
+		w.collDone.Broadcast()
 	} else {
 		// Yield the run token while blocked so the remaining ranks
 		// can reach the rendezvous (see World.token).
 		w.leave()
-		<-slot.done
+		for done := slot.done; slot.done == done; {
+			w.collDone.Wait()
+		}
+	}
+	data, clock := slot.data, slot.clock
+	w.mu.Unlock()
+	if !last {
 		w.enter()
 	}
-	r.clock.AdvanceTo(slot.clock + cost)
-	return slot.data
+	r.clock.AdvanceTo(clock + cost)
+	return data
 }
 
 // barrierCost models a dissemination barrier: ceil(log2 P) network rounds.
@@ -299,7 +313,10 @@ func (r *Rank) Barrier() {
 // Allgather gathers one value from every rank into a slice indexed by
 // rank id (MPI_Allgather for a single element of any Go type).
 func (r *Rank) Allgather(v any) []any {
-	return r.collective(v, r.barrierCost())
+	if out := r.collective(v, r.barrierCost()); out != nil {
+		return out
+	}
+	return make([]any, r.world.size) // every rank contributed nil
 }
 
 // AllgatherInt is a convenience wrapper for the common int payload.

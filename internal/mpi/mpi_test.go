@@ -85,6 +85,63 @@ func TestAllgather(t *testing.T) {
 	}
 }
 
+// TestAllgatherResultsAreNotShared: each rendezvous hands out its own
+// result, which stays intact through later collectives (the rendezvous
+// slots are reused, their results must not be); a round in which every
+// rank contributes nil still yields one element per rank.
+func TestAllgatherResultsAreNotShared(t *testing.T) {
+	err := Run(3, Config{}, func(r *Rank) error {
+		first := r.Allgather(r.ID())
+		r.Barrier()
+		second := r.Allgather(r.ID() + 100)
+		third := r.Allgather(nil)
+		r.Barrier()
+		for i := 0; i < 3; i++ {
+			if first[i] != i || second[i] != i+100 || third[i] != nil {
+				t.Errorf("rank %d: element %d of three gathers: %v, %v, %v", r.ID(), i, first[i], second[i], third[i])
+			}
+		}
+		if len(third) != 3 {
+			t.Errorf("rank %d: all-nil gather has %d elements", r.ID(), len(third))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBarrierAndFenceAllocateNothing: a rendezvous without contributions
+// reuses the world's two slots, in both engines.
+func TestBarrierAndFenceAllocateNothing(t *testing.T) {
+	for _, mode := range []ExecMode{FidelityMeasured, Throughput} {
+		const runs = 200
+		err := Run(2, Config{Mode: mode}, func(r *Rank) error {
+			win := r.WinCreate(make([]byte, 64), nil)
+			defer win.Free()
+			round := func() {
+				r.Barrier()
+				if err := win.Fence(); err != nil {
+					t.Error(err)
+				}
+			}
+			if r.ID() != 0 {
+				for i := 0; i < runs+1; i++ { // AllocsPerRun's warm-up call and its runs
+					round()
+				}
+				return nil
+			}
+			if n := testing.AllocsPerRun(runs, round); n != 0 {
+				t.Errorf("%v: Barrier+Fence allocate %.2f times per round", mode, n)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestReductionsAndBcast(t *testing.T) {
 	err := Run(4, Config{}, func(r *Rank) error {
 		if m := r.AllreduceMax(float64(r.ID())); m != 3 {
