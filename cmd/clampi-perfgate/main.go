@@ -5,11 +5,10 @@
 //
 //   - the hit paths perform 0 allocs/op — bare (BenchmarkOpHitFull),
 //     batched as the LCC replay issues them (BenchmarkOpBatchHitFull),
-//     with the resilience layer armed (BenchmarkOpHitFullResilient), on
-//     the shared concurrent cache's lock-free hit path both
-//     single-context (BenchmarkOpSharedHitFull) and contended
-//     (BenchmarkOpSharedHitParallel), and on the node-shared L2 tier
-//     (BenchmarkOpL2Hit, BenchmarkOpL2SiblingForward) — and so do the
+//     with the resilience layer armed (BenchmarkOpHitFullResilient),
+//     with a notification subscription armed (BenchmarkOpNotifyDrain)
+//     and on the node-shared L2 tier (BenchmarkOpL2Hit,
+//     BenchmarkOpL2SiblingForward) — and so do the
 //     coherence paths behind every write and notification: a range query
 //     on a 16384-entry cache (BenchmarkOpInvalidateRange16k) and a
 //     notified write no entry covers (BenchmarkOpPutNotifyUncovered),
@@ -19,7 +18,10 @@
 //     the entries it scans (vns/op has no host variance, so any excess
 //     is a modeled-cost regression), and
 //   - no benchmark's host ns/op regresses past the threshold (default
-//     1.25x) over its baseline.
+//     1.25x) over its baseline, and
+//   - every benchmark named by a gate or by the baseline produced a
+//     result: a renamed, deleted or unparsable benchmark fails the gate
+//     instead of silently leaving it.
 //
 // Usage:
 //
@@ -53,14 +55,12 @@ type Result struct {
 // zeroAllocGated names the benchmarks whose hit paths must never
 // allocate, regardless of the committed baseline.
 var zeroAllocGated = map[string]bool{
-	"BenchmarkOpHitFull":           true,
-	"BenchmarkOpBatchHitFull":      true,
-	"BenchmarkOpHitFullResilient":  true,
-	"BenchmarkOpSharedHitFull":     true,
-	"BenchmarkOpSharedHitParallel": true,
-	"BenchmarkOpL2Hit":             true,
-	"BenchmarkOpL2SiblingForward":  true,
-	"BenchmarkOpNotifyDrain":       true,
+	"BenchmarkOpHitFull":          true,
+	"BenchmarkOpBatchHitFull":     true,
+	"BenchmarkOpHitFullResilient": true,
+	"BenchmarkOpL2Hit":            true,
+	"BenchmarkOpL2SiblingForward": true,
+	"BenchmarkOpNotifyDrain":      true,
 	// One allocation per call is what a victim list or a charge closure
 	// escaping to the heap would cost; the flush of the staged writes
 	// leaves 1/32 (mpi's copy of the notification payload).
@@ -129,40 +129,85 @@ func main() {
 	}
 
 	failed := false
-	names := make([]string, 0, len(results))
-	for name := range results {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		r := results[name]
-		status := "ok"
-		if zeroAllocGated[name] && r.AllocsPerOp > 0 {
-			status = fmt.Sprintf("FAIL: full-hit path allocates (%.2f allocs/op, want 0)", r.AllocsPerOp)
-			failed = true
-		}
-		if ceil, ok := vnsCeiling[name]; ok && r.VNsPerOp > ceil {
-			status = fmt.Sprintf("FAIL: %.1f vns/op exceeds the %.0f vns/op budget", r.VNsPerOp, ceil)
-			failed = true
-		}
-		if b, ok := base.Benchmarks[name]; ok && b.NsPerOp > 0 {
-			ratio := r.NsPerOp / b.NsPerOp
-			if ratio > *threshold {
-				status = fmt.Sprintf("FAIL: %.1f ns/op is %.2fx baseline %.1f (threshold %.2fx)",
-					r.NsPerOp, ratio, b.NsPerOp, *threshold)
-				failed = true
-			} else {
-				status = fmt.Sprintf("ok (%.2fx baseline)", ratio)
-			}
-		} else if status == "ok" {
-			status = "ok (no baseline entry)"
+	for _, v := range judge(results, base.Benchmarks, *threshold) {
+		failed = failed || v.failed
+		if !v.ran {
+			fmt.Printf("%-24s %s\n", v.name, v.status)
+			continue
 		}
 		fmt.Printf("%-24s %10.1f ns/op %10.1f vns/op %6.2f allocs/op  %s\n",
-			name, r.NsPerOp, r.VNsPerOp, r.AllocsPerOp, status)
+			v.name, v.r.NsPerOp, v.r.VNsPerOp, v.r.AllocsPerOp, v.status)
 	}
 	if failed {
 		os.Exit(1)
 	}
+}
+
+// verdict is the gate's finding on one benchmark name.
+type verdict struct {
+	name   string
+	r      Result
+	ran    bool // false: named by a gate or the baseline, but no result
+	status string
+	failed bool
+}
+
+// judge applies the gates to what ran and returns one verdict per name,
+// sorted. A name in zeroAllocGated, vnsCeiling or the baseline with no
+// result fails: a gate that cannot see its benchmark is not passing. A
+// result with no baseline entry is ok; it has nothing to regress from.
+func judge(results, base map[string]Result, threshold float64) []verdict {
+	seen := make(map[string]bool)
+	for name := range results {
+		seen[name] = true
+	}
+	for name := range zeroAllocGated {
+		seen[name] = true
+	}
+	for name := range vnsCeiling {
+		seen[name] = true
+	}
+	for name := range base {
+		seen[name] = true
+	}
+	names := make([]string, 0, len(seen))
+	for name := range seen {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+
+	out := make([]verdict, 0, len(names))
+	for _, name := range names {
+		r, ran := results[name]
+		v := verdict{name: name, r: r, ran: ran}
+		if !ran {
+			v.status, v.failed = "FAIL: gated or baselined, but the benchmark produced no result", true
+			out = append(out, v)
+			continue
+		}
+		if zeroAllocGated[name] && r.AllocsPerOp > 0 {
+			v.status = fmt.Sprintf("FAIL: full-hit path allocates (%.2f allocs/op, want 0)", r.AllocsPerOp)
+			v.failed = true
+		}
+		if ceil, ok := vnsCeiling[name]; ok && r.VNsPerOp > ceil {
+			v.status = fmt.Sprintf("FAIL: %.1f vns/op exceeds the %.0f vns/op budget", r.VNsPerOp, ceil)
+			v.failed = true
+		}
+		if b, ok := base[name]; ok && b.NsPerOp > 0 {
+			ratio := r.NsPerOp / b.NsPerOp
+			if ratio > threshold {
+				v.status = fmt.Sprintf("FAIL: %.1f ns/op is %.2fx baseline %.1f (threshold %.2fx)",
+					r.NsPerOp, ratio, b.NsPerOp, threshold)
+				v.failed = true
+			} else if !v.failed {
+				v.status = fmt.Sprintf("ok (%.2fx baseline)", ratio)
+			}
+		} else if !v.failed {
+			v.status = "ok (no baseline entry)"
+		}
+		out = append(out, v)
+	}
+	return out
 }
 
 // runBenchmarks executes the BenchmarkOp* set and parses the -benchmem

@@ -120,7 +120,7 @@ func main() {
 
 // fillPattern writes the deterministic byte pattern clients can verify
 // against: byte k of target t's region is a fixed function of (t, k,
-// seed) — the same shape as the clampi-scale pattern backend.
+// seed).
 func fillPattern(reg []byte, target int, seed int64) {
 	s := int(seed)
 	for i := range reg {

@@ -13,15 +13,15 @@ import (
 )
 
 // registeredNames is the one place the analyzer set is asserted (go test
-// ./... runs it in CI): the suite names exactly these eight analyzers,
+// ./... runs it in CI): the suite names exactly these seven analyzers,
 // in reporting order.
 var registeredNames = []string{
 	"epochcheck", "simclock", "sentinelerr", "atomicfield",
-	"observerlock", "seqlockcheck", "lockorder", "wireproto",
+	"observerlock", "lockorder", "wireproto",
 }
 
 // TestSuiteRegistration guards against silent deregistration: All()
-// must name exactly the eight analyzers -list advertises.
+// must name exactly the seven analyzers -list advertises.
 func TestSuiteRegistration(t *testing.T) {
 	all := suite.All()
 	if len(all) != len(registeredNames) {

@@ -8,8 +8,8 @@
 // virtual-time discipline of internal/simtime (simclock), the errors.Is
 // wrapping contract of the package sentinels (sentinelerr), atomic-only
 // field access in internal/obsv (atomicfield), the lock-free observer
-// hot path (observerlock), and the write-section discipline of the
-// seqlock-published sharded index (seqlockcheck).
+// hot path (observerlock), the lock hierarchy across calls (lockorder)
+// and the wire protocol tables (wireproto).
 //
 // The shape mirrors go/analysis deliberately — an Analyzer holds a Run
 // function over a Pass carrying the package's syntax and type

@@ -11,7 +11,7 @@ import (
 // the "//" (a trailing reason is allowed and encouraged). Analyzers use
 // it for escape hatches that exempt a single access site, e.g.
 //
-//	s.rng = newRNG(seed) //clampi:seqlock construction: not yet published
+//	w0 := time.Now() //clampi:walltime host ns/op is a benchmark output, not simulated time
 //
 // The prefix requirement keeps prose that merely mentions the marker —
 // doc comments, test expectations — from acting as a directive.

@@ -1,6 +1,6 @@
 // Package interproc is the summary-based interprocedural engine under
-// the clampi-vet analyzers (DESIGN.md §14). The six original analyzers
-// are function-local lexical scans; they cannot see a mutex acquired in
+// the clampi-vet analyzers (DESIGN.md §14). The five lexical analyzers
+// are function-local scans; they cannot see a mutex acquired in
 // a caller or a helper that blocks. interproc closes that gap for the
 // lock-discipline family:
 //
@@ -17,13 +17,12 @@
 //
 // Lock classes come from the // clampi:lockrank <class> field
 // annotation on mutex (or stripe-slice) struct fields — the same
-// comment-annotation idiom as clampi:atomic and clampi:seqlock — plus
-// local dataflow that traces an expression like locks[s].Lock() back
-// through single-assignment locals and index chains to the annotated
-// field. The DESIGN.md §12/§13 hierarchy names three classes:
+// comment-annotation idiom as clampi:atomic — plus local dataflow that
+// traces an expression like locks[s].Lock() back through
+// single-assignment locals and index chains to the annotated field.
+// The DESIGN.md §12/§13 hierarchy names two classes:
 //
-//	fill    a core shard's fill mutex (taken first, at most one)
-//	cuckoo  a cuckoo shard's writer mutex / seqlock write section
+//	fill    the L2 publish mutex (taken first, at most one)
 //	stripe  a per-(target, range) data-path RWMutex stripe
 //
 // Soundness model (deliberately the same strength as the lexical
@@ -56,7 +55,6 @@ type LockClass string
 // The hierarchy's classes, in acquisition order.
 const (
 	LockFill   LockClass = "fill"
-	LockCuckoo LockClass = "cuckoo"
 	LockStripe LockClass = "stripe"
 )
 

@@ -88,7 +88,7 @@ func TestGoldenSummaries(t *testing.T) {
 		// Recursion: even's own acquire is seen; odd — summarized
 		// inside even's computation — saw the in-progress cut and
 		// records no effects (documented caveat).
-		{id: "ip.even", during: []interproc.LockClass{interproc.LockCuckoo}},
+		{id: "ip.even", during: []interproc.LockClass{interproc.LockStripe}},
 		{id: "ip.odd"},
 		// Blocking propagates bottom-up.
 		{id: "ip.callsBlocked", blocking: true},
@@ -99,7 +99,7 @@ func TestGoldenSummaries(t *testing.T) {
 
 	for _, g := range cases {
 		s := eng.Summary(g.id)
-		for _, c := range []interproc.LockClass{interproc.LockFill, interproc.LockCuckoo, interproc.LockStripe} {
+		for _, c := range []interproc.LockClass{interproc.LockFill, interproc.LockStripe} {
 			want := false
 			for _, d := range g.during {
 				if d == c {

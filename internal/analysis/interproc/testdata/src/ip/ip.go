@@ -11,7 +11,7 @@ type S struct {
 }
 
 type W struct {
-	mu sync.Mutex // clampi:lockrank cuckoo
+	mu sync.Mutex // clampi:lockrank stripe
 }
 
 type client struct{}
@@ -42,7 +42,7 @@ func methodValue(s *S) {
 	s.mu.Unlock()
 }
 
-// even/odd form a recursion cycle; even acquires the cuckoo lock
+// even/odd form a recursion cycle; even acquires a stripe lock
 // before recursing. The engine cuts the cycle at the in-progress
 // member, so even's During is seen but odd's view of even is empty —
 // the documented recursion caveat.

@@ -2,24 +2,20 @@
 // interprocedurally, on top of the internal/analysis/interproc
 // summaries:
 //
-//  1. A shard fill mutex (clampi:lockrank fill) is the top of the
+//  1. A fill mutex (clampi:lockrank fill) is the top of the
 //     hierarchy: while one is held, no second fill mutex may be
 //     acquired — directly or through any callee.
-//  2. The cuckoo writer mutex (clampi:lockrank cuckoo) sits below the
-//     fill mutex: fill→cuckoo is the sanctioned order; acquiring a
-//     fill mutex while a cuckoo writer lock (seqlock write section) is
-//     held is an inversion.
-//  3. Data-path stripes (clampi:lockrank stripe) form a total order by
+//  2. Data-path stripes (clampi:lockrank stripe) form a total order by
 //     index: holding one stripe while acquiring another is legal only
 //     when both indices are compile-time constants in ascending order
 //     (the lockRange loop pattern is fine — it releases before the
 //     next range); a stripe acquisition inside a descending loop is an
 //     inversion by construction.
-//  4. No blocking operation — a wire round-trip (RPC/rpc), an
+//  3. No blocking operation — a wire round-trip (RPC/rpc), an
 //     rma.Window data op through the interface, or an Observer
-//     callback — may run while a fill mutex or cuckoo write section is
-//     held, directly or through any callee (the seqlock would spin
-//     every reader for the duration of a network round-trip).
+//     callback — may run while a fill mutex is held, directly or
+//     through any callee (every sibling publishing to the same L2
+//     would queue behind a network round-trip).
 //
 // A finding is suppressed by a //clampi:lockorder <reason> comment on
 // its line; the reason is mandatory by convention and reviewed, not
@@ -41,7 +37,7 @@ const Marker = "clampi:lockorder"
 // Analyzer enforces the lock hierarchy; see the package comment.
 var Analyzer = &analysis.Analyzer{
 	Name: "lockorder",
-	Doc:  "enforce the DESIGN.md §12/§13 lock hierarchy (fill → cuckoo, single fill, ascending stripes, no blocking op under a shard lock) across function calls",
+	Doc:  "enforce the DESIGN.md §12/§13 lock hierarchy (single fill, ascending stripes, no blocking op under a fill mutex) across function calls",
 	Run:  run,
 }
 
@@ -88,8 +84,6 @@ func checkFunc(pass *analysis.Pass, eng *interproc.Engine, directives map[string
 			case interproc.LockFill:
 				if held[interproc.LockFill] > 0 {
 					report(ev.Pos, "acquiring a second fill mutex while one is already held; the hierarchy allows at most one (DESIGN.md §12)")
-				} else if held[interproc.LockCuckoo] > 0 {
-					report(ev.Pos, "acquiring a fill mutex while a cuckoo write section is held inverts the fill→cuckoo lock order (DESIGN.md §12)")
 				}
 			case interproc.LockStripe:
 				if ev.Descending {
@@ -119,18 +113,14 @@ func checkFunc(pass *analysis.Pass, eng *interproc.Engine, directives map[string
 			}
 		case interproc.EvCall:
 			s := eng.Summary(ev.Callee)
-			if s.AcquiresDuring(interproc.LockFill) {
-				if held[interproc.LockFill] > 0 {
-					report(ev.Pos, "call to %s may acquire a fill mutex while one is already held; the hierarchy allows at most one (DESIGN.md §12)", ev.Callee)
-				} else if held[interproc.LockCuckoo] > 0 {
-					report(ev.Pos, "call to %s may acquire a fill mutex under a cuckoo write section, inverting the fill→cuckoo lock order (DESIGN.md §12)", ev.Callee)
-				}
+			if s.AcquiresDuring(interproc.LockFill) && held[interproc.LockFill] > 0 {
+				report(ev.Pos, "call to %s may acquire a fill mutex while one is already held; the hierarchy allows at most one (DESIGN.md §12)", ev.Callee)
 			}
 			if s.AcquiresDuring(interproc.LockStripe) && held[interproc.LockStripe] > 0 {
 				report(ev.Pos, "call to %s may acquire a stripe lock while a stripe is held without provably ascending indices (DESIGN.md §13)", ev.Callee)
 			}
-			if s.Blocking && (held[interproc.LockFill] > 0 || held[interproc.LockCuckoo] > 0) {
-				report(ev.Pos, "call to %s may block (%s) while a shard lock is held (DESIGN.md §12)", ev.Callee, s.BlockingWhy)
+			if s.Blocking && held[interproc.LockFill] > 0 {
+				report(ev.Pos, "call to %s may block (%s) while a fill mutex is held (DESIGN.md §12)", ev.Callee, s.BlockingWhy)
 			}
 			// The callee's net effect lands on our held set: a Lock
 			// helper leaves its class held, an Unlock helper clears it.
@@ -150,8 +140,8 @@ func checkFunc(pass *analysis.Pass, eng *interproc.Engine, directives map[string
 				}
 			}
 		case interproc.EvBlock:
-			if held[interproc.LockFill] > 0 || held[interproc.LockCuckoo] > 0 {
-				report(ev.Pos, "%s while a shard lock is held; blocking operations are forbidden under a fill mutex or cuckoo write section (DESIGN.md §12)", ev.Why)
+			if held[interproc.LockFill] > 0 {
+				report(ev.Pos, "%s while a fill mutex is held; blocking operations are forbidden under it (DESIGN.md §12)", ev.Why)
 			}
 		}
 	}

@@ -20,5 +20,5 @@ func TestLockOrder(t *testing.T) {
 // stripe tests in internal/mpi carry reviewed escape directives).
 func TestLockOrderLiveTree(t *testing.T) {
 	analysistest.RunClean(t, "../../..", lockorder.Analyzer,
-		"./internal/core", "./internal/cuckoo", "./internal/mpi", "./internal/wire")
+		"./internal/blockcache", "./internal/mpi", "./internal/wire", "./internal/core")
 }

@@ -1,19 +1,14 @@
 // Package lockord is the lockorder corpus: a miniature of the clampi
-// lock landscape — fill mutexes, the cuckoo writer lock, data-path
-// stripes, a wire client, an observer and a window interface — covering
-// the sanctioned shapes (clean) and every rule's violation (want).
+// lock landscape — fill mutexes, data-path stripes, a wire client, an
+// observer and a window interface — covering the sanctioned shapes
+// (clean) and every rule's violation (want).
 package lockord
 
 import "sync"
 
-// shard mirrors core.sshard: the fill mutex tops the hierarchy.
+// shard mirrors blockcache.L2: the fill mutex tops the hierarchy.
 type shard struct {
 	mu sync.Mutex // clampi:lockrank fill
-}
-
-// idx mirrors cuckoo.shard: the writer lock under the fill mutex.
-type idx struct {
-	mu sync.Mutex // clampi:lockrank cuckoo
 }
 
 // table mirrors the striped data path of mpi/wire.
@@ -36,10 +31,6 @@ type client struct{}
 
 func (c *client) RPC(op byte) error { return nil }
 
-// beginWrite/endWrite mirror the cuckoo seqlock write section.
-func (x *idx) beginWrite() { x.mu.Lock() }
-func (x *idx) endWrite()   { x.mu.Unlock() }
-
 // lockFill/unlockFill are interprocedural lock helpers: lockFill
 // returns with the fill mutex held (net acquire), unlockFill releases
 // it on the caller's behalf (net release).
@@ -50,22 +41,11 @@ func unlockFill(s *shard) { s.mu.Unlock() }
 // Sanctioned shapes — all clean.
 // ---------------------------------------------------------------------------
 
-// fillThenCuckoo is the §12 order: fill mutex first, then the cuckoo
-// writer lock, released in reverse.
-func fillThenCuckoo(s *shard, x *idx) {
-	s.mu.Lock()
-	x.beginWrite()
-	x.endWrite()
-	s.mu.Unlock()
-}
-
-// fillDeferred brackets with defer; the releases fold at exit and the
+// fillDeferred brackets with defer; the release folds at exit and the
 // function's net effect on its caller is zero.
-func fillDeferred(s *shard, x *idx) {
+func fillDeferred(s *shard) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	x.beginWrite()
-	defer x.endWrite()
 }
 
 // ascendingConst takes two stripes with constant, strictly increasing
@@ -96,7 +76,7 @@ func ascendingLoop(t *table, excl bool) {
 	}
 }
 
-// blockAfterRelease: blocking is fine once every shard lock is gone.
+// blockAfterRelease: blocking is fine once the fill mutex is gone.
 func blockAfterRelease(s *shard, c *client) error {
 	s.mu.Lock()
 	s.mu.Unlock()
@@ -124,15 +104,6 @@ func twoFills(a, b *shard) {
 	a.mu.Unlock()
 }
 
-// cuckooThenFill inverts the §12 order: the write section is opened by
-// a helper (net acquire), then the fill mutex is taken directly.
-func cuckooThenFill(s *shard, x *idx) {
-	x.beginWrite()
-	s.mu.Lock() // want "inverts the fill→cuckoo lock order"
-	s.mu.Unlock()
-	x.endWrite()
-}
-
 // secondFillViaHelper hides the second acquisition in a callee.
 func secondFillViaHelper(a, b *shard) {
 	a.mu.Lock()
@@ -141,35 +112,25 @@ func secondFillViaHelper(a, b *shard) {
 	a.mu.Unlock()
 }
 
-// inversionViaHelper is the lock-held-across-call variant the lexical
-// seqlockcheck cannot see (its corpus documents that limitation): the
-// write section is open, and the callee takes a fill mutex.
-func inversionViaHelper(s *shard, x *idx) {
-	x.beginWrite()
-	lockFill(s) // want "may acquire a fill mutex under a cuckoo write section"
-	unlockFill(s)
-	x.endWrite()
-}
-
 // rpcUnderFill performs a wire round-trip with the fill mutex held.
 func rpcUnderFill(s *shard, c *client) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return c.RPC(2) // want "wire round-trip RPC while a shard lock is held"
+	return c.RPC(2) // want "wire round-trip RPC while a fill mutex is held"
 }
 
-// observerUnderCuckoo notifies an observer inside a write section.
-func observerUnderCuckoo(x *idx, obs Observer) {
-	x.beginWrite()
-	obs.OnEviction(7) // want "Observer callback OnEviction while a shard lock is held"
-	x.endWrite()
+// observerUnderFill notifies an observer with the fill mutex held.
+func observerUnderFill(s *shard, obs Observer) {
+	s.mu.Lock()
+	obs.OnEviction(7) // want "Observer callback OnEviction while a fill mutex is held"
+	s.mu.Unlock()
 }
 
 // windowOpUnderFill issues a Window data op under the fill mutex.
 func windowOpUnderFill(s *shard, w Window, buf []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return w.Get(buf, 0) // want "Window data op Get while a shard lock is held"
+	return w.Get(buf, 0) // want "Window data op Get while a fill mutex is held"
 }
 
 // doRPC hides the round-trip one call deeper; its summary is Blocking.
@@ -182,15 +143,21 @@ func blockingHelperUnderFill(s *shard, c *client) error {
 	return doRPC(c) // want "call to lockord.doRPC may block"
 }
 
-// openSection returns with the write section held — a net acquire.
-func openSection(x *idx) { x.mu.Lock() }
-
-// heldAcrossCall blocks while the helper-opened section is still held.
-func heldAcrossCall(x *idx, c *client) error {
-	openSection(x)
-	err := c.RPC(4) // want "wire round-trip RPC while a shard lock is held"
-	x.mu.Unlock()
+// heldAcrossCall blocks while the helper-acquired fill mutex (a net
+// acquire in lockFill's summary) is still held.
+func heldAcrossCall(s *shard, c *client) error {
+	lockFill(s)
+	err := c.RPC(4) // want "wire round-trip RPC while a fill mutex is held"
+	unlockFill(s)
 	return err
+}
+
+// releasedByHelper: unlockFill's net release clears the held set, so
+// the round-trip after it is clean.
+func releasedByHelper(s *shard, c *client) error {
+	lockFill(s)
+	unlockFill(s)
+	return c.RPC(5)
 }
 
 // descendingStripes walks the stripe array downward — an inversion of

@@ -2,7 +2,7 @@
 // (DESIGN.md §8): core.Observer implementations run arbitrary user code
 // synchronously on the rank goroutine, so notifying one while a mutex
 // is held turns every metric update into a critical-section extension —
-// a latency hazard in Throughput mode's per-target shard locks and a
+// a latency hazard under Throughput mode's window stripes and a
 // deadlock hazard if the observer re-enters the locking layer. The
 // caching layer's contract is a nil-check-only dispatch outside any
 // lock; this analyzer keeps it that way.
@@ -11,12 +11,7 @@
 // it tracks sync.Mutex/sync.RWMutex Lock/RLock and Unlock/RUnlock calls
 // in source order (a deferred unlock holds the lock to function end)
 // and flags any call through the core.Observer interface while the held
-// count is positive. Seqlock write sections count as critical sections
-// too: beginWrite/endWrite method calls (the sharded index's write
-// bracket, DESIGN.md §12) are tracked exactly like Lock/Unlock — while
-// a write section is open, every concurrent reader of that shard is
-// spinning, so running observer code inside one stalls the whole read
-// side, not just other writers. Calls on concrete observer implementations (e.g.
+// count is positive. Calls on concrete observer implementations (e.g.
 // *obsv.Collector in its own tests) are not flagged — the contract
 // binds the caching layer's interface dispatch sites.
 package observerlock
@@ -34,7 +29,7 @@ import (
 // Analyzer flags core.Observer notifications under a held mutex.
 var Analyzer = &analysis.Analyzer{
 	Name: "observerlock",
-	Doc:  "core.Observer methods must not be called while a shard or window mutex is held",
+	Doc:  "core.Observer methods must not be called while a mutex is held",
 	Run:  run,
 }
 
@@ -90,11 +85,11 @@ func checkBody(pass *analysis.Pass, body *ast.BlockStmt) {
 			}
 			name := sel.Sel.Name
 			switch {
-			case isMutexMethod(info, sel, "Lock") || isMutexMethod(info, sel, "RLock") || isSectionMethod(info, sel, "beginWrite"):
+			case isMutexMethod(info, sel, "Lock") || isMutexMethod(info, sel, "RLock"):
 				if !deferred[n] {
 					ops = append(ops, op{kind: opLock, pos: n.Pos()})
 				}
-			case isMutexMethod(info, sel, "Unlock") || isMutexMethod(info, sel, "RUnlock") || isSectionMethod(info, sel, "endWrite"):
+			case isMutexMethod(info, sel, "Unlock") || isMutexMethod(info, sel, "RUnlock"):
 				// A deferred unlock releases at return: it never ends
 				// the critical section for lexically later calls.
 				if !deferred[n] {
@@ -141,15 +136,4 @@ func isMutexMethod(info *types.Info, sel *ast.SelectorExpr, name string) bool {
 		return false
 	}
 	return typeutil.IsNamed(recv, "sync", "Mutex") || typeutil.IsNamed(recv, "sync", "RWMutex")
-}
-
-// isSectionMethod reports whether sel calls a seqlock write-section
-// method of the given name. Shard types are package-local, so the
-// bracket is matched by method name on any receiver — the same
-// convention seqlockcheck uses.
-func isSectionMethod(info *types.Info, sel *ast.SelectorExpr, name string) bool {
-	if sel.Sel.Name != name {
-		return false
-	}
-	return typeutil.MethodReceiver(info.Uses[sel.Sel]) != nil
 }

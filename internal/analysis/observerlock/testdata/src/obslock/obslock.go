@@ -8,8 +8,7 @@ import (
 	"clampi/internal/core"
 )
 
-// shard models a Throughput-mode shard: a mutex guarding state, plus an
-// observer hook.
+// shard models mutex-guarded state with an observer hook.
 type shard struct {
 	mu  sync.Mutex
 	rw  sync.RWMutex
@@ -54,37 +53,4 @@ func notifyWithoutLock(s *shard, e core.AccessEvent) {
 	if s.obs != nil {
 		s.obs.OnAccess(e)
 	}
-}
-
-// seqshard models a seqlock-published segment: its beginWrite/endWrite
-// bracket is a critical section for observers too — while the write
-// section is open every concurrent reader of the shard is spinning.
-type seqshard struct {
-	seq uint64
-	obs core.Observer
-}
-
-func (s *seqshard) beginWrite() { s.seq++ }
-func (s *seqshard) endWrite()   { s.seq++ }
-
-// notifyInsideWriteSection stalls the whole read side of the shard.
-func notifyInsideWriteSection(s *seqshard, e core.AccessEvent) {
-	s.beginWrite()
-	s.obs.OnAccess(e) // want `core\.Observer\.OnAccess called while a mutex is held`
-	s.endWrite()
-}
-
-// notifyUnderDeferredEndWrite holds the section to function end.
-func notifyUnderDeferredEndWrite(s *seqshard, e core.EvictionEvent) {
-	s.beginWrite()
-	defer s.endWrite()
-	s.obs.OnEviction(e) // want `core\.Observer\.OnEviction called while a mutex is held`
-}
-
-// notifyAfterWriteSection is the sanctioned shape: close the section,
-// then notify.
-func notifyAfterWriteSection(s *seqshard, e core.AccessEvent) {
-	s.beginWrite()
-	s.endWrite()
-	s.obs.OnAccess(e)
 }

@@ -10,7 +10,6 @@ import (
 	"clampi/internal/analysis/lockorder"
 	"clampi/internal/analysis/observerlock"
 	"clampi/internal/analysis/sentinelerr"
-	"clampi/internal/analysis/seqlockcheck"
 	"clampi/internal/analysis/simclock"
 	"clampi/internal/analysis/wireproto"
 )
@@ -23,7 +22,6 @@ func All() []*analysis.Analyzer {
 		sentinelerr.Analyzer,
 		atomicfield.Analyzer,
 		observerlock.Analyzer,
-		seqlockcheck.Analyzer,
 		lockorder.Analyzer,
 		wireproto.Analyzer,
 	}

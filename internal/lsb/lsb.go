@@ -83,30 +83,6 @@ func Summarize(samples []simtime.Duration) Result {
 	}
 }
 
-// Measure runs f repeatedly, collecting one virtual-duration sample per
-// run, until the 95% CI of the median is within ciFrac of the median (at
-// least minReps runs, at most maxReps). It returns the final summary.
-func Measure(minReps, maxReps int, ciFrac float64, f func() simtime.Duration) Result {
-	if minReps < 5 {
-		minReps = 5
-	}
-	if maxReps < minReps {
-		maxReps = minReps
-	}
-	samples := make([]simtime.Duration, 0, minReps)
-	var res Result
-	for i := 0; i < maxReps; i++ {
-		samples = append(samples, f())
-		if len(samples) >= minReps {
-			res = Summarize(samples)
-			if res.Converged(ciFrac) {
-				return res
-			}
-		}
-	}
-	return Summarize(samples)
-}
-
 // Table is a simple fixed-width text table for benchmark output; it
 // mirrors the rows/series the paper's figures report.
 type Table struct {

@@ -31,17 +31,6 @@ const (
 	// (DESIGN.md §16): the number of delivered but not yet drained
 	// descriptors, sampled by the workload (see PublishNotifyDepth).
 	MetricNotifyDepth = "clampi_notify_queue_depth" // gauge{rank}
-
-	// Per-shard gauges of the concurrent cache (core.Shared), published
-	// by PublishSharedStats. Occupancy is exported in permille so the
-	// integer gauge keeps three digits of resolution.
-	MetricShardEntries   = "clampi_shard_entries"            // gauge{shard}
-	MetricShardUsedBytes = "clampi_shard_used_bytes"         // gauge{shard}
-	MetricShardCapBytes  = "clampi_shard_capacity_bytes"     // gauge{shard}
-	MetricShardOccupancy = "clampi_shard_occupancy_permille" // gauge{shard}
-	MetricShardRetries   = "clampi_shard_seqlock_retries"    // gauge{shard}
-	MetricShardFills     = "clampi_shard_fills"              // gauge{shard}
-	MetricShardEvictions = "clampi_shard_evictions"          // gauge{shard}
 )
 
 // Access phases of the latency histograms. "total" is the summed
@@ -283,29 +272,4 @@ func PublishL2Stats(reg *Registry, s blockcache.L2Stats, labels ...Label) {
 	set("clampi_l2_overwrites", s.Overwrites)
 	set("clampi_l2_seqlock_retries", s.Retries)
 	set("clampi_l2_invalidations", s.Invalidations)
-}
-
-// PublishSharedStats exports a concurrent cache's per-shard gauges —
-// entries, occupancy, seqlock retries, fills, evictions — under a
-// "shard" label, alongside any labels the caller supplies. It is the
-// PublishStats-style bridge for core.Shared: the snapshot is lock-free
-// on the cache side, so publishing mid-run never perturbs readers, and
-// the result makes index and storage contention visible in -metrics
-// output (which shard is hot, which is churning, who is retrying).
-func PublishSharedStats(reg *Registry, c *core.Shared, labels ...Label) {
-	for si := 0; si < c.NumShards(); si++ {
-		s := c.ShardStats(si)
-		l := make([]Label, 0, len(labels)+1)
-		l = append(append(l, labels...), L("shard", strconv.Itoa(si)))
-		set := func(name string, v int64) {
-			reg.Gauge(name, l...).Set(v)
-		}
-		set(MetricShardEntries, int64(s.Entries))
-		set(MetricShardUsedBytes, s.UsedBytes)
-		set(MetricShardCapBytes, int64(s.CapacityBytes))
-		set(MetricShardOccupancy, int64(s.Occupancy()*1000))
-		set(MetricShardRetries, int64(s.SeqlockRetries))
-		set(MetricShardFills, s.Fills)
-		set(MetricShardEvictions, s.Evictions)
-	}
 }

@@ -2,7 +2,6 @@ package obsv
 
 import (
 	"reflect"
-	"strconv"
 	"sync"
 	"testing"
 
@@ -231,55 +230,6 @@ func TestConcurrentCollector(t *testing.T) {
 	}
 	if got := reg.Counter(MetricEpochs).Value(); got != workers*perWorker/10 {
 		t.Errorf("epochs = %d, want %d", got, workers*perWorker/10)
-	}
-}
-
-// TestPublishSharedStats proves the per-shard bridge: after driving a
-// concurrent cache, the published gauges sum to the cache's own totals
-// and carry the caller's labels plus a shard label.
-func TestPublishSharedStats(t *testing.T) {
-	c, err := core.NewShared(func(target, disp int, dst []byte) error {
-		for i := range dst {
-			dst[i] = byte(target + disp + i)
-		}
-		return nil
-	}, core.SharedParams{Shards: 4, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := c.NewContext(0)
-	dst := make([]byte, 256)
-	const fills = 32
-	for i := 0; i < fills; i++ {
-		if err := x.Get(dst, 1, i*256); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	r := NewRegistry()
-	PublishSharedStats(r, c, L("mode", "throughput"))
-
-	var entries, fillSum, used int64
-	for si := 0; si < c.NumShards(); si++ {
-		l := []Label{L("mode", "throughput"), L("shard", strconv.Itoa(si))}
-		entries += r.Gauge(MetricShardEntries, l...).Value()
-		fillSum += r.Gauge(MetricShardFills, l...).Value()
-		used += r.Gauge(MetricShardUsedBytes, l...).Value()
-		if cap := r.Gauge(MetricShardCapBytes, l...).Value(); cap <= 0 {
-			t.Fatalf("shard %d capacity gauge = %d", si, cap)
-		}
-		if occ := r.Gauge(MetricShardOccupancy, l...).Value(); occ < 0 || occ > 1000 {
-			t.Fatalf("shard %d occupancy = %d permille", si, occ)
-		}
-	}
-	if entries != int64(c.Len()) {
-		t.Fatalf("entry gauges sum to %d, cache holds %d", entries, c.Len())
-	}
-	if fillSum != fills {
-		t.Fatalf("fill gauges sum to %d, want %d", fillSum, fills)
-	}
-	if used < fills*256 {
-		t.Fatalf("used gauges sum to %d, want >= %d", used, fills*256)
 	}
 }
 

@@ -46,9 +46,6 @@ func (d Duration) Real() time.Duration { return time.Duration(d) }
 // Seconds returns the duration as a floating-point number of seconds.
 func (d Duration) Seconds() float64 { return float64(d) / 1e9 }
 
-// Micros returns the duration as a floating-point number of microseconds.
-func (d Duration) Micros() float64 { return float64(d) / 1e3 }
-
 // String formats the duration using time.Duration formatting rules.
 func (d Duration) String() string { return time.Duration(d).String() }
 
@@ -62,15 +59,10 @@ type Clock struct {
 	// benchmarks use the split to compute communication/computation
 	// overlap (paper Fig. 8).
 	measured Duration
-
-	// scale multiplies real measured durations before they are added to
-	// the virtual clock. It defaults to 1 and exists for calibration
-	// tests; production code never changes it.
-	scale float64
 }
 
 // NewClock returns a clock positioned at virtual time zero.
-func NewClock() *Clock { return &Clock{scale: 1} }
+func NewClock() *Clock { return &Clock{} }
 
 // Now returns the current virtual time since the clock's origin.
 func (c *Clock) Now() Duration { return c.now }
@@ -116,7 +108,7 @@ func (c *Clock) Busy(d Duration) {
 func (c *Clock) Charge(f func()) Duration {
 	start := time.Now()
 	f()
-	d := Duration(float64(time.Since(start).Nanoseconds()) * c.scale)
+	d := FromReal(time.Since(start))
 	if d < 0 {
 		d = 0
 	}
@@ -127,21 +119,13 @@ func (c *Clock) Charge(f func()) Duration {
 
 // ChargeDuration adds an externally measured real duration to the clock.
 func (c *Clock) ChargeDuration(real time.Duration) Duration {
-	d := Duration(float64(real.Nanoseconds()) * c.scale)
+	d := FromReal(real)
 	if d < 0 {
 		d = 0
 	}
 	c.now += d
 	c.measured += d
 	return d
-}
-
-// SetScale adjusts the multiplier applied to measured durations. Intended
-// for calibration experiments only.
-func (c *Clock) SetScale(s float64) {
-	if s > 0 {
-		c.scale = s
-	}
 }
 
 // Reset rewinds the clock to zero. Benchmarks reuse clocks across

@@ -309,15 +309,6 @@ func (m *Manager) AdjacentFree(r *Region) int {
 	return d
 }
 
-// WouldFit reports whether a request of n bytes can currently be served
-// without eviction (a *direct* access if also indexable).
-func (m *Manager) WouldFit(n int) bool {
-	if n <= 0 {
-		n = 1
-	}
-	return m.LargestFree() >= roundUp(n)
-}
-
 // Reset frees everything, restoring a single free region of the current
 // capacity. Used on cache invalidation.
 func (m *Manager) Reset() {

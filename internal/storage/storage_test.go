@@ -88,12 +88,12 @@ func TestAllocExhaustion(t *testing.T) {
 	if m.Alloc(1) != nil {
 		t.Fatalf("alloc from full buffer succeeded")
 	}
-	if m.WouldFit(1) {
-		t.Fatalf("WouldFit on full buffer")
+	if got := m.LargestFree(); got != 0 {
+		t.Fatalf("LargestFree on full buffer = %d", got)
 	}
 	m.FreeRegion(a)
-	if !m.WouldFit(128) || m.WouldFit(129) {
-		t.Fatalf("WouldFit wrong after free: 128=%v 129=%v", m.WouldFit(128), m.WouldFit(129))
+	if got := m.LargestFree(); got != 128 {
+		t.Fatalf("LargestFree after free = %d, want 128", got)
 	}
 }
 

@@ -71,33 +71,3 @@ func Micro(n, z int, seed int64) (specs []GetSpec, seq []int, regionSize int) {
 	seq = Sequence(n, z, seed+1)
 	return specs, seq, regionSize
 }
-
-// FixedSize builds n distinct gets of exactly size bytes each (used by
-// the access-cost characterization of Fig. 7, where the data size D is a
-// controlled variable).
-func FixedSize(n, size int) ([]GetSpec, int) {
-	if n <= 0 || size <= 0 {
-		return nil, 0
-	}
-	specs := make([]GetSpec, n)
-	stride := (size + 63) / 64 * 64
-	for i := range specs {
-		specs[i] = GetSpec{Disp: i * stride, Size: size}
-	}
-	return specs, n * stride
-}
-
-// WorkingSetBytes returns the total payload of the distinct set weighted
-// by how often the sequence touches each entry at least once — i.e. the
-// cache footprint an ideal cache would need for the sequence.
-func WorkingSetBytes(specs []GetSpec, seq []int) int {
-	seen := make([]bool, len(specs))
-	total := 0
-	for _, i := range seq {
-		if i >= 0 && i < len(specs) && !seen[i] {
-			seen[i] = true
-			total += specs[i].Size
-		}
-	}
-	return total
-}

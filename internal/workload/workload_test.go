@@ -103,44 +103,4 @@ func TestMicro(t *testing.T) {
 	if len(specs) != 100 || len(seq) != 1000 || region <= 0 {
 		t.Fatalf("Micro: %d specs, %d seq, region %d", len(specs), len(seq), region)
 	}
-	ws := WorkingSetBytes(specs, seq)
-	total := 0
-	for _, s := range specs {
-		total += s.Size
-	}
-	if ws <= 0 || ws > total {
-		t.Fatalf("working set %d outside (0, %d]", ws, total)
-	}
-}
-
-func TestFixedSize(t *testing.T) {
-	specs, region := FixedSize(10, 100)
-	if len(specs) != 10 {
-		t.Fatalf("len = %d", len(specs))
-	}
-	for i, s := range specs {
-		if s.Size != 100 {
-			t.Fatalf("size = %d", s.Size)
-		}
-		if s.Disp != i*128 { // 100 rounded to cache line = 128
-			t.Fatalf("disp[%d] = %d", i, s.Disp)
-		}
-	}
-	if region != 10*128 {
-		t.Fatalf("region = %d", region)
-	}
-	if s, r := FixedSize(0, 10); s != nil || r != 0 {
-		t.Fatalf("FixedSize(0) = %v,%d", s, r)
-	}
-	if s, r := FixedSize(10, 0); s != nil || r != 0 {
-		t.Fatalf("FixedSize(,0) = %v,%d", s, r)
-	}
-}
-
-func TestWorkingSetBytesIgnoresBadIndices(t *testing.T) {
-	specs, _ := FixedSize(4, 64)
-	ws := WorkingSetBytes(specs, []int{0, 0, 1, 99, -1})
-	if ws != 128 {
-		t.Fatalf("ws = %d, want 128", ws)
-	}
 }
