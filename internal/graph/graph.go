@@ -140,8 +140,9 @@ func (g *CSR) HasEdge(u, v int) bool {
 	return i < len(list) && list[i] == int32(v)
 }
 
-// IntersectSortedCount returns |a ∩ b| for two ascending-sorted lists
-// (the inner kernel of LCC).
+// IntersectSortedCount returns |a ∩ b| for two ascending-sorted lists by
+// merging them: the paper's LCC inner kernel, here the oracle
+// (lcc.Reference) that lcc.Run's stamp count is checked against.
 func IntersectSortedCount(a, b []int32) int {
 	i, j, n := 0, 0, 0
 	for i < len(a) && j < len(b) {
@@ -243,17 +244,4 @@ func putInt32(b []byte, v int32) {
 // Int32At decodes a little-endian int32 from b.
 func Int32At(b []byte) int32 {
 	return int32(b[0]) | int32(b[1])<<8 | int32(b[2])<<16 | int32(b[3])<<24
-}
-
-// DecodeAdj decodes a fetched adjacency byte buffer into vertex ids.
-func DecodeAdj(b []byte, out []int32) []int32 {
-	n := len(b) / 4
-	if cap(out) < n {
-		out = make([]int32, n)
-	}
-	out = out[:n]
-	for i := 0; i < n; i++ {
-		out[i] = Int32At(b[i*4:])
-	}
-	return out
 }

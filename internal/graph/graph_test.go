@@ -144,15 +144,18 @@ func TestDistributeAndRemoteLoc(t *testing.T) {
 	}
 	// The bytes at that location in the owner's region decode to
 	// adj(2).
-	region := d1.LocalAdjBytes()
-	got := DecodeAdj(region[disp:disp+size], nil)
-	want := g.Neighbors(2)
-	if len(got) != len(want) {
-		t.Fatalf("adj lengths: %d vs %d", len(got), len(want))
+	checkAdjBytes(t, d1.LocalAdjBytes()[disp:disp+size], g.Neighbors(2))
+}
+
+// checkAdjBytes checks that b is want in the window's wire form.
+func checkAdjBytes(t *testing.T, b []byte, want []int32) {
+	t.Helper()
+	if len(b) != 4*len(want) {
+		t.Fatalf("%d adjacency bytes for %d neighbours", len(b), len(want))
 	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("adj[%d] = %d, want %d", i, got[i], want[i])
+	for i, w := range want {
+		if got := Int32At(b[4*i:]); got != w {
+			t.Fatalf("adj[%d] = %d, want %d", i, got, w)
 		}
 	}
 }
@@ -166,16 +169,7 @@ func TestLocalAdjBytesRoundTrip(t *testing.T) {
 		region := d.LocalAdjBytes()
 		for v := d.Lo; v < d.Hi; v++ {
 			_, disp, size := d.RemoteLoc(v)
-			got := DecodeAdj(region[disp:disp+size], nil)
-			want := g.Neighbors(v)
-			if len(got) != len(want) {
-				t.Fatalf("rank %d v %d: lengths %d vs %d", rank, v, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("rank %d v %d adj[%d]: %d vs %d", rank, v, i, got[i], want[i])
-				}
-			}
+			checkAdjBytes(t, region[disp:disp+size], g.Neighbors(v))
 		}
 	}
 }
@@ -187,19 +181,5 @@ func TestInt32Coding(t *testing.T) {
 		if Int32At(b[:]) != v {
 			t.Fatalf("round trip of %d failed", v)
 		}
-	}
-}
-
-func TestDecodeAdjReuse(t *testing.T) {
-	buf := make([]byte, 8)
-	putInt32(buf, 7)
-	putInt32(buf[4:], 9)
-	scratch := make([]int32, 16)
-	out := DecodeAdj(buf, scratch)
-	if len(out) != 2 || out[0] != 7 || out[1] != 9 {
-		t.Fatalf("DecodeAdj = %v", out)
-	}
-	if &out[0] != &scratch[0] {
-		t.Fatalf("DecodeAdj did not reuse scratch")
 	}
 }

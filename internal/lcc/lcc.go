@@ -11,9 +11,20 @@
 // For an undirected graph, LCC(v) = Σ_{u ∈ adj(v)} |adj(v) ∩ adj(u)|
 // divided by deg(v)·(deg(v)−1): every triangle edge (u,w) with
 // u,w ∈ adj(v) is counted once in u's intersection and once in w's.
+//
+// Run counts each intersection by stamp, not by merge: it writes v into
+// one mark slot per member of adj(v), then makes a single pass over each
+// adj(u) — owned lists in the CSR, fetched lists still in their
+// little-endian wire bytes — counting the slots that hold v. The pass has
+// no data-dependent branch and no decode copy. The modelled compute
+// charge is still the merge's len(adj(v)) + len(adj(u)) per neighbour,
+// and Reference keeps the sorted merge, so every comparison of Run with
+// Reference checks one algorithm against the other.
 package lcc
 
 import (
+	"fmt"
+
 	"clampi/internal/getter"
 	"clampi/internal/graph"
 	"clampi/internal/simtime"
@@ -22,8 +33,8 @@ import (
 
 // Config tunes a run.
 type Config struct {
-	// ComputePerElem is the modelled CPU cost per element touched by
-	// the sorted-intersection kernel; zero selects DefaultComputeCost.
+	// ComputePerElem is the modelled CPU cost per element a sorted-merge
+	// intersection touches; zero selects DefaultComputeCost.
 	ComputePerElem simtime.Duration
 	// Recorder, if non-nil, records every remote get (Fig. 3).
 	Recorder *trace.Recorder
@@ -33,7 +44,11 @@ type Config struct {
 }
 
 // DefaultComputeCost is the modelled per-element intersection cost
-// (~a few simple ALU ops per merge step on a 2.6 GHz core).
+// (~a few simple ALU ops per merge step on a 2.6 GHz core). It models the
+// paper's sorted merge on the paper's core, not this host's stamp kernel:
+// BenchmarkLCCKernel (R-MAT scale 13, EF 16, in-memory getter, 2.1 GHz
+// Xeon VM) reads 0.7–1.1 host ns per touched element for Run, fetch
+// copies included, and 3.7–4.5 for the merge oracle.
 const DefaultComputeCost = simtime.Nanosecond
 
 // Result summarizes one rank's computation.
@@ -62,6 +77,11 @@ func (r Result) TimePerVertex() simtime.Duration {
 // agnostic: it runs identically over the simulated runtime and over a
 // wire connection to clampi-serve. The caller must have opened a
 // passive access epoch (LockAll) on the window behind gt.
+//
+// The stamp count equals |adj(v) ∩ adj(u)| only for adjacency lists that
+// are strictly ascending — no vertex twice in one list — which is what
+// graph.Build produces and CSR.Validate checks. Fetched ids are
+// untrusted: one outside [0, d.G.N) ends the run with an error.
 func Run(clock *simtime.Clock, d *graph.Dist, gt getter.Getter, cfg Config) (Result, error) {
 	if cfg.ComputePerElem <= 0 {
 		cfg.ComputePerElem = DefaultComputeCost
@@ -82,8 +102,13 @@ func Run(clock *simtime.Clock, d *graph.Dist, gt getter.Getter, cfg Config) (Res
 	// scalar kernel — so counts and LCC values are bit-identical to a
 	// get-flush-consume loop (paper Fig. 15).
 	var buf []byte           // arena holding all remote fetches of one vertex
-	var decoded []int32      // adjacency decode scratch, reused per neighbour
 	var ops []getter.BatchOp // batched remote gets of one vertex
+	// mark[w] == v exactly while w ∈ adj(v) for the v being processed; no
+	// vertex id is −1, and every later v overwrites only its own members.
+	mark := make([]int32, d.G.N)
+	for i := range mark {
+		mark[i] = -1
+	}
 	for v := d.Lo; v < hi; v++ {
 		adjV := d.G.Neighbors(v)
 		deg := len(adjV)
@@ -135,22 +160,30 @@ func Run(clock *simtime.Clock, d *graph.Dist, gt getter.Getter, cfg Config) (Res
 				}
 			}
 		}
-		// Pass 2: consume in neighbour order, exactly like the scalar
-		// kernel.
+		// Pass 2: stamp adj(v), then consume in neighbour order, exactly
+		// like the scalar kernel.
+		stamp := int32(v)
+		for _, w := range adjV {
+			mark[w] = stamp
+		}
 		var count int64
 		var touched int64
 		k := 0
 		for _, u := range adjV {
-			var adjU []int32
 			if d.Owned(int(u)) {
-				adjU = d.G.Neighbors(int(u))
+				adjU := d.G.Neighbors(int(u))
+				count += int64(countStamped(mark, stamp, adjU))
+				touched += int64(len(adjV) + len(adjU))
 			} else {
-				decoded = graph.DecodeAdj(ops[k].Dst, decoded)
-				adjU = decoded
+				op := &ops[k]
 				k++
+				n, bad := countStampedLE(mark, stamp, op.Dst)
+				if bad >= 0 {
+					return res, badAdjacency(v, int(u), op.Target, op.Dst, bad)
+				}
+				count += int64(n)
+				touched += int64(len(adjV) + len(op.Dst)/4)
 			}
-			count += int64(graph.IntersectSortedCount(adjV, adjU))
-			touched += int64(len(adjV) + len(adjU))
 			res.Gets++
 		}
 		clock.Advance(simtime.Duration(touched) * cfg.ComputePerElem)
@@ -164,7 +197,50 @@ func Run(clock *simtime.Clock, d *graph.Dist, gt getter.Getter, cfg Config) (Res
 	return res, nil
 }
 
-// Reference computes LCC(v) for every vertex of g serially — the oracle
+// countStamped returns how many members of adj carry the stamp v in mark.
+func countStamped(mark []int32, v int32, adj []int32) int {
+	n := 0
+	for _, w := range adj {
+		if mark[w] == v {
+			n++
+		}
+	}
+	return n
+}
+
+// countStampedLE is countStamped over a fetched adjacency list still in
+// its wire form, little-endian int32 ids. The bytes come from another
+// process: bad is −1, or the byte offset of the first id outside
+// [0, len(mark)) — len(b) when b does not hold a whole number of ids.
+func countStampedLE(mark []int32, v int32, b []byte) (n, bad int) {
+	if len(b)%4 != 0 {
+		return 0, len(b)
+	}
+	for i := 0; i < len(b); i += 4 {
+		w := graph.Int32At(b[i : i+4])
+		if uint32(w) >= uint32(len(mark)) { // also catches w < 0
+			return n, i
+		}
+		if mark[w] == v {
+			n++
+		}
+	}
+	return n, -1
+}
+
+// badAdjacency describes what countStampedLE refused at byte offset bad
+// of neighbour u's fetched list.
+func badAdjacency(v, u, target int, fetched []byte, bad int) error {
+	if bad == len(fetched) {
+		return fmt.Errorf("lcc: vertex %d: adjacency of neighbour %d fetched from rank %d is %d bytes, not a multiple of 4",
+			v, u, target, len(fetched))
+	}
+	return fmt.Errorf("lcc: vertex %d: adjacency of neighbour %d fetched from rank %d holds vertex id %d at entry %d",
+		v, u, target, graph.Int32At(fetched[bad:]), bad/4)
+}
+
+// Reference computes LCC(v) for every vertex of g serially with the
+// sorted merge — deliberately not Run's stamp count, so it is the oracle
 // the distributed kernel is validated against.
 func Reference(g *graph.CSR) []float64 {
 	out := make([]float64, g.N)

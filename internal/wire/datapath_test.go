@@ -357,6 +357,14 @@ func TestSyscallBudget(t *testing.T) {
 		srvWrites int64 // server Write calls per round
 	}{
 		{"Get", func() error { return writer.Get(buf, datatype.Byte, 64, 1, 128) }, 1},
+		// The same budget as the Get alone: the flush is local and makes
+		// no call on either end.
+		{"Get+Flush", func() error {
+			if err := writer.Get(buf, datatype.Byte, 64, 1, 128); err != nil {
+				return err
+			}
+			return writer.FlushAll()
+		}, 1},
 		{"GetBatch", func() error { return writer.GetBatch(batch) }, 1},
 		{"Put", func() error { return writer.Put(buf, datatype.Byte, 64, 1, 256) }, 1},
 		{"PutNotify", func() error { return writer.PutNotify(buf, datatype.Byte, 64, 1, 256, 9) }, 2}, // ack + push

@@ -96,7 +96,7 @@ const (
 	OpPut        byte = 0x03 // write one contiguous range
 	OpAccumulate byte = 0x04 // element-wise reduction into a range
 	OpGetBatch   byte = 0x05 // read many contiguous ranges in one frame
-	OpFlush      byte = 0x06 // order fence (no-op on a sync transport)
+	OpFlush      byte = 0x06 // pump marker on a subscribe connection; Window.Flush sends nothing
 	OpLock       byte = 0x07 // passive-target lock on one target
 	OpUnlock     byte = 0x08 // release a passive-target lock
 	OpChecksum   byte = 0x09 // integrity attestation of a target range

@@ -521,9 +521,9 @@ func (c *serverConn) handle(f Frame) (stop bool) {
 	case OpChecksum:
 		err = c.checksum(f)
 	case OpFlush:
-		// A synchronous transport has nothing left to order: every
-		// earlier op on this connection already completed. Ack so the
-		// client can account one round trip for the completion call.
+		// The notify pump's marker on a subscribe connection: the ack
+		// follows every push written before it (per-connection FIFO).
+		// Window.Flush completes locally and never sends one.
 		err = c.ack(f.Seq)
 	case OpLock:
 		err = c.lock(f, true)

@@ -14,8 +14,8 @@ package wire
 // contract promises. Completion calls still matter — they are the epoch
 // closure events the cache invalidates on — so Flush/Unlock/Fence close
 // the local epoch (running listeners, then incrementing) just like the
-// simulated backend, with Flush additionally spending one round trip so
-// a completion call has transport cost here too.
+// simulated backend. A Flush has nothing in flight to wait for, so it is
+// that local closure and nothing else: no frame crosses the socket.
 
 import (
 	"errors"
@@ -602,9 +602,12 @@ func (w *Window) UnlockAll() error {
 }
 
 // Flush completes outstanding operations towards target without
-// releasing the lock; it is an epoch-closure event. On a synchronous
-// transport nothing is pending, but the call still spends one round trip
-// (OpFlush) so completion calls have transport cost here as everywhere.
+// releasing the lock; it is an epoch-closure event. Every operation of
+// this transport was acknowledged before its call returned, so none is
+// outstanding and the flush completes locally, as foMPI's does: it sends
+// nothing and cannot fail on the transport. A dead server or connection
+// is therefore reported by the next data operation (an rma.ErrTransient),
+// not by the flush that follows the last one that worked.
 func (w *Window) Flush(target int) error {
 	if w.freed {
 		return rma.ErrFreed
@@ -615,23 +618,18 @@ func (w *Window) Flush(target int) error {
 	if target < 0 || target >= len(w.cl.regions) {
 		return rma.ErrRankRange
 	}
-	if err := w.rpc(OpFlush, nil, w.opDeadline, nil); err != nil {
-		return err
-	}
 	w.closeEpoch()
 	return nil
 }
 
-// FlushAll completes all outstanding operations and closes the epoch.
+// FlushAll completes all outstanding operations and closes the epoch;
+// like Flush it is local.
 func (w *Window) FlushAll() error {
 	if w.freed {
 		return rma.ErrFreed
 	}
 	if !w.inEpoch() {
 		return rma.ErrNoEpoch
-	}
-	if err := w.rpc(OpFlush, nil, w.opDeadline, nil); err != nil {
-		return err
 	}
 	w.closeEpoch()
 	return nil

@@ -497,11 +497,12 @@ func TestServerMetrics(t *testing.T) {
 	if got := reg.Gauge("wire_server_open_connections").Value(); got < 1 {
 		t.Fatalf("open connections gauge = %d", got)
 	}
-	if got := reg.Counter("wire_server_frames_total", obsv.L("dir", "in")).Value(); got < 3 {
-		t.Fatalf("frames in = %d, want >= 3 (hello, get, flush)", got)
+	// The flush is local: it adds no frame in either direction.
+	if got := reg.Counter("wire_server_frames_total", obsv.L("dir", "in")).Value(); got != 2 {
+		t.Fatalf("frames in = %d, want 2 (hello, get)", got)
 	}
-	if got := reg.Counter("wire_server_frames_total", obsv.L("dir", "out")).Value(); got < 3 {
-		t.Fatalf("frames out = %d", got)
+	if got := reg.Counter("wire_server_frames_total", obsv.L("dir", "out")).Value(); got != 2 {
+		t.Fatalf("frames out = %d, want 2 (welcome, data)", got)
 	}
 	if got := reg.Counter("wire_server_bytes_total", obsv.L("dir", "out")).Value(); got < 64 {
 		t.Fatalf("bytes out = %d", got)
@@ -584,5 +585,77 @@ func TestDeadlineWindow(t *testing.T) {
 	}
 	if err := w.Unlock(0); err != nil {
 		t.Fatalf("unlock: %v", err)
+	}
+}
+
+// TestFlushIsLocal checks the completion calls that send nothing: Flush
+// and FlushAll keep their validation and close the epoch like any other
+// closure, and because they never touch the socket a dead server is
+// reported by the next data operation, not by the flush.
+func TestFlushIsLocal(t *testing.T) {
+	s, err := Serve(ServeConfig{
+		Network: "tcp", Addr: "127.0.0.1:0",
+		Windows: []WindowSpec{{Name: "w", Regions: MakeRegions(2, 256)}},
+	})
+	if err != nil {
+		t.Fatalf("serve: %v", err)
+	}
+	defer s.Shutdown(2 * time.Second) //clampi:walltime test teardown drain window
+	w := dialWindow(t, s, DialConfig{})
+	var closed []int64
+	w.AddEpochListener(func(e int64) { closed = append(closed, e) })
+
+	if err := w.Flush(0); !errors.Is(err, rma.ErrNoEpoch) {
+		t.Fatalf("flush outside an epoch: %v", err)
+	}
+	if err := w.FlushAll(); !errors.Is(err, rma.ErrNoEpoch) {
+		t.Fatalf("flush all outside an epoch: %v", err)
+	}
+	if err := w.LockAll(); err != nil {
+		t.Fatalf("lock all: %v", err)
+	}
+	if err := w.Flush(2); !errors.Is(err, rma.ErrRankRange) {
+		t.Fatalf("flush of rank 2 of 2: %v", err)
+	}
+	if err := w.Flush(-1); !errors.Is(err, rma.ErrRankRange) {
+		t.Fatalf("flush of rank -1: %v", err)
+	}
+	if len(closed) != 0 || w.Epoch() != 0 {
+		t.Fatalf("refused flushes closed epochs %v, epoch now %d", closed, w.Epoch())
+	}
+	if err := w.Flush(1); err != nil {
+		t.Fatalf("flush: %v", err)
+	}
+	if err := w.FlushAll(); err != nil {
+		t.Fatalf("flush all: %v", err)
+	}
+	if len(closed) != 2 || closed[0] != 0 || closed[1] != 1 || w.Epoch() != 2 {
+		t.Fatalf("listeners saw epochs %v, epoch now %d; want [0 1] and 2", closed, w.Epoch())
+	}
+
+	dst := make([]byte, 16)
+	if err := w.Get(dst, datatype.Byte, 16, 1, 0); err != nil {
+		t.Fatalf("get: %v", err)
+	}
+	// The window's pooled connection is idle, not closed, so the drain
+	// runs out its (short) window and then cuts it.
+	if err := s.Shutdown(50 * time.Millisecond); err != nil { //clampi:walltime drain window before idle connections are cut
+		t.Fatalf("shutdown: %v", err)
+	}
+	if err := w.FlushAll(); err != nil {
+		t.Fatalf("flush all with the server gone: %v", err)
+	}
+	if err := w.Get(dst, datatype.Byte, 16, 1, 0); !errors.Is(err, rma.ErrTransient) {
+		t.Fatalf("get with the server gone: %v, want an rma.ErrTransient", err)
+	}
+
+	if err := w.Free(); err != nil {
+		t.Fatalf("free: %v", err)
+	}
+	if err := w.Flush(0); !errors.Is(err, rma.ErrFreed) {
+		t.Fatalf("flush after free: %v", err)
+	}
+	if err := w.FlushAll(); !errors.Is(err, rma.ErrFreed) {
+		t.Fatalf("flush all after free: %v", err)
 	}
 }
