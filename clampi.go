@@ -3,7 +3,6 @@ package clampi
 import (
 	"time"
 
-	"clampi/internal/blockcache"
 	"clampi/internal/core"
 	"clampi/internal/datatype"
 	"clampi/internal/fault"
@@ -157,16 +156,7 @@ type (
 	// DistanceStats aggregates per-distance-class cache activity
 	// (locality-aware windows only; see Window.DistanceStats).
 	DistanceStats = core.DistanceStats
-	// L2 is the node-shared second-level block cache (see WithL2).
-	L2 = blockcache.L2
-	// L2Stats is a snapshot of one L2 tier's counters.
-	L2Stats = blockcache.L2Stats
 )
-
-// NewL2 constructs a node-shared L2 tier holding memoryBytes of
-// blockSize-granular blocks (blockSize <= 0 selects the default). Share
-// one instance among the caching windows of a node's ranks via WithL2.
-var NewL2 = blockcache.NewL2
 
 // Operational modes (paper §III-A).
 const (
@@ -417,17 +407,6 @@ func WithLocalityAwareness() Option {
 // selects the default.
 func WithCheapFillThreshold(d Duration) Option {
 	return func(c *config) { c.params.CheapFillThreshold = d }
-}
-
-// WithL2 attaches a node-shared second-level block cache (DESIGN.md
-// §15): far-target L1 misses probe it before crossing the network, and
-// their block-aligned fills are published back at epoch closure so
-// sibling ranks that share the same L2 value are served from node
-// memory (Stats.L2Hits, Stats.SiblingForwards). Construct one L2 per
-// node with NewL2 and pass it to every rank of that node. Active in
-// AlwaysCache mode only; requires a locality-reporting backend.
-func WithL2(l2 *L2) Option {
-	return func(c *config) { c.params.L2 = l2 }
 }
 
 // WithNotify subscribes the caching layer to the backend's notified-RMA

@@ -1,10 +1,13 @@
 // Command clampi-lcc regenerates the Local Clustering Coefficient figures
 // of the paper (§IV-C): the transfer-size distribution (Fig. 3),
 // parameter selection (Fig. 15), access statistics (Fig. 16) and weak
-// scaling with its statistics (Figs. 17-18), plus the locality-tier
-// comparison (-fig locality): cost-aware caching with a node-shared L2
-// versus the locality-blind baseline under skewed rank placement
-// (DESIGN.md §15).
+// scaling with its statistics (Figs. 17-18), plus the cost-aware
+// comparison (-fig locality): cost-aware admission and eviction versus
+// the locality-blind baseline on a capacity-bound instance under skewed
+// rank placement (DESIGN.md §15). Like Figs. 3 and 17 it fixes its own
+// instance — scale 14, EF 8, P 8, 4 ranks/node, 512 vertices/rank — since
+// the -scale/-p defaults of Figs. 15-16 leave the cache unpressured and
+// the two systems identical.
 //
 // Usage:
 //
@@ -32,7 +35,6 @@ func main() {
 	ef := flag.Int("ef", 8, "R-MAT edge factor")
 	p := flag.Int("p", 4, "processing elements P")
 	maxVerts := flag.Int("maxverts", 256, "max vertices per rank (0 = all)")
-	ranksPerNode := flag.Int("rpn", 2, "ranks per node for the locality figure's skewed placement (must be < p for any inter-node traffic)")
 	mode := flag.String("mode", "fidelity", "execution mode: fidelity (serialized, calibration-grade timing) or throughput (concurrent ranks)")
 	metricsOut := flag.String("metrics", "", "write merged cache metrics to this file (.json selects JSON, anything else Prometheus text format)")
 	traceOut := flag.String("trace", "", "write the cache-event trace to this file as JSON lines")
@@ -102,23 +104,19 @@ func main() {
 		return nil
 	})
 	run("locality", func() error {
-		s, e, pp, mv := *scale, *ef, *p, *maxVerts
+		s, e, pp, rpn, mv := 14, 8, 8, 4, 512
 		if *paper {
 			s, e, pp, mv = 16, 16, 32, 0
-		}
-		rpn := *ranksPerNode
-		if rpn < 1 {
-			rpn = 1
 		}
 		blind, aware, tbl, err := experiments.LCCLocalityCompare(s, e, pp, rpn, mv, 1<<12, 1<<18)
 		if err != nil {
 			return err
 		}
 		fmt.Print(tbl)
-		fmt.Printf("locality tiers: comm %d -> %d virtual ns (%.1f%%); %d L2 hits, %d L2 fills, %d sibling forwards, %d cheap skips\n",
+		fmt.Printf("cost-aware: comm %d -> %d virtual ns (%.1f%%); evictions %d -> %d, %d cheap skips\n",
 			blind.CommVirtualNs, aware.CommVirtualNs,
 			100*float64(aware.CommVirtualNs)/float64(blind.CommVirtualNs),
-			aware.L2Hits, aware.L2Fills, aware.SiblingForwards, aware.CheapSkips)
+			blind.Evictions, aware.Evictions, aware.CheapSkips)
 		return nil
 	})
 	run("17", func() error {

@@ -1,31 +1,28 @@
 // Command clampi-perfgate is the CI performance gate for the caching hot
 // paths. It runs the op-level benchmarks (BenchmarkOp* in internal/core)
-// with -benchmem and enforces two invariants against the committed
-// baseline (PERF_baseline.json):
+// with -benchmem and enforces three invariants, none of which reads the
+// host clock (ns/op swings 1.3-1.8x between runs of one tree on the CI
+// VM; paired bench/run.sh runs are where host time is compared):
 //
 //   - the hit paths perform 0 allocs/op — bare (BenchmarkOpHitFull),
 //     batched as the LCC replay issues them (BenchmarkOpBatchHitFull),
-//     with the resilience layer armed (BenchmarkOpHitFullResilient),
-//     with a notification subscription armed (BenchmarkOpNotifyDrain)
-//     and on the node-shared L2 tier (BenchmarkOpL2Hit,
-//     BenchmarkOpL2SiblingForward) — and so do the
-//     coherence paths behind every write and notification: a range query
-//     on a 16384-entry cache (BenchmarkOpInvalidateRange16k) and a
-//     notified write no entry covers (BenchmarkOpPutNotifyUncovered),
-//   - deterministic virtual time stays within its budget: the L1
-//     full-hit path at 108 vns/op (119 per get of the 576 B batch) and
-//     the L2 hit paths under 400 vns/op, a range query at a seek plus
-//     the entries it scans (vns/op has no host variance, so any excess
-//     is a modeled-cost regression), and
-//   - no benchmark's host ns/op regresses past the threshold (default
-//     1.25x) over its baseline, and
-//   - every benchmark named by a gate or by the baseline produced a
-//     result: a renamed, deleted or unparsable benchmark fails the gate
-//     instead of silently leaving it.
+//     with the resilience layer armed (BenchmarkOpHitFullResilient) and
+//     with a notification subscription armed (BenchmarkOpNotifyDrain) —
+//     and so do the coherence paths behind every write and notification:
+//     a range query on a 16384-entry cache
+//     (BenchmarkOpInvalidateRange16k) and a notified write no entry
+//     covers (BenchmarkOpPutNotifyUncovered),
+//   - deterministic virtual time stays within its budget: the full-hit
+//     path at 108 vns/op (119 per get of the 576 B batch), a range query
+//     at a seek plus the entries it scans (vns/op has no host variance,
+//     so any excess is a modeled-cost regression), and
+//   - every benchmark named by a gate or by the committed baseline
+//     (PERF_baseline.json) produced a result: a renamed, deleted or
+//     unparsable benchmark fails the gate instead of silently leaving it.
 //
 // Usage:
 //
-//	clampi-perfgate [-update] [-threshold 1.25] [-baseline PERF_baseline.json] [-pkg ./internal/core]
+//	clampi-perfgate [-update] [-baseline PERF_baseline.json] [-pkg ./internal/core]
 //
 // -update reruns the benchmarks and rewrites the baseline file.
 package main
@@ -44,12 +41,10 @@ import (
 	"strings"
 )
 
-// Result is one benchmark's measured numbers.
+// Result is one benchmark's gated numbers.
 type Result struct {
-	NsPerOp     float64 `json:"ns_per_op"`
 	VNsPerOp    float64 `json:"vns_per_op"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
-	BytesPerOp  float64 `json:"bytes_per_op"`
 }
 
 // zeroAllocGated names the benchmarks whose hit paths must never
@@ -58,8 +53,6 @@ var zeroAllocGated = map[string]bool{
 	"BenchmarkOpHitFull":          true,
 	"BenchmarkOpBatchHitFull":     true,
 	"BenchmarkOpHitFullResilient": true,
-	"BenchmarkOpL2Hit":            true,
-	"BenchmarkOpL2SiblingForward": true,
 	"BenchmarkOpNotifyDrain":      true,
 	// One allocation per call is what a victim list or a charge closure
 	// escaping to the heap would cost; the flush of the staged writes
@@ -70,18 +63,14 @@ var zeroAllocGated = map[string]bool{
 
 // vnsCeiling pins deterministic virtual-time budgets: vns/op is exact
 // (no host variance), so exceeding the ceiling is a modeled-cost
-// regression, not noise. The L1 full-hit budget is the §III-B lookup +
+// regression, not noise. The full-hit budget is the §III-B lookup +
 // copy cost — and the notification depth probe must not move it: an
-// armed subscription with an empty queue keeps the identical 108 vns —
-// while the L2 budgets keep the node-shared tier well under half of an
-// other-group miss (~3300 vns).
+// armed subscription with an empty queue keeps the identical 108 vns.
 var vnsCeiling = map[string]float64{
 	"BenchmarkOpHitFull":          108,
 	"BenchmarkOpBatchHitFull":     119, // per get: the lookup plus a 576 B copy
 	"BenchmarkOpHitFullResilient": 108,
 	"BenchmarkOpNotifyDrain":      108,
-	"BenchmarkOpL2Hit":            400,
-	"BenchmarkOpL2SiblingForward": 400,
 	// Two range queries of ceil(log2(n+1)) + k slot visits each (n =
 	// 16384 then 16383, k = 1 then 0), the victim's removal, and the miss
 	// and flush that fetch it back. A whole-index walk charged per entry,
@@ -100,14 +89,12 @@ type Baseline struct {
 
 func main() {
 	update := flag.Bool("update", false, "rewrite the baseline from this run")
-	threshold := flag.Float64("threshold", 1.25, "allowed host ns/op ratio over baseline")
 	baselinePath := flag.String("baseline", "PERF_baseline.json", "baseline file")
 	pkg := flag.String("pkg", "./internal/core", "package holding the BenchmarkOp* set")
 	benchtime := flag.String("benchtime", "0.5s", "benchtime passed to go test")
-	count := flag.Int("count", 3, "benchmark repetitions; the minimum ns/op is kept")
 	flag.Parse()
 
-	results, err := runBenchmarks(*pkg, *benchtime, *count)
+	results, err := runBenchmarks(*pkg, *benchtime)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -129,14 +116,14 @@ func main() {
 	}
 
 	failed := false
-	for _, v := range judge(results, base.Benchmarks, *threshold) {
+	for _, v := range judge(results, base.Benchmarks) {
 		failed = failed || v.failed
 		if !v.ran {
-			fmt.Printf("%-24s %s\n", v.name, v.status)
+			fmt.Printf("%-30s %s\n", v.name, v.status)
 			continue
 		}
-		fmt.Printf("%-24s %10.1f ns/op %10.1f vns/op %6.2f allocs/op  %s\n",
-			v.name, v.r.NsPerOp, v.r.VNsPerOp, v.r.AllocsPerOp, v.status)
+		fmt.Printf("%-30s %10.1f vns/op %6.2f allocs/op  %s\n",
+			v.name, v.r.VNsPerOp, v.r.AllocsPerOp, v.status)
 	}
 	if failed {
 		os.Exit(1)
@@ -154,9 +141,8 @@ type verdict struct {
 
 // judge applies the gates to what ran and returns one verdict per name,
 // sorted. A name in zeroAllocGated, vnsCeiling or the baseline with no
-// result fails: a gate that cannot see its benchmark is not passing. A
-// result with no baseline entry is ok; it has nothing to regress from.
-func judge(results, base map[string]Result, threshold float64) []verdict {
+// result fails: a gate that cannot see its benchmark is not passing.
+func judge(results, base map[string]Result) []verdict {
 	seen := make(map[string]bool)
 	for name := range results {
 		seen[name] = true
@@ -193,17 +179,11 @@ func judge(results, base map[string]Result, threshold float64) []verdict {
 			v.status = fmt.Sprintf("FAIL: %.1f vns/op exceeds the %.0f vns/op budget", r.VNsPerOp, ceil)
 			v.failed = true
 		}
-		if b, ok := base[name]; ok && b.NsPerOp > 0 {
-			ratio := r.NsPerOp / b.NsPerOp
-			if ratio > threshold {
-				v.status = fmt.Sprintf("FAIL: %.1f ns/op is %.2fx baseline %.1f (threshold %.2fx)",
-					r.NsPerOp, ratio, b.NsPerOp, threshold)
-				v.failed = true
-			} else if !v.failed {
-				v.status = fmt.Sprintf("ok (%.2fx baseline)", ratio)
+		if !v.failed {
+			v.status = "ok"
+			if _, ok := base[name]; !ok {
+				v.status = "ok (no baseline entry)"
 			}
-		} else if !v.failed {
-			v.status = "ok (no baseline entry)"
 		}
 		out = append(out, v)
 	}
@@ -211,13 +191,10 @@ func judge(results, base map[string]Result, threshold float64) []verdict {
 }
 
 // runBenchmarks executes the BenchmarkOp* set and parses the -benchmem
-// output into per-benchmark results. Each benchmark runs `count` times
-// and the minimum host ns/op is kept — scheduler noise only ever
-// inflates timings, so the minimum is the stable estimator — while
-// allocs/op and B/op keep the maximum to stay conservative.
-func runBenchmarks(pkg, benchtime string, count int) (map[string]Result, error) {
+// output into per-benchmark results.
+func runBenchmarks(pkg, benchtime string) (map[string]Result, error) {
 	cmd := exec.Command("go", "test", "-run", "^$", "-bench", "^BenchmarkOp",
-		"-benchmem", "-benchtime", benchtime, "-count", strconv.Itoa(count), pkg)
+		"-benchmem", "-benchtime", benchtime, pkg)
 	var out bytes.Buffer
 	cmd.Stdout = &out
 	cmd.Stderr = os.Stderr
@@ -227,25 +204,9 @@ func runBenchmarks(pkg, benchtime string, count int) (map[string]Result, error) 
 	results := make(map[string]Result)
 	sc := bufio.NewScanner(&out)
 	for sc.Scan() {
-		name, r, ok := parseBenchLine(sc.Text())
-		if !ok {
-			continue
+		if name, r, ok := parseBenchLine(sc.Text()); ok {
+			results[name] = r
 		}
-		if prev, dup := results[name]; dup {
-			if prev.NsPerOp < r.NsPerOp {
-				r.NsPerOp = prev.NsPerOp
-			}
-			if prev.VNsPerOp < r.VNsPerOp {
-				r.VNsPerOp = prev.VNsPerOp
-			}
-			if prev.AllocsPerOp > r.AllocsPerOp {
-				r.AllocsPerOp = prev.AllocsPerOp
-			}
-			if prev.BytesPerOp > r.BytesPerOp {
-				r.BytesPerOp = prev.BytesPerOp
-			}
-		}
-		results[name] = r
 	}
 	return results, sc.Err()
 }
@@ -275,12 +236,9 @@ func parseBenchLine(line string) (string, Result, bool) {
 		}
 		switch fields[i+1] {
 		case "ns/op":
-			r.NsPerOp = v
 			seen = true
 		case "vns/op":
 			r.VNsPerOp = v
-		case "B/op":
-			r.BytesPerOp = v
 		case "allocs/op":
 			r.AllocsPerOp = v
 		}
@@ -299,7 +257,7 @@ func readBaseline(path string) (Baseline, error) {
 
 func writeBaseline(path string, results map[string]Result) error {
 	b := Baseline{
-		Note:       "Host-time baseline for cmd/clampi-perfgate; refresh with `go run ./cmd/clampi-perfgate -update` on the CI runner class.",
+		Note:       "Virtual-time and allocation baseline for cmd/clampi-perfgate; refresh with `go run ./cmd/clampi-perfgate -update` on the CI runner class.",
 		Benchmarks: results,
 	}
 	buf, err := json.MarshalIndent(b, "", "  ")

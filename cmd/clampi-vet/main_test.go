@@ -43,7 +43,7 @@ func fakeDiags() (*token.FileSet, []analysis.Diagnostic) {
 	f := fset.AddFile("x.go", -1, 100)
 	f.AddLine(10)
 	return fset, []analysis.Diagnostic{
-		{Pos: f.Pos(5), Analyzer: "lockorder", Message: `second fill mutex "a"`},
+		{Pos: f.Pos(5), Analyzer: "lockorder", Message: `descending stripe "a"`},
 		{Pos: f.Pos(15), Analyzer: "wireproto", Message: "op OpX has no opNames entry"},
 	}
 }
@@ -53,7 +53,7 @@ func TestPrintDiagsHuman(t *testing.T) {
 	fset, diags := fakeDiags()
 	var buf bytes.Buffer
 	printDiags(&buf, fset, diags, false)
-	want := "x.go:1:6: lockorder: second fill mutex \"a\"\nx.go:2:6: wireproto: op OpX has no opNames entry\n"
+	want := "x.go:1:6: lockorder: descending stripe \"a\"\nx.go:2:6: wireproto: op OpX has no opNames entry\n"
 	if buf.String() != want {
 		t.Errorf("human output:\n got %q\nwant %q", buf.String(), want)
 	}

@@ -15,13 +15,9 @@
 //     read the array shape, never the cells.
 //
 // Everything else — plain reads, assignments, ++/--, copying the value,
-// taking the address for anything but sync/atomic — is flagged, unless
-// the line carries a "//clampi:atomicinit <reason>" directive: the
-// escape hatch for construction-time initialization of a value no other
-// goroutine can reach yet (publication is the happens-before edge, so a
-// plain store before it is sound). The annotation is package-local by
-// construction: annotated fields are unexported, so every access site
-// is in the package being analyzed.
+// taking the address for anything but sync/atomic — is flagged. The
+// annotation is package-local by construction: annotated fields are
+// unexported, so every access site is in the package being analyzed.
 package atomicfield
 
 import (
@@ -46,18 +42,11 @@ var Analyzer = &analysis.Analyzer{
 //	next atomic.Uint64 // clampi:atomic
 const Marker = "clampi:atomic"
 
-// InitMarker is the escape-hatch line directive exempting one plain
-// access — construction-time initialization before publication:
-//
-//	s.limit = limit //clampi:atomicinit construction: not yet published
-const InitMarker = "clampi:atomicinit"
-
 func run(pass *analysis.Pass) error {
 	annotated := collectAnnotated(pass)
 	if len(annotated) == 0 {
 		return nil
 	}
-	directives := analysis.DirectiveLines(pass.Fset, pass.Files, InitMarker)
 	analysis.InspectWithStack(pass.Files, func(n ast.Node, stack []ast.Node) {
 		sel, ok := n.(*ast.SelectorExpr)
 		if !ok {
@@ -68,10 +57,6 @@ func run(pass *analysis.Pass) error {
 			return
 		}
 		if !allowedContext(pass.TypesInfo, sel, stack) {
-			p := pass.Fset.Position(sel.Sel.Pos())
-			if directives[p.Filename][p.Line] {
-				return
-			}
 			pass.Reportf(sel.Sel.Pos(), "field %s is marked %s: access it only through sync/atomic operations (its atomic.* methods, or atomic.XxxT(&x.%s, ...))", sel.Sel.Name, Marker, sel.Sel.Name)
 		}
 	})

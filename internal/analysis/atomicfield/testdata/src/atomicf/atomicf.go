@@ -62,11 +62,3 @@ func unannotatedStaysLegal(s *stats) string {
 	s.name = "w0"
 	return s.name
 }
-
-// initEscapeHatch: a plain store during construction, before the value
-// is published to any other goroutine, exempted by the line directive.
-func initEscapeHatch(seed uint64) *stats {
-	s := &stats{}
-	s.misses = seed //clampi:atomicinit construction: not yet published
-	return s
-}

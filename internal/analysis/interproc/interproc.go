@@ -1,7 +1,7 @@
 // Package interproc is the summary-based interprocedural engine under
 // the clampi-vet analyzers (DESIGN.md §14). The five lexical analyzers
 // are function-local scans; they cannot see a mutex acquired in
-// a caller or a helper that blocks. interproc closes that gap for the
+// a caller or a helper. interproc closes that gap for the
 // lock-discipline family:
 //
 //   - It builds a call graph over every package loaded in one analysis
@@ -9,20 +9,17 @@
 //     instantiations included — and single-assignment method values.
 //   - For every function with a body it computes a lock-set summary:
 //     which lock classes the function may acquire at any point during
-//     its execution (During), the net effect it leaves on the caller's
-//     held set (NetAcquire/NetRelease, defer-aware), and whether it may
-//     perform a blocking operation (a wire round-trip, an rma.Window
-//     data op, or a core.Observer callback), each propagated bottom-up
-//     through the call graph.
+//     its execution (During) and the net effect it leaves on the
+//     caller's held set (NetAcquire/NetRelease, defer-aware), each
+//     propagated bottom-up through the call graph.
 //
 // Lock classes come from the // clampi:lockrank <class> field
 // annotation on mutex (or stripe-slice) struct fields — the same
 // comment-annotation idiom as clampi:atomic — plus local dataflow that
 // traces an expression like locks[s].Lock() back through
 // single-assignment locals and index chains to the annotated field.
-// The DESIGN.md §12/§13 hierarchy names two classes:
+// The DESIGN.md §12/§13 hierarchy names one class:
 //
-//	fill    the L2 publish mutex (taken first, at most one)
 //	stripe  a per-(target, range) data-path RWMutex stripe
 //
 // Soundness model (deliberately the same strength as the lexical
@@ -52,14 +49,11 @@ import (
 // LockClass is one level of the DESIGN.md §12/§13 lock hierarchy.
 type LockClass string
 
-// The hierarchy's classes, in acquisition order.
-const (
-	LockFill   LockClass = "fill"
-	LockStripe LockClass = "stripe"
-)
+// The hierarchy's one class.
+const LockStripe LockClass = "stripe"
 
 // RankMarker is the field annotation binding a mutex field to a lock
-// class, e.g. `mu sync.Mutex // clampi:lockrank fill`.
+// class, e.g. `locks []sync.RWMutex // clampi:lockrank stripe`.
 const RankMarker = "clampi:lockrank"
 
 // Summary is one function's interprocedural lock-set summary.
@@ -73,11 +67,6 @@ type Summary struct {
 	// folded in, so a begin/defer-end bracket nets to zero.
 	NetAcquire map[LockClass]int
 	NetRelease map[LockClass]int
-	// Blocking reports that the function may perform a blocking
-	// operation: a wire round-trip, an rma.Window data op, or an
-	// Observer callback. BlockingWhy names the first one found.
-	Blocking    bool
-	BlockingWhy string
 }
 
 // clone-free accessors keep callers from mutating the memoized maps.
@@ -93,7 +82,6 @@ const (
 	EvAcquire EventKind = iota // a classified Lock/RLock
 	EvRelease                  // a classified Unlock/RUnlock
 	EvCall                     // a call to a function with a known summary
-	EvBlock                    // a direct blocking operation
 )
 
 // Event is one entry of a function's lexical lock trace.
@@ -102,7 +90,6 @@ type Event struct {
 	Class  LockClass // EvAcquire/EvRelease
 	Callee string    // EvCall: the callee's FuncID
 	Pos    token.Pos
-	Why    string // EvBlock: what blocks ("wire round-trip", ...)
 	// Index carries a constant stripe index when the acquired lock is
 	// an indexed stripe with a compile-time index (HasIndex true) —
 	// what lets two lexically ordered constant acquisitions prove they
@@ -330,21 +317,12 @@ func (e *Engine) Summary(id string) *Summary {
 			for c := range cs.During {
 				s.During[c] = true
 			}
-			if cs.Blocking && !s.Blocking {
-				s.Blocking = true
-				s.BlockingWhy = cs.BlockingWhy
-			}
 			for c, n := range cs.NetAcquire {
 				held[c] += n
 				s.During[c] = true
 			}
 			for c, n := range cs.NetRelease {
 				held[c] -= n
-			}
-		case EvBlock:
-			if !s.Blocking {
-				s.Blocking = true
-				s.BlockingWhy = ev.Why
 			}
 		}
 	}

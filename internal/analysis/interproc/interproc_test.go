@@ -44,12 +44,11 @@ func loadEngine(t *testing.T) *interproc.Engine {
 func TestCallGraph(t *testing.T) {
 	eng := loadEngine(t)
 	want := map[string][]string{
-		"ip.viaHelper":        {"ip.withLock"},
-		"ip.methodValue":      {"ip.(S).lockFill"},
-		"ip.even":             {"ip.odd"},
-		"ip.odd":              {"ip.even"},
-		"ip.blockedViaHelper": {"ip.callsBlocked"},
-		"ip.withLock":         nil,
+		"ip.viaHelper":   {"ip.withLock"},
+		"ip.methodValue": {"ip.(S).lockStripe"},
+		"ip.even":        {"ip.odd"},
+		"ip.odd":         {"ip.even"},
+		"ip.withLock":    nil,
 	}
 	for id, edges := range want {
 		if got := eng.Callees(id); !reflect.DeepEqual(got, edges) && !(len(got) == 0 && len(edges) == 0) {
@@ -70,36 +69,32 @@ func TestGoldenSummaries(t *testing.T) {
 		during     []interproc.LockClass
 		netAcquire map[interproc.LockClass]int
 		netRelease map[interproc.LockClass]int
-		blocking   bool
 	}
 	cases := []golden{
 		// Net-effect helpers.
-		{id: "ip.(S).lockFill", during: []interproc.LockClass{interproc.LockFill},
-			netAcquire: map[interproc.LockClass]int{interproc.LockFill: 1}},
-		{id: "ip.(S).unlockFill",
-			netRelease: map[interproc.LockClass]int{interproc.LockFill: 1}},
-		// Defer-released bracket: During fill, net zero.
-		{id: "ip.withLock", during: []interproc.LockClass{interproc.LockFill}},
+		{id: "ip.(S).lockStripe", during: []interproc.LockClass{interproc.LockStripe},
+			netAcquire: map[interproc.LockClass]int{interproc.LockStripe: 1}},
+		{id: "ip.(S).unlockStripe",
+			netRelease: map[interproc.LockClass]int{interproc.LockStripe: 1}},
+		// Defer-released bracket: During stripe, net zero.
+		{id: "ip.withLock", during: []interproc.LockClass{interproc.LockStripe}},
 		// During propagates through a pure-call chain.
-		{id: "ip.viaHelper", during: []interproc.LockClass{interproc.LockFill}},
+		{id: "ip.viaHelper", during: []interproc.LockClass{interproc.LockStripe}},
 		// The method value resolves: the acquire arrives through
-		// f := s.lockFill (net +1), the direct Unlock balances it.
-		{id: "ip.methodValue", during: []interproc.LockClass{interproc.LockFill}},
+		// f := s.lockStripe (net +1), the direct Unlock balances it.
+		{id: "ip.methodValue", during: []interproc.LockClass{interproc.LockStripe}},
 		// Recursion: even's own acquire is seen; odd — summarized
 		// inside even's computation — saw the in-progress cut and
 		// records no effects (documented caveat).
 		{id: "ip.even", during: []interproc.LockClass{interproc.LockStripe}},
 		{id: "ip.odd"},
-		// Blocking propagates bottom-up.
-		{id: "ip.callsBlocked", blocking: true},
-		{id: "ip.blockedViaHelper", blocking: true},
 	}
 	// Force the documented query order for the cycle.
 	_ = eng.Summary("ip.even")
 
 	for _, g := range cases {
 		s := eng.Summary(g.id)
-		for _, c := range []interproc.LockClass{interproc.LockFill, interproc.LockStripe} {
+		for _, c := range []interproc.LockClass{interproc.LockStripe} {
 			want := false
 			for _, d := range g.during {
 				if d == c {
@@ -115,9 +110,6 @@ func TestGoldenSummaries(t *testing.T) {
 		}
 		if !equalCounts(s.NetRelease, g.netRelease) {
 			t.Errorf("%s: NetRelease = %v, want %v", g.id, s.NetRelease, g.netRelease)
-		}
-		if s.Blocking != g.blocking {
-			t.Errorf("%s: Blocking = %v, want %v", g.id, s.Blocking, g.blocking)
 		}
 	}
 }
@@ -140,7 +132,7 @@ func TestFunctionsIndexed(t *testing.T) {
 	for _, id := range []string{
 		"ip.withLock", "ip.viaHelper", "ip.methodValue",
 		"ip.even", "ip.odd",
-		"ip.(S).lockFill", "ip.(S).unlockFill", "ip.(client).RPC",
+		"ip.(S).lockStripe", "ip.(S).unlockStripe",
 	} {
 		if !indexed[id] {
 			t.Errorf("Functions() missing %s (have %v)", id, eng.Functions())

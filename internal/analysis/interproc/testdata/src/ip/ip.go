@@ -7,24 +7,16 @@ package ip
 import "sync"
 
 type S struct {
-	mu sync.Mutex // clampi:lockrank fill
-}
-
-type W struct {
 	mu sync.Mutex // clampi:lockrank stripe
 }
 
-type client struct{}
+// lockStripe returns with the stripe mutex held: net acquire.
+func (s *S) lockStripe() { s.mu.Lock() }
 
-func (c *client) RPC(op byte) error { return nil }
+// unlockStripe releases on the caller's behalf: net release.
+func (s *S) unlockStripe() { s.mu.Unlock() }
 
-// lockFill returns with the fill mutex held: net acquire.
-func (s *S) lockFill() { s.mu.Lock() }
-
-// unlockFill releases on the caller's behalf: net release.
-func (s *S) unlockFill() { s.mu.Unlock() }
-
-// withLock brackets with defer: During fill, net zero.
+// withLock brackets with defer: During stripe, net zero.
 func withLock(s *S) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -35,9 +27,9 @@ func viaHelper(s *S) {
 	withLock(s)
 }
 
-// methodValue calls lockFill through a single-assignment local.
+// methodValue calls lockStripe through a single-assignment local.
 func methodValue(s *S) {
-	f := s.lockFill
+	f := s.lockStripe
 	f()
 	s.mu.Unlock()
 }
@@ -46,22 +38,16 @@ func methodValue(s *S) {
 // before recursing. The engine cuts the cycle at the in-progress
 // member, so even's During is seen but odd's view of even is empty —
 // the documented recursion caveat.
-func even(w *W, n int) {
-	w.mu.Lock()
-	w.mu.Unlock()
+func even(s *S, n int) {
+	s.mu.Lock()
+	s.mu.Unlock()
 	if n > 0 {
-		odd(w, n-1)
+		odd(s, n-1)
 	}
 }
 
-func odd(w *W, n int) {
+func odd(s *S, n int) {
 	if n > 0 {
-		even(w, n-1)
+		even(s, n-1)
 	}
 }
-
-// callsBlocked performs a wire round-trip: Blocking propagates.
-func callsBlocked(c *client) error { return c.RPC(1) }
-
-// blockedViaHelper inherits Blocking from callsBlocked.
-func blockedViaHelper(c *client) error { return callsBlocked(c) }

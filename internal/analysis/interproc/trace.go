@@ -10,33 +10,12 @@ import (
 	"clampi/internal/analysis/typeutil"
 )
 
-// observerMethods are the core.Observer callback names; invoking any of
-// them through an interface value is a blocking operation (the observer
-// implementation is arbitrary user code, DESIGN.md §8).
-var observerMethods = map[string]bool{
-	"OnAccess":     true,
-	"OnEviction":   true,
-	"OnAdjustment": true,
-	"OnEpochClose": true,
-}
-
-// windowOps are the rma.Window data and synchronization operations; a
-// call through any interface named Window may block on the transport.
-var windowOps = map[string]bool{
-	"Get": true, "Put": true, "Rget": true, "Rput": true,
-	"Accumulate": true, "GetBatch": true, "Flush": true, "FlushAll": true,
-	"Checksum": true, "Fence": true,
-	"Lock": true, "LockWithType": true, "LockAll": true,
-	"Unlock": true, "UnlockAll": true,
-}
-
 // Trace computes the function's lexical event trace: classified lock
-// acquisitions and releases, resolved calls, and direct blocking
-// operations, in source order. Events under a defer statement are
-// flagged Deferred; events under a go statement belong to another
-// goroutine — which does not inherit the caller's held set — and are
-// omitted entirely (caveat: lock-order violations wholly inside a
-// spawned closure are not seen).
+// acquisitions and releases and resolved calls, in source order. Events
+// under a defer statement are flagged Deferred; events under a go
+// statement belong to another goroutine — which does not inherit the
+// caller's held set — and are omitted entirely (caveat: lock-order
+// violations wholly inside a spawned closure are not seen).
 func (e *Engine) Trace(info *types.Info, decl *ast.FuncDecl) []Event {
 	if decl.Body == nil {
 		return nil
@@ -130,47 +109,14 @@ func (e *Engine) callEvent(info *types.Info, assigns map[types.Object]ast.Expr, 
 	return Event{}, false
 }
 
-// funcEvent turns a resolved callee into a Block or Call event: direct
-// blocking classification wins (a wire RPC's own lock effects are nil),
-// then a call edge if the callee's body is in the Program.
+// funcEvent turns a resolved callee into a Call event if its body is in
+// the Program.
 func (e *Engine) funcEvent(ev Event, fn *types.Func) (Event, bool) {
-	if why, ok := blockingWhy(fn); ok {
-		ev.Kind, ev.Why = EvBlock, why
-		return ev, true
-	}
 	if id := FuncID(fn); e.funcs[id] != nil {
 		ev.Kind, ev.Callee = EvCall, id
 		return ev, true
 	}
 	return Event{}, false
-}
-
-// blockingWhy classifies a method as a direct blocking operation.
-func blockingWhy(fn *types.Func) (string, bool) {
-	recv := typeutil.MethodReceiver(fn)
-	if recv == nil {
-		return "", false
-	}
-	name := fn.Name()
-	if name == "RPC" || name == "rpc" {
-		return "wire round-trip " + name, true
-	}
-	if p, ok := recv.(*types.Pointer); ok {
-		recv = p.Elem()
-	}
-	if observerMethods[name] {
-		if _, ok := recv.Underlying().(*types.Interface); ok {
-			return "Observer callback " + name, true
-		}
-	}
-	if windowOps[name] {
-		if n, ok := recv.(*types.Named); ok && n.Obj() != nil && n.Obj().Name() == "Window" {
-			if _, ok := recv.Underlying().(*types.Interface); ok {
-				return "Window data op " + name, true
-			}
-		}
-	}
-	return "", false
 }
 
 // isMutexMethod reports whether obj is (R)Lock/(R)Unlock on a

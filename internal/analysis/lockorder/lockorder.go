@@ -1,21 +1,11 @@
 // Package lockorder enforces the DESIGN.md §12/§13 lock hierarchy
 // interprocedurally, on top of the internal/analysis/interproc
-// summaries:
-//
-//  1. A fill mutex (clampi:lockrank fill) is the top of the
-//     hierarchy: while one is held, no second fill mutex may be
-//     acquired — directly or through any callee.
-//  2. Data-path stripes (clampi:lockrank stripe) form a total order by
-//     index: holding one stripe while acquiring another is legal only
-//     when both indices are compile-time constants in ascending order
-//     (the lockRange loop pattern is fine — it releases before the
-//     next range); a stripe acquisition inside a descending loop is an
-//     inversion by construction.
-//  3. No blocking operation — a wire round-trip (RPC/rpc), an
-//     rma.Window data op through the interface, or an Observer
-//     callback — may run while a fill mutex is held, directly or
-//     through any callee (every sibling publishing to the same L2
-//     would queue behind a network round-trip).
+// summaries: data-path stripes (clampi:lockrank stripe) form a total
+// order by index. Holding one stripe while acquiring another — directly
+// or through any callee — is legal only when both indices are
+// compile-time constants in ascending order or the acquisition sits in
+// a provably ascending loop (the lockRange shape); a stripe acquisition
+// inside a descending loop is an inversion by construction.
 //
 // A finding is suppressed by a //clampi:lockorder <reason> comment on
 // its line; the reason is mandatory by convention and reviewed, not
@@ -37,7 +27,7 @@ const Marker = "clampi:lockorder"
 // Analyzer enforces the lock hierarchy; see the package comment.
 var Analyzer = &analysis.Analyzer{
 	Name: "lockorder",
-	Doc:  "enforce the DESIGN.md §12/§13 lock hierarchy (single fill, ascending stripes, no blocking op under a fill mutex) across function calls",
+	Doc:  "enforce the DESIGN.md §12/§13 lock hierarchy (ascending stripes) across function calls",
 	Run:  run,
 }
 
@@ -80,12 +70,7 @@ func checkFunc(pass *analysis.Pass, eng *interproc.Engine, directives map[string
 		}
 		switch ev.Kind {
 		case interproc.EvAcquire:
-			switch ev.Class {
-			case interproc.LockFill:
-				if held[interproc.LockFill] > 0 {
-					report(ev.Pos, "acquiring a second fill mutex while one is already held; the hierarchy allows at most one (DESIGN.md §12)")
-				}
-			case interproc.LockStripe:
+			if ev.Class == interproc.LockStripe {
 				if ev.Descending {
 					report(ev.Pos, "stripe lock acquired in a descending loop; stripes must be acquired in ascending index order (DESIGN.md §13)")
 				} else if held[interproc.LockStripe] > 0 && !ev.Ascending &&
@@ -113,14 +98,8 @@ func checkFunc(pass *analysis.Pass, eng *interproc.Engine, directives map[string
 			}
 		case interproc.EvCall:
 			s := eng.Summary(ev.Callee)
-			if s.AcquiresDuring(interproc.LockFill) && held[interproc.LockFill] > 0 {
-				report(ev.Pos, "call to %s may acquire a fill mutex while one is already held; the hierarchy allows at most one (DESIGN.md §12)", ev.Callee)
-			}
 			if s.AcquiresDuring(interproc.LockStripe) && held[interproc.LockStripe] > 0 {
 				report(ev.Pos, "call to %s may acquire a stripe lock while a stripe is held without provably ascending indices (DESIGN.md §13)", ev.Callee)
-			}
-			if s.Blocking && held[interproc.LockFill] > 0 {
-				report(ev.Pos, "call to %s may block (%s) while a fill mutex is held (DESIGN.md §12)", ev.Callee, s.BlockingWhy)
 			}
 			// The callee's net effect lands on our held set: a Lock
 			// helper leaves its class held, an Unlock helper clears it.
@@ -138,10 +117,6 @@ func checkFunc(pass *analysis.Pass, eng *interproc.Engine, directives map[string
 				if c == interproc.LockStripe && held[c] == 0 {
 					stripeTop, stripeConst = -1, true
 				}
-			}
-		case interproc.EvBlock:
-			if held[interproc.LockFill] > 0 {
-				report(ev.Pos, "%s while a fill mutex is held; blocking operations are forbidden under it (DESIGN.md §12)", ev.Why)
 			}
 		}
 	}

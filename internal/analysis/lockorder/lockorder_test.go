@@ -8,17 +8,18 @@ import (
 )
 
 // TestLockOrder drives the corpus: every sanctioned shape is clean and
-// every hierarchy violation — direct, interprocedural, and blocking —
-// is reported on the expected line.
+// every hierarchy violation — direct and interprocedural — is reported
+// on the expected line.
 func TestLockOrder(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(t), lockorder.Analyzer, "lockord")
 }
 
-// TestLockOrderLiveTree proves the four lock-bearing packages respect
-// the hierarchy: loaded together, so summaries propagate across their
-// package boundaries, the analyzer reports nothing (the two structural
-// stripe tests in internal/mpi carry reviewed escape directives).
+// TestLockOrderLiveTree proves the package holding the stripes and the
+// packages that take them respect the hierarchy: loaded together, so
+// summaries propagate across their package boundaries, the analyzer
+// reports nothing (the two structural stripe tests in internal/mpi carry
+// reviewed escape directives).
 func TestLockOrderLiveTree(t *testing.T) {
 	analysistest.RunClean(t, "../../..", lockorder.Analyzer,
-		"./internal/blockcache", "./internal/mpi", "./internal/wire", "./internal/core")
+		"./internal/rma", "./internal/mpi", "./internal/wire", "./internal/core")
 }

@@ -1,16 +1,10 @@
-// Package blockcache provides the block-granular caches of the
-// reproduction, in two roles:
+// Package blockcache implements the "native" baseline cache of the
+// paper's Barnes-Hut evaluation (§IV-B): a block-based software cache
+// with direct mapping, in the style of the ad-hoc caching layers found in
+// PGAS runtimes (UPC, Chapel) and in the UPC Barnes-Hut code of Larkins
+// et al.
 //
-//   - Cache is the "native" baseline of the paper's Barnes-Hut
-//     evaluation (§IV-B): a single-owner, direct-mapped block cache in
-//     the style of the ad-hoc caching layers found in PGAS runtimes
-//     (UPC, Chapel) and in the UPC Barnes-Hut code of Larkins et al.
-//   - L2 (l2.go) is the node-shared second level of the locality-aware
-//     cache stack: internal/core probes it on L1 misses, and one rank's
-//     far-target fill serves every sibling rank on the node
-//     (DESIGN.md §15).
-//
-// Both divide the remote address space of every target into fixed-size
+// The remote address space of every target is divided into fixed-size
 // blocks; block (target, disp/B) maps to exactly one cache slot. A get
 // touching k blocks checks the k slots: every miss fetches the whole
 // block from the remote window before the requested bytes are copied out.

@@ -103,9 +103,6 @@ func (c *Cache) GetBatch(ops []GetOp) error {
 			// Strided or empty transfer: scalar miss path.
 			key := cuckoo.Key{Target: op.Target, Disp: op.Disp}
 			err = c.serveMiss(key, op.Dst, dtype, count, op.Target, op.Disp, size)
-		case c.l2Routed(dtype, size, op.Target) && c.l2Probe(op.Target, op.Disp, op.Dst[:size]):
-			// Far-target miss served from the node-shared tier: never
-			// reaches the coalescer or the network (DESIGN.md §15).
 		default:
 			misses = append(misses, batchMiss{op: i, target: op.Target, disp: op.Disp, size: size, lookup: c.last.Lookup})
 			continue
@@ -145,11 +142,6 @@ func (c *Cache) GetBatch(ops []GetOp) error {
 				}
 			}
 			run.to = j
-			// L2-routed runs are widened to block alignment so the whole
-			// span can be published into the node-shared tier at epoch
-			// closure (constituent offsets below are relative to run.lo,
-			// so the widening is transparent to pass 3).
-			run.lo, run.hi = c.expandRunL2(run.target, run.lo, run.hi)
 			run.stage = c.stageBuf(run.hi - run.lo)
 			runs = append(runs, run)
 			rops = append(rops, rma.GetOp{Dst: run.stage, Target: run.target, Disp: run.lo})
@@ -188,12 +180,6 @@ func (c *Cache) GetBatch(ops []GetOp) error {
 	for r := range runs {
 		run := &runs[r]
 		c.stats.BytesFromNetwork += int64(run.hi - run.lo)
-		if c.l2RangeRouted(run.target) && run.lo%c.l2.BlockSize() == 0 {
-			// Stage the aligned span for L2 publication when the epoch
-			// closes and its bytes become valid (a trailing partial
-			// block — region end — publishes as a short tail).
-			c.l2pend = append(c.l2pend, l2Fill{target: run.target, lo: run.lo, data: run.stage})
-		}
 		for _, m := range misses[run.from:run.to] {
 			op := &ops[m.op]
 			src := run.stage[m.disp-run.lo : m.disp-run.lo+m.size]

@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"clampi/internal/blockcache"
 	"clampi/internal/cuckoo"
 	"clampi/internal/datatype"
 	"clampi/internal/notify"
@@ -170,19 +169,6 @@ type Params struct {
 	// (counted in Stats.CheapSkips). Zero selects
 	// DefaultCheapFillThreshold; meaningful only with LocalityAware.
 	CheapFillThreshold simtime.Duration
-	// L2, when non-nil, attaches the node-shared second-level block
-	// cache: L1 misses on far targets probe it before crossing the
-	// network, and their fills are published back at epoch closure so
-	// sibling ranks are served from node memory (DESIGN.md §15). L2 is
-	// consulted only in AlwaysCache mode (read-only windows): the
-	// transparent mode's per-epoch freshness guarantee cannot be kept by
-	// a tier shared across ranks whose epochs differ.
-	L2 *blockcache.L2
-	// L2MinClass is the nearest distance class whose misses go through
-	// L2 (rma.Distance* scale); closer targets use the exact-range
-	// path — block overfetch only pays off when the trip is expensive.
-	// Zero selects DefaultL2MinClass (other-node).
-	L2MinClass int
 
 	// NotifyTargeted subscribes the cache to the window's write
 	// notifications (rma.NotifyWindow) and replaces the transparent
@@ -385,13 +371,10 @@ type Cache struct {
 	staleDefer  bool                // transparent invalidation deferred (stale serving)
 
 	// Locality state (locality.go); lw is nil unless Params.LocalityAware
-	// or Params.L2 is set and the backend implements rma.LocalityWindow.
+	// is set and the backend implements rma.LocalityWindow.
 	lw        rma.LocalityWindow // locality oracle, nil when disabled
 	cheap     simtime.Duration   // admission-bypass fill-cost ceiling
 	distStats []DistanceStats    // per-class activity, indexed by class
-	l2        *blockcache.L2     // node-shared second level, nil when detached
-	l2min     int                // nearest class routed through L2
-	l2pend    []l2Fill           // staged fills published to L2 at epoch closure
 
 	// Notifiable-RMA state (notify.go); nw is non-nil whenever the
 	// backend implements the extension, nsub only when NotifyTargeted
@@ -729,9 +712,6 @@ func (c *Cache) serveHit(e *entry, dst []byte, dtype datatype.Datatype, count, t
 // cache the incoming data (§III-B2). The remote get is issued first so
 // its network time overlaps the cache-management work.
 func (c *Cache) serveMiss(key cuckoo.Key, dst []byte, dtype datatype.Datatype, count, target, disp, size int) error {
-	if c.l2Routed(dtype, size, target) {
-		return c.serveMissL2(key, dst, target, disp, size)
-	}
 	if err := c.netGet(dst, dtype, count, target, disp); err != nil {
 		return err
 	}
@@ -1044,11 +1024,6 @@ func (c *Cache) onEpochClose(epoch int64) {
 	})
 	c.last.Copy += copyT
 	c.stats.CopyTime += copyT
-	if c.l2 != nil {
-		// Staged block fills just became valid with the rest of the
-		// epoch's data; publish before the arena holding them is reset.
-		c.publishL2()
-	}
 	c.pending = c.pending[:0]
 	c.recycleDead()
 	c.arena = c.arena[:0]
@@ -1141,7 +1116,6 @@ func (c *Cache) invalidate() {
 			c.store.Reset()
 		})
 	}
-	c.dropL2Pending()
 	c.pending = c.pending[:0]
 	c.recycleDead()
 	c.arena = c.arena[:0]

@@ -53,15 +53,6 @@ const (
 	// CostBatchPlanPerMiss is charged per coalescible miss for the
 	// sort-and-merge planning of a batched get (batch.go).
 	CostBatchPlanPerMiss = 30 * simtime.Nanosecond
-	// CostL2Lookup is the fixed cost of probing the node-shared L2 tier
-	// (slot hash, seqlock bracket, tag compare); the payload copy out of
-	// a hit is charged separately via copyCost. Crossing to another
-	// core's cache lines makes it pricier than the L1 tag check.
-	CostL2Lookup = 120 * simtime.Nanosecond
-	// CostL2PublishPerBlock is the fixed per-block cost of publishing a
-	// fill into L2 (stripe lock, box allocation bookkeeping); the block
-	// copy itself is charged via copyCost.
-	CostL2PublishPerBlock = 90 * simtime.Nanosecond
 	// CostNotifyApply is the fixed per-descriptor cost of applying one
 	// drained notification (sequence check, lookup decision); the span
 	// scan or patch copy is charged separately. The empty-queue probe on

@@ -1,6 +1,6 @@
 package core
 
-// Locality awareness and the node-shared L2 tier (DESIGN.md §15).
+// Cost-aware caching (DESIGN.md §15).
 //
 // When Params.LocalityAware is set and the backend implements
 // rma.LocalityWindow, the cache stops treating every remote byte as
@@ -17,17 +17,11 @@ package core
 //     target's distance — a flapping far target is probed on its own
 //     RTT scale, not a same-socket one.
 //
-// Params.L2 additionally attaches a node-shared second-level block
-// cache: far-target misses probe it before crossing the network, and
-// their (block-aligned, overfetched) fills are published back at epoch
-// closure so sibling ranks on the node are served from local memory.
-// Everything here lives on the miss/evict/retry paths only — the L1
+// Everything here lives on the miss/evict/retry paths only — the
 // full-hit path stays lock-free, allocation-free and at its 108 vns/op
 // budget.
 
 import (
-	"clampi/internal/cuckoo"
-	"clampi/internal/datatype"
 	"clampi/internal/rma"
 	"clampi/internal/simtime"
 )
@@ -39,10 +33,6 @@ const (
 	// 256 B) out of the cache while still admitting large ones, whose
 	// transfer term dominates.
 	DefaultCheapFillThreshold = 600 * simtime.Nanosecond
-	// DefaultL2MinClass routes other-node and farther misses through
-	// L2: block overfetch only pays off when re-crossing the network
-	// is expensive.
-	DefaultL2MinClass = rma.DistanceOtherNode
 
 	// distScaleRefNs is the same-socket reference fill cost (ns) the
 	// backoff/cooldown scale is measured against (DefaultModel, 256 B).
@@ -56,24 +46,16 @@ const (
 // only when the backend reports locality (otherwise all zero).
 type DistanceStats struct {
 	Gets             int64            // gets towards targets of this class
-	Hits             int64            // served locally (L1 or L2)
+	Hits             int64            // served from the cache
 	Misses           int64            // paid a network trip
 	BytesFromNetwork int64            // bytes fetched from this class
 	FillTime         simtime.Duration // modeled/measured cost of those fetches
 }
 
-// l2Fill is one staged block span awaiting publication into the
-// node-shared tier at epoch closure (when its bytes become valid).
-type l2Fill struct {
-	target int
-	lo     int // block-aligned start displacement
-	data   []byte
-}
-
 // initLocality probes the window for rma.LocalityWindow and arms the
-// cost-aware machinery. Called once from New, after c.mode is resolved.
+// cost-aware machinery. Called once from New.
 func (c *Cache) initLocality() {
-	if !c.params.LocalityAware && c.params.L2 == nil {
+	if !c.params.LocalityAware {
 		return
 	}
 	lw, ok := c.win.(rma.LocalityWindow)
@@ -84,27 +66,15 @@ func (c *Cache) initLocality() {
 	}
 	c.lw = lw
 	c.distStats = make([]DistanceStats, rma.NumDistanceClasses)
-	if c.params.LocalityAware {
-		c.cheap = c.params.CheapFillThreshold
-		if c.cheap <= 0 {
-			c.cheap = DefaultCheapFillThreshold
-		}
-	}
-	if c.params.L2 != nil && c.mode == AlwaysCache {
-		// Transparent mode invalidates per rank-epoch; a tier shared
-		// across ranks whose epochs differ cannot honour that freshness
-		// guarantee, so L2 serves read-only (AlwaysCache) windows only.
-		c.l2 = c.params.L2
-		c.l2min = c.params.L2MinClass
-		if c.l2min <= 0 {
-			c.l2min = DefaultL2MinClass
-		}
+	c.cheap = c.params.CheapFillThreshold
+	if c.cheap <= 0 {
+		c.cheap = DefaultCheapFillThreshold
 	}
 }
 
 // costAware reports whether cost-aware admission/eviction/resilience is
 // armed. A single branch on non-locality runs.
-func (c *Cache) costAware() bool { return c.lw != nil && c.params.LocalityAware }
+func (c *Cache) costAware() bool { return c.lw != nil }
 
 // classOf returns target's distance class, clamped to the rma scale.
 func (c *Cache) classOf(target int) int {
@@ -196,153 +166,4 @@ func (c *Cache) DistanceStats() []DistanceStats {
 	out := make([]DistanceStats, len(c.distStats))
 	copy(out, c.distStats)
 	return out
-}
-
-// l2Routed reports whether this miss goes through the node-shared tier:
-// dense payload, far enough target.
-func (c *Cache) l2Routed(dtype datatype.Datatype, size, target int) bool {
-	return c.l2 != nil && size > 0 && dtype.Size() == dtype.Extent() &&
-		c.l2RangeRouted(target)
-}
-
-// l2RangeRouted is the target-only half of l2Routed, for the batch path
-// whose coalesced ranges are dense by construction.
-func (c *Cache) l2RangeRouted(target int) bool {
-	return c.l2 != nil && c.classOf(target) >= c.l2min
-}
-
-// l2Probe probes the node-shared tier for [disp, disp+len(dst)) of
-// target. On a hit it delivers into dst and applies the full hit
-// accounting (a hit of the stack, L2 flavour); a miss charges the probe
-// as management time. The bytes are NOT re-admitted into L1 (exclusive
-// tiers): the node already holds them one memcpy away — duplicating
-// them per rank would spend L1 capacity and eviction pressure on data
-// that is effectively local already.
-func (c *Cache) l2Probe(target, disp int, dst []byte) bool {
-	var hit, fwd bool
-	probeT := c.charge(CostL2Lookup+copyCost(len(dst)), func() {
-		hit, fwd = c.l2.Lookup(c.rank, target, disp, dst)
-	})
-	if !hit {
-		c.recordMgmt(probeT)
-		return false
-	}
-	c.last.Copy += probeT
-	c.stats.CopyTime += probeT
-	c.stats.Hits++
-	c.stats.FullHits++
-	c.stats.L2Hits++
-	if fwd {
-		c.stats.SiblingForwards++
-	}
-	c.stats.BytesFromCache += int64(len(dst))
-	c.last.Type = AccessHit
-	c.noteDistHit(target)
-	return true
-}
-
-// expandRunL2 widens a coalesced batch range to block alignment (clamped
-// to the target's region) so the fetched span can be published into the
-// node-shared tier at epoch closure. Returns lo/hi unchanged when the
-// run is not L2-routed or the region end cannot be honoured.
-func (c *Cache) expandRunL2(target, lo, hi int) (int, int) {
-	if !c.l2RangeRouted(target) {
-		return lo, hi
-	}
-	rs, err := c.win.RegionSize(target)
-	if err != nil {
-		return lo, hi
-	}
-	bs := c.l2.BlockSize()
-	elo := lo - lo%bs
-	ehi := ((hi + bs - 1) / bs) * bs
-	if ehi > rs {
-		ehi = rs
-	}
-	if elo < 0 || ehi < hi {
-		return lo, hi
-	}
-	return elo, ehi
-}
-
-// serveMissL2 is serveMiss for L2-routed misses: probe the node-shared
-// tier; on a hit deliver from node memory, on a miss fetch whole
-// covering blocks (clamped to the region end), deliver the requested
-// range, admit it into L1 and stage the blocks for publication at epoch
-// closure.
-func (c *Cache) serveMissL2(key cuckoo.Key, dst []byte, target, disp, size int) error {
-	if c.l2Probe(target, disp, dst[:size]) {
-		return nil
-	}
-	regionSize, err := c.win.RegionSize(target)
-	if err != nil {
-		return err
-	}
-	if disp < 0 || disp+size > regionSize {
-		return rma.ErrBounds
-	}
-	// Block-aligned overfetch, clamped to the region end.
-	bs := c.l2.BlockSize()
-	lo := disp - disp%bs
-	hi := lo + ((disp+size-lo+bs-1)/bs)*bs
-	if hi > regionSize {
-		hi = regionSize
-	}
-	span := hi - lo
-	stage := c.stageBuf(span)
-	if err := c.netGet(stage, datatype.Byte, span, target, lo); err != nil {
-		return err
-	}
-	c.last.Issued = true
-	c.stats.BytesFromNetwork += int64(span)
-	// Deliver the requested range now. The simulated transport fills
-	// stage at issue time (physically), and the §II contract makes both
-	// stage and dst valid at the same completion call — exactly as if
-	// dst had been the MPI_Get destination itself.
-	off := disp - lo
-	copyT := c.copyOut(dst[:size], stage[off:off+size])
-	c.last.Copy += copyT
-	c.stats.CopyTime += copyT
-	// Stage the block span for L2 publication when it becomes valid.
-	c.l2pend = append(c.l2pend, l2Fill{target: target, lo: lo, data: stage})
-	// Admit the exact requested range into L1; stage lives in the arena
-	// until the pending queue drains, satisfying insertPending's src
-	// contract.
-	c.finish(c.insertPending(key, stage[off:off+size], size))
-	return nil
-}
-
-// publishL2 pushes the epoch's staged fills into the node-shared tier.
-// Runs inside onEpochClose, after the pending copy-ins and before the
-// arena is reset (the staged slices live there). Each Publish takes one
-// fill-ranked stripe at a time with a memcpy-only critical section, so
-// the §12 hierarchy is respected with no lock held around it here.
-func (c *Cache) publishL2() {
-	if len(c.l2pend) == 0 {
-		return
-	}
-	blocks, bytes := 0, 0
-	d := c.chargeFn(func() {
-		for i := range c.l2pend {
-			f := &c.l2pend[i]
-			blocks += c.l2.Publish(c.rank, f.target, f.lo, f.data)
-			bytes += len(f.data)
-			f.data = nil
-		}
-	}, func() simtime.Duration {
-		return simtime.Duration(blocks)*CostL2PublishPerBlock + copyCost(bytes)
-	})
-	c.stats.MgmtTime += d
-	c.stats.L2Fills += int64(blocks)
-	c.l2pend = c.l2pend[:0]
-}
-
-// dropL2Pending discards staged fills without publishing (invalidation:
-// the epoch's data is no longer trusted, and the arena backing the
-// slices is about to be reset).
-func (c *Cache) dropL2Pending() {
-	for i := range c.l2pend {
-		c.l2pend[i].data = nil
-	}
-	c.l2pend = c.l2pend[:0]
 }

@@ -2,12 +2,11 @@ package core
 
 // Tests of the locality-aware machinery (DESIGN.md §15): cost-aware
 // admission bypass, refill-cost-weighted eviction, distance-scaled
-// resilience, the node-shared L2 tier and the per-distance/L2 counters.
+// resilience and the per-distance counters.
 
 import (
 	"testing"
 
-	"clampi/internal/blockcache"
 	"clampi/internal/datatype"
 	"clampi/internal/mpi"
 	"clampi/internal/rma"
@@ -204,160 +203,6 @@ func TestCostAwareEviction(t *testing.T) {
 	}
 }
 
-// TestL2SharedTier: sibling ranks on one node share an L2; the filler's
-// block-aligned overfetch serves later misses of BOTH siblings from node
-// memory, with forwards counted only across ranks, and the Stats/L2Stats
-// accounting matching exactly.
-func TestL2SharedTier(t *testing.T) {
-	cfg := mpi.Config{RanksPerNode: 2, NodesPerGroup: 1}
-	l2, err := blockcache.NewL2(1<<20, 0) // default 1 KiB blocks
-	if err != nil {
-		t.Fatal(err)
-	}
-	params := alwaysParams()
-	params.LocalityAware = true
-	params.L2 = l2
-	var rank0Stats, rank1Stats Stats
-	var rank0Dist []DistanceStats
-	withWorld(t, 4, cfg, 16<<10, func(r *mpi.Rank, win *mpi.Win) error {
-		// Target rank 2 lives on the other node → other group (npg=1).
-		switch r.ID() {
-		case 1:
-			c, err := New(win, params)
-			if err != nil {
-				return err
-			}
-			if err := win.LockAll(); err != nil {
-				return err
-			}
-			dst := make([]byte, 256)
-			// Miss: overfetches block [0,1024) and stages it for L2.
-			if err := c.Get(dst, datatype.Byte, 256, 2, 128); err != nil {
-				return err
-			}
-			if err := win.FlushAll(); err != nil { // publishes into L2
-				return err
-			}
-			checkData(t, dst, 128)
-			// Same key again: L1 hit, L2 not consulted.
-			if err := c.Get(dst, datatype.Byte, 256, 2, 128); err != nil {
-				return err
-			}
-			if got := c.LastAccess(); got.Type != AccessHit {
-				t.Errorf("rank1 L1 re-get = %+v, want hit", got)
-			}
-			// Different range of the same block: L1 miss, served from the
-			// rank's own L2 fill (no sibling forward).
-			if err := c.Get(dst, datatype.Byte, 256, 2, 512); err != nil {
-				return err
-			}
-			if got := c.LastAccess(); got.Type != AccessHit || got.Issued {
-				t.Errorf("rank1 L2 get = %+v, want unissued hit", got)
-			}
-			checkData(t, dst, 512)
-			rank1Stats = c.Stats()
-			if err := win.UnlockAll(); err != nil {
-				return err
-			}
-			r.Barrier() // L2 fill published and verified; release rank 0
-		case 0:
-			r.Barrier() // wait for rank 1's fill
-			c, err := New(win, params)
-			if err != nil {
-				return err
-			}
-			if err := win.LockAll(); err != nil {
-				return err
-			}
-			dst := make([]byte, 128)
-			// First touch of the block on this rank: sibling forward.
-			if err := c.Get(dst, datatype.Byte, 128, 2, 640); err != nil {
-				return err
-			}
-			if got := c.LastAccess(); got.Type != AccessHit || got.Issued {
-				t.Errorf("rank0 L2 get = %+v, want unissued hit", got)
-			}
-			checkData(t, dst, 640)
-			rank0Stats = c.Stats()
-			rank0Dist = c.DistanceStats()
-			if err := win.UnlockAll(); err != nil {
-				return err
-			}
-		default:
-			r.Barrier()
-		}
-		return nil
-	})
-
-	if rank1Stats.L2Hits != 1 || rank1Stats.SiblingForwards != 0 || rank1Stats.L2Fills != 1 {
-		t.Errorf("rank1 stats = L2Hits %d / SiblingForwards %d / L2Fills %d, want 1/0/1",
-			rank1Stats.L2Hits, rank1Stats.SiblingForwards, rank1Stats.L2Fills)
-	}
-	if rank1Stats.Hits != 2 || rank1Stats.FullHits != 2 {
-		t.Errorf("rank1 Hits/FullHits = %d/%d, want 2/2", rank1Stats.Hits, rank1Stats.FullHits)
-	}
-	if rank1Stats.BytesFromNetwork != 1024 { // one whole block, not 256
-		t.Errorf("rank1 BytesFromNetwork = %d, want 1024", rank1Stats.BytesFromNetwork)
-	}
-	if rank0Stats.L2Hits != 1 || rank0Stats.SiblingForwards != 1 || rank0Stats.L2Fills != 0 {
-		t.Errorf("rank0 stats = L2Hits %d / SiblingForwards %d / L2Fills %d, want 1/1/0",
-			rank0Stats.L2Hits, rank0Stats.SiblingForwards, rank0Stats.L2Fills)
-	}
-	if rank0Stats.BytesFromNetwork != 0 || rank0Stats.BytesFromCache != 128 {
-		t.Errorf("rank0 bytes net/cache = %d/%d, want 0/128",
-			rank0Stats.BytesFromNetwork, rank0Stats.BytesFromCache)
-	}
-	og := rank0Dist[rma.DistanceOtherGroup]
-	if og.Gets != 1 || og.Hits != 1 || og.Misses != 0 {
-		t.Errorf("rank0 other-group dist stats = %+v, want 1 get / 1 hit", og)
-	}
-	ls := l2.Stats()
-	if ls.Hits != 2 || ls.Fills != 1 || ls.Forwards != 1 || ls.Lookups != 3 {
-		t.Errorf("L2 tier stats = %+v, want 2 hits / 1 fill / 1 forward / 3 lookups", ls)
-	}
-}
-
-// TestL2RequiresAlwaysCache: in transparent mode the shared tier must
-// stay detached — per-rank epoch invalidation cannot be honoured by a
-// tier shared across ranks.
-func TestL2RequiresAlwaysCache(t *testing.T) {
-	cfg := mpi.Config{RanksPerNode: 2, NodesPerGroup: 1}
-	params := alwaysParams()
-	params.Mode = Transparent
-	l2, err := blockcache.NewL2(64<<10, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	params.L2 = l2
-	withWorld(t, 4, cfg, 4096, func(r *mpi.Rank, win *mpi.Win) error {
-		if r.ID() != 0 {
-			return nil
-		}
-		c, err := New(win, params)
-		if err != nil {
-			return err
-		}
-		if err := win.LockAll(); err != nil {
-			return err
-		}
-		defer win.UnlockAll()
-		dst := make([]byte, 256)
-		if err := c.Get(dst, datatype.Byte, 256, 2, 0); err != nil {
-			return err
-		}
-		if err := win.FlushAll(); err != nil {
-			return err
-		}
-		if s := c.Stats(); s.L2Fills != 0 || s.L2Hits != 0 {
-			t.Errorf("transparent-mode L2 stats = fills %d hits %d, want 0/0", s.L2Fills, s.L2Hits)
-		}
-		return nil
-	})
-	if s := params.L2.Stats(); s.Lookups != 0 || s.Fills != 0 {
-		t.Errorf("transparent-mode tier saw traffic: %+v", s)
-	}
-}
-
 // TestDistanceScaledResilience: backoff and breaker cooldowns stretch
 // with the target's distance class, deterministically, and only in
 // cost-aware mode.
@@ -406,92 +251,5 @@ func TestDistanceScaledResilience(t *testing.T) {
 			}
 			return nil
 		})
-	}
-}
-
-// TestL2BatchPath: the vectorized path participates in the shared tier —
-// a sibling's coalesced (and block-widened) batch fill serves the other
-// rank's whole batch from node memory, with no merged message issued.
-func TestL2BatchPath(t *testing.T) {
-	cfg := mpi.Config{RanksPerNode: 2, NodesPerGroup: 1}
-	l2, err := blockcache.NewL2(1<<20, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	params := alwaysParams()
-	params.LocalityAware = true
-	params.L2 = l2
-	var s0, s1 Stats
-	withWorld(t, 4, cfg, 16<<10, func(r *mpi.Rank, win *mpi.Win) error {
-		const width, opBytes = 4, 256
-		mkOps := func(dst []byte, base int) []GetOp {
-			ops := make([]GetOp, width)
-			for i := range ops {
-				lo := i * opBytes
-				ops[i] = GetOp{Dst: dst[lo : lo+opBytes], Target: 2, Disp: base + lo}
-			}
-			return ops
-		}
-		switch r.ID() {
-		case 1:
-			c, err := New(win, params)
-			if err != nil {
-				return err
-			}
-			if err := win.LockAll(); err != nil {
-				return err
-			}
-			dst := make([]byte, width*opBytes)
-			// Misses start at 128: the merged run [128,1152) widens to
-			// the aligned span [0,2048) before issue and publication.
-			if err := c.GetBatch(mkOps(dst, 128)); err != nil {
-				return err
-			}
-			if err := win.FlushAll(); err != nil {
-				return err
-			}
-			checkData(t, dst, 128)
-			s1 = c.Stats()
-			if err := win.UnlockAll(); err != nil {
-				return err
-			}
-			r.Barrier()
-		case 0:
-			r.Barrier() // wait for the sibling's published fill
-			c, err := New(win, params)
-			if err != nil {
-				return err
-			}
-			if err := win.LockAll(); err != nil {
-				return err
-			}
-			dst := make([]byte, width*opBytes)
-			// Different offsets inside the same published span.
-			if err := c.GetBatch(mkOps(dst, 1024)); err != nil {
-				return err
-			}
-			checkData(t, dst, 1024)
-			s0 = c.Stats()
-			if err := win.UnlockAll(); err != nil {
-				return err
-			}
-		default:
-			r.Barrier()
-		}
-		return nil
-	})
-	if s1.BatchMessages != 1 || s1.BytesFromNetwork != 2048 {
-		t.Errorf("rank1 messages/netbytes = %d/%d, want 1 widened message of 2048",
-			s1.BatchMessages, s1.BytesFromNetwork)
-	}
-	if s1.L2Fills != 2 {
-		t.Errorf("rank1 L2Fills = %d, want 2 blocks", s1.L2Fills)
-	}
-	if s0.L2Hits != 4 || s0.SiblingForwards != 4 {
-		t.Errorf("rank0 L2Hits/SiblingForwards = %d/%d, want 4/4", s0.L2Hits, s0.SiblingForwards)
-	}
-	if s0.BytesFromNetwork != 0 || s0.BatchMessages != 0 {
-		t.Errorf("rank0 issued network traffic: %d bytes, %d messages",
-			s0.BytesFromNetwork, s0.BatchMessages)
 	}
 }

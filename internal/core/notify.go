@@ -141,11 +141,6 @@ func (c *Cache) writePatch(target, disp int, src []byte) bool {
 		})
 	}
 	e.last = c.getSeq
-	if c.l2 != nil {
-		// The shared tier has no in-place patch (blocks are immutable);
-		// drop any blocks our write made stale.
-		c.l2.InvalidateRange(target, disp, len(src))
-	}
 	return true
 }
 
@@ -205,9 +200,6 @@ func (c *Cache) applyNotification(nf *notify.Notification, fellBack *bool) {
 	stale := nf.Seq < c.nextSeq
 	if !stale {
 		c.nextSeq++
-	}
-	if c.l2 != nil {
-		c.l2.InvalidateRange(nf.Target, nf.Disp, nf.Len)
 	}
 	if !stale && c.patchNotification(nf) {
 		c.stats.NotifyPatches++

@@ -81,11 +81,8 @@ type Stats struct {
 	BreakerOpens int64 // circuit-breaker transitions to open (incl. reopens)
 	CorruptFills int64 // fills rejected by integrity verification
 
-	// Locality-tier counters (DESIGN.md §15).
-	L2Hits          int64 // misses served from the node-shared L2 tier
-	L2Fills         int64 // blocks this rank published into L2
-	SiblingForwards int64 // L2 hits served from a sibling rank's fill
-	CheapSkips      int64 // admissions bypassed: near target, fill below threshold
+	// Cost-aware counters (DESIGN.md §15).
+	CheapSkips int64 // admissions bypassed: near target, fill below threshold
 
 	// Notifiable-RMA counters (DESIGN.md §16).
 	Notifications       int64 // notification descriptors drained
@@ -195,9 +192,6 @@ func (s *Stats) add(o *Stats) {
 	s.StaleServes += o.StaleServes
 	s.BreakerOpens += o.BreakerOpens
 	s.CorruptFills += o.CorruptFills
-	s.L2Hits += o.L2Hits
-	s.L2Fills += o.L2Fills
-	s.SiblingForwards += o.SiblingForwards
 	s.CheapSkips += o.CheapSkips
 	s.Notifications += o.Notifications
 	s.NotifyInvalidations += o.NotifyInvalidations
@@ -243,9 +237,6 @@ func (s Stats) Sub(prev Stats) Stats {
 	d.StaleServes -= prev.StaleServes
 	d.BreakerOpens -= prev.BreakerOpens
 	d.CorruptFills -= prev.CorruptFills
-	d.L2Hits -= prev.L2Hits
-	d.L2Fills -= prev.L2Fills
-	d.SiblingForwards -= prev.SiblingForwards
 	d.CheapSkips -= prev.CheapSkips
 	d.Notifications -= prev.Notifications
 	d.NotifyInvalidations -= prev.NotifyInvalidations

@@ -1,17 +1,14 @@
 package experiments
 
-// Locality-tier experiments (DESIGN.md §15): the per-distance-class
+// Cost-aware caching experiments (DESIGN.md §15): the per-distance-class
 // micro breakdown behind cmd/clampi-micro's by_distance JSON object, and
 // the skewed-placement LCC comparison of cost-aware vs locality-blind
-// caching that backs the tentpole acceptance criterion — identical
-// kernel results, less virtual network time.
+// caching — identical kernel results, less virtual network time.
 
 import (
 	"fmt"
 
-	"clampi/internal/blockcache"
 	"clampi/internal/core"
-	"clampi/internal/getter"
 	"clampi/internal/lsb"
 	"clampi/internal/mpi"
 	"clampi/internal/rma"
@@ -109,116 +106,58 @@ func MicroDistance() (map[string]DistClassBench, error) {
 // LCCLocalityRow is one system's outcome of the skewed-placement LCC
 // comparison.
 type LCCLocalityRow struct {
-	System          string  `json:"system"`
-	SumLCC          float64 `json:"sum_lcc"`
-	Wedges          int64   `json:"wedges"`
-	TotalVirtualNs  int64   `json:"total_virtual_ns"`
-	CommVirtualNs   int64   `json:"comm_virtual_ns"`
-	RemoteBytes     int64   `json:"remote_bytes"`
-	HitRate         float64 `json:"hit_rate"`
-	L2Hits          int64   `json:"l2_hits"`
-	L2Fills         int64   `json:"l2_fills"`
-	SiblingForwards int64   `json:"sibling_forwards"`
-	CheapSkips      int64   `json:"cheap_skips"`
-}
-
-// localityFleet builds per-rank caches that share one L2 per node: rank
-// r on a machine with rpn ranks per node attaches to L2 instance r/rpn.
-type localityFleet struct {
-	params core.Params
-	rpn    int
-	l2s    []*blockcache.L2
-	caches []*core.Cache
-}
-
-func newLocalityFleet(p, rpn int, params core.Params, l2Bytes, l2Block int) (*localityFleet, error) {
-	nodes := (p + rpn - 1) / rpn
-	f := &localityFleet{params: params, rpn: rpn, l2s: make([]*blockcache.L2, nodes), caches: make([]*core.Cache, p)}
-	for i := range f.l2s {
-		l2, err := blockcache.NewL2(l2Bytes, l2Block)
-		if err != nil {
-			return nil, err
-		}
-		f.l2s[i] = l2
-	}
-	return f, nil
-}
-
-func (f *localityFleet) factory(win rma.Window) (getter.Getter, error) {
-	params := f.params
-	params.L2 = f.l2s[win.Endpoint().ID()/f.rpn]
-	if params.Observer == nil {
-		params.Observer = newObserver()
-	}
-	c, err := core.New(win, params)
-	if err != nil {
-		return nil, err
-	}
-	f.caches[win.Endpoint().ID()] = c
-	return getter.NewCached(c), nil
-}
-
-func (f *localityFleet) totals() core.Stats {
-	var t core.Stats
-	for _, c := range f.caches {
-		if c != nil {
-			t = t.Add(c.Stats())
-		}
-	}
-	return t
+	System         string  `json:"system"`
+	SumLCC         float64 `json:"sum_lcc"`
+	Wedges         int64   `json:"wedges"`
+	TotalVirtualNs int64   `json:"total_virtual_ns"`
+	CommVirtualNs  int64   `json:"comm_virtual_ns"`
+	RemoteBytes    int64   `json:"remote_bytes"`
+	HitRate        float64 `json:"hit_rate"`
+	Evictions      int64   `json:"evictions"`
+	CheapSkips     int64   `json:"cheap_skips"`
 }
 
 // LCCLocalityCompare runs the same LCC instance twice over a skewed rank
 // placement (rpn ranks per node, one node per group, so inter-node
 // traffic pays the most expensive distance class): once locality-blind,
-// once cost-aware with a node-shared L2 per node. The kernel results
-// (SumLCC, Wedges) must be bit-identical — caching tiers change where
-// bytes come from, never what they are — while the cost-aware run
-// spends less virtual time communicating.
+// once cost-aware. The kernel results (SumLCC, Wedges) must be
+// bit-identical — admission and eviction policy change where bytes come
+// from, never what they are — while the cost-aware run spends less
+// virtual time communicating when the cache is capacity-bound. Every
+// field of both rows is a function of the arguments alone.
 func LCCLocalityCompare(scale, edgeFactor, p, rpn, maxVerts, indexSlots, storageBytes int) (blind, aware LCCLocalityRow, tbl *lsb.Table, err error) {
 	g := BuildLCCGraph(scale, edgeFactor, 777)
 	cfg := mpi.Config{RanksPerNode: rpn, NodesPerGroup: 1}
-	base := core.Params{Mode: core.AlwaysCache, IndexSlots: indexSlots, StorageBytes: storageBytes, Seed: 3}
+	params := core.Params{Mode: core.AlwaysCache, IndexSlots: indexSlots, StorageBytes: storageBytes, Seed: 3}
 
-	blindFleet := newClampiFleet(p, base)
-	res, err := lccRunCfg(g, p, cfg, maxVerts, blindFleet.factory, nil)
-	if err != nil {
+	run := func(system string, params core.Params) (LCCLocalityRow, error) {
+		fleet := newClampiFleet(p, params)
+		res, err := lccRunCfg(g, p, cfg, maxVerts, fleet.factory, nil)
+		if err != nil {
+			return LCCLocalityRow{}, err
+		}
+		st := fleet.totals()
+		return LCCLocalityRow{
+			System: system, SumLCC: res.SumLCC, Wedges: res.Wedges,
+			TotalVirtualNs: int64(res.Time), CommVirtualNs: int64(res.CommTime),
+			RemoteBytes: res.RemoteBytes, HitRate: st.HitRate(),
+			Evictions: st.Evictions, CheapSkips: st.CheapSkips,
+		}, nil
+	}
+	if blind, err = run("locality-blind", params); err != nil {
 		return blind, aware, nil, err
 	}
-	bs := blindFleet.totals()
-	blind = LCCLocalityRow{
-		System: "locality-blind", SumLCC: res.SumLCC, Wedges: res.Wedges,
-		TotalVirtualNs: int64(res.Time), CommVirtualNs: int64(res.CommTime),
-		RemoteBytes: res.RemoteBytes, HitRate: bs.HitRate(),
-	}
-
-	awareParams := base
-	awareParams.LocalityAware = true
-	// 256 B blocks bound the overfetch to the small-transfer regime of
-	// LCC adjacency reads while still sharing across sibling ranks.
-	fleet, err := newLocalityFleet(p, rpn, awareParams, 8<<20, 256)
-	if err != nil {
+	params.LocalityAware = true
+	if aware, err = run("cost-aware", params); err != nil {
 		return blind, aware, nil, err
 	}
-	res, err = lccRunCfg(g, p, cfg, maxVerts, fleet.factory, nil)
-	if err != nil {
-		return blind, aware, nil, err
-	}
-	as := fleet.totals()
-	aware = LCCLocalityRow{
-		System: "cost-aware+L2", SumLCC: res.SumLCC, Wedges: res.Wedges,
-		TotalVirtualNs: int64(res.Time), CommVirtualNs: int64(res.CommTime),
-		RemoteBytes: res.RemoteBytes, HitRate: as.HitRate(),
-		L2Hits: as.L2Hits, L2Fills: as.L2Fills,
-		SiblingForwards: as.SiblingForwards, CheapSkips: as.CheapSkips,
-	}
 
-	tbl = lsb.NewTable(fmt.Sprintf("Locality tiers: LCC under skewed placement (scale=%d, P=%d, %d ranks/node)", scale, p, rpn),
-		"system", "sum LCC", "wedges", "total vns", "comm vns", "remote bytes", "hit rate", "L2 hits", "forwards")
+	tbl = lsb.NewTable(fmt.Sprintf("Cost-aware caching: LCC under skewed placement (scale=%d, P=%d, %d ranks/node)", scale, p, rpn),
+		"system", "sum LCC", "wedges", "total vns", "comm vns", "remote bytes", "hit rate", "evictions", "cheap skips")
 	for _, row := range []LCCLocalityRow{blind, aware} {
 		tbl.AddRow(row.System, fmt.Sprintf("%.6f", row.SumLCC), row.Wedges,
 			row.TotalVirtualNs, row.CommVirtualNs, row.RemoteBytes,
-			fmt.Sprintf("%.3f", row.HitRate), row.L2Hits, row.SiblingForwards)
+			fmt.Sprintf("%.3f", row.HitRate), row.Evictions, row.CheapSkips)
 	}
 	return blind, aware, tbl, nil
 }

@@ -55,33 +55,38 @@ func TestMicroDistance(t *testing.T) {
 	}
 }
 
-// TestLCCLocalityCompare is the tentpole acceptance run: an LCC instance
-// over a skewed rank placement must compute bit-identical kernel results
-// with and without the locality tiers, while the cost-aware run spends
-// strictly less virtual time communicating — in both execution engines.
+// TestLCCLocalityCompare pins the cost-aware figure (clampi-lcc -fig
+// locality, DESIGN.md §15.2) on its capacity-bound instance: kernel
+// results bit-identical with and without cost awareness, both rows equal
+// to their goldens, and — since virtual time is a function of the
+// program — every field identical over repetitions and across both
+// execution engines.
 func TestLCCLocalityCompare(t *testing.T) {
 	prev := ExecMode()
 	defer SetExecMode(prev)
+	wantBlind := LCCLocalityRow{
+		System: "locality-blind", SumLCC: 614.6210620178122, Wedges: 3078064,
+		TotalVirtualNs: 436591341, CommVirtualNs: 369004654,
+		RemoteBytes: 81641496, HitRate: 0.29133186874918493, Evictions: 31561,
+	}
+	wantAware := LCCLocalityRow{
+		System: "cost-aware", SumLCC: wantBlind.SumLCC, Wedges: wantBlind.Wedges,
+		TotalVirtualNs: 290043174, CommVirtualNs: 222456487,
+		RemoteBytes: 81641496, HitRate: 0.2905694824801629, Evictions: 23337, CheapSkips: 16996,
+	}
 	for _, mode := range []mpi.ExecMode{mpi.FidelityMeasured, mpi.Throughput} {
 		SetExecMode(mode)
-		blind, aware, _, err := LCCLocalityCompare(10, 8, 8, 4, 96, 1<<12, 1<<18)
-		if err != nil {
-			t.Fatalf("mode=%v: %v", mode, err)
+		for rep := 0; rep < 3; rep++ {
+			blind, aware, _, err := LCCLocalityCompare(14, 8, 8, 4, 512, 1<<12, 1<<18)
+			if err != nil {
+				t.Fatalf("mode=%v: %v", mode, err)
+			}
+			if blind != wantBlind {
+				t.Errorf("mode=%v rep %d: blind row\n got %+v\nwant %+v", mode, rep, blind, wantBlind)
+			}
+			if aware != wantAware {
+				t.Errorf("mode=%v rep %d: aware row\n got %+v\nwant %+v", mode, rep, aware, wantAware)
+			}
 		}
-		if blind.SumLCC != aware.SumLCC || blind.Wedges != aware.Wedges {
-			t.Errorf("mode=%v: kernel results differ: blind (lcc=%v wedges=%d) vs aware (lcc=%v wedges=%d)",
-				mode, blind.SumLCC, blind.Wedges, aware.SumLCC, aware.Wedges)
-		}
-		if aware.CommVirtualNs >= blind.CommVirtualNs {
-			t.Errorf("mode=%v: comm time not reduced: aware %d vns >= blind %d vns",
-				mode, aware.CommVirtualNs, blind.CommVirtualNs)
-		}
-		if aware.L2Hits == 0 {
-			t.Errorf("mode=%v: node-shared tier never hit", mode)
-		}
-		t.Logf("mode=%v: comm %d -> %d vns (%.1f%%), L2 hits %d, forwards %d, cheap skips %d",
-			mode, blind.CommVirtualNs, aware.CommVirtualNs,
-			100*float64(aware.CommVirtualNs)/float64(blind.CommVirtualNs),
-			aware.L2Hits, aware.SiblingForwards, aware.CheapSkips)
 	}
 }

@@ -124,12 +124,6 @@ func (c *Cached) Invalidate() { c.Cache.Invalidate() }
 // Name implements Getter.
 func (c *Cached) Name() string { return "CLaMPI" }
 
-// DistanceStats returns the cache's per-distance-class breakdown —
-// empty when the backend reports no locality (DESIGN.md §15). Drivers
-// that print locality-tier summaries reach it through the Getter
-// abstraction without caring which system is under test.
-func (c *Cached) DistanceStats() []core.DistanceStats { return c.Cache.DistanceStats() }
-
 // GetBatch implements Batcher: hits are served locally and the misses
 // are coalesced into merged per-target ranges by core.Cache.GetBatch.
 func (c *Cached) GetBatch(ops []BatchOp) error {

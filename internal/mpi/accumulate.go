@@ -10,7 +10,6 @@ package mpi
 
 import (
 	"errors"
-	"math"
 
 	"clampi/internal/datatype"
 	"clampi/internal/rma"
@@ -55,13 +54,7 @@ func (w *Win) Accumulate(src []byte, dtype datatype.Datatype, count int, target,
 	if len(src) < size {
 		return ErrShortBuf
 	}
-	var elem int
-	switch dtype {
-	case datatype.Int32:
-		elem = 4
-	case datatype.Int64, datatype.Double:
-		elem = 8
-	default:
+	if rma.AccumulateElemSize(dtype) == 0 {
 		return ErrBadAccumulate
 	}
 	region := w.shared.regions[target]
@@ -69,84 +62,8 @@ func (w *Win) Accumulate(src []byte, dtype datatype.Datatype, count int, target,
 		return ErrBounds
 	}
 	w.lockRange(target, disp, size, true)
-	for i := 0; i < count; i++ {
-		s := src[i*elem : (i+1)*elem]
-		d := region[disp+i*elem : disp+(i+1)*elem]
-		applyOp(d, s, dtype, op)
-	}
+	rma.Accumulate(region[disp:disp+size], src[:size], dtype, op)
 	w.unlockRange(target, disp, size, true)
 	w.enqueueOp(target, size)
 	return nil
-}
-
-func applyOp(dst, src []byte, dtype datatype.Datatype, op Op) {
-	switch dtype {
-	case datatype.Int32:
-		a := int32(leU32(dst))
-		b := int32(leU32(src))
-		putLeU32(dst, uint32(combineI64(int64(a), int64(b), op)))
-	case datatype.Int64:
-		a := int64(leU64(dst))
-		b := int64(leU64(src))
-		putLeU64(dst, uint64(combineI64(a, b, op)))
-	case datatype.Double:
-		a := math.Float64frombits(leU64(dst))
-		b := math.Float64frombits(leU64(src))
-		putLeU64(dst, math.Float64bits(combineF64(a, b, op)))
-	}
-}
-
-func combineI64(a, b int64, op Op) int64 {
-	switch op {
-	case OpSum:
-		return a + b
-	case OpMax:
-		if b > a {
-			return b
-		}
-		return a
-	case OpMin:
-		if b < a {
-			return b
-		}
-		return a
-	}
-	return b
-}
-
-func combineF64(a, b float64, op Op) float64 {
-	switch op {
-	case OpSum:
-		return a + b
-	case OpMax:
-		return math.Max(a, b)
-	case OpMin:
-		return math.Min(a, b)
-	}
-	return b
-}
-
-func leU32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-
-func putLeU32(b []byte, v uint32) {
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-}
-
-func leU64(b []byte) uint64 {
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v |= uint64(b[i]) << (8 * i)
-	}
-	return v
-}
-
-func putLeU64(b []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
 }

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
 	"testing"
@@ -11,7 +12,7 @@ import (
 func encI64(vals ...int64) []byte {
 	out := make([]byte, 8*len(vals))
 	for i, v := range vals {
-		putLeU64(out[i*8:], uint64(v))
+		binary.LittleEndian.PutUint64(out[i*8:], uint64(v))
 	}
 	return out
 }
@@ -19,7 +20,7 @@ func encI64(vals ...int64) []byte {
 func encF64(vals ...float64) []byte {
 	out := make([]byte, 8*len(vals))
 	for i, v := range vals {
-		putLeU64(out[i*8:], math.Float64bits(v))
+		binary.LittleEndian.PutUint64(out[i*8:], math.Float64bits(v))
 	}
 	return out
 }
@@ -40,7 +41,7 @@ func TestAccumulateSumInt64(t *testing.T) {
 			return err
 		}
 		if r.ID() == 0 {
-			if got := int64(leU64(local)); got != 1+2+3 {
+			if got := int64(binary.LittleEndian.Uint64(local)); got != 1+2+3 {
 				t.Errorf("sum = %d, want 6", got)
 			}
 		}
@@ -62,8 +63,8 @@ func TestAccumulateOpsInt32AndDouble(t *testing.T) {
 			// int32 max/min on elements 0 and 1 of rank 1.
 			src32 := make([]byte, 8)
 			a, b := int32(42), int32(-5)
-			putLeU32(src32, uint32(a))
-			putLeU32(src32[4:], uint32(b))
+			binary.LittleEndian.PutUint32(src32, uint32(a))
+			binary.LittleEndian.PutUint32(src32[4:], uint32(b))
 			if err := win.Accumulate(src32, datatype.Int32, 2, 1, 0, OpMax); err != nil {
 				return err
 			}
@@ -87,13 +88,13 @@ func TestAccumulateOpsInt32AndDouble(t *testing.T) {
 			// 42, then min(42, 42)? min applies src again: min(42,42)=42
 			// for element 0? src element0=42: min(42,42)=42. Element 1:
 			// max(0,-5)=0, then min(0,-5)=-5.
-			if got := int32(leU32(local)); got != 42 {
+			if got := int32(binary.LittleEndian.Uint32(local)); got != 42 {
 				t.Errorf("elem0 = %d, want 42", got)
 			}
-			if got := int32(leU32(local[4:])); got != -5 {
+			if got := int32(binary.LittleEndian.Uint32(local[4:])); got != -5 {
 				t.Errorf("elem1 = %d, want -5", got)
 			}
-			if got := math.Float64frombits(leU64(local[16:])); got != 3.75 {
+			if got := math.Float64frombits(binary.LittleEndian.Uint64(local[16:])); got != 3.75 {
 				t.Errorf("double sum = %v, want 3.75", got)
 			}
 		}

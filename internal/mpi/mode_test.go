@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"encoding/binary"
 	"sync"
 	"testing"
 
@@ -172,7 +173,7 @@ func TestThroughputModeAccumulate(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < slots; i++ {
-		got := int64(leU64(region[i*8 : i*8+8]))
+		got := int64(binary.LittleEndian.Uint64(region[i*8 : i*8+8]))
 		if got != p*16 {
 			t.Fatalf("slot %d = %d, want %d", i, got, p*16)
 		}

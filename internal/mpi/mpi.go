@@ -383,20 +383,10 @@ type winShared struct {
 	info    Info
 
 	// stripes orders cross-rank data movement in Throughput mode,
-	// replacing the global run token. Each target region is covered by
-	// up to dataStripes read-write locks over power-of-two byte ranges
-	// (stripeShift holds the per-target log2 stripe width): readers
-	// (Get/GetBatch/Checksum) of disjoint stripes — and of the *same*
-	// stripe — proceed concurrently, while writers (Put/Accumulate)
-	// take their covered stripes exclusively, so concurrent
-	// accumulates to one range stay element-wise atomic and a get
-	// never observes a torn concurrent put. A multi-stripe operation
-	// acquires its stripes in ascending index order, which makes the
-	// acquisition order total and the scheme deadlock-free. In
+	// replacing the global run token (see rma.Stripes). In
 	// FidelityMeasured mode the token already serializes ranks and the
 	// stripes are not touched.
-	stripes     [][]sync.RWMutex // clampi:lockrank stripe
-	stripeShift []uint
+	stripes *rma.Stripes
 
 	pscwOnce  sync.Once
 	pscwState *pscwState
@@ -477,7 +467,7 @@ func (r *Rank) WinCreate(region []byte, info Info) *Win {
 				shared.regions[i] = g.([]byte)
 			}
 		}
-		shared.stripes, shared.stripeShift = makeStripes(shared.regions)
+		shared.stripes = rma.NewStripes(shared.regions)
 		w.mu.Lock()
 		w.wins++
 		w.mu.Unlock()
@@ -528,76 +518,16 @@ var (
 	_ rma.Endpoint        = (*Rank)(nil)
 )
 
-// dataStripes is the maximum number of lock stripes covering one target
-// region in Throughput mode. Power of two; stripe widths are powers of
-// two so the covering stripes of a byte range are two shifts.
-const dataStripes = 8
-
-// minStripeShift is the log2 of the minimum stripe width (256 bytes):
-// regions at or below it get a single stripe, so small windows pay no
-// extra acquisitions.
-const minStripeShift = 8
-
-// makeStripes builds the per-target stripe locks: the smallest
-// power-of-two stripe width >= 256 bytes such that at most dataStripes
-// stripes cover the region. Empty regions get one stripe so bounds-valid
-// zero-byte operations still have a lock to name.
-func makeStripes(regions [][]byte) ([][]sync.RWMutex, []uint) {
-	stripes := make([][]sync.RWMutex, len(regions))
-	shifts := make([]uint, len(regions))
-	for i, reg := range regions {
-		shift := uint(minStripeShift)
-		for (len(reg)+(1<<shift)-1)>>shift > dataStripes {
-			shift++
-		}
-		n := (len(reg) + (1 << shift) - 1) >> shift
-		if n < 1 {
-			n = 1
-		}
-		stripes[i] = make([]sync.RWMutex, n)
-		shifts[i] = shift
-	}
-	return stripes, shifts
-}
-
-// rangeStripes returns the inclusive stripe index range covering bytes
-// [disp, disp+size) of target's region. Callers validate bounds first;
-// size 0 degenerates to the single stripe holding disp.
-func (w *Win) rangeStripes(target, disp, size int) (lo, hi int) {
-	shift := w.shared.stripeShift[target]
-	lo = disp >> shift
-	hi = lo
-	if size > 0 {
-		hi = (disp + size - 1) >> shift
-	}
-	if n := len(w.shared.stripes[target]); hi >= n {
-		hi = n - 1
-	}
-	if lo > hi {
-		lo = hi
-	}
-	return lo, hi
-}
-
 // lockRange acquires the stripes covering [disp, disp+size) of target's
 // region in Throughput mode — shared for readers (gets, checksums),
-// exclusive for writers (puts, accumulates). Stripes are taken in
-// ascending index order, so concurrent multi-stripe operations cannot
-// deadlock. In FidelityMeasured mode the global run token already
-// orders ranks, so the stripes are not touched.
+// exclusive for writers (puts, accumulates). In FidelityMeasured mode
+// the global run token already orders ranks, so the stripes are not
+// touched.
 func (w *Win) lockRange(target, disp, size int, excl bool) {
 	if w.rank.world.serialized() {
 		return
 	}
-	lo, hi := w.rangeStripes(target, disp, size)
-	locks := w.shared.stripes[target]
-	for s := lo; s <= hi; s++ {
-		if excl {
-			locks[s].Lock()
-		} else {
-			locks[s].RLock()
-		}
-	}
+	w.shared.stripes.Lock(target, disp, size, excl)
 }
 
 // unlockRange releases the stripes taken by the matching lockRange.
@@ -605,15 +535,7 @@ func (w *Win) unlockRange(target, disp, size int, excl bool) {
 	if w.rank.world.serialized() {
 		return
 	}
-	lo, hi := w.rangeStripes(target, disp, size)
-	locks := w.shared.stripes[target]
-	for s := hi; s >= lo; s-- {
-		if excl {
-			locks[s].Unlock()
-		} else {
-			locks[s].RUnlock()
-		}
-	}
+	w.shared.stripes.Unlock(target, disp, size, excl)
 }
 
 // blockSpan returns the byte span [off, off+size) covering a flattened

@@ -6,41 +6,6 @@ import (
 	"clampi/internal/datatype"
 )
 
-// TestMakeStripes pins down the stripe geometry: power-of-two widths of
-// at least 256 bytes, at most dataStripes stripes per region, full
-// coverage, and a single stripe for empty or tiny regions.
-func TestMakeStripes(t *testing.T) {
-	cases := []struct {
-		size      int
-		wantN     int
-		wantShift uint
-	}{
-		{0, 1, 8},
-		{1, 1, 8},
-		{256, 1, 8},
-		{257, 2, 8},
-		{2048, 8, 8},
-		{2049, 5, 9},     // width 512 covers 2049 bytes in 5 stripes
-		{1 << 20, 8, 17}, // 1 MiB: 8 stripes of 128 KiB
-	}
-	for _, c := range cases {
-		stripes, shifts := makeStripes([][]byte{make([]byte, c.size)})
-		if len(stripes[0]) != c.wantN || shifts[0] != c.wantShift {
-			t.Errorf("size %d: %d stripes shift %d, want %d stripes shift %d",
-				c.size, len(stripes[0]), shifts[0], c.wantN, c.wantShift)
-		}
-		if len(stripes[0]) > dataStripes {
-			t.Errorf("size %d: %d stripes exceeds cap %d", c.size, len(stripes[0]), dataStripes)
-		}
-		// Coverage: the last byte maps to an existing stripe.
-		if c.size > 0 {
-			if s := (c.size - 1) >> shifts[0]; s >= len(stripes[0]) {
-				t.Errorf("size %d: last byte in stripe %d of %d", c.size, s, len(stripes[0]))
-			}
-		}
-	}
-}
-
 // TestStripeGranularity proves Throughput-mode data-path locking is
 // per-(target, region-stripe), not per-target: with one stripe of the
 // target region held exclusively, a Get touching a *different* stripe
@@ -65,19 +30,15 @@ func TestStripeGranularity(t *testing.T) {
 		if err := win.LockAll(); err != nil {
 			return err
 		}
-		shift := win.shared.stripeShift[1]
-		width := 1 << shift
-		if len(win.shared.stripes[1]) < 2 {
-			return errBadByte{rank: 0, target: 1, off: -1}
-		}
+		const width = regionSize / 8
 
 		// Hold stripe 0 of target 1 exclusively; read from stripe 1.
-		win.shared.stripes[1][0].Lock()
+		win.shared.stripes.Lock(1, 0, 1, true)
 		buf := make([]byte, 64)
 		if err := win.Get(buf, datatype.Byte, 64, 1, width); err != nil { //clampi:lockorder structural proof: the Get targets stripe 1 while the test pins stripe 0, showing stripes are independent
 			return err
 		}
-		win.shared.stripes[1][0].Unlock()
+		win.shared.stripes.Unlock(1, 0, 1, true)
 		for i := range buf {
 			if buf[i] != byte(width+i) {
 				return errBadByte{rank: 0, target: 1, off: i}
@@ -85,11 +46,11 @@ func TestStripeGranularity(t *testing.T) {
 		}
 
 		// Hold stripe 0 shared; a Get of the same stripe still completes.
-		win.shared.stripes[1][0].RLock()
+		win.shared.stripes.Lock(1, 0, 1, false)
 		if err := win.Get(buf, datatype.Byte, 64, 1, 0); err != nil { //clampi:lockorder structural proof: the held RLock is shared, so the Get's RLock of the same stripe cannot deadlock
 			return err
 		}
-		win.shared.stripes[1][0].RUnlock()
+		win.shared.stripes.Unlock(1, 0, 1, false)
 		for i := range buf {
 			if buf[i] != byte(i) {
 				return errBadByte{rank: 0, target: 1, off: i}

@@ -3,9 +3,7 @@ package obsv
 import (
 	"strconv"
 
-	"clampi/internal/blockcache"
 	"clampi/internal/core"
-	"clampi/internal/rma"
 	"clampi/internal/simtime"
 )
 
@@ -217,9 +215,6 @@ func PublishStats(reg *Registry, s core.Stats, labels ...Label) {
 	set("clampi_stats_write_hits", s.WriteHits)
 	set("clampi_stats_write_backs", s.WriteBacks)
 	set("clampi_stats_dirty_flushes", s.DirtyFlushes)
-	set("clampi_stats_l2_hits", s.L2Hits)
-	set("clampi_stats_l2_fills", s.L2Fills)
-	set("clampi_stats_sibling_forwards", s.SiblingForwards)
 	set("clampi_stats_cheap_skips", s.CheapSkips)
 	set("clampi_stats_lookup_vtime_ns", int64(s.LookupTime))
 	set("clampi_stats_evict_vtime_ns", int64(s.EvictTime))
@@ -233,43 +228,4 @@ func PublishStats(reg *Registry, s core.Stats, labels ...Label) {
 // final per-run totals).
 func PublishNotifyDepth(reg *Registry, depth int, labels ...Label) {
 	reg.Gauge(MetricNotifyDepth, labels...).Set(int64(depth))
-}
-
-// PublishDistanceStats exports a locality-aware cache's per-distance-
-// class breakdown under a "class" label — empty input (locality-blind
-// backend) publishes nothing.
-func PublishDistanceStats(reg *Registry, ds []core.DistanceStats, labels ...Label) {
-	for i, d := range ds {
-		name := strconv.Itoa(i)
-		if i < len(rma.DistanceClassNames) {
-			name = rma.DistanceClassNames[i]
-		}
-		l := make([]Label, 0, len(labels)+1)
-		l = append(append(l, labels...), L("class", name))
-		set := func(metric string, v int64) {
-			reg.Gauge(metric, l...).Set(v)
-		}
-		set("clampi_dist_gets", d.Gets)
-		set("clampi_dist_hits", d.Hits)
-		set("clampi_dist_misses", d.Misses)
-		set("clampi_dist_bytes_from_network", d.BytesFromNetwork)
-		set("clampi_dist_fill_vtime_ns", int64(d.FillTime))
-	}
-}
-
-// PublishL2Stats exports one node-shared L2 tier's counters. The tier is
-// shared by sibling ranks, so publish it once per node (not per rank),
-// with a label identifying the node.
-func PublishL2Stats(reg *Registry, s blockcache.L2Stats, labels ...Label) {
-	set := func(name string, v int64) {
-		reg.Gauge(name, labels...).Set(v)
-	}
-	set("clampi_l2_lookups", s.Lookups)
-	set("clampi_l2_hits", s.Hits)
-	set("clampi_l2_misses", s.Misses)
-	set("clampi_l2_fills", s.Fills)
-	set("clampi_l2_forwards", s.Forwards)
-	set("clampi_l2_overwrites", s.Overwrites)
-	set("clampi_l2_seqlock_retries", s.Retries)
-	set("clampi_l2_invalidations", s.Invalidations)
 }

@@ -61,6 +61,7 @@ import (
 	"io"
 	"strings"
 
+	"clampi/internal/datatype"
 	"clampi/internal/rma"
 )
 
@@ -553,6 +554,14 @@ const (
 	accInt64
 	accFloat64
 )
+
+// accDatatypes maps each element kind to its datatype: the client
+// encodes through it, the server hands the datatype to rma.Accumulate.
+var accDatatypes = [...]datatype.Datatype{
+	accInt32:   datatype.Int32,
+	accInt64:   datatype.Int64,
+	accFloat64: datatype.Double,
+}
 
 // accReq is the OpAccumulate body.
 type accReq struct {

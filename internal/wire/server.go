@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -169,8 +168,7 @@ func (b *barrier) abort() {
 type serverWindow struct {
 	name    string
 	regions [][]byte
-	stripes [][]sync.RWMutex // clampi:lockrank stripe
-	shift   []uint
+	stripes *rma.Stripes
 	locks   []targetLock
 	bar     barrier
 
@@ -334,7 +332,7 @@ func Serve(cfg ServeConfig) (*Server, error) {
 			return nil, fmt.Errorf("wire: duplicate window name %q", spec.Name)
 		}
 		sw := &serverWindow{name: spec.Name, regions: spec.Regions}
-		sw.stripes, sw.shift = makeStripes(spec.Regions)
+		sw.stripes = rma.NewStripes(spec.Regions)
 		sw.locks = make([]targetLock, len(spec.Regions))
 		for t := range sw.locks {
 			sw.locks[t].init()
@@ -651,29 +649,14 @@ func checkRange(w *serverWindow, r rangeReq) error {
 	return nil
 }
 
-// lockStripes takes the stripe locks covering one validated range,
-// shared for readers and exclusive for writers, in ascending index
-// order (the same deadlock-free total order as internal/mpi).
-func (w *serverWindow) lockStripes(target int32, disp, size int64, excl bool) (lo, hi int) {
-	lo, hi = rangeStripes(w.shift[target], len(w.stripes[target]), int(disp), int(size))
-	for i := lo; i <= hi; i++ {
-		if excl {
-			w.stripes[target][i].Lock()
-		} else {
-			w.stripes[target][i].RLock()
-		}
-	}
-	return lo, hi
+// lockRange takes the stripe locks covering one validated range, shared
+// for readers and exclusive for writers; unlockRange releases them.
+func (w *serverWindow) lockRange(r rangeReq, excl bool) {
+	w.stripes.Lock(int(r.Target), int(r.Disp), int(r.Size), excl)
 }
 
-func (w *serverWindow) unlockStripes(target int32, lo, hi int, excl bool) {
-	for i := hi; i >= lo; i-- {
-		if excl {
-			w.stripes[target][i].Unlock()
-		} else {
-			w.stripes[target][i].RUnlock()
-		}
-	}
+func (w *serverWindow) unlockRange(r rangeReq, excl bool) {
+	w.stripes.Unlock(int(r.Target), int(r.Disp), int(r.Size), excl)
 }
 
 func (c *serverConn) get(f Frame) error {
@@ -700,9 +683,9 @@ func (c *serverConn) get(f Frame) error {
 // taken afterwards over the private copy, so payload and CRC agree
 // whatever writers do next.
 func (w *serverWindow) appendRegion(buf []byte, r rangeReq) []byte {
-	lo, hi := w.lockStripes(r.Target, r.Disp, r.Size, false)
+	w.lockRange(r, false)
 	buf = append(buf, w.regions[r.Target][r.Disp:r.Disp+r.Size]...)
-	w.unlockStripes(r.Target, lo, hi, false)
+	w.unlockRange(r, false)
 	return buf
 }
 
@@ -752,9 +735,9 @@ func (c *serverConn) put(f Frame) error {
 	if verr := checkRange(w, r); verr != nil {
 		return c.fail(f.Seq, verr)
 	}
-	lo, hi := w.lockStripes(r.Target, r.Disp, r.Size, true)
+	w.lockRange(r, true)
 	copy(w.regions[r.Target][r.Disp:], p.Data)
-	w.unlockStripes(r.Target, lo, hi, true)
+	w.unlockRange(r, true)
 	return c.ack(f.Seq)
 }
 
@@ -777,9 +760,9 @@ func (c *serverConn) putNotify(f Frame) error {
 	if verr := checkRange(w, r); verr != nil {
 		return c.fail(f.Seq, verr)
 	}
-	lo, hi := w.lockStripes(r.Target, r.Disp, r.Size, true)
+	w.lockRange(r, true)
 	copy(w.regions[r.Target][r.Disp:], p.Data)
-	w.unlockStripes(r.Target, lo, hi, true)
+	w.unlockRange(r, true)
 	n := notifyPayload{
 		Origin: c.rank,
 		Target: p.Target,
@@ -823,15 +806,11 @@ func (c *serverConn) accumulate(f Frame) error {
 	if derr != nil {
 		return c.fail(f.Seq, derr)
 	}
-	elem := 0
-	switch a.Kind {
-	case accInt32:
-		elem = 4
-	case accInt64, accFloat64:
-		elem = 8
-	default:
+	if int(a.Kind) >= len(accDatatypes) {
 		return c.fail(f.Seq, fmt.Errorf("%w: element kind %d", ErrBadAccumulate, a.Kind))
 	}
+	dtype := accDatatypes[a.Kind]
+	elem := rma.AccumulateElemSize(dtype)
 	if len(a.Data)%elem != 0 {
 		return c.fail(f.Seq, fmt.Errorf("%w: %dB payload for %dB elements", ErrBadAccumulate, len(a.Data), elem))
 	}
@@ -840,9 +819,9 @@ func (c *serverConn) accumulate(f Frame) error {
 		return c.fail(f.Seq, verr)
 	}
 	region := w.regions[a.Target]
-	lo, hi := w.lockStripes(r.Target, r.Disp, r.Size, true)
-	applyAcc(region[r.Disp:r.Disp+r.Size], a.Data, a.Kind, rma.Op(a.Op))
-	w.unlockStripes(r.Target, lo, hi, true)
+	w.lockRange(r, true)
+	rma.Accumulate(region[r.Disp:r.Disp+r.Size], a.Data, dtype, rma.Op(a.Op))
+	w.unlockRange(r, true)
 	return c.ack(f.Seq)
 }
 
@@ -859,9 +838,9 @@ func (c *serverConn) checksum(f Frame) error {
 		return c.fail(f.Seq, verr)
 	}
 	region := w.regions[r.Target]
-	lo, hi := w.lockStripes(r.Target, r.Disp, r.Size, false)
+	w.lockRange(r, false)
 	sum := rma.ChecksumBytes(region[r.Disp : r.Disp+r.Size])
-	w.unlockStripes(r.Target, lo, hi, false)
+	w.unlockRange(r, false)
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	c.wbuf = binary.LittleEndian.AppendUint64(beginFrame(c.wbuf[:0], OpData, f.Seq), sum)
@@ -902,66 +881,4 @@ func (c *serverConn) barrier(f Frame) error {
 		return c.fail(f.Seq, berr)
 	}
 	return c.ack(f.Seq)
-}
-
-// applyAcc element-wise combines src into dst (both packed little-endian
-// arrays of the given kind) under op. OpReplace never reaches here: the
-// client degenerates it to Put, exactly like internal/mpi.
-func applyAcc(dst, src []byte, kind byte, op rma.Op) {
-	switch kind {
-	case accInt32:
-		for i := 0; i+4 <= len(src); i += 4 {
-			a := int64(int32(leU32(dst[i:])))
-			b := int64(int32(leU32(src[i:])))
-			putU32(dst[i:], uint32(int32(combineInt(a, b, op))))
-		}
-	case accInt64:
-		for i := 0; i+8 <= len(src); i += 8 {
-			a := int64(leU64(dst[i:]))
-			b := int64(leU64(src[i:]))
-			putU64(dst[i:], uint64(combineInt(a, b, op)))
-		}
-	case accFloat64:
-		for i := 0; i+8 <= len(src); i += 8 {
-			a := math.Float64frombits(leU64(dst[i:]))
-			b := math.Float64frombits(leU64(src[i:]))
-			putU64(dst[i:], math.Float64bits(combineFloat(a, b, op)))
-		}
-	}
-}
-
-func combineInt(a, b int64, op rma.Op) int64 {
-	switch op {
-	case rma.OpSum:
-		return a + b
-	case rma.OpMax:
-		if b > a {
-			return b
-		}
-		return a
-	case rma.OpMin:
-		if b < a {
-			return b
-		}
-		return a
-	}
-	return b
-}
-
-func combineFloat(a, b float64, op rma.Op) float64 {
-	switch op {
-	case rma.OpSum:
-		return a + b
-	case rma.OpMax:
-		if b > a {
-			return b
-		}
-		return a
-	case rma.OpMin:
-		if b < a {
-			return b
-		}
-		return a
-	}
-	return b
 }

@@ -18,6 +18,7 @@ package wire
 // that local closure and nothing else: no frame crosses the socket.
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"time"
@@ -407,21 +408,19 @@ func (w *Window) Accumulate(src []byte, dtype datatype.Datatype, count int, targ
 	if len(src) < size {
 		return rma.ErrShortBuf
 	}
-	var kind byte
-	switch dtype {
-	case datatype.Int32:
-		kind = accInt32
-	case datatype.Int64:
-		kind = accInt64
-	case datatype.Double:
-		kind = accFloat64
-	default:
+	kind := -1
+	for k, dt := range accDatatypes {
+		if dt == dtype {
+			kind = k
+		}
+	}
+	if kind < 0 {
 		return ErrBadAccumulate
 	}
 	if disp < 0 || disp+size > int(w.cl.regions[target]) {
 		return rma.ErrBounds
 	}
-	req := accReq{Target: int32(target), Disp: int64(disp), Op: byte(op), Kind: kind, Data: src[:size]}
+	req := accReq{Target: int32(target), Disp: int64(disp), Op: byte(op), Kind: byte(kind), Data: src[:size]}
 	return w.rpc(OpAccumulate, func(b []byte) []byte { return appendAcc(b, req) }, w.opDeadline, nil)
 }
 
@@ -522,7 +521,7 @@ func (w *Window) Checksum(target, disp, size int) (uint64, error) {
 		if len(data) != 8 {
 			return fmt.Errorf("%w: checksum returned %dB", ErrProto, len(data))
 		}
-		sum = leU64(data)
+		sum = binary.LittleEndian.Uint64(data)
 		return nil
 	})
 	return sum, err
