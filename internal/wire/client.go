@@ -181,6 +181,11 @@ func (cl *Client) Close() error {
 	return nil
 }
 
+// adopt converts every established connection, client and server side,
+// once where it is born: blocking (conn_linux.go) on Linux, the identity
+// elsewhere. A variable only so a test can interpose on the result.
+var adopt = blocking
+
 // dialConn establishes and handshakes one new connection.
 func (cl *Client) dialConn() (*clientConn, error) {
 	d := net.Dialer{Timeout: cl.cfg.DialTimeout}
@@ -188,6 +193,7 @@ func (cl *Client) dialConn() (*clientConn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: dial %s %s: %w", rma.ErrTransient, cl.cfg.Network, cl.cfg.Addr, err)
 	}
+	c = adopt(c)
 	cc := &clientConn{c: c, fr: newFrameReader(c, cl.cfg.MaxPayload)}
 	cc.fr.tap = cl.cfg.FrameTap
 	if err := cl.handshake(cc); err != nil {

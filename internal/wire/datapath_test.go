@@ -286,35 +286,31 @@ func countClientConn(cc *clientConn) *countConn {
 // TestSyscallBudget counts Read and Write calls on both ends of real
 // Unix-socket connections in steady state: every frame leaves in one
 // Write, and a 64 B frame arrives in one Read — on the client, on the
-// server and on the notification sink.
+// server and on the notification sink. The counters wrap the converted
+// connections, server ends as acceptLoop adopts them and client ends
+// once dialed, and with room for all six every connection must wait in
+// read(2), not in the netpoller.
 func TestSyscallBudget(t *testing.T) {
+	roomToBlock(t, 6)
+	sock := filepath.Join(t.TempDir(), "counted.sock")
+	var mu sync.Mutex
+	var served []*countConn // server ends; srv sums over all of them
+	adopt = func(c net.Conn) net.Conn {
+		c = blocking(c)
+		if c.LocalAddr().String() != sock {
+			return c // a client end, counted below once it is pooled
+		}
+		k := &countConn{Conn: c}
+		mu.Lock()
+		served = append(served, k)
+		mu.Unlock()
+		return k
+	}
+	t.Cleanup(func() { adopt = blocking }) // runs after the server's shutdown
 	s := testServer(t, ServeConfig{
-		Network: "unix", Addr: filepath.Join(t.TempDir(), "unused.sock"),
+		Network: "unix", Addr: sock,
 		Windows: []WindowSpec{{Name: "w", Regions: patternRegions(2, 4096)}},
 	})
-	// A second listener feeds the same server connections wrapped in
-	// counters; srv sums over all of them.
-	ln, err := net.Listen("unix", filepath.Join(t.TempDir(), "counted.sock"))
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	var mu sync.Mutex
-	var served []*countConn
-	go func() {
-		for {
-			c, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			k := &countConn{Conn: c}
-			mu.Lock()
-			served = append(served, k)
-			mu.Unlock()
-			s.connWG.Add(1)
-			go s.serveConn(k)
-		}
-	}()
 	srv := func() ioCount {
 		mu.Lock()
 		defer mu.Unlock()
@@ -326,7 +322,7 @@ func TestSyscallBudget(t *testing.T) {
 		return n
 	}
 	open := func(rank int) *Window {
-		w, err := Open(DialConfig{Network: "unix", Addr: ln.Addr().String(), Rank: rank, PoolSize: 1}, nil)
+		w, err := Open(DialConfig{Network: "unix", Addr: s.Addr().String(), Rank: rank, PoolSize: 1}, nil)
 		if err != nil {
 			t.Fatalf("open rank %d: %v", rank, err)
 		}
@@ -426,6 +422,20 @@ func TestSyscallBudget(t *testing.T) {
 	if k.writes != 1 || k.reads < 1 || k.reads > 2 {
 		t.Errorf("waiting for one push made %d writes and %d reads, want 1 write and at most 2 reads (ack, push)", k.writes, k.reads)
 	}
+
+	wantMode(t, "the writer", cli.Conn, "read(2)")
+	wantMode(t, "the reader", reader.cl.idle[0].c, "read(2)")
+	wantMode(t, "the sink", sink.Conn, "read(2)")
+	waitFor(t, "every server end to wait in read(2)", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, k := range served {
+			if !inMode(k.Conn, "read(2)") {
+				return false
+			}
+		}
+		return true
+	})
 }
 
 // TestHotPathAllocs pins the steady-state allocation count of a get and

@@ -187,7 +187,7 @@ func (w *Window) putNotifyRange(src []byte, target, disp int, tag uint32) error 
 // subscribe connection: it sends an OpFlush marker and reads frames
 // until the marker's ack (per-connection FIFO makes that exhaustive).
 func (w *Window) pumpNotify() {
-	if w.nq != nil && w.nc != nil {
+	if w.nq != nil && w.nc != nil && !w.freed {
 		_ = w.notifyIO(w.pumpOnce) // a failure is latched by poisonNotify
 	}
 }

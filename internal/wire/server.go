@@ -2,7 +2,9 @@ package wire
 
 // The server half of the transport: cmd/clampi-serve embeds a Server to
 // expose one or more window regions to many concurrent client
-// processes. Each accepted connection gets its own goroutine; cross-
+// processes. Each accepted connection gets its own goroutine, which on
+// Linux waits for the next request in read(2) while the process has at
+// most GOMAXPROCS connections open (conn_linux.go); cross-
 // client data movement is ordered by per-(window, region-stripe)
 // read-write locks mirroring the internal/mpi stripe scheme, so
 // concurrent readers of disjoint — or identical — stripes proceed in
@@ -384,6 +386,7 @@ func (s *Server) acceptLoop() {
 			}
 			return
 		}
+		conn = adopt(conn)
 		s.connMu.Lock()
 		s.conns[conn] = struct{}{}
 		s.connMu.Unlock()
@@ -494,12 +497,17 @@ func (s *Server) serveConn(conn net.Conn) {
 // handle dispatches one request frame and writes the response. The
 // return value reports whether the connection should close.
 func (c *serverConn) handle(f Frame) (stop bool) {
+	op := f.Op
 	var start time.Time
+	var m *opMetrics
 	metered := c.s.cfg.Registry != nil
 	if metered {
+		// Counted at dispatch: the client may read its reply before the
+		// handler returns.
+		m = c.s.opMetrics(op)
+		m.reqs.Inc()
 		start = time.Now() //clampi:walltime daemon per-op latency histograms are wall-clock by design (DESIGN.md §13)
 	}
-	op := f.Op
 	var err error
 	switch op {
 	case OpHello:
@@ -536,9 +544,7 @@ func (c *serverConn) handle(f Frame) (stop bool) {
 		err = c.fail(f.Seq, fmt.Errorf("%w: unexpected op %s", ErrProto, OpName(op)))
 	}
 	if metered {
-		m := c.s.opMetrics(op)
 		m.wall.Observe(simtime.FromReal(time.Since(start))) //clampi:walltime daemon per-op latency histograms are wall-clock by design
-		m.reqs.Inc()
 	}
 	if err != nil {
 		c.s.logf("wire: conn %v: %s: %v", c.conn.RemoteAddr(), OpName(op), err)

@@ -677,13 +677,17 @@ func (w *Window) Free() error {
 	if w.freed {
 		return rma.ErrFreed
 	}
-	w.freed = true
-	if w.nq != nil {
-		w.nq.Close() // wakes NotifyWait blockers with notify.ErrClosed
-	}
+	// The subscribe connection closes first: that wakes a NotifyWait
+	// blocked in its read on another goroutine — the one call Free may
+	// race with — and orders the waiter's reads of this window before the
+	// writes below. w.nc is left for that waiter to drop; once freed,
+	// nothing else touches it.
 	if w.nc != nil {
 		w.nc.c.Close()
-		w.nc = nil
+	}
+	w.freed = true
+	if w.nq != nil {
+		w.nq.Close()
 	}
 	if w.owns {
 		return w.cl.Close()
