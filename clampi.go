@@ -401,14 +401,6 @@ func WithLocalityAwareness() Option {
 	return func(c *config) { c.params.LocalityAware = true }
 }
 
-// WithCheapFillThreshold overrides the admission-bypass cost bound of
-// WithLocalityAwareness: same-socket misses whose modeled fill cost is
-// below d are served direct without caching (Stats.CheapSkips). Zero
-// selects the default.
-func WithCheapFillThreshold(d Duration) Option {
-	return func(c *config) { c.params.CheapFillThreshold = d }
-}
-
 // WithNotify subscribes the caching layer to the backend's notified-RMA
 // extension (DESIGN.md §16): remote PutNotify writes deliver bounded
 // descriptors that the cache drains at access time and epoch closure to
@@ -599,10 +591,10 @@ func (w *Window) GetUncached(dst []byte, dtype Datatype, count, target, disp int
 
 // Put writes src to target's region. By default it writes through; with
 // WithWriteBack the span is staged dirty and flushed coalesced at epoch
-// closure. Cached entries of this origin overlapping the written range
-// are patched in place when the write exactly covers them
-// (Stats.WriteHits) and invalidated otherwise, so a process never reads
-// its own stale writes back through the cache. Writes by *other*
+// closure. Cached entries of this origin that lie inside a dense write
+// are patched in place (Stats.WriteHits); every other entry overlapping
+// the written range is invalidated, so a process never reads its own
+// stale writes back through the cache. Writes by *other*
 // processes are the application's responsibility unless the window uses
 // notified writes (see PutNotify and WithNotify).
 func (w *Window) Put(src []byte, dtype Datatype, count, target, disp int) error {

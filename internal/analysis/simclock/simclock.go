@@ -6,10 +6,11 @@
 //
 // The analyzer forbids the clock-reading and sleeping functions of the
 // time package everywhere except the allowlist: internal/simtime itself
-// (its Clock.Charge calibrates virtual time against the real monotonic
-// clock — that is the one sanctioned bridge) and lines carrying a
-// //clampi:walltime comment with a reason, the escape hatch for
-// genuinely wall-clock needs such as CLI progress reporting.
+// (its Clock.Charge measures work that genuinely takes real time — the
+// wire transport's socket exchanges — into virtual time; the cache's own
+// costs are modelled, so that is the one sanctioned bridge) and lines
+// carrying a //clampi:walltime comment with a reason, the escape hatch
+// for genuinely wall-clock needs such as CLI progress reporting.
 // time.Duration and the time constants remain available everywhere;
 // only sampling the wall clock is restricted.
 package simclock

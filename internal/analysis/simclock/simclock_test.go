@@ -12,8 +12,9 @@ func TestSimClock(t *testing.T) {
 }
 
 // TestSimtimeIsAllowlisted proves the one sanctioned wall-clock bridge
-// — internal/simtime's Clock.Charge calibration (time.Now/time.Since)
-// and its calibration test (time.Sleep) — reports no diagnostics.
+// — internal/simtime's Clock.Charge, which measures real-time work such
+// as a socket exchange (time.Now/time.Since), and its test (time.Sleep)
+// — reports no diagnostics.
 func TestSimtimeIsAllowlisted(t *testing.T) {
 	analysistest.RunClean(t, "../../..", simclock.Analyzer, "./internal/simtime")
 }

@@ -122,35 +122,31 @@ func (c *Cache) GetBatch(ops []GetOp) error {
 	// pending hits), and merge adjacent/overlapping ranges per target.
 	runs := c.bruns[:0]
 	rops := c.bops[:0]
-	planT := c.chargeFn(func() {
-		sortMisses(misses)
-		for i := 0; i < len(misses); {
-			run := batchRun{target: misses[i].target, lo: misses[i].disp, hi: misses[i].disp + misses[i].size, from: i}
-			j := i + 1
-			for ; j < len(misses); j++ {
-				n := &misses[j]
-				if n.target != run.target || n.disp > run.hi {
-					break
-				}
-				// Identical keys are adjacent after the sort; the
-				// first (largest) instance admits the entry.
-				if n.disp == misses[j-1].disp {
-					n.dup = true
-				}
-				if end := n.disp + n.size; end > run.hi {
-					run.hi = end
-				}
+	sortMisses(misses)
+	for i := 0; i < len(misses); {
+		run := batchRun{target: misses[i].target, lo: misses[i].disp, hi: misses[i].disp + misses[i].size, from: i}
+		j := i + 1
+		for ; j < len(misses); j++ {
+			n := &misses[j]
+			if n.target != run.target || n.disp > run.hi {
+				break
 			}
-			run.to = j
-			run.stage = c.stageBuf(run.hi - run.lo)
-			runs = append(runs, run)
-			rops = append(rops, rma.GetOp{Dst: run.stage, Target: run.target, Disp: run.lo})
-			i = j
+			// Identical keys are adjacent after the sort; the
+			// first (largest) instance admits the entry.
+			if n.disp == misses[j-1].disp {
+				n.dup = true
+			}
+			if end := n.disp + n.size; end > run.hi {
+				run.hi = end
+			}
 		}
-	}, func() simtime.Duration {
-		return simtime.Duration(len(misses)) * CostBatchPlanPerMiss
-	})
-	c.stats.MgmtTime += planT
+		run.to = j
+		run.stage = c.stageBuf(run.hi - run.lo)
+		runs = append(runs, run)
+		rops = append(rops, rma.GetOp{Dst: run.stage, Target: run.target, Disp: run.lo})
+		i = j
+	}
+	c.stats.MgmtTime += c.charge(simtime.Duration(len(misses)) * CostBatchPlanPerMiss)
 
 	c.stats.BatchMisses += int64(len(misses))
 	c.stats.BatchMessages += int64(len(rops))

@@ -120,10 +120,6 @@ type Params struct {
 	// MaxIndexSlots / MaxStorageBytes bound adaptive growth.
 	MaxIndexSlots   int
 	MaxStorageBytes int
-	// CostMeasured switches cache-management cost accounting from the
-	// calibrated analytic model (default, deterministic) to real wall
-	// time measured around each operation (see costs.go).
-	CostMeasured bool
 	// DisableCoalesce makes GetBatch process its ops as plain sequential
 	// gets, skipping miss coalescing (ablation / equivalence baseline).
 	DisableCoalesce bool
@@ -159,16 +155,12 @@ type Params struct {
 	ServeStale bool
 
 	// LocalityAware makes the cache cost-aware (DESIGN.md §15): cheap
-	// same-socket fills bypass admission, eviction victim scores are
-	// weighted by per-target refill cost, and retry backoff / breaker
-	// cooldowns scale with distance. Requires the window to implement
-	// rma.LocalityWindow; silently inert otherwise.
+	// same-socket fills (under DefaultCheapFillThreshold) bypass
+	// admission, eviction victim scores are weighted by per-target refill
+	// cost, and retry backoff / breaker cooldowns scale with distance.
+	// Requires the window to implement rma.LocalityWindow; silently inert
+	// otherwise.
 	LocalityAware bool
-	// CheapFillThreshold is the fill-cost ceiling under which a
-	// same-process/same-socket miss is served direct without admission
-	// (counted in Stats.CheapSkips). Zero selects
-	// DefaultCheapFillThreshold; meaningful only with LocalityAware.
-	CheapFillThreshold simtime.Duration
 
 	// NotifyTargeted subscribes the cache to the window's write
 	// notifications (rma.NotifyWindow) and replaces the transparent
@@ -373,7 +365,6 @@ type Cache struct {
 	// Locality state (locality.go); lw is nil unless Params.LocalityAware
 	// is set and the backend implements rma.LocalityWindow.
 	lw        rma.LocalityWindow // locality oracle, nil when disabled
-	cheap     simtime.Duration   // admission-bypass fill-cost ceiling
 	distStats []DistanceStats    // per-class activity, indexed by class
 
 	// Notifiable-RMA state (notify.go); nw is non-nil whenever the
@@ -571,29 +562,16 @@ func (c *Cache) fullHit(e *entry, dst []byte, target int) {
 	c.noteDistHit(target)
 }
 
-// lookup probes the index under cost accounting. On the modeled-cost
-// path (the default) it runs without constructing a closure, keeping the
-// steady-state hit path free of heap allocation.
-func (c *Cache) lookup(key cuckoo.Key) (e *entry, found bool, d simtime.Duration) {
-	if !c.params.CostMeasured {
-		e, _, found = c.idx.Lookup(key)
-		c.clock.Busy(CostLookup)
-		return e, found, CostLookup
-	}
-	d = c.clock.Charge(func() { e, _, found = c.idx.Lookup(key) })
-	return e, found, d
+// lookup probes the index and charges the probe.
+func (c *Cache) lookup(key cuckoo.Key) (*entry, bool, simtime.Duration) {
+	e, _, found := c.idx.Lookup(key)
+	return e, found, c.charge(CostLookup)
 }
 
-// copyOut copies a served payload cache→user under cost accounting,
-// closure-free on the modeled-cost path.
+// copyOut copies a served payload cache→user and charges the copy.
 func (c *Cache) copyOut(dst, src []byte) simtime.Duration {
-	if !c.params.CostMeasured {
-		copy(dst, src)
-		est := copyCost(len(dst))
-		c.clock.Busy(est)
-		return est
-	}
-	return c.clock.Charge(func() { copy(dst, src) })
+	copy(dst, src)
+	return c.charge(copyCost(len(dst)))
 }
 
 // emitAccess reports the classified access recorded in c.last.
@@ -693,10 +671,8 @@ func (c *Cache) serveHit(e *entry, dst []byte, dtype datatype.Datatype, count, t
 	}
 	c.last.Issued = true
 	c.stats.BytesFromNetwork += int64(size - from)
-	var grown bool
-	mgmtT := c.charge(CostAlloc, func() {
-		grown = c.store.Grow(e.region, size-e.region.Size())
-	})
+	grown := c.store.Grow(e.region, size-e.region.Size())
+	mgmtT := c.charge(CostAlloc)
 	c.last.Mgmt = mgmtT
 	c.stats.MgmtTime += mgmtT
 	if grown {
@@ -746,10 +722,8 @@ func (c *Cache) insertPending(key cuckoo.Key, src []byte, size int) AccessType {
 		return AccessFailing
 	}
 	// --- Storage allocation (may require one capacity eviction). ---
-	var region *storage.Region
-	mgmtT := c.charge(CostAlloc, func() {
-		region = c.store.Alloc(size)
-	})
+	region := c.store.Alloc(size)
+	mgmtT := c.charge(CostAlloc)
 	accessType := AccessDirect
 	if region == nil {
 		// Inside a batch the victim comes from the reservoir filled by
@@ -768,9 +742,8 @@ func (c *Cache) insertPending(key cuckoo.Key, src []byte, size int) AccessType {
 			c.evictEntry(victim)
 			accessType = AccessCapacity
 		}
-		mgmtT += c.charge(CostAlloc, func() {
-			region = c.store.Alloc(size)
-		})
+		region = c.store.Alloc(size)
+		mgmtT += c.charge(CostAlloc)
 		if region == nil {
 			// Weak caching: give up after a single eviction.
 			c.recordMgmt(mgmtT)
@@ -784,12 +757,11 @@ func (c *Cache) insertPending(key cuckoo.Key, src []byte, size int) AccessType {
 		// Stamp the entry with its payload checksum (the fill was already
 		// verified against the target attestation in netGet); cached-side
 		// integrity checks revalidate against it.
-		mgmtT += c.charge(checksumCost(size), func() { e.sum = rma.ChecksumBytes(src[:size]) })
+		e.sum = rma.ChecksumBytes(src[:size])
+		mgmtT += c.charge(checksumCost(size))
 	}
-	var res cuckoo.InsertResult[*entry]
-	mgmtT += c.charge(CostInsert, func() {
-		res = c.idx.Insert(key, e)
-	})
+	res := c.idx.Insert(key, e)
+	mgmtT += c.charge(CostInsert)
 	if !res.Placed {
 		victimSlot, evictT := c.selectConflictVictim(res.CandidateSlots)
 		c.last.Evict += evictT
@@ -806,12 +778,10 @@ func (c *Cache) insertPending(key cuckoo.Key, src []byte, size int) AccessType {
 			c.indexed(e)
 			return AccessConflicting
 		}
-		mgmtT += c.charge(CostInsert+CostFree, func() {
-			evictedKey, evicted := c.idx.ReplaceAt(victimSlot, res.HomelessKey, res.HomelessVal)
-			if evicted != nil {
-				c.freeEvicted(evictedKey, evicted)
-			}
-		})
+		if evictedKey, evicted := c.idx.ReplaceAt(victimSlot, res.HomelessKey, res.HomelessVal); evicted != nil {
+			c.freeEvicted(evictedKey, evicted)
+		}
+		mgmtT += c.charge(CostInsert + CostFree)
 		accessType = AccessConflicting
 	}
 	c.indexed(e)
@@ -917,11 +887,10 @@ func (c *Cache) freeEvicted(key cuckoo.Key, e *entry) {
 
 // evictEntry removes a capacity-eviction victim from index and storage.
 func (c *Cache) evictEntry(e *entry) {
-	c.charge(CostLookup+CostFree, func() {
-		c.idx.Delete(e.key)
-		e.state = stateEvicted
-		c.store.FreeRegion(e.region)
-	})
+	c.idx.Delete(e.key)
+	e.state = stateEvicted
+	c.store.FreeRegion(e.region)
+	c.charge(CostLookup + CostFree)
 	c.retire(e)
 	c.stats.Evictions++
 	c.emitEviction(e.key, e.payload, false)
@@ -980,48 +949,45 @@ func (c *Cache) onEpochClose(epoch int64) {
 	}
 	copiedBytes := 0
 	completed := 0
-	copyT := c.chargeFn(func() {
-		for _, e := range c.pending {
-			if e.state == stateEvicted {
-				continue
-			}
-			if e.state == statePending {
-				copy(c.store.Bytes(e.region, e.payload), e.src)
-				copiedBytes += e.payload
-				completed++
-				e.state = stateCached
-				e.src = nil
-				for _, w := range e.waiters {
-					copy(w.dst, c.store.Bytes(e.region, w.size))
-					copiedBytes += w.size
-				}
-				clearWaiters(e)
-			}
-			if e.extTo > e.extFrom {
-				// Partial-hit extension: append the suffix.
-				buf := c.store.Bytes(e.region, e.extTo)
-				copy(buf[e.extFrom:e.extTo], e.extSrc)
-				copiedBytes += e.extTo - e.extFrom
-				if e.extTo > e.payload {
-					e.payload = e.extTo
-					if c.view != nil {
-						c.view.maxPayload = max(c.view.maxPayload, e.payload)
-					}
-				}
-				if c.verify {
-					// The payload changed shape: restamp its checksum.
-					e.sum = rma.ChecksumBytes(c.store.Bytes(e.region, e.payload))
-				}
-				e.extSrc = nil
-				e.extFrom, e.extTo = 0, 0
-			}
+	for _, e := range c.pending {
+		if e.state == stateEvicted {
+			continue
 		}
-	}, func() simtime.Duration {
-		if copiedBytes == 0 {
-			return 0
+		if e.state == statePending {
+			copy(c.store.Bytes(e.region, e.payload), e.src)
+			copiedBytes += e.payload
+			completed++
+			e.state = stateCached
+			e.src = nil
+			for _, w := range e.waiters {
+				copy(w.dst, c.store.Bytes(e.region, w.size))
+				copiedBytes += w.size
+			}
+			clearWaiters(e)
 		}
-		return copyCost(copiedBytes)
-	})
+		if e.extTo > e.extFrom {
+			// Partial-hit extension: append the suffix.
+			buf := c.store.Bytes(e.region, e.extTo)
+			copy(buf[e.extFrom:e.extTo], e.extSrc)
+			copiedBytes += e.extTo - e.extFrom
+			if e.extTo > e.payload {
+				e.payload = e.extTo
+				if c.view != nil {
+					c.view.maxPayload = max(c.view.maxPayload, e.payload)
+				}
+			}
+			if c.verify {
+				// The payload changed shape: restamp its checksum.
+				e.sum = rma.ChecksumBytes(c.store.Bytes(e.region, e.payload))
+			}
+			e.extSrc = nil
+			e.extFrom, e.extTo = 0, 0
+		}
+	}
+	var copyT simtime.Duration
+	if copiedBytes > 0 {
+		copyT = c.charge(copyCost(copiedBytes))
+	}
 	c.last.Copy += copyT
 	c.stats.CopyTime += copyT
 	c.pending = c.pending[:0]
@@ -1090,32 +1056,22 @@ func (c *Cache) invalidate() {
 		if e.state != statePending {
 			continue
 		}
-		c.charge(copyCost(waiterBytes(e)), func() {
-			for _, w := range e.waiters {
-				copy(w.dst, e.src[:w.size])
-			}
-		})
-		clearWaiters(e)
+		c.serveWaiters(e)
 		e.state = stateEvicted
 		c.retire(e)
 	}
-	est := CostInvalidateBase + simtime.Duration(c.idx.Cap())*CostInvalidatePerSlot
-	if c.idx.Len() == 0 && c.store.Entries() == 0 {
-		// Nothing is indexed or stored — every other fence of a
-		// blanket-mode halo exchange closes an epoch that fetched nothing
-		// — so index and storage are already as Clear and Reset would
-		// leave them. The model charges the invalidation all the same.
-		c.charge(est, func() {})
-	} else {
+	if c.idx.Len() != 0 || c.store.Entries() != 0 {
 		// Remaining indexed entries (all CACHED now) are dropped wholesale
 		// by Clear/Reset. Their regions are reclaimed by Reset, so no
-		// per-entry FreeRegion.
+		// per-entry FreeRegion. With nothing indexed or stored — every
+		// other fence of a blanket-mode halo exchange closes an epoch that
+		// fetched nothing — both are already as Clear and Reset would
+		// leave them; the model charges the invalidation all the same.
 		c.retireCached()
-		c.charge(est, func() {
-			c.idx.Clear()
-			c.store.Reset()
-		})
+		c.idx.Clear()
+		c.store.Reset()
 	}
+	c.charge(CostInvalidateBase + simtime.Duration(c.idx.Cap())*CostInvalidatePerSlot)
 	c.pending = c.pending[:0]
 	c.recycleDead()
 	c.arena = c.arena[:0]
@@ -1138,13 +1094,18 @@ func (c *Cache) retireCached() {
 	})
 }
 
-// waiterBytes sums the bytes owed to an entry's same-epoch waiters.
-func waiterBytes(e *entry) int {
+// serveWaiters satisfies the same-epoch waiters of a PENDING entry about
+// to be dropped, and empties its waiter queue. They are served from the
+// missing get's own destination buffer, where the payload is already
+// complete.
+func (c *Cache) serveWaiters(e *entry) {
 	n := 0
 	for _, w := range e.waiters {
+		copy(w.dst, e.src[:w.size])
 		n += w.size
 	}
-	return n
+	c.charge(copyCost(n))
+	clearWaiters(e)
 }
 
 // newIndex builds a Cuckoo index of the given size; split out so tuning

@@ -4,20 +4,12 @@ package core
 //
 // Every piece of CPU work the caching layer performs (lookup, allocation,
 // index insertion, eviction scanning, memory copies) advances the owning
-// rank's virtual clock. Two policies are available:
-//
-//   - Modeled (default): the clock advances by analytic per-operation
-//     costs calibrated to the paper's hardware (2.6 GHz Xeon E5-2670).
-//     Deterministic and immune to the noise of the simulation host
-//     (goroutine preemption, GC, race-detector instrumentation), so the
-//     figures regenerate reproducibly.
-//   - Measured: the clock advances by the real wall time of each
-//     operation as executed by this Go implementation. Honest about the
-//     implementation's constants, but only meaningful on a quiet host
-//     and never under `-race`.
-//
-// Both policies run the same code and move the same bytes; only the
-// accounting differs.
+// rank's virtual clock by an analytic per-operation cost calibrated to the
+// paper's hardware (2.6 GHz Xeon E5-2670). The charge is deterministic and
+// immune to the noise of the simulation host (goroutine preemption, GC,
+// race-detector instrumentation), so the figures regenerate reproducibly;
+// what this implementation costs on the host clock is measured by bench/,
+// beside the model (model.*_ratio).
 
 import (
 	"clampi/internal/netsim"
@@ -79,26 +71,9 @@ func checksumCost(size int) simtime.Duration {
 	return fixed + simtime.Duration(float64(size)*1e9/bytesPerSecond)
 }
 
-// charge runs f and advances the clock according to the policy: by est
-// when modelling, by the measured duration otherwise. It returns the
-// amount charged.
-func (c *Cache) charge(est simtime.Duration, f func()) simtime.Duration {
-	if !c.params.CostMeasured {
-		f()
-		c.clock.Busy(est)
-		return est
-	}
-	return c.clock.Charge(f)
-}
-
-// chargeFn is charge for operations whose modeled cost is only known
-// after running (e.g. eviction scans): est is evaluated after f.
-func (c *Cache) chargeFn(f func(), est func() simtime.Duration) simtime.Duration {
-	if !c.params.CostMeasured {
-		f()
-		d := est()
-		c.clock.Busy(d)
-		return d
-	}
-	return c.clock.Charge(f)
+// charge advances the clock by the modeled cost est of work just done and
+// returns it, for the caller's per-phase accounting.
+func (c *Cache) charge(est simtime.Duration) simtime.Duration {
+	c.clock.Busy(est)
+	return est
 }

@@ -71,26 +71,22 @@ func (c *Cache) selectCapacityVictim() (*entry, simtime.Duration) {
 		visited  int
 		nonEmpty int
 	)
-	d := c.chargeFn(func() {
-		best := math.Inf(1)
-		start := c.idx.RandomSlot()
-		c.idx.Scan(start, func(_ int, _ cuckoo.Key, e *entry, used bool) bool {
-			visited++
-			if used && e.state == stateCached {
-				nonEmpty++
-				if s := c.score(e); s < best {
-					best = s
-					victim = e
-				}
+	best := math.Inf(1)
+	c.idx.Scan(c.idx.RandomSlot(), func(_ int, _ cuckoo.Key, e *entry, used bool) bool {
+		visited++
+		if used && e.state == stateCached {
+			nonEmpty++
+			if s := c.score(e); s < best {
+				best = s
+				victim = e
 			}
-			// Stop once the sample size is reached AND at least
-			// one candidate was seen; otherwise keep scanning
-			// (the paper's v_i = max(M, k_i)).
-			return visited < c.params.SampleSize || nonEmpty == 0
-		})
-	}, func() simtime.Duration {
-		return simtime.Duration(visited)*CostPerScanSlot + simtime.Duration(nonEmpty)*CostPerScoredEntry
+		}
+		// Stop once the sample size is reached AND at least
+		// one candidate was seen; otherwise keep scanning
+		// (the paper's v_i = max(M, k_i)).
+		return visited < c.params.SampleSize || nonEmpty == 0
 	})
+	d := c.charge(simtime.Duration(visited)*CostPerScanSlot + simtime.Duration(nonEmpty)*CostPerScoredEntry)
 	c.stats.EvictionScans++
 	c.stats.VisitedSlots += int64(visited)
 	c.stats.NonEmptyVisited += int64(nonEmpty)
@@ -118,29 +114,25 @@ func (c *Cache) fillVictimPool(want int) {
 		return
 	}
 	var visited, nonEmpty int
-	d := c.chargeFn(func() {
-		start := c.idx.RandomSlot()
-		c.idx.Scan(start, func(_ int, _ cuckoo.Key, e *entry, used bool) bool {
-			visited++
-			if used && e.state == stateCached {
-				nonEmpty++
-				c.bvict = append(c.bvict, scoredVictim{e: e, s: c.score(e)})
-			}
-			return visited < c.params.SampleSize || nonEmpty < want
-		})
-		slices.SortFunc(c.bvict, func(a, b scoredVictim) int {
-			switch {
-			case a.s > b.s:
-				return -1
-			case a.s < b.s:
-				return 1
-			default:
-				return 0
-			}
-		})
-	}, func() simtime.Duration {
-		return simtime.Duration(visited)*CostPerScanSlot + simtime.Duration(nonEmpty)*CostPerScoredEntry
+	c.idx.Scan(c.idx.RandomSlot(), func(_ int, _ cuckoo.Key, e *entry, used bool) bool {
+		visited++
+		if used && e.state == stateCached {
+			nonEmpty++
+			c.bvict = append(c.bvict, scoredVictim{e: e, s: c.score(e)})
+		}
+		return visited < c.params.SampleSize || nonEmpty < want
 	})
+	slices.SortFunc(c.bvict, func(a, b scoredVictim) int {
+		switch {
+		case a.s > b.s:
+			return -1
+		case a.s < b.s:
+			return 1
+		default:
+			return 0
+		}
+	})
+	d := c.charge(simtime.Duration(visited)*CostPerScanSlot + simtime.Duration(nonEmpty)*CostPerScoredEntry)
 	c.stats.EvictionScans++
 	c.stats.VisitedSlots += int64(visited)
 	c.stats.NonEmptyVisited += int64(nonEmpty)
@@ -177,19 +169,18 @@ func (c *Cache) dropVictimPool() {
 // of the candidates is evictable (all PENDING).
 func (c *Cache) selectConflictVictim(candidates [cuckoo.NumHashes]int) (int, simtime.Duration) {
 	victimSlot := -1
-	d := c.charge(cuckoo.NumHashes*CostPerScoredEntry, func() {
-		best := math.Inf(1)
-		for _, s := range candidates {
-			_, e, used := c.idx.At(s)
-			if !used || e.state != stateCached {
-				continue
-			}
-			if sc := c.score(e); sc < best {
-				best = sc
-				victimSlot = s
-			}
+	best := math.Inf(1)
+	for _, s := range candidates {
+		_, e, used := c.idx.At(s)
+		if !used || e.state != stateCached {
+			continue
 		}
-	})
+		if sc := c.score(e); sc < best {
+			best = sc
+			victimSlot = s
+		}
+	}
+	d := c.charge(cuckoo.NumHashes * CostPerScoredEntry)
 	c.stats.EvictTime += d
 	return victimSlot, d
 }

@@ -10,8 +10,8 @@ import (
 // FuzzRangeInvalidation drives Put through the cache against a model of
 // the target region: whatever the overlap between previously cached
 // spans and the written range, a later Get must never observe stale
-// cached bytes. This fuzzes the overlap predicate and waiter handling
-// of InvalidateRange (range.go) end to end.
+// cached bytes. This fuzzes the overlap and cover predicates and the
+// waiter handling of cohere (range.go) end to end.
 func FuzzRangeInvalidation(f *testing.F) {
 	f.Add(uint16(128), uint8(200), uint16(300), uint8(8), uint16(180), uint8(120))
 	f.Add(uint16(0), uint8(1), uint16(4095), uint8(1), uint16(0), uint8(255))
@@ -26,6 +26,9 @@ func FuzzRangeInvalidation(f *testing.F) {
 	f.Add(uint16(100), uint8(255), uint16(360), uint8(7), uint16(356), uint8(0))
 	f.Add(uint16(100), uint8(255), uint16(101), uint8(9), uint16(99), uint8(0))
 	f.Add(uint16(200), uint8(99), uint16(250), uint8(9), uint16(260), uint8(49))
+	// A put exactly covering one entry while a second entry overlaps the
+	// same bytes: the covered entry is patched, the other must still go.
+	f.Add(uint16(400), uint8(199), uint16(500), uint8(64), uint16(500), uint8(64))
 
 	f.Fuzz(func(t *testing.T, d1 uint16, s1 uint8, d2 uint16, s2 uint8, pd uint16, ps uint8) {
 		const regionSize = 4096

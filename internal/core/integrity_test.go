@@ -26,8 +26,7 @@ func TestIntegrityUnderRandomWorkload(t *testing.T) {
 			Scheme: SchemeTemporal},
 		{Mode: AlwaysCache, IndexSlots: 128, StorageBytes: 32 << 10, Seed: 8,
 			Scheme: SchemePositional},
-		{Mode: AlwaysCache, IndexSlots: 256, StorageBytes: 64 << 10, Seed: 9,
-			CostMeasured: true}, // measured accounting path
+		{Mode: AlwaysCache, IndexSlots: 256, StorageBytes: 64 << 10, Seed: 9},
 	}
 	for ri, params := range regimes {
 		params := params

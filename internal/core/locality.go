@@ -7,7 +7,7 @@ package core
 // equally expensive:
 //
 //   - Admission: a miss on a same-process/same-socket target whose fill
-//     cost is below Params.CheapFillThreshold is served direct without
+//     cost is below DefaultCheapFillThreshold is served direct without
 //     being cached (Stats.CheapSkips) — caching it would spend storage
 //     and eviction pressure to save less than the management cost.
 //   - Eviction: the §III-D victim score is multiplied by the entry's
@@ -26,9 +26,11 @@ import (
 	"clampi/internal/simtime"
 )
 
-// Defaults for the locality Params left zero.
+// Locality constants.
 const (
-	// DefaultCheapFillThreshold keeps small same-socket fills
+	// DefaultCheapFillThreshold is the fill-cost ceiling under which a
+	// same-process/same-socket miss is served direct without admission
+	// (Stats.CheapSkips). It keeps small same-socket fills
 	// (DefaultModel: ~130 ns same-process, ~420 ns same-socket at
 	// 256 B) out of the cache while still admitting large ones, whose
 	// transfer term dominates.
@@ -66,10 +68,6 @@ func (c *Cache) initLocality() {
 	}
 	c.lw = lw
 	c.distStats = make([]DistanceStats, rma.NumDistanceClasses)
-	c.cheap = c.params.CheapFillThreshold
-	if c.cheap <= 0 {
-		c.cheap = DefaultCheapFillThreshold
-	}
 }
 
 // costAware reports whether cost-aware admission/eviction/resilience is
@@ -95,7 +93,7 @@ func (c *Cache) cheapSkip(target, size int) bool {
 		return false
 	}
 	return c.classOf(target) <= rma.DistanceSameSocket &&
-		c.lw.FillCost(target, size) < c.cheap
+		c.lw.FillCost(target, size) < DefaultCheapFillThreshold
 }
 
 // evictWeight is the refill-cost factor of the victim score: the

@@ -8,11 +8,18 @@ package core
 // rma.NotifyWindow (the UNR notifiable-RMA extension), Params.
 // NotifyTargeted subscribes the cache to its window's write
 // notifications instead: each remote PutNotify names the exact byte span
-// it wrote, and draining the queue invalidates (or, when the descriptor
-// carries the written bytes, patches in place) only the cached entries
-// that span touches. Coherence becomes bounded-staleness: a cached span
+// it wrote, and draining the queue applies that span to only the cached
+// entries it touches. Coherence becomes bounded-staleness: a cached span
 // may be served at most as stale as the undrained queue, and the queue
 // is drained at every access and every epoch boundary.
+//
+// What a write does to cached bytes is decided in one place, cohere
+// (range.go), for a drained notification and for the origin's own Put
+// and PutNotify alike: when the written bytes are at hand, every CACHED
+// entry inside the span is patched in place (a write hit — reads keep
+// hitting), and every other entry overlapping the span is dropped. A
+// descriptor that carries its bytes and arrives in sequence passes them
+// on; any other passes none, so it only drops.
 //
 // The model is only sound when every delivery anomaly degrades towards
 // *more* invalidation, never less:
@@ -22,18 +29,14 @@ package core
 //   - a duplicate or reordered redelivery → the span is invalidated but
 //     never patched (its carried bytes may predate a newer write).
 //
-// Write caching rides the same machinery in the opposite direction: Put
-// and PutNotify patch exactly-covering cached entries in place (a write
-// hit — the origin's own reads keep hitting), and Params.WriteBack
-// stages dense spans in a dirty buffer that flushes as coalesced runs at
-// epoch closure or under pressure, cutting per-call network trips the
-// way GetBatch coalesces misses.
+// Params.WriteBack stages dense writes in a dirty buffer that flushes as
+// coalesced runs at epoch closure or under pressure, cutting per-call
+// network trips the way GetBatch coalesces misses.
 
 import (
 	"errors"
 	"slices"
 
-	"clampi/internal/cuckoo"
 	"clampi/internal/datatype"
 	"clampi/internal/notify"
 	"clampi/internal/rma"
@@ -100,10 +103,8 @@ func (c *Cache) write(src []byte, dtype datatype.Datatype, count, target, disp i
 		return rma.ErrShortBuf
 	}
 	if contig := size > 0 && datatype.Contig(dtype, count); contig {
-		if c.writePatch(target, disp, src[:size]) {
+		if patched, _ := c.cohere(target, disp, size, src[:size]); patched > 0 {
 			c.stats.WriteHits++
-		} else {
-			c.InvalidateRange(target, disp, size)
 		}
 		if c.params.WriteBack {
 			return c.stageDirty(target, disp, src[:size], tag, notified)
@@ -112,36 +113,12 @@ func (c *Cache) write(src []byte, dtype datatype.Datatype, count, target, disp i
 		// Invalidate the full extent touched by the (possibly strided)
 		// write: the span is conservative for sparse datatypes. Strided
 		// writes never stage — flattening them buys nothing.
-		c.InvalidateRange(target, disp, datatype.Span(dtype, count))
+		c.cohere(target, disp, datatype.Span(dtype, count), nil)
 	}
 	if notified {
 		return c.nw.PutNotify(src, dtype, count, target, disp, tag)
 	}
 	return c.win.Put(src, dtype, count, target, disp)
-}
-
-// writePatch updates an exactly-covering CACHED entry in place with the
-// written bytes and reports whether it did. Anything less than an exact
-// cover (absent, PENDING, evicted, or a different payload size) is left
-// for the caller to invalidate: patching a partial overlap would need
-// sub-entry dirty tracking for no measured benefit.
-func (c *Cache) writePatch(target, disp int, src []byte) bool {
-	e, found, lookT := c.lookup(cuckoo.Key{Target: target, Disp: disp})
-	c.stats.LookupTime += lookT
-	if !found || e.state != stateCached || e.payload != len(src) {
-		return false
-	}
-	copyT := c.charge(copyCost(len(src)), func() {
-		copy(c.store.Bytes(e.region, e.payload), src)
-	})
-	c.stats.CopyTime += copyT
-	if c.verify {
-		c.charge(checksumCost(e.payload), func() {
-			e.sum = rma.ChecksumBytes(c.store.Bytes(e.region, e.payload))
-		})
-	}
-	e.last = c.getSeq
-	return true
 }
 
 // drainNotifications empties the window's notification queue, applying
@@ -179,16 +156,15 @@ func (c *Cache) drainNotifications() {
 	}
 }
 
-// applyNotification applies one drained descriptor: in-sequence
-// descriptors patch or invalidate their span, a sequence gap falls back
-// to a full invalidation (a descriptor was lost in transit — fault
-// injection and real UNR hardware both drop), and a stale sequence
-// (duplicate or reordered redelivery) invalidates without ever patching.
+// applyNotification applies one drained descriptor: an in-sequence
+// descriptor goes through cohere with its carried bytes, if it carries the
+// whole span; a sequence gap falls back to a full invalidation (a
+// descriptor was lost in transit — fault injection and real UNR hardware
+// both drop); and a stale sequence (duplicate or reordered redelivery)
+// goes through cohere with nothing carried, so it never patches.
 func (c *Cache) applyNotification(nf *notify.Notification, fellBack *bool) {
 	c.stats.Notifications++
-	if !c.params.CostMeasured {
-		c.clock.Busy(CostNotifyApply)
-	}
+	c.clock.Busy(CostNotifyApply)
 	if nf.Seq > c.nextSeq {
 		if !*fellBack {
 			*fellBack = true
@@ -197,61 +173,31 @@ func (c *Cache) applyNotification(nf *notify.Notification, fellBack *bool) {
 		c.nextSeq = nf.Seq + 1
 		return
 	}
-	stale := nf.Seq < c.nextSeq
-	if !stale {
+	var data []byte
+	if nf.Seq == c.nextSeq {
 		c.nextSeq++
+		if len(nf.Data) == nf.Len {
+			data = nf.Data
+		}
 	}
-	if !stale && c.patchNotification(nf) {
+	if patched, _ := c.cohere(nf.Target, nf.Disp, nf.Len, data); patched > 0 {
 		c.stats.NotifyPatches++
-		return
+	} else {
+		c.stats.NotifyInvalidations++
 	}
-	c.stats.NotifyInvalidations++
-	c.InvalidateRange(nf.Target, nf.Disp, nf.Len)
-}
-
-// patchNotification applies a descriptor's carried bytes to an
-// exactly-covering CACHED entry and reports whether it did — the
-// in-place update that keeps a hot span hitting across remote writes.
-func (c *Cache) patchNotification(nf *notify.Notification) bool {
-	if len(nf.Data) != nf.Len {
-		return false
-	}
-	e, found, lookT := c.lookup(cuckoo.Key{Target: nf.Target, Disp: nf.Disp})
-	c.stats.LookupTime += lookT
-	if !found || e.state != stateCached || e.payload != nf.Len {
-		return false
-	}
-	copyT := c.charge(copyCost(nf.Len), func() {
-		copy(c.store.Bytes(e.region, e.payload), nf.Data)
-	})
-	c.stats.CopyTime += copyT
-	if c.verify {
-		c.charge(checksumCost(e.payload), func() {
-			e.sum = rma.ChecksumBytes(c.store.Bytes(e.region, e.payload))
-		})
-	}
-	return true
 }
 
 // stageDirty admits one dense write into the write-back buffer. A write
 // overlapping an already-staged span forces a flush first: the
 // sort-and-merge flush below would otherwise reorder same-span writes.
 func (c *Cache) stageDirty(target, disp int, src []byte, tag uint32, notified bool) error {
-	for i := range c.dirty {
-		d := &c.dirty[i]
-		if d.target == target && d.disp < disp+len(src) && disp < d.disp+len(d.data) {
-			if err := c.flushDirty(); err != nil {
-				return err
-			}
-			break
-		}
+	if err := c.flushOverlap(target, disp, len(src)); err != nil {
+		return err
 	}
-	if !c.params.CostMeasured {
-		c.clock.Busy(CostWriteStage)
-	}
+	c.clock.Busy(CostWriteStage)
 	buf := c.wbStage(len(src))
-	copyT := c.charge(copyCost(len(src)), func() { copy(buf, src) })
-	c.stats.CopyTime += copyT
+	copy(buf, src)
+	c.stats.CopyTime += c.charge(copyCost(len(src)))
 	c.dirty = append(c.dirty, dirtySpan{target: target, disp: disp, data: buf, tag: tag, notify: notified})
 	c.stats.WriteBacks++
 	if len(c.dirty) >= c.params.WriteBackMaxSpans {
@@ -299,9 +245,7 @@ func (c *Cache) flushDirty() error {
 	if len(c.dirty) == 0 {
 		return nil
 	}
-	if !c.params.CostMeasured {
-		c.clock.Busy(simtime.Duration(len(c.dirty)) * CostBatchPlanPerMiss)
-	}
+	c.clock.Busy(simtime.Duration(len(c.dirty)) * CostBatchPlanPerMiss)
 	slices.SortFunc(c.dirty, func(a, b dirtySpan) int {
 		if a.target != b.target {
 			return a.target - b.target
@@ -327,12 +271,10 @@ func (c *Cache) flushDirty() error {
 				c.wbMerge = make([]byte, 0, need)
 			}
 			m := c.wbMerge[:0]
-			copyT := c.charge(copyCost(need), func() {
-				for k := i; k < j; k++ {
-					m = append(m, c.dirty[k].data...)
-				}
-			})
-			c.stats.CopyTime += copyT
+			for k := i; k < j; k++ {
+				m = append(m, c.dirty[k].data...)
+			}
+			c.stats.CopyTime += c.charge(copyCost(need))
 			payload = m
 		}
 		var err error

@@ -27,7 +27,7 @@ const (
 
 // fuzzOp is one decoded script step.
 type fuzzOp struct {
-	kind int // 0 full-slot write, 1 read, 2 fence, 3 sub-span write
+	kind int // 0 full-slot write, 1 read, 2 fence, 3 sub-span write, 4 straddling read
 	slot int
 	val  byte
 	off  int // sub-span writes: offset within the slot
@@ -36,24 +36,33 @@ type fuzzOp struct {
 
 // decodeFuzzScript turns raw fuzz input into a bounded op script, one op
 // per input byte pair. Both ranks decode the same input, so their
-// collective schedules agree by construction.
+// collective schedules agree by construction. A straddling read covers
+// the second half of its slot and the first half of the next, so its
+// entry overlaps the entries of two full-slot reads.
 func decodeFuzzScript(data []byte) []fuzzOp {
 	var ops []fuzzOp
 	for i := 0; i+1 < len(data) && len(ops) < fuzzMaxOps; i += 2 {
 		cmd, arg := data[i], data[i+1]
 		op := fuzzOp{
-			kind: int(cmd) % 4,
+			kind: int(cmd) % 5,
 			slot: int(arg) % fuzzSlots,
 			val:  byte(1 + (len(ops)*37)%250),
 		}
-		if op.kind == 3 {
+		switch op.kind {
+		case 3:
 			op.off = (int(arg) * 7) % (fuzzSlotSize - 8)
 			op.n = 8
+		case 4:
+			op.slot = int(arg) % (fuzzSlots - 1)
+			op.off = fuzzSlotSize / 2
 		}
 		ops = append(ops, op)
 	}
 	return ops
 }
+
+// readSpan is the first byte a read op covers; every read is one slot long.
+func (op fuzzOp) readSpan() int { return op.slot*fuzzSlotSize + op.off }
 
 func FuzzNotifyCoherence(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 0})                         // write slot 0, read slot 0
@@ -66,6 +75,10 @@ func FuzzNotifyCoherence(f *testing.F) {
 	// view exists, refilling and re-invalidating it.
 	f.Add([]byte{1, 0, 1, 1, 1, 2, 2, 0, 3, 1, 1, 0, 1, 1, 1, 2, 2, 0, 0, 1, 3, 2, 1, 1, 1, 2})
 	f.Add([]byte{3, 3, 2, 0, 1, 3, 1, 4, 2, 0, 3, 4, 3, 3, 1, 3, 1, 4, 2, 0, 1, 3, 1, 4})
+	// Overlapping entries: slot 0 and the straddling [16, 48) are cached,
+	// then a notification carrying all of slot 0 patches its entry; the
+	// straddling entry holds bytes 16-31 too and must not keep them.
+	f.Add([]byte{1, 0, 4, 0, 2, 0, 0, 0, 4, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ops := decodeFuzzScript(data)
 		if len(ops) == 0 {
@@ -100,7 +113,7 @@ func FuzzNotifyCoherence(f *testing.F) {
 				model[i] = pattern(i)
 			}
 			type readCheck struct {
-				slot int
+				disp int
 				got  []byte
 				want []byte
 			}
@@ -144,16 +157,16 @@ func FuzzNotifyCoherence(f *testing.F) {
 				r.Barrier() // writes (and their notifications) delivered
 				if r.ID() == 0 && fnErr == nil {
 					for _, op := range round {
-						if op.kind != 1 {
+						if op.kind != 1 && op.kind != 4 {
 							continue
 						}
-						lo := op.slot * fuzzSlotSize
+						lo := op.readSpan()
 						got := make([]byte, fuzzSlotSize)
 						if fnErr = c.Get(got, datatype.Byte, fuzzSlotSize, 1, lo); fnErr != nil {
 							break
 						}
 						checks = append(checks, readCheck{
-							slot: op.slot,
+							disp: lo,
 							got:  got,
 							want: append([]byte(nil), model[lo:lo+fuzzSlotSize]...),
 						})
@@ -168,8 +181,8 @@ func FuzzNotifyCoherence(f *testing.F) {
 				if r.ID() == 0 && fnErr == nil {
 					for _, ck := range checks {
 						if !bytes.Equal(ck.got, ck.want) {
-							t.Errorf("slot %d: read %v..., model %v... (torn or stale serve)",
-								ck.slot, ck.got[:4], ck.want[:4])
+							t.Errorf("read at disp %d: %v, model %v (torn or stale serve)",
+								ck.disp, ck.got, ck.want)
 						}
 					}
 					checks = checks[:0]

@@ -117,7 +117,8 @@ func TestNotifyTargetedInvalidation(t *testing.T) {
 	writer := func(win *mpi.Win, r *mpi.Rank) error {
 		r.Barrier()
 		// 16 bytes into a 64-byte cached entry: carried data cannot
-		// patch (not an exact cover), so the reader must invalidate.
+		// patch (the entry is not inside the span), so the reader must
+		// invalidate.
 		err := win.PutNotify(fill(16, 0xAA), datatype.Byte, 16, 1, 0, 1)
 		r.Barrier()
 		return err

@@ -242,14 +242,65 @@ func BenchmarkOpInvalidateRange16k(b *testing.B) {
 	})
 }
 
+// BenchmarkOpPutHit measures a write hit: a dense 512 B Put exactly
+// covering a cached entry beside a non-overlapping neighbour, written
+// through. Each call is a range query over the 2-entry view that finds
+// the one entry, the patch copy, and the Put itself; every 32 calls an
+// epoch closes.
+func BenchmarkOpPutHit(b *testing.B) {
+	benchCache(b, alwaysParams(), func(c *Cache, win *mpi.Win, clock *simtime.Clock) {
+		const row, perEpoch = 512, 32
+		src := make([]byte, row)
+		for _, disp := range []int{0, row} {
+			if err := c.Get(src, datatype.Byte, row, 1, disp); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+		if err := win.FlushAll(); err != nil {
+			b.Error(err)
+			return
+		}
+		epoch := func() bool {
+			for j := 0; j < perEpoch; j++ {
+				if err := c.Put(src, datatype.Byte, row, 1, 0); err != nil {
+					b.Error(err)
+					return false
+				}
+			}
+			if err := win.FlushAll(); err != nil {
+				b.Error(err)
+				return false
+			}
+			return true
+		}
+		if !epoch() {
+			return
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		v0, hits0 := clock.Now(), c.Stats().WriteHits
+		calls := 0
+		for ; calls < b.N; calls += perEpoch {
+			if !epoch() {
+				return
+			}
+		}
+		b.StopTimer()
+		if hits := c.Stats().WriteHits - hits0; hits != int64(calls) || c.CachedEntries() != 2 {
+			b.Errorf("%d write hits in %d puts, %d entries cached", hits, calls, c.CachedEntries())
+		}
+		b.ReportMetric(float64(clock.Now()-v0)/float64(calls), "vns/op")
+	})
+}
+
 // BenchmarkOpPutNotifyUncovered measures a notified write no cached entry
-// covers exactly, as stencil_sim issues them: the rank publishes 512 B
-// rows of its own region while its cache holds two rows of its
-// neighbour, under targeted notifications and write-back. Each call is a
-// failed patch lookup, a range query that finds nothing, and a staged
-// span; every 32 calls an epoch closes and flushes them as one run. The
-// payload copy of that one notification is mpi's and the only allocation
-// left (1/32 per op).
+// overlaps, as stencil_sim issues them: the rank publishes 512 B rows of
+// its own region while its cache holds two rows of its neighbour, under
+// targeted notifications and write-back. Each call is a range query that
+// finds nothing and a staged span; every 32 calls an epoch closes and
+// flushes them as one run. The payload copy of that one notification is
+// mpi's and the only allocation left (1/32 per op).
 func BenchmarkOpPutNotifyUncovered(b *testing.B) {
 	p := alwaysParams()
 	p.NotifyTargeted = true

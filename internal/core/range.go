@@ -6,19 +6,20 @@ import (
 	"clampi/internal/avl"
 	"clampi/internal/cuckoo"
 	"clampi/internal/datatype"
+	"clampi/internal/rma"
 	"clampi/internal/simtime"
 )
 
-// Range invalidation (an extension beyond the paper).
+// Write coherence (an extension beyond the paper).
 //
 // CLaMPI's modes assume windows are read-only while caching is active;
 // a put issued *by the caching process itself* through the same window
 // would silently leave stale entries behind. The paper leaves write
 // consistency to the user. As a safety extension, Put routes writes
-// through the cache layer and invalidates the (origin-local) entries
-// overlapping the written range first, so a process never reads its own
-// stale writes back; a drained write notification (notify.go) does the
-// same for a remote writer's span.
+// through the cache layer, and cohere patches or drops every (origin-
+// local) entry overlapping the written range first, so a process never
+// reads its own stale writes back; a drained write notification
+// (notify.go) goes through the same routine for a remote writer's span.
 //
 // The Cuckoo index has no spatial structure — the paper trades range
 // queries for O(1) lookups — so "which entries overlap these bytes" is
@@ -77,70 +78,87 @@ func (v *spanView) reset() {
 // walk was.
 func (c *Cache) buildView() {
 	c.view = &spanView{}
-	c.charge(simtime.Duration(c.idx.Len())*CostPerScanSlot, func() {
-		c.idx.Walk(func(_ cuckoo.Key, e *entry) bool {
-			c.view.add(e)
-			return true
-		})
+	c.idx.Walk(func(_ cuckoo.Key, e *entry) bool {
+		c.view.add(e)
+		return true
 	})
+	c.charge(simtime.Duration(c.idx.Len()) * CostPerScanSlot)
 }
 
-// InvalidateRange drops every cached entry of target that overlaps the
-// byte range [disp, disp+size) and returns how many it dropped. The
-// candidates come from the ordered view — a seek plus the k entries of
-// the interval that can overlap — and the model is charged for exactly
-// that: ⌈log2(n+1)⌉ + k slot visits.
-func (c *Cache) InvalidateRange(target, disp, size int) int {
+// cohere is the one place that decides what a write of target's bytes
+// [disp, disp+size) does to the cache: a local Put or PutNotify, a drained
+// notification, and InvalidateRange all come here. data, when non-nil,
+// holds the written bytes. Every CACHED entry lying wholly inside the span
+// is then patched from them in place; every other overlapping entry — cut
+// by the span's edge, PENDING, or met when nothing is carried — is dropped,
+// a PENDING one after serving its same-epoch waiters. No entry that
+// overlaps the span keeps bytes from before the write, however many
+// overlap it.
+//
+// The overlapping entries come from the ordered view: a seek plus the k
+// entries of the interval that can overlap, charged ⌈log2(n+1)⌉ + k slot
+// visits, then a copy per patch and a removal per drop.
+func (c *Cache) cohere(target, disp, size int, data []byte) (patched, dropped int) {
 	if size <= 0 {
-		return 0
+		return 0, 0
 	}
 	if c.view == nil {
 		c.buildView()
 	}
 	scanned := 0
-	c.chargeFn(func() {
-		from := avl.Key{Size: target, Off: disp - c.view.maxPayload + 1}
-		c.view.tree.Ascend(from, func(k avl.Key, e *entry) bool {
-			if k.Size != target || k.Off >= disp+size {
-				return false
-			}
-			scanned++
-			if disp < k.Off+e.payload {
-				c.victims = append(c.victims, e)
-			}
-			return true
-		})
-	}, func() simtime.Duration {
-		return simtime.Duration(bits.Len(uint(c.idx.Len()))+scanned) * CostPerScanSlot
-	})
-	for _, e := range c.victims {
-		if e.state == statePending {
-			// Same-epoch waiters keep their data (it is complete in
-			// the in-flight source buffer; see invalidate()).
-			c.charge(copyCost(waiterBytes(e)), func() {
-				for _, w := range e.waiters {
-					copy(w.dst, e.src[:w.size])
-				}
-			})
-			clearWaiters(e)
+	end := disp + size
+	c.view.tree.Ascend(avl.Key{Size: target, Off: disp - c.view.maxPayload + 1}, func(k avl.Key, e *entry) bool {
+		if k.Size != target || k.Off >= end {
+			return false
 		}
-		c.charge(CostLookup+CostFree, func() {
-			c.idx.Delete(e.key)
-			e.state = stateEvicted
-			c.store.FreeRegion(e.region)
-		})
+		scanned++
+		if disp < k.Off+e.payload {
+			c.victims = append(c.victims, e)
+		}
+		return true
+	})
+	c.charge(simtime.Duration(bits.Len(uint(c.idx.Len()))+scanned) * CostPerScanSlot)
+	for _, e := range c.victims {
+		if data != nil && e.state == stateCached && disp <= e.key.Disp && e.key.Disp+e.payload <= end {
+			// The patch keeps the entry's recency: the score ranks gets
+			// (§III-D), and a write is not one.
+			at := e.key.Disp - disp
+			copy(c.store.Bytes(e.region, e.payload), data[at:at+e.payload])
+			c.stats.CopyTime += c.charge(copyCost(e.payload))
+			if c.verify {
+				e.sum = rma.ChecksumBytes(c.store.Bytes(e.region, e.payload))
+				c.charge(checksumCost(e.payload))
+			}
+			patched++
+			continue
+		}
+		if e.state == statePending {
+			c.serveWaiters(e)
+		}
+		c.idx.Delete(e.key)
+		e.state = stateEvicted
+		c.store.FreeRegion(e.region)
+		c.charge(CostLookup + CostFree)
 		c.retire(e)
+		dropped++
 	}
-	n := len(c.victims)
 	clear(c.victims)
 	c.victims = c.victims[:0]
-	return n
+	return patched, dropped
+}
+
+// InvalidateRange drops every cached entry of target that overlaps the
+// byte range [disp, disp+size) and returns how many it dropped: cohere
+// with nothing carried.
+func (c *Cache) InvalidateRange(target, disp, size int) int {
+	_, dropped := c.cohere(target, disp, size, nil)
+	return dropped
 }
 
 // Put routes a write through the cache layer (notify.go), keeping the
-// origin's own cache coherent with its writes: an exactly-covering
-// cached entry is patched in place, anything else overlapping the span
-// is invalidated. Write-through by default; Params.WriteBack stages
+// origin's own cache coherent with its writes (cohere): cached entries
+// inside the written span are patched in place, anything else overlapping
+// it is invalidated. Write-through by default; Params.WriteBack stages
 // dense spans for a coalesced flush at epoch closure.
 func (c *Cache) Put(src []byte, dtype datatype.Datatype, count, target, disp int) error {
 	return c.write(src, dtype, count, target, disp, 0, false)

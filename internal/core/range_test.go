@@ -157,6 +157,131 @@ func TestPutWithStridedDatatypeInvalidatesSpan(t *testing.T) {
 	})
 }
 
+// span is a byte range [disp, disp+size) of target 1.
+type span struct{ disp, size int }
+
+// TestWriteCoherenceOverlap writes, in each of the three ways a write
+// reaches the cache, over cached entries of four shapes, then re-reads
+// every span in a later epoch. Entries inside the written span must have
+// been patched — they keep hitting — and every read must return the
+// written bytes where the write landed: no overlapping entry, CACHED or
+// PENDING, may keep the old ones.
+func TestWriteCoherenceOverlap(t *testing.T) {
+	shapes := []struct {
+		name    string
+		cached  []span // CACHED before the write
+		pending []span // fetched in the write's epoch, PENDING when it lands
+		write   span
+		patched []span // entries the write patches
+	}{
+		{name: "exact cover, overlapping neighbour", cached: []span{{400, 200}, {500, 65}},
+			write: span{500, 65}, patched: []span{{500, 65}}},
+		{name: "one write covering two entries", cached: []span{{100, 64}, {164, 64}},
+			write: span{100, 128}, patched: []span{{100, 64}, {164, 64}}},
+		{name: "partial cover", cached: []span{{300, 64}}, write: span{320, 20}},
+		{name: "PENDING neighbour", cached: []span{{500, 65}}, pending: []span{{400, 200}},
+			write: span{500, 65}, patched: []span{{500, 65}}},
+	}
+	for _, kind := range []string{"Put", "PutNotify", "remote PutNotify"} {
+		for _, sh := range shapes {
+			t.Run(kind+"/"+sh.name, func(t *testing.T) {
+				src := make([]byte, sh.write.size)
+				for i := range src {
+					src[i] = ^pattern(sh.write.disp + i)
+				}
+				model := make([]byte, 1024)
+				for i := range model {
+					model[i] = pattern(i)
+				}
+				copy(model[sh.write.disp:], src)
+				// read re-reads s after the write, checking it against model.
+				read := func(c *Cache, win *mpi.Win, s span) (AccessType, bool, error) {
+					buf := make([]byte, s.size)
+					if err := c.Get(buf, datatype.Byte, s.size, 1, s.disp); err != nil {
+						return 0, false, err
+					}
+					a := c.LastAccess()
+					if err := win.FlushAll(); err != nil {
+						return 0, false, err
+					}
+					for i, b := range buf {
+						if b != model[s.disp+i] {
+							t.Errorf("stale byte at %d reading [%d,%d): got %#x want %#x",
+								s.disp+i, s.disp, s.disp+s.size, b, model[s.disp+i])
+							break
+						}
+					}
+					return a.Type, a.Issued, nil
+				}
+				reader := func(c *Cache, win *mpi.Win, r *mpi.Rank) error {
+					for _, s := range sh.cached {
+						fetch(t, c, win, s.disp, s.size)
+					}
+					for _, s := range sh.pending {
+						if err := c.Get(make([]byte, s.size), datatype.Byte, s.size, 1, s.disp); err != nil {
+							return err
+						}
+					}
+					s0 := c.Stats()
+					r.Barrier() // the remote writer goes
+					r.Barrier() // its write and notification landed
+					var err error
+					switch kind {
+					case "Put":
+						err = c.Put(src, datatype.Byte, len(src), 1, sh.write.disp)
+					case "PutNotify":
+						err = c.PutNotify(src, datatype.Byte, len(src), 1, sh.write.disp, 5)
+					default:
+						// A get anywhere drains the queue (access-time coherence).
+						err = c.Get(make([]byte, 8), datatype.Byte, 8, 1, 900)
+					}
+					if err != nil {
+						return err
+					}
+					d := c.Stats().Sub(s0)
+					patches := d.WriteHits
+					if kind == "remote PutNotify" {
+						patches = d.NotifyPatches
+					}
+					if want := min(int64(len(sh.patched)), 1); patches != want {
+						t.Errorf("counted %d patches, want %d", patches, want)
+					}
+					if err := win.FlushAll(); err != nil {
+						return err
+					}
+					for _, s := range sh.patched {
+						if typ, issued, err := read(c, win, s); err != nil {
+							return err
+						} else if typ != AccessHit || issued {
+							t.Errorf("patched entry [%d,%d) re-read as %v (issued %v), want a local hit",
+								s.disp, s.disp+s.size, typ, issued)
+						}
+					}
+					for _, group := range [][]span{sh.cached, sh.pending, {sh.write}} {
+						for _, s := range group {
+							if _, _, err := read(c, win, s); err != nil {
+								return err
+							}
+						}
+					}
+					return c.CheckIntegrity()
+				}
+				writer := func(win *mpi.Win, r *mpi.Rank) (err error) {
+					r.Barrier()
+					if kind == "remote PutNotify" {
+						err = win.PutNotify(src, datatype.Byte, len(src), 1, sh.write.disp, 5)
+					}
+					r.Barrier()
+					return err
+				}
+				p := alwaysParams()
+				p.NotifyTargeted = true
+				withNotifyWorld(t, 1024, p, reader, writer)
+			})
+		}
+	}
+}
+
 func TestInvalidateRangeOnPendingEntrySatisfiesWaiters(t *testing.T) {
 	withCache(t, 4096, alwaysParams(), func(c *Cache, win *mpi.Win, r *mpi.Rank) error {
 		a := make([]byte, 128)

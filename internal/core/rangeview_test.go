@@ -1,9 +1,9 @@
 package core
 
-// Tests of the ordered (target, disp) view behind InvalidateRange
-// (range.go): a differential test against the whole-index walk the view
-// replaced, kept here as the reference, and one test per place the view
-// is maintained.
+// Tests of the ordered (target, disp) view behind cohere and
+// InvalidateRange (range.go): a differential test against the whole-index
+// walk the view replaced, kept here as the reference, and one test per
+// place the view is maintained.
 
 import (
 	"bytes"
@@ -134,7 +134,9 @@ type rvCoverage struct {
 	homelessOther      int // an indexed PENDING entry dropped by another's insert
 	capacity           int
 	indexResizes       int
-	patchedWrites      int
+	patchedWrites      int // writes and notifications that patched an entry
+	multiPatches       int // ... that patched more than one
+	mixedWrites        int // local writes that patched one entry and dropped another
 	notifyInvalidation int
 }
 
@@ -196,15 +198,39 @@ func runRangeScript(t *testing.T, data []byte, cov *rvCoverage) {
 	}
 }
 
-// rvExpectWrite is what the local coherence step of a dense write must
-// drop: nothing when a CACHED entry covers the span exactly and the bytes
-// are at hand (it is patched), every overlapping entry otherwise.
-func rvExpectWrite(c *Cache, op rvOp, carries bool) (victims map[cuckoo.Key]*entry, patched bool) {
-	if e, _, ok := c.idx.Lookup(cuckoo.Key{Target: op.target, Disp: op.disp}); carries && ok &&
-		e.state == stateCached && e.payload == op.size {
-		return nil, true
+// rvExpectWrite is what cohere must do with a dense write, found by the
+// slot walk: when the bytes are at hand, patch every CACHED entry lying
+// inside the span; drop every other overlapping entry.
+func rvExpectWrite(c *Cache, op rvOp, carries bool) (victims map[cuckoo.Key]*entry, patched []*entry) {
+	victims = bruteOverlap(c, op.target, op.disp, op.size)
+	for k, e := range victims {
+		if carries && e.state == stateCached && op.disp <= k.Disp && k.Disp+e.payload <= op.disp+op.size {
+			delete(victims, k)
+			patched = append(patched, e)
+		}
 	}
-	return bruteOverlap(c, op.target, op.disp, op.size), false
+	return victims, patched
+}
+
+// rvCheckPatched requires every entry the write was to patch to hold the
+// written bytes (fill(op.size, op.arg)), and the write to have counted
+// once as a patch (hits) exactly when it patched anything.
+func rvCheckPatched(t *testing.T, c *Cache, op rvOp, patched []*entry, hits int64, cov *rvCoverage) {
+	t.Helper()
+	for _, e := range patched {
+		if e.state != stateCached || !bytes.Equal(c.store.Bytes(e.region, e.payload), fill(e.payload, op.arg)) {
+			t.Errorf("op %+v: entry %v inside the span was not patched", op, e.key)
+		}
+	}
+	if want := min(int64(len(patched)), 1); hits != want {
+		t.Errorf("op %+v: counted %d patches for %d patched entries", op, hits, len(patched))
+	}
+	if len(patched) > 0 {
+		cov.patchedWrites++
+	}
+	if len(patched) > 1 {
+		cov.multiPatches++
+	}
 }
 
 // rvCheckIndex compares the index with before minus victims, record by
@@ -279,14 +305,14 @@ func rvStep(t *testing.T, c *Cache, win *mpi.Win, op rvOp, cov *rvCoverage) erro
 		} else {
 			err = c.PutNotify(fill(op.size, op.arg), datatype.Byte, op.size, op.target, op.disp, 7)
 		}
-		if patched {
-			cov.patchedWrites++
-		} else {
-			rangeQuery = true
-			cov.queries++
-			cov.victims += len(victims)
+		rangeQuery = true
+		cov.queries++
+		cov.victims += len(victims)
+		if len(patched) > 0 && len(victims) > 0 {
+			cov.mixedWrites++
 		}
 		rvCheckIndex(t, c, op, before, victims)
+		rvCheckPatched(t, c, op, patched, c.Stats().WriteHits-s0.WriteHits, cov)
 	case rvInvalidateRange:
 		victims := bruteOverlap(c, op.target, op.disp, op.size)
 		type owed struct{ dst, want []byte }
@@ -349,20 +375,22 @@ func rvStep(t *testing.T, c *Cache, win *mpi.Win, op rvOp, cov *rvCoverage) erro
 // rvStep checks a local write.
 func rvDrain(t *testing.T, c *Cache, op rvOp, cov *rvCoverage) {
 	before := indexedEntries(c)
+	s0 := c.Stats()
 	victims, patched := rvExpectWrite(c, op, op.size <= notify.DataMax)
 	if c.nw.NotifyDepth() != 1 {
 		t.Errorf("op %+v: %d notifications queued, want 1", op, c.nw.NotifyDepth())
 	}
 	c.drainNotifications()
-	if !patched {
-		cov.queries++
+	cov.queries++
+	cov.victims += len(victims)
+	if len(patched) == 0 {
 		cov.notifyInvalidation++
-		cov.victims += len(victims)
-		if c.view == nil {
-			t.Errorf("op %+v: notification invalidated without the view", op)
-		}
+	}
+	if c.view == nil {
+		t.Errorf("op %+v: notification applied without the view", op)
 	}
 	rvCheckIndex(t, c, op, before, victims)
+	rvCheckPatched(t, c, op, patched, c.Stats().NotifyPatches-s0.NotifyPatches, cov)
 }
 
 // rvScripts is the seed corpus shared by the test and the fuzz target.
@@ -408,6 +436,7 @@ func TestRangeViewDifferential(t *testing.T) {
 		"in-place extensions": cov.extensions, "conflicting accesses": cov.conflicts,
 		"homeless drops of an indexed entry": cov.homelessOther, "capacity evictions": cov.capacity,
 		"index resizes": cov.indexResizes, "patched writes": cov.patchedWrites,
+		"writes patching several entries": cov.multiPatches, "writes both patching and dropping": cov.mixedWrites,
 		"notification invalidations": cov.notifyInvalidation,
 	} {
 		if n == 0 {

@@ -160,9 +160,8 @@ func (c *Cache) verifyFill(data []byte, target, disp, size int) error {
 	if aerr != nil {
 		return nil
 	}
-	var sum uint64
-	mgmtT := c.charge(checksumCost(size), func() { sum = rma.ChecksumBytes(data) })
-	c.recordMgmt(mgmtT)
+	sum := rma.ChecksumBytes(data)
+	c.recordMgmt(c.charge(checksumCost(size)))
 	if sum != want {
 		c.stats.CorruptFills++
 		return rma.ErrCorrupt

@@ -84,11 +84,14 @@ type Stats struct {
 	// Cost-aware counters (DESIGN.md §15).
 	CheapSkips int64 // admissions bypassed: near target, fill below threshold
 
-	// Notifiable-RMA counters (DESIGN.md §16).
+	// Notifiable-RMA counters (DESIGN.md §16). A write or descriptor counts
+	// once, however many entries it met: as a patch if it patched at least
+	// one cached entry in place — even if it also dropped others that
+	// overlap its span — and otherwise, for descriptors, as an invalidation.
 	Notifications       int64 // notification descriptors drained
-	NotifyInvalidations int64 // descriptors applied as targeted range invalidations
-	NotifyPatches       int64 // descriptors applied as in-place payload patches
-	WriteHits           int64 // writes patched into an exactly-covering cached entry
+	NotifyInvalidations int64 // descriptors applied to their span that patched nothing
+	NotifyPatches       int64 // descriptors that patched at least one cached entry
+	WriteHits           int64 // dense writes that patched at least one cached entry
 	WriteBacks          int64 // dirty spans staged by write-back
 	DirtyFlushes        int64 // coalesced dirty runs flushed to the network
 

@@ -97,9 +97,8 @@ func (c *Cache) resizeIndex(factor float64) bool {
 		return false
 	}
 	c.retireCached()
-	c.charge(CostInvalidateBase, func() {
-		c.idx = newIndex(next, c.params.Seed)
-	})
+	c.idx = newIndex(next, c.params.Seed)
+	c.charge(CostInvalidateBase)
 	return true
 }
 
@@ -117,8 +116,7 @@ func (c *Cache) resizeStorage(factor float64) bool {
 	if next == cur {
 		return false
 	}
-	c.charge(CostInvalidateBase, func() {
-		c.store.Resize(next)
-	})
+	c.store.Resize(next)
+	c.charge(CostInvalidateBase)
 	return true
 }

@@ -71,17 +71,17 @@ type ExecMode int
 const (
 	// FidelityMeasured is the serialized engine: exactly one rank
 	// goroutine runs user code at a time, yielding only inside
-	// blocking synchronization. Essential for calibration-grade
-	// CostMeasured timing — a measured section can never absorb
-	// another rank's scheduler quantum — and the default, because the
-	// paper's figures are regenerated under it.
+	// blocking synchronization, so the interleaving of ranks is a
+	// function of the program. The default, because the paper's figures
+	// are regenerated under it; every cost is modelled, so its virtual
+	// times agree with Throughput's.
 	FidelityMeasured ExecMode = iota
 	// Throughput runs rank goroutines genuinely concurrently: the
 	// global run token is gone and cross-rank data movement is
 	// protected by per-target-region sharded mutexes instead. Clocks
-	// must stay modelled-only (the default cost policy) for results to
-	// remain deterministic; with P runnable goroutines the engine uses
-	// as many cores as the host offers.
+	// advance by modelled costs only, so results remain deterministic;
+	// with P runnable goroutines the engine uses as many cores as the
+	// host offers.
 	Throughput
 )
 

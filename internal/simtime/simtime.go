@@ -3,23 +3,27 @@
 //
 // The paper measures wall-clock time on dedicated Cray XC nodes. This
 // reproduction runs many simulated ranks on a single machine, so wall time
-// of a whole run is meaningless. Instead each rank owns a Clock that mixes
-// two time sources:
+// of a whole run is meaningless. Instead each rank owns a Clock that keeps
+// two shares of its timeline apart:
 //
-//   - Advance(d): analytically modelled costs (network latency, modelled
-//     compute) move the clock forward without consuming real time.
-//   - Charge(f): locally executed work whose cost is the point of the paper
-//     (cache lookup, eviction, memory copies) is measured with the real
-//     monotonic clock and added to the virtual clock.
+//   - Advance(d): modelled delays (network latency, waiting) move the clock
+//     forward without the rank being busy.
+//   - Busy(d): locally executed work whose cost is the point of the paper
+//     (cache lookup, eviction, memory copies), charged at its modelled
+//     cost, is the rank's busy share.
+//   - Charge(f): work that genuinely takes real time — a socket exchange of
+//     the wire transport — is measured with the monotonic clock and added
+//     to the busy share.
 //
-// The result is a per-rank timeline in which the *measured* cache-management
-// overheads of this implementation compose with *modelled* network delays,
-// which is exactly the trade-off CLaMPI navigates.
+// The result is a per-rank timeline in which cache-management overheads
+// compose with network delays, which is exactly the trade-off CLaMPI
+// navigates.
 //
 // Invariant (enforced by internal/analysis/simclock): this package is
 // the only place allowed to sample the wall clock (time.Now/time.Since
-// inside Charge, and its calibration tests). Everywhere else latency
-// flows through Clock, keeping runs deterministic and reproducible.
+// inside Charge, and its test), apart from lines annotated as genuinely
+// wall-clock. Everywhere else latency flows through Clock, keeping runs
+// deterministic and reproducible.
 package simtime
 
 import "time"
@@ -54,9 +58,9 @@ func (d Duration) String() string { return time.Duration(d).String() }
 type Clock struct {
 	now Duration
 
-	// measured accumulates only the Charge()d (real, CPU-busy) part of
-	// the timeline. The difference now-measured is the modelled part;
-	// benchmarks use the split to compute communication/computation
+	// measured accumulates only the busy part of the timeline (Busy,
+	// Charge, ChargeDuration). The difference now-measured is the modelled
+	// part; benchmarks use the split to compute communication/computation
 	// overlap (paper Fig. 8).
 	measured Duration
 }
@@ -67,8 +71,8 @@ func NewClock() *Clock { return &Clock{} }
 // Now returns the current virtual time since the clock's origin.
 func (c *Clock) Now() Duration { return c.now }
 
-// Measured returns the portion of virtual time accumulated through Charge,
-// i.e. the CPU-busy time of this rank.
+// Measured returns the portion of virtual time accumulated through Busy,
+// Charge and ChargeDuration, i.e. the busy time of this rank.
 func (c *Clock) Measured() Duration { return c.measured }
 
 // Modelled returns the portion of virtual time accumulated through Advance.
@@ -103,8 +107,10 @@ func (c *Clock) Busy(d Duration) {
 }
 
 // Charge runs f, measures its real duration with the monotonic clock, and
-// advances the virtual clock by that amount. It returns the measured
-// duration so callers can attribute costs to phases (lookup, copy, ...).
+// advances the virtual clock's busy share by that amount, returning it:
+// the bridge for work that genuinely takes real time, such as a socket
+// exchange of the wire transport. Cache-management costs are modelled
+// instead (Busy).
 func (c *Clock) Charge(f func()) Duration {
 	start := time.Now()
 	f()

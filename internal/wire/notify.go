@@ -25,7 +25,6 @@ package wire
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"clampi/internal/datatype"
 	"clampi/internal/notify"
@@ -196,9 +195,8 @@ func (w *Window) pumpNotify() {
 // duration is charged to the virtual clock like any RPC; a failure
 // poisons the connection and latches the overflow flag.
 func (w *Window) notifyIO(exchange func() error) error {
-	start := time.Now() //clampi:walltime wire RPCs charge their measured wall duration to the virtual clock (DESIGN.md §13)
-	err := exchange()
-	w.ep.clock.ChargeDuration(time.Since(start)) //clampi:walltime see above
+	var err error
+	w.ep.clock.Charge(func() { err = exchange() })
 	if err != nil {
 		w.poisonNotify()
 	}

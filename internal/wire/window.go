@@ -21,7 +21,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"time"
 
 	"clampi/internal/datatype"
 	"clampi/internal/notify"
@@ -174,9 +173,8 @@ func (w *Window) SetOpDeadline(d simtime.Duration) {
 // the virtual clock — the sanctioned bridge that makes virtual-time
 // budgets (RetryPolicy.Deadline, stats) meaningful on a real transport.
 func (w *Window) rpc(op byte, body func(buf []byte) []byte, deadline simtime.Duration, onData func(data []byte) error) error {
-	start := time.Now() //clampi:walltime wire RPCs charge their measured wall duration to the virtual clock (DESIGN.md §13)
-	err := w.cl.RPC(op, body, deadline.Real(), onData)
-	w.ep.clock.ChargeDuration(time.Since(start)) //clampi:walltime see above: wall->virtual charge is this backend's clock model
+	var err error
+	w.ep.clock.Charge(func() { err = w.cl.RPC(op, body, deadline.Real(), onData) })
 	return err
 }
 
