@@ -355,11 +355,6 @@ func WithObserver(o Observer) Option { return func(c *config) { c.params.Observe
 // options listed after it still apply on top.
 func WithParams(params Params) Option { return func(c *config) { c.params = params } }
 
-// WithoutCoalescing disables the miss-coalescing pass of GetBatch: every
-// batched miss is issued as its own remote message, exactly like a
-// sequential Get loop. Mainly for A/B measurements and equivalence tests.
-func WithoutCoalescing() Option { return func(c *config) { c.params.DisableCoalesce = true } }
-
 // WithRetry makes the caching layer retry transient remote-get failures
 // under the given policy (DESIGN.md §11). Backoffs advance the rank's
 // virtual clock, so retried runs stay deterministic. Over the wire
@@ -462,14 +457,6 @@ func WithDialTimeout(d time.Duration) Option {
 	return func(c *config) { c.dial.DialTimeout = d }
 }
 
-// WithFrameTap installs a hook observing (and possibly mutating) every
-// raw inbound wire frame before checksum verification — the chaos hook:
-// a tap that flips a bit produces genuine on-the-wire corruption, which
-// the frame checksum rejects and WithRetry heals.
-func WithFrameTap(tap func(frame []byte)) Option {
-	return func(c *config) { c.dial.FrameTap = tap }
-}
-
 // Window is a caching-enabled RMA window: the public handle combining a
 // raw window with its CLaMPI layer. All RMA and synchronization calls of
 // the underlying window are available; Get is transparently cached.
@@ -570,15 +557,16 @@ func (w *Window) GetBytes(dst []byte, target, disp int) error {
 	return w.cache.Get(dst, Byte, len(dst), target, disp)
 }
 
-// GetOp is one operation of a batched get; see GetBatch.
-type GetOp = core.GetOp
+// GetOp is one operation of a batched get: len(Dst) bytes at byte
+// displacement Disp of Target's region; see GetBatch.
+type GetOp = rma.GetOp
 
 // GetBatch issues many gets in one call with the semantics of individual
 // Get calls (destinations valid after the next Flush/Unlock). Hits are
 // served locally; the remaining misses are sorted per target and
 // adjacent or overlapping ranges are coalesced into one remote message
 // each, so a batch of k neighbouring misses pays one message overhead
-// instead of k. Disable coalescing with WithoutCoalescing.
+// instead of k.
 func (w *Window) GetBatch(ops []GetOp) error { return w.cache.GetBatch(ops) }
 
 // GetUncached bypasses the caching layer for one operation — the "special

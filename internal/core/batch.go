@@ -22,18 +22,7 @@ import (
 	"clampi/internal/simtime"
 )
 
-// GetOp describes one get of a batch (Cache.GetBatch). A nil Dtype
-// selects datatype.Byte with Count = len(Dst) — the contiguous byte-range
-// form the application kernels issue.
-type GetOp struct {
-	Dst    []byte
-	Dtype  datatype.Datatype
-	Count  int
-	Target int
-	Disp   int
-}
-
-// batchMiss is one coalescible (dense) miss of the current batch.
+// batchMiss is one coalescible miss of the current batch.
 type batchMiss struct {
 	op     int // index into the ops slice
 	target int
@@ -54,55 +43,43 @@ type batchRun struct {
 
 // GetBatch processes every op as a get_c (identical classification,
 // statistics and weak-caching semantics as calling Get per op), but
-// coalesces the contiguous misses into merged per-target ranges and
-// issues one remote message per merged range. Destination buffers obey
-// the usual epoch contract: valid only after the next completion call
-// on the window. On error the batch may have been partially processed —
-// ops preceding the failure were served normally.
+// coalesces the misses into merged per-target ranges and issues one
+// remote message per merged range. Destination buffers obey the usual
+// epoch contract: valid only after the next completion call on the
+// window. On error the batch may have been partially processed — ops
+// preceding the failure were served normally. Like rma.BatchWindow,
+// GetBatch neither modifies ops nor keeps the slice.
 //
-// Ops with strided datatypes or empty transfers are served through the
-// scalar path; they are counted in BatchOps but never coalesced.
-func (c *Cache) GetBatch(ops []GetOp) error {
+// Empty ops are served through the scalar path; they are counted in
+// BatchOps but never coalesced.
+func (c *Cache) GetBatch(ops []rma.GetOp) error {
 	if len(ops) == 0 {
 		return nil
 	}
 	c.stats.BatchOps += int64(len(ops))
-	if c.params.DisableCoalesce || len(ops) == 1 {
-		for i := range ops {
-			if err := c.getOp(&ops[i]); err != nil {
-				return err
-			}
-		}
-		return nil
+	if len(ops) == 1 {
+		op := &ops[0]
+		return c.Get(op.Dst, datatype.Byte, len(op.Dst), op.Target, op.Disp)
 	}
 
-	// Pass 1: serve hits and strided misses immediately; defer dense
-	// misses for coalescing.
+	// Pass 1: serve hits immediately; defer misses for coalescing.
 	misses := c.bmisses[:0]
 	for i := range ops {
 		op := &ops[i]
-		dtype, count := op.Dtype, op.Count
-		if dtype == nil {
-			dtype = datatype.Byte
-			count = len(op.Dst)
-		}
-		size := datatype.TransferSize(dtype, count)
-		if len(op.Dst) < size {
-			return rma.ErrShortBuf
-		}
-		e, err := c.openGet(dtype, count, op.Target, op.Disp, size)
+		size := len(op.Dst)
+		e, err := c.openGet(datatype.Byte, size, op.Target, op.Disp, size)
 		if err != nil {
 			return err
 		}
 		switch {
 		case e != nil && e.state == stateCached && size <= e.payload:
-			c.fullHit(e, op.Dst[:size], op.Target)
+			c.fullHit(e, op.Dst, op.Target)
 		case e != nil:
-			err = c.serveHit(e, op.Dst, dtype, count, op.Target, op.Disp, size)
-		case size == 0 || dtype.Size() != dtype.Extent():
-			// Strided or empty transfer: scalar miss path.
+			err = c.serveHit(e, op.Dst, datatype.Byte, size, op.Target, op.Disp, size)
+		case size == 0:
+			// Empty transfer: scalar miss path.
 			key := cuckoo.Key{Target: op.Target, Disp: op.Disp}
-			err = c.serveMiss(key, op.Dst, dtype, count, op.Target, op.Disp, size)
+			err = c.serveMiss(key, op.Dst, datatype.Byte, size, op.Target, op.Disp, size)
 		default:
 			misses = append(misses, batchMiss{op: i, target: op.Target, disp: op.Disp, size: size, lookup: c.last.Lookup})
 			continue
@@ -222,14 +199,6 @@ func (c *Cache) servePendingDup(m batchMiss, src []byte) {
 	// payload covers this repeat in full.
 	c.stats.FullHits++
 	c.stats.BytesFromCache += int64(m.size)
-}
-
-// getOp serves one batch op through the scalar path.
-func (c *Cache) getOp(op *GetOp) error {
-	if op.Dtype == nil {
-		return c.Get(op.Dst, datatype.Byte, len(op.Dst), op.Target, op.Disp)
-	}
-	return c.Get(op.Dst, op.Dtype, op.Count, op.Target, op.Disp)
 }
 
 // issueRanges issues one remote byte-range get per merged range — through

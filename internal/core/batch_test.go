@@ -7,6 +7,7 @@ import (
 
 	"clampi/internal/datatype"
 	"clampi/internal/mpi"
+	"clampi/internal/rma"
 )
 
 // withCacheMode is withCache with an explicit execution mode.
@@ -46,9 +47,9 @@ func withCacheMode(t *testing.T, mode mpi.ExecMode, regionSize int, params Param
 // batchOpsMix is a workload exercising every batch classification: cold
 // misses, adjacent runs, overlapping ranges, duplicate keys, a gap, and
 // (on the second round) hits.
-func batchOpsMix(dst []byte) []GetOp {
+func batchOpsMix(dst []byte) []rma.GetOp {
 	cut := func(lo, n int) []byte { return dst[lo : lo+n : lo+n] }
-	return []GetOp{
+	return []rma.GetOp{
 		{Dst: cut(0, 64), Target: 1, Disp: 64},     // run A head
 		{Dst: cut(64, 64), Target: 1, Disp: 128},   // adjacent: extends A
 		{Dst: cut(128, 32), Target: 1, Disp: 160},  // overlaps A's tail
@@ -58,16 +59,13 @@ func batchOpsMix(dst []byte) []GetOp {
 	}
 }
 
-// TestGetBatchEquivalence checks that a batch with coalescing disabled
-// is observationally identical to the same ops issued as sequential
-// Gets — byte-identical destinations and identical statistics — and that
-// enabling coalescing still delivers byte-identical destinations.
+// TestGetBatchEquivalence checks that a coalesced batch delivers the
+// same bytes as the same ops issued as sequential Gets, in fewer
+// messages than it has misses.
 func TestGetBatchEquivalence(t *testing.T) {
 	const regionSize = 4096
-	run := func(disableCoalesce, batch bool) (out []byte, st Stats) {
-		p := alwaysParams()
-		p.DisableCoalesce = disableCoalesce
-		withCache(t, regionSize, p, func(c *Cache, win *mpi.Win, r *mpi.Rank) error {
+	run := func(batch bool) (out []byte, st Stats) {
+		withCache(t, regionSize, alwaysParams(), func(c *Cache, win *mpi.Win, r *mpi.Rank) error {
 			dst := make([]byte, 512)
 			for round := 0; round < 2; round++ { // round 2 hits
 				ops := batchOpsMix(dst)
@@ -98,18 +96,8 @@ func TestGetBatchEquivalence(t *testing.T) {
 		return out, st
 	}
 
-	seqBytes, seqStats := run(false, false)
-	uncoBytes, uncoStats := run(true, true)
-	coalBytes, coalStats := run(false, true)
-
-	if !bytes.Equal(seqBytes, uncoBytes) {
-		t.Errorf("uncoalesced batch bytes differ from sequential gets")
-	}
-	// BatchOps is the only counter allowed to differ without coalescing.
-	uncoStats.BatchOps = seqStats.BatchOps
-	if uncoStats != seqStats {
-		t.Errorf("uncoalesced batch stats differ from sequential:\nbatch: %+v\nseq:   %+v", uncoStats, seqStats)
-	}
+	seqBytes, _ := run(false)
+	coalBytes, coalStats := run(true)
 
 	if !bytes.Equal(seqBytes, coalBytes) {
 		t.Errorf("coalesced batch bytes differ from sequential gets")
@@ -198,7 +186,7 @@ func TestGetBatchMultiTarget(t *testing.T) {
 				}
 				dst := make([]byte, 256)
 				cut := func(lo, n int) []byte { return dst[lo : lo+n : lo+n] }
-				ops := []GetOp{
+				ops := []rma.GetOp{
 					{Dst: cut(0, 64), Target: 2, Disp: 64},
 					{Dst: cut(64, 64), Target: 1, Disp: 0},
 					{Dst: cut(128, 64), Target: 1, Disp: 64},

@@ -103,26 +103,9 @@ type Params struct {
 	// Seed makes hash functions and sampling deterministic.
 	Seed int64
 
-	// Adaptive-tuning thresholds and factors (§III-E1). Zero selects
-	// the defaults.
-	ConflictThreshold  float64 // conflicting/gets above this grows |I_w|
-	CapacityThreshold  float64 // (capacity+failed)/gets above this grows |S_w|
-	StableThreshold    float64 // hits/gets above this allows shrinking |S_w|
-	SparsityThreshold  float64 // eviction-scan density below this shrinks |I_w|
-	FreeSpaceThreshold float64 // free/capacity above this allows shrinking |S_w|
-	IndexGrowFactor    float64
-	IndexShrinkFactor  float64
-	MemGrowFactor      float64
-	MemShrinkFactor    float64
 	// TuneInterval is the number of gets between adaptive checks
 	// (evaluated at epoch closures).
 	TuneInterval int64
-	// MaxIndexSlots / MaxStorageBytes bound adaptive growth.
-	MaxIndexSlots   int
-	MaxStorageBytes int
-	// DisableCoalesce makes GetBatch process its ops as plain sequential
-	// gets, skipping miss coalescing (ablation / equivalence baseline).
-	DisableCoalesce bool
 	// AllocPolicy selects the storage allocation strategy; the default
 	// is the paper's best-fit (storage.BestFit). FirstFit exists as an
 	// ablation baseline.
@@ -177,15 +160,11 @@ type Params struct {
 	// full invalidation at the next drain.
 	NotifyQueueCap int
 	// WriteBack buffers dense Put/PutNotify spans locally and flushes
-	// coalesced runs at epoch closure (or under buffer pressure)
-	// instead of writing through per call. Legal under the §II epoch
-	// contract: remote visibility of a put is only promised at the next
-	// closure. Strided writes always write through.
+	// coalesced runs at epoch closure (or once DefaultWriteBackMaxSpans
+	// spans are staged) instead of writing through per call. Legal under
+	// the §II epoch contract: remote visibility of a put is only promised
+	// at the next closure. Strided writes always write through.
 	WriteBack bool
-	// WriteBackMaxSpans caps the dirty-span buffer; staging past it (or
-	// a write overlapping an already-staged span) forces an early
-	// flush. Zero selects DefaultWriteBackMaxSpans.
-	WriteBackMaxSpans int
 }
 
 // Defaults for Params fields left zero.
@@ -194,21 +173,13 @@ const (
 	DefaultStorageBytes = 4 << 20
 	DefaultSampleSize   = 16
 	DefaultTuneInterval = 1024
-	// DefaultWriteBackMaxSpans bounds the write-back buffer: enough to
-	// coalesce a halo exchange's worth of edge writes, small enough that
-	// a forced flush stays cheap.
-	DefaultWriteBackMaxSpans = 64
-	defaultConflictThresh    = 0.10
-	defaultCapacityThresh    = 0.10
-	defaultStableThresh      = 0.80
-	defaultSparsityThresh    = 0.20
-	// Shrinking |S_w| only with >75% free keeps the tuner from
-	// oscillating between a shrink (stable, half-empty) and the
-	// capacity-driven grow it immediately causes.
-	defaultFreeThresh   = 0.75
-	defaultGrowFactor   = 2.0
-	defaultShrinkFactor = 0.5
 )
+
+// DefaultWriteBackMaxSpans bounds the write-back buffer: enough to
+// coalesce a halo exchange's worth of edge writes, small enough that a
+// forced flush stays cheap. Staging past it (or a write overlapping an
+// already-staged span) forces an early flush.
+const DefaultWriteBackMaxSpans = 64
 
 func (p *Params) setDefaults() {
 	if p.IndexSlots <= 0 {
@@ -220,44 +191,8 @@ func (p *Params) setDefaults() {
 	if p.SampleSize <= 0 {
 		p.SampleSize = DefaultSampleSize
 	}
-	if p.ConflictThreshold <= 0 {
-		p.ConflictThreshold = defaultConflictThresh
-	}
-	if p.CapacityThreshold <= 0 {
-		p.CapacityThreshold = defaultCapacityThresh
-	}
-	if p.StableThreshold <= 0 {
-		p.StableThreshold = defaultStableThresh
-	}
-	if p.SparsityThreshold <= 0 {
-		p.SparsityThreshold = defaultSparsityThresh
-	}
-	if p.FreeSpaceThreshold <= 0 {
-		p.FreeSpaceThreshold = defaultFreeThresh
-	}
-	if p.IndexGrowFactor <= 1 {
-		p.IndexGrowFactor = defaultGrowFactor
-	}
-	if p.IndexShrinkFactor <= 0 || p.IndexShrinkFactor >= 1 {
-		p.IndexShrinkFactor = defaultShrinkFactor
-	}
-	if p.MemGrowFactor <= 1 {
-		p.MemGrowFactor = defaultGrowFactor
-	}
-	if p.MemShrinkFactor <= 0 || p.MemShrinkFactor >= 1 {
-		p.MemShrinkFactor = defaultShrinkFactor
-	}
 	if p.TuneInterval <= 0 {
 		p.TuneInterval = DefaultTuneInterval
-	}
-	if p.MaxIndexSlots <= 0 {
-		p.MaxIndexSlots = 1 << 24
-	}
-	if p.MaxStorageBytes <= 0 {
-		p.MaxStorageBytes = 1 << 32
-	}
-	if p.WriteBackMaxSpans <= 0 {
-		p.WriteBackMaxSpans = DefaultWriteBackMaxSpans
 	}
 }
 

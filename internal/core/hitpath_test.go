@@ -14,6 +14,7 @@ import (
 	"clampi/internal/datatype"
 	"clampi/internal/graph"
 	"clampi/internal/mpi"
+	"clampi/internal/rma"
 	"clampi/internal/rmat"
 	"clampi/internal/simtime"
 	"clampi/internal/workload"
@@ -62,17 +63,15 @@ func recordedSeq(seed int64) (regions [][]byte, churn, lcc [][]seqGet) {
 
 // hitDriver is one way of issuing the recorded sequence.
 type hitDriver struct {
-	name       string
-	scalar     bool // Get per op instead of GetBatch per batch
-	observer   bool // with an Observer installed
-	noCoalesce bool // Params.DisableCoalesce
+	name     string
+	scalar   bool // Get per op instead of GetBatch per batch
+	observer bool // with an Observer installed
 }
 
 var hitDrivers = []hitDriver{
 	{name: "Get", scalar: true},
 	{name: "GetBatch"},
 	{name: "GetBatch+Observer", observer: true},
-	{name: "GetBatch+DisableCoalesce", noCoalesce: true},
 }
 
 // accessTally counts OnAccess events by classification.
@@ -109,18 +108,18 @@ func runHitSeq(t *testing.T, seed int64, d hitDriver) hitRun {
 	t.Helper()
 	regions, churn, lcc := recordedSeq(seed)
 	var res hitRun
-	p := Params{Mode: AlwaysCache, IndexSlots: 256, StorageBytes: 1 << 20, Seed: seed, DisableCoalesce: d.noCoalesce}
+	p := Params{Mode: AlwaysCache, IndexSlots: 256, StorageBytes: 1 << 20, Seed: seed}
 	if d.observer {
 		p.Observer = &res.tally
 	}
 	buf := make([]byte, 1<<workload.MaxSizeExp)
-	var ops []GetOp
+	var ops []rma.GetOp
 	pass := func(c *Cache, win *mpi.Win, batches [][]seqGet) error {
 		for _, b := range batches {
 			ops = ops[:0]
 			off := 0
 			for _, g := range b {
-				ops = append(ops, GetOp{Dst: buf[off : off+g.size : off+g.size], Target: g.target, Disp: g.disp})
+				ops = append(ops, rma.GetOp{Dst: buf[off : off+g.size : off+g.size], Target: g.target, Disp: g.disp})
 				off += g.size
 			}
 			if d.scalar {
@@ -190,18 +189,18 @@ func sansBatch(s Stats) Stats {
 }
 
 // TestHitPathDifferential drives the recorded sequence through scalar
-// Get, GetBatch, GetBatch with an Observer, and GetBatch without
-// coalescing. Coalescing changes what a batch of misses costs (fewer
-// messages, one victim scan, merged ranges), so whole-run Stats and
-// clock are compared within each pair that shares a miss path, and
-// across all four on the warm pass, where every get is a full hit.
+// Get, GetBatch and GetBatch with an Observer. Coalescing changes what a
+// batch of misses costs (fewer messages, one victim scan, merged
+// ranges), so whole-run Stats and clock are compared between the two
+// batched runs, against each run's golden, and across all three on the
+// warm pass, where every get is a full hit.
 func TestHitPathDifferential(t *testing.T) {
 	for _, seed := range []int64{1, 20170529} {
 		runs := make([]hitRun, len(hitDrivers))
 		for i, d := range hitDrivers {
 			runs[i] = runHitSeq(t, seed, d)
 		}
-		get, batch, observed, uncoalesced := runs[0], runs[1], runs[2], runs[3]
+		get, batch, observed := runs[0], runs[1], runs[2]
 
 		if w := get.warmStats; w.Gets == 0 || w.FullHits != w.Gets {
 			t.Fatalf("seed %d: warm pass is not all full hits: %+v", seed, w)
@@ -211,10 +210,6 @@ func TestHitPathDifferential(t *testing.T) {
 				t.Errorf("seed %d: warm pass of %s differs from Get:\n%+v at %d\n%+v at %d", seed, hitDrivers[i+1].name,
 					r.warmStats, r.warmNow, get.warmStats, get.warmNow)
 			}
-		}
-		if sansBatch(uncoalesced.stats) != sansBatch(get.stats) || uncoalesced.now != get.now {
-			t.Errorf("seed %d: uncoalesced batches differ from scalar gets:\n%+v at %d\n%+v at %d", seed,
-				uncoalesced.stats, uncoalesced.now, get.stats, get.now)
 		}
 		if observed.stats != batch.stats || observed.now != batch.now {
 			t.Errorf("seed %d: an Observer changed the run:\n%+v at %d\n%+v at %d", seed,
@@ -266,7 +261,8 @@ type hitCase struct {
 	params  func(p *Params)
 	write   func(win *mpi.Win) error // rank 1's notified write, before arrange
 	arrange func(c *Cache) error
-	op      GetOp
+	op      rma.GetOp
+	dtype   datatype.Datatype // non-nil: op reads one dtype, issued through Get only
 	want    Stats
 	wantDst func(n int) []byte // nil: the target's pattern
 }
@@ -280,36 +276,36 @@ func hitCases() []hitCase {
 	with := func(s Stats, f func(*Stats)) Stats { f(&s); return s }
 	return []hitCase{{
 		name: "full hit",
-		op:   GetOp{Dst: buf[:64], Target: 1, Disp: 0},
+		op:   rma.GetOp{Dst: buf[:64], Target: 1, Disp: 0},
 		want: twoFull,
 	}, {
 		name: "partial hit",
-		op:   GetOp{Dst: buf[:128], Target: 1, Disp: 0},
+		op:   rma.GetOp{Dst: buf[:128], Target: 1, Disp: 0},
 		want: with(twoFull, func(s *Stats) {
 			s.FullHits, s.PartialHits, s.BytesFromNetwork, s.MgmtTime = 1, 1, 64, CostAlloc
 		}),
 	}, {
 		name:    "PENDING hit",
 		arrange: func(c *Cache) error { return c.Get(make([]byte, 64), datatype.Byte, 64, 1, 512) },
-		op:      GetOp{Dst: buf[:64], Target: 1, Disp: 512},
+		op:      rma.GetOp{Dst: buf[:64], Target: 1, Disp: 512},
 		want:    with(twoFull, func(s *Stats) { s.PendingHits, s.CopyTime = 1, copy64 }),
 	}, {
 		name:    "staleDefer",
 		arrange: func(c *Cache) error { c.staleDefer = true; return nil },
-		op:      GetOp{Dst: buf[:64], Target: 1, Disp: 0},
+		op:      rma.GetOp{Dst: buf[:64], Target: 1, Disp: 0},
 		want:    with(twoFull, func(s *Stats) { s.StaleServes = 2 }),
 	}, {
 		name:    "dirty-span overlap",
 		params:  func(p *Params) { p.WriteBack = true },
 		arrange: func(c *Cache) error { return c.Put(fill(64, 0xAB), datatype.Byte, 64, 1, 0) },
-		op:      GetOp{Dst: buf[:64], Target: 1, Disp: 0},
+		op:      rma.GetOp{Dst: buf[:64], Target: 1, Disp: 0},
 		want:    with(twoFull, func(s *Stats) { s.DirtyFlushes = 1 }),
 		wantDst: func(n int) []byte { return fill(n, 0xAB) },
 	}, {
 		name:   "armed non-empty notify queue",
 		params: func(p *Params) { p.NotifyTargeted = true },
 		write:  func(win *mpi.Win) error { return win.PutNotify(fill(64, 0xCD), datatype.Byte, 64, 1, 0, 7) },
-		op:     GetOp{Dst: buf[:64], Target: 1, Disp: 0},
+		op:     rma.GetOp{Dst: buf[:64], Target: 1, Disp: 0},
 		// The patch is one more 64 B copy. It is found by the range query
 		// every write makes (cohere), which is charged to the clock, not
 		// to LookupTime: no index probe precedes it.
@@ -325,8 +321,9 @@ func hitCases() []hitCase {
 			}
 			return c.Win().FlushAll()
 		},
-		op:   GetOp{Dst: buf[:32], Dtype: hitVector, Count: 1, Target: 1, Disp: 2048},
-		want: with(twoFull, func(s *Stats) { s.BytesFromCache, s.CopyTime = 96, copy64+21 }),
+		op:    rma.GetOp{Dst: buf[:32], Target: 1, Disp: 2048},
+		dtype: hitVector,
+		want:  with(twoFull, func(s *Stats) { s.BytesFromCache, s.CopyTime = 96, copy64+21 }),
 		wantDst: func(int) []byte {
 			var out []byte
 			for b := 0; b < 4; b++ {
@@ -344,18 +341,23 @@ func hitCases() []hitCase {
 			}
 			return c.Win().FlushAll()
 		},
-		op:   GetOp{Dst: buf[:0], Dtype: datatype.Byte, Target: 1, Disp: 3000},
+		op:   rma.GetOp{Dst: buf[:0], Target: 1, Disp: 3000},
 		want: with(twoFull, func(s *Stats) { s.BytesFromCache, s.CopyTime = 64, copy64+20 }),
 	}}
 }
 
 // TestHitPathConditions pins, for each such condition, the classification
 // and charges the get has had since before full hits got a routine of
-// their own, identically through Get and through GetBatch.
+// their own, identically through Get and through GetBatch (a strided get
+// has no batch form).
 func TestHitPathConditions(t *testing.T) {
 	for _, hc := range hitCases() {
 		var elapsed [2]simtime.Duration // through Get, through GetBatch
-		for i, name := range []string{hc.name + "/Get", hc.name + "/GetBatch"} {
+		names := []string{hc.name + "/Get", hc.name + "/GetBatch"}
+		if hc.dtype != nil {
+			names = names[:1]
+		}
+		for i, name := range names {
 			batched := i == 1
 			t.Run(name, func(t *testing.T) {
 				p := alwaysParams()
@@ -363,7 +365,7 @@ func TestHitPathConditions(t *testing.T) {
 					hc.params(&p)
 				}
 				reader := func(c *Cache, win *mpi.Win, r *mpi.Rank) error {
-					filler := GetOp{Dst: make([]byte, 64), Target: 1, Disp: 1024}
+					filler := rma.GetOp{Dst: make([]byte, 64), Target: 1, Disp: 1024}
 					for _, disp := range []int{0, filler.Disp} {
 						if err := c.Get(make([]byte, 64), datatype.Byte, 64, 1, disp); err != nil {
 							return err
@@ -380,16 +382,20 @@ func TestHitPathConditions(t *testing.T) {
 						}
 					}
 					before, t0 := c.Stats(), r.Clock().Now()
-					ops := []GetOp{hc.op, filler}
 					if batched {
-						if err := c.GetBatch(ops); err != nil {
+						if err := c.GetBatch([]rma.GetOp{hc.op, filler}); err != nil {
 							return err
 						}
 					} else {
-						for i := range ops {
-							if err := c.getOp(&ops[i]); err != nil {
-								return err
-							}
+						dtype, count := datatype.Byte, len(hc.op.Dst)
+						if hc.dtype != nil {
+							dtype, count = hc.dtype, 1
+						}
+						if err := c.Get(hc.op.Dst, dtype, count, hc.op.Target, hc.op.Disp); err != nil {
+							return err
+						}
+						if err := c.Get(filler.Dst, datatype.Byte, len(filler.Dst), filler.Target, filler.Disp); err != nil {
+							return err
 						}
 					}
 					got := sansBatch(c.Stats().Sub(before))
@@ -429,7 +435,7 @@ func TestHitPathConditions(t *testing.T) {
 				withNotifyWorld(t, 4096, p, reader, writer)
 			})
 		}
-		if elapsed[0] != elapsed[1] {
+		if len(names) == 2 && elapsed[0] != elapsed[1] {
 			t.Errorf("%s: clock advanced %d through Get, %d through GetBatch", hc.name, elapsed[0], elapsed[1])
 		}
 	}

@@ -200,7 +200,7 @@ func (c *Cache) stageDirty(target, disp int, src []byte, tag uint32, notified bo
 	c.stats.CopyTime += c.charge(copyCost(len(src)))
 	c.dirty = append(c.dirty, dirtySpan{target: target, disp: disp, data: buf, tag: tag, notify: notified})
 	c.stats.WriteBacks++
-	if len(c.dirty) >= c.params.WriteBackMaxSpans {
+	if len(c.dirty) >= DefaultWriteBackMaxSpans {
 		return c.flushDirty()
 	}
 	return nil

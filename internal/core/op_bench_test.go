@@ -83,9 +83,9 @@ func BenchmarkOpBatchHitFull(b *testing.B) {
 	benchCache(b, alwaysParams(), func(c *Cache, win *mpi.Win, clock *simtime.Clock) {
 		const width, opBytes = 16, 576
 		dst := make([]byte, width*opBytes)
-		ops := make([]GetOp, width)
+		ops := make([]rma.GetOp, width)
 		for j := range ops {
-			ops[j] = GetOp{Dst: dst[j*opBytes : (j+1)*opBytes], Target: 1, Disp: j * 1024}
+			ops[j] = rma.GetOp{Dst: dst[j*opBytes : (j+1)*opBytes], Target: 1, Disp: j * 1024}
 		}
 		if err := c.GetBatch(ops); err != nil {
 			b.Error(err)
@@ -400,7 +400,7 @@ func BenchmarkOpBatch16Miss(b *testing.B) {
 	benchCache(b, p, func(c *Cache, win *mpi.Win, clock *simtime.Clock) {
 		const width, opBytes = 16, 64
 		dst := make([]byte, width*opBytes)
-		ops := make([]GetOp, width)
+		ops := make([]rma.GetOp, width)
 		round := 0
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -410,7 +410,7 @@ func BenchmarkOpBatch16Miss(b *testing.B) {
 			round++
 			for j := 0; j < width; j++ {
 				lo := j * opBytes
-				ops[j] = GetOp{Dst: dst[lo : lo+opBytes], Target: 1, Disp: base + lo}
+				ops[j] = rma.GetOp{Dst: dst[lo : lo+opBytes], Target: 1, Disp: base + lo}
 			}
 			if err := c.GetBatch(ops); err != nil {
 				b.Error(err)

@@ -14,6 +14,7 @@ import (
 	"clampi/internal/datatype"
 	"clampi/internal/mpi"
 	"clampi/internal/notify"
+	"clampi/internal/rma"
 	"clampi/internal/simtime"
 )
 
@@ -148,7 +149,7 @@ func runRangeScript(t *testing.T, data []byte, cov *rvCoverage) {
 	if len(ops) == 0 {
 		return
 	}
-	p := Params{Mode: AlwaysCache, IndexSlots: 64, MaxIndexSlots: 128, StorageBytes: 32 << 10,
+	p := Params{Mode: AlwaysCache, IndexSlots: 64, StorageBytes: 32 << 10,
 		TuneInterval: 48, NotifyTargeted: true, Seed: int64(cfg)}
 	p.WriteBack = cfg&1 != 0
 	p.Adaptive = cfg&2 != 0
@@ -276,10 +277,10 @@ func rvStep(t *testing.T, c *Cache, win *mpi.Win, op rvOp, cov *rvCoverage) erro
 	case rvGetBatch:
 		// Three ranges a third of the size apart: neighbours that merge
 		// into one message and overlap each other as entries.
-		var batch []GetOp
+		var batch []rma.GetOp
 		for j := 0; j < 3; j++ {
 			d := op.disp + j*op.size/3
-			batch = append(batch, GetOp{Dst: make([]byte, min(op.size, rvRegion-d)), Target: op.target, Disp: d})
+			batch = append(batch, rma.GetOp{Dst: make([]byte, min(op.size, rvRegion-d)), Target: op.target, Disp: d})
 		}
 		err = c.GetBatch(batch)
 	case rvPrefetch:

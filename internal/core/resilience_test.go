@@ -336,10 +336,10 @@ func TestBatchPartialDeliveryUnderFaults(t *testing.T) {
 	withFaultyCache(t, 3, 8192, resilientParams(retry, nil), sc, 7, func(c *Cache, fw *fault.Window, r *mpi.Rank) error {
 		const n = 24
 		bufs := make([][]byte, n)
-		ops := make([]GetOp, n)
+		ops := make([]rma.GetOp, n)
 		for i := range ops {
 			bufs[i] = make([]byte, 64)
-			ops[i] = GetOp{Dst: bufs[i], Target: 1 + i%2, Disp: (i / 2) * 96}
+			ops[i] = rma.GetOp{Dst: bufs[i], Target: 1 + i%2, Disp: (i / 2) * 96}
 		}
 		if err := c.GetBatch(ops); err != nil {
 			return err
@@ -374,9 +374,9 @@ func TestBatchErrorSurfacesWhenExhausted(t *testing.T) {
 	retry := rma.RetryPolicy{MaxAttempts: 2}
 	sc := fault.Scenario{Name: "allfail", DropRate: 1}
 	withFaultyCache(t, 2, 4096, resilientParams(retry, nil), sc, 7, func(c *Cache, fw *fault.Window, r *mpi.Rank) error {
-		ops := make([]GetOp, 4)
+		ops := make([]rma.GetOp, 4)
 		for i := range ops {
-			ops[i] = GetOp{Dst: make([]byte, 64), Target: 1, Disp: i * 64}
+			ops[i] = rma.GetOp{Dst: make([]byte, 64), Target: 1, Disp: i * 64}
 		}
 		if err := c.GetBatch(ops); !errors.Is(err, rma.ErrTransient) {
 			t.Errorf("GetBatch under total loss = %v, want ErrTransient", err)

@@ -4,23 +4,41 @@ package core
 //
 // The tuner runs at epoch closures, once at least TuneInterval gets have
 // been observed since the previous evaluation. It inspects the counters
-// accumulated over that window and applies at most one adjustment:
+// accumulated over that window and applies at most one adjustment, by
+// fixed thresholds:
 //
-//   - conflicting/gets > ConflictThreshold        → grow |I_w|
-//   - eviction-scan density q < SparsityThreshold → shrink |I_w|
-//   - (capacity+failing)/gets > CapacityThreshold → grow |S_w|
-//   - hits/gets > StableThreshold and free space
-//     above FreeSpaceThreshold                    → shrink |S_w|
+//   - conflicting/gets > conflictThreshold        → grow |I_w|
+//   - (capacity+failing)/gets > capacityThreshold → grow |S_w|
+//   - eviction-scan density q < sparsityThreshold → shrink |I_w|
+//   - hits/gets > stableThreshold and free space
+//     above freeSpaceThreshold                    → shrink |S_w|
 //
-// Changing either parameter requires invalidating the cache, so every
-// adjustment is counted (the paper annotates figures with the number of
-// invalidations/adjustments performed).
+// A grow multiplies by growFactor and a shrink by shrinkFactor, clamped
+// to [minIndexSlots, maxIndexSlots] and [minStorageBytes,
+// maxStorageBytes]. Changing either parameter requires invalidating the
+// cache, so every adjustment is counted (the paper annotates figures
+// with the number of invalidations/adjustments performed).
 
-// minIndexSlots bounds adaptive shrinking so the table stays usable.
-const minIndexSlots = 64
+const (
+	conflictThreshold = 0.10
+	capacityThreshold = 0.10
+	stableThreshold   = 0.80
+	sparsityThreshold = 0.20
+	// Shrinking |S_w| only with >75% free keeps the tuner from
+	// oscillating between a shrink (stable, half-empty) and the
+	// capacity-driven grow it immediately causes.
+	freeSpaceThreshold = 0.75
 
-// minStorageBytes bounds adaptive shrinking of S_w.
-const minStorageBytes = 4096
+	growFactor   = 2.0
+	shrinkFactor = 0.5
+
+	// The floors keep a shrunk table and buffer usable; the ceilings
+	// bound growth.
+	minIndexSlots   = 64
+	maxIndexSlots   = 1 << 24
+	minStorageBytes = 4096
+	maxStorageBytes = 1 << 32
+)
 
 // tune evaluates the adaptive policy over the stats window since the last
 // evaluation. It must only run at an epoch boundary (no in-flight
@@ -51,14 +69,14 @@ func (c *Cache) tune() {
 	prevIdx, prevMem := c.idx.Cap(), c.store.Capacity()
 	adjusted := false
 	switch {
-	case conflictRate > c.params.ConflictThreshold:
-		adjusted = c.resizeIndex(c.params.IndexGrowFactor)
-	case capFailRate > c.params.CapacityThreshold:
-		adjusted = c.resizeStorage(c.params.MemGrowFactor)
-	case s.EvictionScans > 0 && q < c.params.SparsityThreshold:
-		adjusted = c.resizeIndex(c.params.IndexShrinkFactor)
-	case hitRate > c.params.StableThreshold && freeFrac > c.params.FreeSpaceThreshold:
-		adjusted = c.resizeStorage(c.params.MemShrinkFactor)
+	case conflictRate > conflictThreshold:
+		adjusted = c.resizeIndex(growFactor)
+	case capFailRate > capacityThreshold:
+		adjusted = c.resizeStorage(growFactor)
+	case s.EvictionScans > 0 && q < sparsityThreshold:
+		adjusted = c.resizeIndex(shrinkFactor)
+	case hitRate > stableThreshold && freeFrac > freeSpaceThreshold:
+		adjusted = c.resizeStorage(shrinkFactor)
 	}
 	if adjusted {
 		c.stats.Adjustments++
@@ -79,21 +97,19 @@ func (c *Cache) tune() {
 	c.tuneSnap = c.stats
 }
 
-// resizeIndex applies factor to |I_w|, clamped to
-// [minIndexSlots, MaxIndexSlots]. Returns false if clamping nullified the
-// change. The new table is created empty: a parameter change implies
-// invalidation anyway (§III-E), and the caller's invalidate() sees only
-// the new table, so the old one's records are retired here.
+// resized applies factor to cur, clamped to [lo, hi].
+func resized(cur int, factor float64, lo, hi int) int {
+	return min(max(int(float64(cur)*factor), lo), hi)
+}
+
+// resizeIndex applies factor to |I_w|. Returns false if clamping
+// nullified the change. The new table is created empty: a parameter
+// change implies invalidation anyway (§III-E), and the caller's
+// invalidate() sees only the new table, so the old one's records are
+// retired here.
 func (c *Cache) resizeIndex(factor float64) bool {
-	cur := c.idx.Cap()
-	next := int(float64(cur) * factor)
-	if next < minIndexSlots {
-		next = minIndexSlots
-	}
-	if next > c.params.MaxIndexSlots {
-		next = c.params.MaxIndexSlots
-	}
-	if next == cur {
+	next := resized(c.idx.Cap(), factor, minIndexSlots, maxIndexSlots)
+	if next == c.idx.Cap() {
 		return false
 	}
 	c.retireCached()
@@ -102,18 +118,10 @@ func (c *Cache) resizeIndex(factor float64) bool {
 	return true
 }
 
-// resizeStorage applies factor to |S_w|, clamped to
-// [minStorageBytes, MaxStorageBytes].
+// resizeStorage applies factor to |S_w|, as resizeIndex.
 func (c *Cache) resizeStorage(factor float64) bool {
-	cur := c.store.Capacity()
-	next := int(float64(cur) * factor)
-	if next < minStorageBytes {
-		next = minStorageBytes
-	}
-	if next > c.params.MaxStorageBytes {
-		next = c.params.MaxStorageBytes
-	}
-	if next == cur {
+	next := resized(c.store.Capacity(), factor, minStorageBytes, maxStorageBytes)
+	if next == c.store.Capacity() {
 		return false
 	}
 	c.store.Resize(next)

@@ -158,28 +158,52 @@ func TestTuneShrinkStorageClamp(t *testing.T) {
 	})
 }
 
-// TestAdaptiveGrowthClamps verifies MaxIndexSlots/MaxStorageBytes bound
-// adaptive growth (clamped adjustments do not count or invalidate).
+// TestAdaptiveGrowthClamps verifies that the resize clamp bounds
+// adaptive growth and shrinking, and that an adjustment the clamp
+// nullifies neither counts nor invalidates.
 func TestAdaptiveGrowthClamps(t *testing.T) {
+	for _, tc := range []struct {
+		cur    int
+		factor float64
+		want   int
+	}{
+		{64, growFactor, 64},    // at the ceiling: growth impossible
+		{48, growFactor, 64},    // growth stops at the ceiling
+		{24, growFactor, 48},    // inside the bounds
+		{16, shrinkFactor, 16},  // at the floor: shrinking impossible
+		{24, shrinkFactor, 16},  // shrinking stops at the floor
+		{40, shrinkFactor, 20},  // inside the bounds
+		{100, shrinkFactor, 50}, // above the ceiling: a shrink still applies
+	} {
+		if got := resized(tc.cur, tc.factor, 16, 64); got != tc.want {
+			t.Errorf("resized(%d, %g, 16, 64) = %d, want %d", tc.cur, tc.factor, got, tc.want)
+		}
+	}
+
 	p := alwaysParams()
-	p.IndexSlots = 64
-	p.MaxIndexSlots = 64 // growth impossible
-	p.StorageBytes = 1 << 20
+	p.IndexSlots = minIndexSlots
 	p.Adaptive = true
-	p.TuneInterval = 64
-	withCache(t, 1<<16, p, func(c *Cache, win *mpi.Win, r *mpi.Rank) error {
+	withCache(t, 1<<14, p, func(c *Cache, win *mpi.Win, r *mpi.Rank) error {
 		dst := make([]byte, 64)
-		for i := 0; i < 400; i++ {
-			if err := c.Get(dst, datatype.Byte, 64, 1, (i%256)*64); err != nil {
-				return err
-			}
-			if err := win.FlushAll(); err != nil {
-				return err
-			}
+		if err := c.Get(dst, datatype.Byte, 64, 1, 0); err != nil {
+			return err
 		}
-		if c.IndexSlots() != 64 {
-			t.Errorf("clamped index changed: %d", c.IndexSlots())
+		if err := win.FlushAll(); err != nil {
+			return err
 		}
-		return nil
+		// A sparse index at the floor: the shrink is clamped away.
+		c.stats = c.stats.Add(Stats{Gets: 1000, Hits: 400, EvictionScans: 20, VisitedSlots: 2000, NonEmptyVisited: 1})
+		before := c.stats
+		c.tune()
+		if c.IndexSlots() != minIndexSlots || c.stats != before {
+			t.Errorf("clamped shrink changed the cache: %d slots, %+v", c.IndexSlots(), c.stats.Sub(before))
+		}
+		if err := c.Get(dst, datatype.Byte, 64, 1, 0); err != nil {
+			return err
+		}
+		if c.LastAccess().Type != AccessHit {
+			t.Errorf("clamped shrink dropped the cached entry: %+v", c.LastAccess())
+		}
+		return win.FlushAll()
 	})
 }

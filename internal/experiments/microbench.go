@@ -10,7 +10,7 @@ import (
 	"runtime"
 	"time"
 
-	"clampi/internal/core"
+	"clampi/internal/rma"
 	"clampi/internal/workload"
 )
 
@@ -115,12 +115,12 @@ func BatchMicroBench(batches, width, opBytes int) (BatchBenchResult, error) {
 	var ratio float64
 	err := withMicro(regionSize, &p, func(env *microEnv) error {
 		dst := make([]byte, width*opBytes)
-		ops := make([]core.GetOp, width)
+		ops := make([]rma.GetOp, width)
 		t0 := env.clock.Now()
 		for b := 0; b < batches; b++ {
 			for i := 0; i < width; i++ {
 				lo := i * opBytes
-				ops[i] = core.GetOp{
+				ops[i] = rma.GetOp{
 					Dst:    dst[lo : lo+opBytes],
 					Target: 1,
 					Disp:   (b*width + i) * opBytes,

@@ -34,7 +34,7 @@ type Getter interface {
 
 // BatchOp is one contiguous read of a batched get: len(Dst) bytes at
 // byte displacement Disp of Target's region. It is the transport's own
-// batch descriptor, so Raw hands a batch to the window untranslated.
+// batch descriptor, so Raw and Cached hand a batch on untranslated.
 type BatchOp = rma.GetOp
 
 // Batcher is the optional vectorized extension of Getter: systems that
@@ -103,8 +103,6 @@ func (r *Raw) GetBatch(ops []BatchOp) error {
 // Cached issues gets through a CLaMPI cache.
 type Cached struct {
 	Cache *core.Cache
-
-	scratch []core.GetOp // reusable GetBatch translation buffer
 }
 
 // NewCached wraps a caching layer in the Getter interface.
@@ -126,18 +124,7 @@ func (c *Cached) Name() string { return "CLaMPI" }
 
 // GetBatch implements Batcher: hits are served locally and the misses
 // are coalesced into merged per-target ranges by core.Cache.GetBatch.
-func (c *Cached) GetBatch(ops []BatchOp) error {
-	c.scratch = c.scratch[:0]
-	for i := range ops {
-		op := &ops[i]
-		c.scratch = append(c.scratch, core.GetOp{Dst: op.Dst, Target: op.Target, Disp: op.Disp})
-	}
-	err := c.Cache.GetBatch(c.scratch)
-	for i := range c.scratch {
-		c.scratch[i].Dst = nil
-	}
-	return err
-}
+func (c *Cached) GetBatch(ops []BatchOp) error { return c.Cache.GetBatch(ops) }
 
 // Compile-time checks: both built-in getters batch.
 var (

@@ -42,10 +42,10 @@ func (w *Win) Accumulate(src []byte, dtype datatype.Datatype, count int, target,
 		return w.Put(src, dtype, count, target, disp)
 	}
 	if w.freed {
-		return ErrFreedWin
+		return ErrFreed
 	}
 	if !w.inEpoch() {
-		return ErrBadEpoch
+		return ErrNoEpoch
 	}
 	if target < 0 || target >= len(w.shared.regions) {
 		return ErrRankRange

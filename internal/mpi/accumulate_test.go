@@ -138,7 +138,7 @@ func TestAccumulateErrors(t *testing.T) {
 		win, _ := r.WinAllocate(32, nil)
 		defer win.Free()
 		src := encI64(1)
-		if err := win.Accumulate(src, datatype.Int64, 1, 1, 0, OpSum); !errors.Is(err, ErrBadEpoch) {
+		if err := win.Accumulate(src, datatype.Int64, 1, 1, 0, OpSum); !errors.Is(err, ErrNoEpoch) {
 			t.Errorf("outside epoch: %v", err)
 		}
 		if err := win.LockAll(); err != nil {
@@ -163,7 +163,7 @@ func TestAccumulateErrors(t *testing.T) {
 		if err := win.Free(); err != nil {
 			return err
 		}
-		if err := win.Accumulate(src, datatype.Int64, 1, 1, 0, OpSum); !errors.Is(err, ErrFreedWin) {
+		if err := win.Accumulate(src, datatype.Int64, 1, 1, 0, OpSum); !errors.Is(err, ErrFreed) {
 			t.Errorf("freed win: %v", err)
 		}
 		return nil

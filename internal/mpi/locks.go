@@ -104,7 +104,7 @@ func (w *Win) release(target int, typ LockType) {
 // advances past the previous holder's release.
 func (w *Win) LockWithType(typ LockType, target int) error {
 	if w.freed {
-		return ErrFreedWin
+		return ErrFreed
 	}
 	if target < 0 || target >= len(w.shared.regions) {
 		return ErrRankRange

@@ -184,7 +184,7 @@ func TestLockErrors(t *testing.T) {
 		if err := win.Free(); err != nil {
 			return err
 		}
-		if err := win.LockWithType(LockExclusive, 1); !errors.Is(err, ErrFreedWin) {
+		if err := win.LockWithType(LockExclusive, 1); !errors.Is(err, ErrFreed) {
 			t.Errorf("freed win: %v", err)
 		}
 		return nil

@@ -50,8 +50,8 @@ import (
 
 // Errors returned by window operations. The data-path errors are the
 // backend-independent values of internal/rma: the canonical sentinels
-// (ErrFreed, ErrOutOfRange, ErrNoEpoch) plus the finer-grained and
-// historical names layered on them.
+// (ErrFreed, ErrOutOfRange, ErrNoEpoch) plus the finer-grained names
+// layered on them.
 var (
 	ErrFreed      = rma.ErrFreed
 	ErrOutOfRange = rma.ErrOutOfRange
@@ -59,8 +59,6 @@ var (
 	ErrRankRange  = rma.ErrRankRange
 	ErrBounds     = rma.ErrBounds
 	ErrShortBuf   = rma.ErrShortBuf
-	ErrFreedWin   = rma.ErrFreedWin
-	ErrBadEpoch   = rma.ErrBadEpoch
 	ErrWorldSize  = errors.New("mpi: world size must be positive")
 	ErrNilProgram = errors.New("mpi: nil rank program")
 )
@@ -590,7 +588,7 @@ func (w *Win) Lock(target int) error {
 // (MPI_Win_lock_all).
 func (w *Win) LockAll() error {
 	if w.freed {
-		return ErrFreedWin
+		return ErrFreed
 	}
 	w.lockedAll = true
 	w.rank.clock.Advance(w.rank.Model().GetLatency(8, netsim.OtherNode))
@@ -614,10 +612,10 @@ func (w *Win) inEpoch() bool {
 // issue overhead here; the latency is paid at the completion call.
 func (w *Win) Get(dst []byte, dtype datatype.Datatype, count int, target, disp int) error {
 	if w.freed {
-		return ErrFreedWin
+		return ErrFreed
 	}
 	if !w.inEpoch() {
-		return ErrBadEpoch
+		return ErrNoEpoch
 	}
 	if target < 0 || target >= len(w.shared.regions) {
 		return ErrRankRange
@@ -663,10 +661,10 @@ func (w *Win) Get(dst []byte, dtype datatype.Datatype, count int, target, disp i
 // window checks are paid once for the whole batch.
 func (w *Win) GetBatch(ops []rma.GetOp) error {
 	if w.freed {
-		return ErrFreedWin
+		return ErrFreed
 	}
 	if !w.inEpoch() {
-		return ErrBadEpoch
+		return ErrNoEpoch
 	}
 	for i := range ops {
 		op := &ops[i]
@@ -694,7 +692,7 @@ func (w *Win) GetBatch(ops []rma.GetOp) error {
 // it charges no network latency and requires no open epoch.
 func (w *Win) Checksum(target, disp, size int) (uint64, error) {
 	if w.freed {
-		return 0, ErrFreedWin
+		return 0, ErrFreed
 	}
 	if target < 0 || target >= len(w.shared.regions) {
 		return 0, ErrRankRange
@@ -714,10 +712,10 @@ func (w *Win) Checksum(target, disp, size int) (uint64, error) {
 // given by dtype.
 func (w *Win) Put(src []byte, dtype datatype.Datatype, count int, target, disp int) error {
 	if w.freed {
-		return ErrFreedWin
+		return ErrFreed
 	}
 	if !w.inEpoch() {
-		return ErrBadEpoch
+		return ErrNoEpoch
 	}
 	if target < 0 || target >= len(w.shared.regions) {
 		return ErrRankRange
@@ -804,10 +802,10 @@ func (w *Win) closeEpoch() {
 // an epoch-closure event for CLaMPI.
 func (w *Win) Flush(target int) error {
 	if w.freed {
-		return ErrFreedWin
+		return ErrFreed
 	}
 	if !w.inEpoch() {
-		return ErrBadEpoch
+		return ErrNoEpoch
 	}
 	if target < 0 || target >= len(w.shared.regions) {
 		return ErrRankRange
@@ -821,10 +819,10 @@ func (w *Win) Flush(target int) error {
 // (MPI_Win_flush_all) and closes the epoch.
 func (w *Win) FlushAll() error {
 	if w.freed {
-		return ErrFreedWin
+		return ErrFreed
 	}
 	if !w.inEpoch() {
-		return ErrBadEpoch
+		return ErrNoEpoch
 	}
 	w.completePending(-1)
 	w.closeEpoch()
@@ -835,11 +833,11 @@ func (w *Win) FlushAll() error {
 // passive epoch (MPI_Win_unlock).
 func (w *Win) Unlock(target int) error {
 	if w.freed {
-		return ErrFreedWin
+		return ErrFreed
 	}
 	typ, held := w.lockedTargets[target]
 	if !held {
-		return ErrBadEpoch
+		return ErrNoEpoch
 	}
 	w.completePending(target)
 	w.closeEpoch()
@@ -851,10 +849,10 @@ func (w *Win) Unlock(target int) error {
 // UnlockAll ends a lock-all epoch (MPI_Win_unlock_all).
 func (w *Win) UnlockAll() error {
 	if w.freed {
-		return ErrFreedWin
+		return ErrFreed
 	}
 	if !w.lockedAll {
-		return ErrBadEpoch
+		return ErrNoEpoch
 	}
 	w.completePending(-1)
 	w.closeEpoch()
@@ -867,7 +865,7 @@ func (w *Win) UnlockAll() error {
 // and opens the next one. Between fences, RMA calls are legal.
 func (w *Win) Fence() error {
 	if w.freed {
-		return ErrFreedWin
+		return ErrFreed
 	}
 	w.completePending(-1)
 	if w.epochOpenedByFence() {
@@ -884,7 +882,7 @@ func (w *Win) epochOpenedByFence() bool { return w.fenceOpen }
 // Free releases the window (MPI_Win_free). It is collective.
 func (w *Win) Free() error {
 	if w.freed {
-		return ErrFreedWin
+		return ErrFreed
 	}
 	w.rank.Barrier()
 	w.freed = true

@@ -290,16 +290,16 @@ func TestRMAErrors(t *testing.T) {
 		dst := make([]byte, 64)
 
 		// Outside any epoch.
-		if err := win.Get(dst, datatype.Byte, 8, 1, 0); !errors.Is(err, ErrBadEpoch) {
+		if err := win.Get(dst, datatype.Byte, 8, 1, 0); !errors.Is(err, ErrNoEpoch) {
 			t.Errorf("Get outside epoch: %v", err)
 		}
-		if err := win.Flush(1); !errors.Is(err, ErrBadEpoch) {
+		if err := win.Flush(1); !errors.Is(err, ErrNoEpoch) {
 			t.Errorf("Flush outside epoch: %v", err)
 		}
-		if err := win.Unlock(1); !errors.Is(err, ErrBadEpoch) {
+		if err := win.Unlock(1); !errors.Is(err, ErrNoEpoch) {
 			t.Errorf("Unlock without lock: %v", err)
 		}
-		if err := win.UnlockAll(); !errors.Is(err, ErrBadEpoch) {
+		if err := win.UnlockAll(); !errors.Is(err, ErrNoEpoch) {
 			t.Errorf("UnlockAll without lock: %v", err)
 		}
 
@@ -341,13 +341,13 @@ func TestRMAErrors(t *testing.T) {
 		if err := win.Free(); err != nil {
 			return err
 		}
-		if err := win.Free(); !errors.Is(err, ErrFreedWin) {
+		if err := win.Free(); !errors.Is(err, ErrFreed) {
 			t.Errorf("double Free: %v", err)
 		}
-		if err := win.LockAll(); !errors.Is(err, ErrFreedWin) {
+		if err := win.LockAll(); !errors.Is(err, ErrFreed) {
 			t.Errorf("LockAll after free: %v", err)
 		}
-		if err := win.Get(dst, datatype.Byte, 8, 1, 0); !errors.Is(err, ErrFreedWin) {
+		if err := win.Get(dst, datatype.Byte, 8, 1, 0); !errors.Is(err, ErrFreed) {
 			t.Errorf("Get after free: %v", err)
 		}
 		return nil

@@ -59,7 +59,7 @@ type stagedNotify struct {
 // window, creating its bounded queue (rma.NotifyWindow). Idempotent.
 func (w *Win) NotifyEnable(capacity int) error {
 	if w.freed {
-		return ErrFreedWin
+		return ErrFreed
 	}
 	sh := w.shared
 	sh.notifyMu.Lock()
@@ -168,7 +168,7 @@ func (w *Win) NotifyPoll(buf []notify.Notification) (int, bool) {
 // rank whose PutNotify will wake us can run.
 func (w *Win) NotifyWait() error {
 	if w.freed {
-		return ErrFreedWin
+		return ErrFreed
 	}
 	if w.notifyQ == nil {
 		return ErrNotSubscribed

@@ -67,7 +67,7 @@ func (r *Rank) recvYield(ch chan simtime.Duration) simtime.Duration {
 // their Start and Complete. Post does not block.
 func (w *Win) Post(origins []int) error {
 	if w.freed {
-		return ErrFreedWin
+		return ErrFreed
 	}
 	s := w.pscw()
 	s.mu.Lock()
@@ -87,7 +87,7 @@ func (w *Win) Post(origins []int) error {
 // targets are legal until Complete.
 func (w *Win) Start(targets []int) error {
 	if w.freed {
-		return ErrFreedWin
+		return ErrFreed
 	}
 	s := w.pscw()
 	for _, t := range targets {
@@ -110,10 +110,10 @@ func (w *Win) Start(targets []int) error {
 // listeners fire), and the targets' Wait calls are released.
 func (w *Win) Complete() error {
 	if w.freed {
-		return ErrFreedWin
+		return ErrFreed
 	}
 	if len(w.started) == 0 {
-		return ErrBadEpoch
+		return ErrNoEpoch
 	}
 	w.completePending(-1)
 	w.closeEpoch()
@@ -131,10 +131,10 @@ func (w *Win) Complete() error {
 // until every origin has called Complete.
 func (w *Win) Wait() error {
 	if w.freed {
-		return ErrFreedWin
+		return ErrFreed
 	}
 	if len(w.exposed) == 0 {
-		return ErrBadEpoch
+		return ErrNoEpoch
 	}
 	s := w.pscw()
 	for _, o := range w.exposed {

@@ -107,13 +107,13 @@ func TestPSCWErrors(t *testing.T) {
 		defer win.Free()
 		dst := make([]byte, 8)
 		// RMA outside any epoch.
-		if err := win.Get(dst, datatype.Byte, 8, 1, 0); !errors.Is(err, ErrBadEpoch) {
+		if err := win.Get(dst, datatype.Byte, 8, 1, 0); !errors.Is(err, ErrNoEpoch) {
 			t.Errorf("Get outside PSCW epoch: %v", err)
 		}
-		if err := win.Complete(); !errors.Is(err, ErrBadEpoch) {
+		if err := win.Complete(); !errors.Is(err, ErrNoEpoch) {
 			t.Errorf("Complete without Start: %v", err)
 		}
-		if err := win.Wait(); !errors.Is(err, ErrBadEpoch) {
+		if err := win.Wait(); !errors.Is(err, ErrNoEpoch) {
 			t.Errorf("Wait without Post: %v", err)
 		}
 		if err := win.Post([]int{9}); !errors.Is(err, ErrRankRange) {

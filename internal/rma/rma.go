@@ -55,12 +55,6 @@ var (
 	// ErrNoRequest reports a request-based operation that left no
 	// pending operation to attach a request to.
 	ErrNoRequest = errors.New("rma: no pending operation for request")
-
-	// ErrFreedWin and ErrBadEpoch are the historical names of ErrFreed
-	// and ErrNoEpoch, kept so existing errors.Is call sites keep
-	// working; they are the same values.
-	ErrFreedWin = ErrFreed
-	ErrBadEpoch = ErrNoEpoch
 )
 
 // Transient-failure sentinels. Unlike the misuse family above — which

@@ -63,8 +63,7 @@ func cacheOptions() []clampi.Option {
 // the LCC kernel consumes — one adapter used verbatim on both backends,
 // so the cache sees the identical call sequence.
 type windowGetter struct {
-	w       *clampi.Window
-	scratch []clampi.GetOp
+	w *clampi.Window
 }
 
 func (g *windowGetter) Get(dst []byte, target, disp int) error {
@@ -74,17 +73,7 @@ func (g *windowGetter) Flush() error { return g.w.FlushAll() }
 func (g *windowGetter) Invalidate()  { g.w.Invalidate() }
 func (g *windowGetter) Name() string { return "clampi" }
 
-func (g *windowGetter) GetBatch(ops []getter.BatchOp) error {
-	g.scratch = g.scratch[:0]
-	for i := range ops {
-		g.scratch = append(g.scratch, clampi.GetOp{Dst: ops[i].Dst, Target: ops[i].Target, Disp: ops[i].Disp})
-	}
-	err := g.w.GetBatch(g.scratch)
-	for i := range g.scratch {
-		g.scratch[i].Dst = nil
-	}
-	return err
-}
+func (g *windowGetter) GetBatch(ops []getter.BatchOp) error { return g.w.GetBatch(ops) }
 
 // rankReport is one rank's outcome, JSON-printed by child processes and
 // compared field by field against the simulated reference.
@@ -128,8 +117,10 @@ func TestMain(m *testing.M) {
 }
 
 // childMain is one wire client process: dial the parent's server with
-// the public clampi.Dial API, run this rank's share of the LCC kernel
-// through the caching layer, and print the rankReport as JSON.
+// the public clampi.Dial API (the chaos child opens the wire window
+// itself, to install its frame tap, and wraps it), run this rank's share
+// of the LCC kernel through the caching layer, and print the rankReport
+// as JSON.
 func childMain() int {
 	addr := os.Getenv("CLAMPI_WIRE_ADDR")
 	rank, err := strconv.Atoi(os.Getenv("CLAMPI_WIRE_RANK"))
@@ -139,31 +130,16 @@ func childMain() int {
 	}
 	chaos := os.Getenv("CLAMPI_WIRE_CHAOS") == "1"
 
-	opts := append(cacheOptions(),
-		clampi.WithRank(rank),
-		clampi.WithWorld(itWorld),
-		clampi.WithDialTimeout(10*time.Second),
-	)
+	var w *clampi.Window
 	if chaos {
-		// Flip one payload bit in bursts of two consecutive inbound data
-		// frames. The frame checksum rejects each as rma.ErrCorrupt; the
-		// first corruption fails the batched fetch, the second fails the
-		// per-range refetch's first attempt too — forcing a genuine retry
-		// (Retries > 0) before the burst ends, well inside the policy's
-		// MaxAttempts. The handshake (OpWelcome) and acks pass untouched.
-		var n atomic.Int64
-		opts = append(opts,
-			clampi.WithFrameTap(func(frame []byte) {
-				if frame[3] == wire.OpData && len(frame) > 24 {
-					if k := n.Add(1) % 7; k == 2 || k == 3 {
-						frame[16] ^= 0x40
-					}
-				}
-			}),
-			clampi.WithRetry(clampi.DefaultRetryPolicy()),
-		)
+		w, err = chaosDial(addr, rank)
+	} else {
+		w, err = clampi.Dial(addr, append(cacheOptions(),
+			clampi.WithRank(rank),
+			clampi.WithWorld(itWorld),
+			clampi.WithDialTimeout(10*time.Second),
+		)...)
 	}
-	w, err := clampi.Dial(addr, opts...)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "child %d: dial %s: %v\n", rank, addr, err)
 		return 1
@@ -189,6 +165,39 @@ func childMain() int {
 		return 1
 	}
 	return 0
+}
+
+// chaosDial opens rank's wire window with a frame tap that flips one
+// payload bit in bursts of two consecutive inbound data frames, and wraps
+// it with retrying on. The frame checksum rejects each as rma.ErrCorrupt;
+// the first corruption fails the batched fetch, the second fails the
+// per-range refetch's first attempt too — forcing a genuine retry
+// (Retries > 0) before the burst ends, well inside the policy's
+// MaxAttempts. The handshake (OpWelcome) and acks pass untouched.
+func chaosDial(addr string, rank int) (*clampi.Window, error) {
+	var n atomic.Int64
+	win, err := wire.Open(wire.DialConfig{
+		Addr:        addr,
+		Rank:        rank,
+		World:       itWorld,
+		DialTimeout: 10 * time.Second,
+		FrameTap: func(frame []byte) {
+			if frame[3] == wire.OpData && len(frame) > 24 {
+				if k := n.Add(1) % 7; k == 2 || k == 3 {
+					frame[16] ^= 0x40
+				}
+			}
+		},
+	}, nil)
+	if err != nil {
+		return nil, err
+	}
+	w, err := clampi.Wrap(win, append(cacheOptions(), clampi.WithRetry(clampi.DefaultRetryPolicy()))...)
+	if err != nil {
+		win.Free()
+		return nil, err
+	}
+	return w, nil
 }
 
 // simulatedReports runs the identical LCC configuration on the simulated

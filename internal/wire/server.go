@@ -865,8 +865,17 @@ func (c *serverConn) lock(f Frame, acquire bool) error {
 	if l.Target < 0 || int(l.Target) >= len(w.regions) {
 		return c.fail(f.Seq, fmt.Errorf("%w: target %d of %d regions", rma.ErrRankRange, l.Target, len(w.regions)))
 	}
-	excl := rma.LockType(l.Type) == rma.LockExclusive
+	typ := rma.LockType(l.Type)
+	if typ != rma.LockShared && typ != rma.LockExclusive {
+		return c.fail(f.Seq, fmt.Errorf("%w: lock type %d", ErrProto, l.Type))
+	}
+	excl := typ == rma.LockExclusive
 	if acquire {
+		// held records one lock per target: a second would leak a shared
+		// count past the disconnect release, or wait on itself.
+		if _, ok := c.held[l.Target]; ok {
+			return c.fail(f.Seq, fmt.Errorf("%w: target %d already locked by this connection", ErrProto, l.Target))
+		}
 		w.locks[l.Target].acquire(excl)
 		c.held[l.Target] = excl
 	} else {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"net"
 	"path/filepath"
 	"sync/atomic"
 	"testing"
@@ -339,6 +340,104 @@ func TestLockReleasedOnDisconnect(t *testing.T) {
 	if err := w2.Unlock(0); err != nil {
 		t.Fatalf("unlock: %v", err)
 	}
+}
+
+// rawConn drives a server connection frame by frame, sending requests
+// the client library never would.
+type rawConn struct {
+	t   *testing.T
+	c   net.Conn
+	fr  *frameReader
+	seq uint64
+}
+
+// dialRaw opens a raw connection to s and completes the handshake.
+func dialRaw(t *testing.T, s *Server) *rawConn {
+	t.Helper()
+	c, err := net.Dial(s.Addr().Network(), s.Addr().String())
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	t.Cleanup(func() { c.Close() })
+	rc := &rawConn{t: t, c: c, fr: newFrameReader(c, 0)}
+	if f := rc.call(OpHello, appendHello(nil, helloPayload{Rank: RankAuto})); f.Op != OpWelcome {
+		t.Fatalf("hello answered with %s", OpName(f.Op))
+	}
+	return rc
+}
+
+// call writes one request and returns its reply, failing the test if no
+// reply arrives within the deadline.
+func (rc *rawConn) call(op byte, payload []byte) Frame {
+	rc.t.Helper()
+	rc.seq++
+	rc.c.SetDeadline(time.Now().Add(5 * time.Second)) //clampi:walltime test watchdog
+	if _, err := rc.c.Write(AppendFrame(nil, op, rc.seq, payload)); err != nil {
+		rc.t.Fatalf("write %s: %v", OpName(op), err)
+	}
+	f, err := rc.fr.next()
+	if err != nil {
+		rc.t.Fatalf("%s: no reply: %v", OpName(op), err)
+	}
+	return f
+}
+
+// lock sends OpLock and checks the reply: an ack, or an ErrProto error.
+func (rc *rawConn) lock(target int32, typ byte, wantAck bool) {
+	rc.t.Helper()
+	f := rc.call(OpLock, appendLock(nil, lockReq{Target: target, Type: typ}))
+	switch {
+	case wantAck && f.Op != OpAck:
+		rc.t.Errorf("lock %d type %d: %s, want an ack", target, typ, OpName(f.Op))
+	case !wantAck && (f.Op != OpError || !errors.Is(errorFromFrame(f.Payload), ErrProto)):
+		rc.t.Errorf("lock %d type %d: %s, want an ErrProto error", target, typ, OpName(f.Op))
+	}
+}
+
+// lockFree checks that w's exclusive lock on target is granted within
+// the deadline, then releases it.
+func lockFree(t *testing.T, w *Window, target int) {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- w.LockWithType(rma.LockExclusive, target) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("lock %d: %v", target, err)
+		}
+	case <-time.After(5 * time.Second): //clampi:walltime test watchdog
+		t.Fatalf("target %d still locked by a dead client", target)
+	}
+	if err := w.Unlock(target); err != nil {
+		t.Fatalf("unlock %d: %v", target, err)
+	}
+}
+
+// TestLockAbuse checks the server trusts no lock request: a connection
+// re-locking a target it holds, or naming an unknown lock type, gets an
+// error frame and changes no lock state, so when it dies every target is
+// free for another client's exclusive lock.
+func TestLockAbuse(t *testing.T) {
+	s := testServer(t, ServeConfig{Windows: []WindowSpec{{Name: "w", Regions: MakeRegions(3, 64)}}})
+	w := dialWindow(t, s, DialConfig{})
+	shared, excl := byte(rma.LockShared), byte(rma.LockExclusive)
+
+	// Two shared locks, then death: a second count must not outlive it.
+	rc := dialRaw(t, s)
+	rc.lock(0, shared, true)
+	rc.lock(0, shared, false)
+	rc.c.Close()
+	lockFree(t, w, 0)
+
+	// A second exclusive lock must not wait on the first.
+	rc = dialRaw(t, s)
+	rc.lock(1, excl, true)
+	rc.lock(1, excl, false)
+	rc.lock(1, shared, false)
+	rc.lock(2, 7, false)
+	rc.c.Close()
+	lockFree(t, w, 1)
+	lockFree(t, w, 2)
 }
 
 // TestFence checks the barrier rendezvous: two clients of a world of
