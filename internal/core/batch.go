@@ -67,15 +67,15 @@ func (c *Cache) GetBatch(ops []rma.GetOp) error {
 	for i := range ops {
 		op := &ops[i]
 		size := len(op.Dst)
-		e, err := c.openGet(datatype.Byte, size, op.Target, op.Disp, size)
+		r, err := c.openGet(datatype.Byte, size, op.Target, op.Disp, size)
 		if err != nil {
 			return err
 		}
 		switch {
-		case e != nil && e.state == stateCached && size <= e.payload:
-			c.fullHit(e, op.Dst, op.Target)
-		case e != nil:
-			err = c.serveHit(e, op.Dst, datatype.Byte, size, op.Target, op.Disp, size)
+		case r != nil && size <= int(r.hit):
+			c.fullHit(r, op.Dst, op.Target)
+		case r != nil:
+			err = c.serveHit(r, op.Dst, datatype.Byte, size, op.Target, op.Disp, size)
 		case size == 0:
 			// Empty transfer: scalar miss path.
 			key := cuckoo.Key{Target: op.Target, Disp: op.Disp}
@@ -184,14 +184,14 @@ func (c *Cache) GetBatch(ops []rma.GetOp) error {
 // gets its own weak-caching attempt with the same staged source.
 func (c *Cache) servePendingDup(m batchMiss, src []byte) {
 	key := cuckoo.Key{Target: m.target, Disp: m.disp}
-	e, found, lookupT := c.lookup(key)
+	r, lookupT := c.lookup(key)
 	c.last.Lookup += lookupT
 	c.stats.LookupTime += lookupT
-	if !found || e.state != statePending {
+	if r == nil || r.e.state != statePending {
 		c.finish(c.insertPending(key, src, m.size))
 		return
 	}
-	e.last = c.getSeq
+	r.last = c.getSeq
 	c.last.Type = AccessHit
 	c.stats.Hits++
 	c.stats.PendingHits++

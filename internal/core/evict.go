@@ -11,11 +11,11 @@ import (
 
 // temporalScore is R_T(x) = x.last / i: the older the last matching get,
 // the lower the score (§III-D1).
-func (c *Cache) temporalScore(e *entry) float64 {
+func (c *Cache) temporalScore(last int64) float64 {
 	if c.getSeq == 0 {
 		return 0
 	}
-	return float64(e.last) / float64(c.getSeq)
+	return float64(last) / float64(c.getSeq)
 }
 
 // positionalScore is R_P(c) = min(|ags − d_c| / ags, 1): entries whose
@@ -41,19 +41,20 @@ func (c *Cache) positionalScore(e *entry) float64 {
 // a cheap-to-refill (near-target) entry scores lower and loses the
 // victim comparison to an expensive (far-target) one. The weight is a
 // constant factor per (target, size), so the ablation orderings within
-// one distance class are unchanged.
-func (c *Cache) score(e *entry) float64 {
+// one distance class are unchanged. r is the entry's slot record, the
+// home of its recency.
+func (c *Cache) score(r ref) float64 {
 	var s float64
 	switch c.params.Scheme {
 	case SchemeTemporal:
-		s = c.temporalScore(e)
+		s = c.temporalScore(r.last)
 	case SchemePositional:
-		s = c.positionalScore(e)
+		s = c.positionalScore(r.e)
 	default:
-		s = c.positionalScore(e) * c.temporalScore(e)
+		s = c.positionalScore(r.e) * c.temporalScore(r.last)
 	}
 	if c.costAware() {
-		s *= c.evictWeight(e)
+		s *= c.evictWeight(r.e)
 	}
 	return s
 }
@@ -72,13 +73,13 @@ func (c *Cache) selectCapacityVictim() (*entry, simtime.Duration) {
 		nonEmpty int
 	)
 	best := math.Inf(1)
-	c.idx.Scan(c.idx.RandomSlot(), func(_ int, _ cuckoo.Key, e *entry, used bool) bool {
+	c.idx.Scan(c.idx.RandomSlot(), func(_ int, _ cuckoo.Key, r ref, used bool) bool {
 		visited++
-		if used && e.state == stateCached {
+		if used && r.cached() {
 			nonEmpty++
-			if s := c.score(e); s < best {
+			if s := c.score(r); s < best {
 				best = s
-				victim = e
+				victim = r.e
 			}
 		}
 		// Stop once the sample size is reached AND at least
@@ -114,11 +115,11 @@ func (c *Cache) fillVictimPool(want int) {
 		return
 	}
 	var visited, nonEmpty int
-	c.idx.Scan(c.idx.RandomSlot(), func(_ int, _ cuckoo.Key, e *entry, used bool) bool {
+	c.idx.Scan(c.idx.RandomSlot(), func(_ int, _ cuckoo.Key, r ref, used bool) bool {
 		visited++
-		if used && e.state == stateCached {
+		if used && r.cached() {
 			nonEmpty++
-			c.bvict = append(c.bvict, scoredVictim{e: e, s: c.score(e)})
+			c.bvict = append(c.bvict, scoredVictim{e: r.e, s: c.score(r)})
 		}
 		return visited < c.params.SampleSize || nonEmpty < want
 	})
@@ -171,11 +172,11 @@ func (c *Cache) selectConflictVictim(candidates [cuckoo.NumHashes]int) (int, sim
 	victimSlot := -1
 	best := math.Inf(1)
 	for _, s := range candidates {
-		_, e, used := c.idx.At(s)
-		if !used || e.state != stateCached {
+		_, r, used := c.idx.At(s)
+		if !used || !r.cached() {
 			continue
 		}
-		if sc := c.score(e); sc < best {
+		if sc := c.score(r); sc < best {
 			best = sc
 			victimSlot = s
 		}

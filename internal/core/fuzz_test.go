@@ -11,7 +11,8 @@ import (
 // the target region: whatever the overlap between previously cached
 // spans and the written range, a later Get must never observe stale
 // cached bytes. This fuzzes the overlap and cover predicates and the
-// waiter handling of cohere (range.go) end to end.
+// waiter handling of cohere (range.go) end to end, and checks the cache's
+// integrity — slot records included — after every operation.
 func FuzzRangeInvalidation(f *testing.F) {
 	f.Add(uint16(128), uint8(200), uint16(300), uint8(8), uint16(180), uint8(120))
 	f.Add(uint16(0), uint8(1), uint16(4095), uint8(1), uint16(0), uint8(255))
@@ -45,6 +46,12 @@ func FuzzRangeInvalidation(f *testing.F) {
 		pdisp, psize := clampSpan(pd, ps)
 
 		withCache(t, regionSize, alwaysParams(), func(c *Cache, win *mpi.Win, r *mpi.Rank) error {
+			checked := func(err error) error {
+				if err != nil {
+					return err
+				}
+				return c.CheckIntegrity()
+			}
 			// model mirrors what the target region must contain.
 			model := make([]byte, regionSize)
 			for i := range model {
@@ -55,10 +62,10 @@ func FuzzRangeInvalidation(f *testing.F) {
 			// entries fully, partially, or not at all.
 			for _, span := range [][2]int{{gd1, gs1}, {gd2, gs2}} {
 				buf := make([]byte, span[1])
-				if err := c.Get(buf, datatype.Byte, span[1], 1, span[0]); err != nil {
+				if err := checked(c.Get(buf, datatype.Byte, span[1], 1, span[0])); err != nil {
 					return err
 				}
-				if err := win.Flush(1); err != nil {
+				if err := checked(win.Flush(1)); err != nil {
 					return err
 				}
 			}
@@ -68,10 +75,10 @@ func FuzzRangeInvalidation(f *testing.F) {
 			for i := range src {
 				src[i] = ^pattern(pdisp + i)
 			}
-			if err := c.Put(src, datatype.Byte, psize, 1, pdisp); err != nil {
+			if err := checked(c.Put(src, datatype.Byte, psize, 1, pdisp)); err != nil {
 				return err
 			}
-			if err := win.Flush(1); err != nil {
+			if err := checked(win.Flush(1)); err != nil {
 				return err
 			}
 			copy(model[pdisp:pdisp+psize], src)
@@ -81,10 +88,10 @@ func FuzzRangeInvalidation(f *testing.F) {
 			// overlap.
 			for _, span := range [][2]int{{gd1, gs1}, {gd2, gs2}, {pdisp, psize}} {
 				buf := make([]byte, span[1])
-				if err := c.Get(buf, datatype.Byte, span[1], 1, span[0]); err != nil {
+				if err := checked(c.Get(buf, datatype.Byte, span[1], 1, span[0])); err != nil {
 					return err
 				}
-				if err := win.Flush(1); err != nil {
+				if err := checked(win.Flush(1)); err != nil {
 					return err
 				}
 				for i, b := range buf {

@@ -13,6 +13,9 @@ import (
 // for tests and debugging assertions:
 //
 //   - every indexed entry is CACHED or PENDING (never evicted),
+//   - each slot's record agrees with its entry: off is the region's
+//     offset, and hit is the payload exactly when the entry is CACHED and
+//     serves nothing (-1) while it is PENDING,
 //   - entry payloads fit their storage regions, and regions are
 //     allocated (not free),
 //   - no two entries share a region,
@@ -31,8 +34,9 @@ func (c *Cache) CheckIntegrity() error {
 	regions := make(map[*storage.Region]cuckoo.Key)
 	indexed := 0
 	var err error
-	c.idx.Walk(func(k cuckoo.Key, e *entry) bool {
+	c.idx.Walk(func(k cuckoo.Key, r ref) bool {
 		indexed++
+		e := r.e
 		if e == nil {
 			err = fmt.Errorf("core: nil entry indexed at %v", k)
 			return false
@@ -70,6 +74,18 @@ func (c *Cache) CheckIntegrity() error {
 		}
 		if e.payload > e.region.Size() {
 			err = fmt.Errorf("core: entry %v payload %d exceeds region %v", k, e.payload, e.region)
+			return false
+		}
+		if int(r.off) != e.region.Off() {
+			err = fmt.Errorf("core: entry %v slot offset %d, region %v", k, r.off, e.region)
+			return false
+		}
+		servable := -1
+		if e.state == stateCached {
+			servable = e.payload
+		}
+		if int(r.hit) != servable {
+			err = fmt.Errorf("core: entry %v slot serves %d bytes, want %d", k, r.hit, servable)
 			return false
 		}
 		if c.view != nil {

@@ -8,7 +8,9 @@ package core
 // stale span whose notification was already drained. The tiny
 // notification queue makes overflow (and its conservative
 // full-invalidation fallback) a routinely fuzzed path rather than a
-// corner case.
+// corner case. The reader's cache passes CheckIntegrity after every read
+// and every epoch closure, so each coherence transition is checked
+// against the index's slot records too.
 
 import (
 	"bytes"
@@ -165,6 +167,9 @@ func FuzzNotifyCoherence(f *testing.F) {
 						if fnErr = c.Get(got, datatype.Byte, fuzzSlotSize, 1, lo); fnErr != nil {
 							break
 						}
+						if fnErr = c.CheckIntegrity(); fnErr != nil {
+							break
+						}
 						checks = append(checks, readCheck{
 							disp: lo,
 							got:  got,
@@ -179,6 +184,7 @@ func FuzzNotifyCoherence(f *testing.F) {
 					fnErr = win.FlushAll()
 				}
 				if r.ID() == 0 && fnErr == nil {
+					fnErr = c.CheckIntegrity()
 					for _, ck := range checks {
 						if !bytes.Equal(ck.got, ck.want) {
 							t.Errorf("read at disp %d: %v, model %v (torn or stale serve)",

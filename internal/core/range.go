@@ -78,8 +78,8 @@ func (v *spanView) reset() {
 // walk was.
 func (c *Cache) buildView() {
 	c.view = &spanView{}
-	c.idx.Walk(func(_ cuckoo.Key, e *entry) bool {
-		c.view.add(e)
+	c.idx.Walk(func(_ cuckoo.Key, r ref) bool {
+		c.view.add(r.e)
 		return true
 	})
 	c.charge(simtime.Duration(c.idx.Len()) * CostPerScanSlot)

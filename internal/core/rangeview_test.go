@@ -22,9 +22,9 @@ import (
 // overlaps [disp, disp+size), found by walking all slots.
 func bruteOverlap(c *Cache, target, disp, size int) map[cuckoo.Key]*entry {
 	out := map[cuckoo.Key]*entry{}
-	c.idx.Walk(func(k cuckoo.Key, e *entry) bool {
-		if k.Target == target && k.Disp < disp+size && disp < k.Disp+e.payload {
-			out[k] = e
+	c.idx.Walk(func(k cuckoo.Key, r ref) bool {
+		if k.Target == target && k.Disp < disp+size && disp < k.Disp+r.e.payload {
+			out[k] = r.e
 		}
 		return true
 	})
@@ -33,8 +33,8 @@ func bruteOverlap(c *Cache, target, disp, size int) map[cuckoo.Key]*entry {
 
 func indexedEntries(c *Cache) map[cuckoo.Key]*entry {
 	out := map[cuckoo.Key]*entry{}
-	c.idx.Walk(func(k cuckoo.Key, e *entry) bool {
-		out[k] = e
+	c.idx.Walk(func(k cuckoo.Key, r ref) bool {
+		out[k] = r.e
 		return true
 	})
 	return out
@@ -549,7 +549,7 @@ func TestViewRemoveComparesRecords(t *testing.T) {
 		fetch(t, c, win, 256, 64)
 		c.InvalidateRange(1, 0, 1)
 		live, _, _ := c.idx.Lookup(cuckoo.Key{Target: 1, Disp: 256})
-		c.retire(&entry{key: live.key, state: stateEvicted})
+		c.retire(&entry{key: live.e.key, state: stateEvicted})
 		viewHolds(t, c)
 		if n := c.InvalidateRange(1, 300, 1); n != 1 {
 			t.Errorf("the live entry left the view with a stranger's record: dropped %d", n)

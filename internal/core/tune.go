@@ -15,9 +15,12 @@ package core
 //
 // A grow multiplies by growFactor and a shrink by shrinkFactor, clamped
 // to [minIndexSlots, maxIndexSlots] and [minStorageBytes,
-// maxStorageBytes]. Changing either parameter requires invalidating the
+// maxStorageBytes]; the clamp never turns a grow into a shrink or a
+// shrink into a grow. Changing either parameter requires invalidating the
 // cache, so every adjustment is counted (the paper annotates figures
 // with the number of invalidations/adjustments performed).
+
+import "math"
 
 const (
 	conflictThreshold = 0.10
@@ -33,11 +36,13 @@ const (
 	shrinkFactor = 0.5
 
 	// The floors keep a shrunk table and buffer usable; the ceilings
-	// bound growth.
+	// bound growth. maxStorageBytes is also the largest buffer New
+	// accepts: the most an index slot's int32 servable size (ref.hit)
+	// represents.
 	minIndexSlots   = 64
 	maxIndexSlots   = 1 << 24
 	minStorageBytes = 4096
-	maxStorageBytes = 1 << 32
+	maxStorageBytes = math.MaxInt32
 )
 
 // tune evaluates the adaptive policy over the stats window since the last
@@ -97,9 +102,15 @@ func (c *Cache) tune() {
 	c.tuneSnap = c.stats
 }
 
-// resized applies factor to cur, clamped to [lo, hi].
+// resized applies factor to cur, clamped to [lo, hi] without reversing
+// its direction: a grow of a size already above hi, or a shrink of one
+// already below lo, leaves it unchanged.
 func resized(cur int, factor float64, lo, hi int) int {
-	return min(max(int(float64(cur)*factor), lo), hi)
+	next := int(float64(cur) * factor)
+	if factor > 1 {
+		return max(cur, min(next, hi))
+	}
+	return min(cur, max(next, lo))
 }
 
 // resizeIndex applies factor to |I_w|. Returns false if clamping

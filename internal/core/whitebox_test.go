@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -28,7 +29,7 @@ func TestCheckIntegrityDetectsCorruption(t *testing.T) {
 
 		// 1. Evicted-but-indexed entry.
 		var victim *entry
-		c.idx.Walk(func(_ cuckoo.Key, e *entry) bool { victim = e; return false })
+		c.idx.Walk(func(_ cuckoo.Key, r ref) bool { victim = r.e; return false })
 		old := victim.state
 		victim.state = stateEvicted
 		if err := c.CheckIntegrity(); err == nil || !strings.Contains(err.Error(), "evicted") {
@@ -59,7 +60,25 @@ func TestCheckIntegrityDetectsCorruption(t *testing.T) {
 		}
 		victim.key = oldKey
 
-		// 5. Storage/index accounting mismatch: allocate a region no
+		// 5. A slot record that disagrees with its entry: a CACHED entry
+		// whose slot serves other than its payload, or nothing, and a slot
+		// offset off the region.
+		slot := c.idx.Ptr(victim.key)
+		for _, hit := range []int32{slot.hit + 1, slot.hit - 1, -1} {
+			old := slot.hit
+			slot.hit = hit
+			if err := c.CheckIntegrity(); err == nil || !strings.Contains(err.Error(), "slot serves") {
+				t.Errorf("slot hit %d for payload %d not detected: %v", hit, victim.payload, err)
+			}
+			slot.hit = old
+		}
+		slot.off += 64
+		if err := c.CheckIntegrity(); err == nil || !strings.Contains(err.Error(), "slot offset") {
+			t.Errorf("slot offset corruption not detected: %v", err)
+		}
+		slot.off -= 64
+
+		// 6. Storage/index accounting mismatch: allocate a region no
 		// entry references.
 		extra := c.store.Alloc(64)
 		if err := c.CheckIntegrity(); err == nil || !strings.Contains(err.Error(), "regions") {
@@ -174,6 +193,8 @@ func TestAdaptiveGrowthClamps(t *testing.T) {
 		{24, shrinkFactor, 16},  // shrinking stops at the floor
 		{40, shrinkFactor, 20},  // inside the bounds
 		{100, shrinkFactor, 50}, // above the ceiling: a shrink still applies
+		{100, growFactor, 100},  // above the ceiling: a grow must not shrink
+		{8, shrinkFactor, 8},    // below the floor: a shrink must not grow
 	} {
 		if got := resized(tc.cur, tc.factor, 16, 64); got != tc.want {
 			t.Errorf("resized(%d, %g, 16, 64) = %d, want %d", tc.cur, tc.factor, got, tc.want)
@@ -205,5 +226,19 @@ func TestAdaptiveGrowthClamps(t *testing.T) {
 			t.Errorf("clamped shrink dropped the cached entry: %+v", c.LastAccess())
 		}
 		return win.FlushAll()
+	})
+}
+
+// TestNewRejectsUnaddressableStorage: an index slot addresses its payload
+// with 32-bit fields, so New refuses a buffer larger than maxStorageBytes
+// instead of building a cache whose hits would read the wrong bytes.
+func TestNewRejectsUnaddressableStorage(t *testing.T) {
+	withCache(t, 64, alwaysParams(), func(c *Cache, win *mpi.Win, r *mpi.Rank) error {
+		p := alwaysParams()
+		p.StorageBytes = maxStorageBytes + 1
+		if _, err := New(win, p); !errors.Is(err, ErrStorageTooLarge) {
+			t.Errorf("New with %d storage bytes: %v, want ErrStorageTooLarge", p.StorageBytes, err)
+		}
+		return nil
 	})
 }

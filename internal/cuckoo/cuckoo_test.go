@@ -54,18 +54,21 @@ func TestSlotReductionExact(t *testing.T) {
 	}
 }
 
-// checkTags fails unless every tag is the fingerprint of its slot's key
-// and zero exactly on the empty slots: find trusts tags without reading
-// the slot.
-func checkTags[V any](t *testing.T, tb *Table[V]) {
+// checkTags fails unless every non-zero tag is the fingerprint of its
+// slot's key and every zero tag sits on a zero slot: the tags are the
+// table's only occupancy record, and find trusts them without reading the
+// slot.
+func checkTags[V comparable](t *testing.T, tb *Table[V]) {
 	t.Helper()
-	for s := range tb.slots {
-		want := uint8(0)
-		if tb.slots[s].used {
-			want = tagOf(mix(tb.slots[s].key))
+	for s, sl := range tb.slots {
+		if tb.tags[s] == 0 {
+			if sl != (slot[V]{}) {
+				t.Fatalf("slot %d: empty tag on a non-zero slot (key %v, value %v)", s, sl.key, sl.val)
+			}
+			continue
 		}
-		if tb.tags[s] != want {
-			t.Fatalf("slot %d (used %v, key %v): tag %#x, want %#x", s, tb.slots[s].used, tb.slots[s].key, tb.tags[s], want)
+		if want := tagOf(mix(sl.key)); tb.tags[s] != want {
+			t.Fatalf("slot %d (key %v): tag %#x, want %#x", s, sl.key, tb.tags[s], want)
 		}
 	}
 }
@@ -143,6 +146,25 @@ func TestUpdate(t *testing.T) {
 	}
 	if v, _, _ := tb.Lookup(k); v != 9 {
 		t.Fatalf("value after update = %d", v)
+	}
+}
+
+// TestPtr: Ptr hands out the stored value in place, so a write through it
+// is what the next Lookup reads.
+func TestPtr(t *testing.T) {
+	tb := New[int](64, 7)
+	k := Key{1, 100}
+	if tb.Ptr(k) != nil {
+		t.Fatalf("Ptr of absent key is non-nil")
+	}
+	tb.Insert(k, 1)
+	p := tb.Ptr(k)
+	if p == nil || *p != 1 {
+		t.Fatalf("Ptr = %v, want the stored 1", p)
+	}
+	*p = 9
+	if v, _, _ := tb.Lookup(k); v != 9 {
+		t.Fatalf("value after a write through Ptr = %d", v)
 	}
 }
 
