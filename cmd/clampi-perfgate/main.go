@@ -5,7 +5,8 @@
 // VM; paired bench/run.sh runs are where host time is compared):
 //
 //   - the hit paths perform 0 allocs/op — bare (BenchmarkOpHitFull),
-//     batched as the LCC replay issues them (BenchmarkOpBatchHitFull),
+//     batched as the LCC replay issues them (BenchmarkOpBatchHitFull, and
+//     BenchmarkOpBatchHitWide over a working set beyond the CPU caches),
 //     with the resilience layer armed (BenchmarkOpHitFullResilient) and
 //     with a notification subscription armed (BenchmarkOpNotifyDrain) —
 //     and so do the coherence paths behind every write and notification:
@@ -53,6 +54,7 @@ type Result struct {
 var zeroAllocGated = map[string]bool{
 	"BenchmarkOpHitFull":          true,
 	"BenchmarkOpBatchHitFull":     true,
+	"BenchmarkOpBatchHitWide":     true,
 	"BenchmarkOpHitFullResilient": true,
 	"BenchmarkOpNotifyDrain":      true,
 	// One allocation per call is what a victim list or a charge closure
@@ -71,6 +73,7 @@ var zeroAllocGated = map[string]bool{
 var vnsCeiling = map[string]float64{
 	"BenchmarkOpHitFull":          108,
 	"BenchmarkOpBatchHitFull":     119, // per get: the lookup plus a 576 B copy
+	"BenchmarkOpBatchHitWide":     119, // the same gets, scattered over 8192 entries
 	"BenchmarkOpHitFullResilient": 108,
 	"BenchmarkOpNotifyDrain":      108,
 	// Two range queries of ceil(log2(n+1)) + k slot visits each (n =
