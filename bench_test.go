@@ -1,290 +1,15 @@
-// Benchmark harness: one benchmark per table/figure of the paper's
-// evaluation (§IV), each regenerating the figure's rows at a scale suited
-// to a single-core host and printing them. The cmd/ binaries run the same
-// drivers, including at the paper's full parameters (-paper).
+// Per-operation benchmarks: the real CPU cost of the implementation's
+// primitives, complementing the virtual-time figures that `clampi`
+// (cmd/clampi) prints and its golden tests pin.
 //
-//	go test -bench=Fig -benchmem
-//
-// The per-operation benchmarks at the bottom (BenchmarkOp*) measure the
-// real CPU cost of the implementation's primitives, complementing the
-// virtual-time experiment drivers.
+//	go test -bench=Op -benchmem
 package clampi_test
 
 import (
-	"fmt"
-	"sync"
 	"testing"
 
 	"clampi"
-	"clampi/internal/experiments"
-	"clampi/internal/lsb"
 )
-
-// printOnce prints each figure's table a single time, however many bench
-// iterations run.
-var printOnce sync.Map
-
-func report(b *testing.B, name string, tbl *lsb.Table) {
-	b.Helper()
-	if _, loaded := printOnce.LoadOrStore(name, true); !loaded {
-		fmt.Printf("\n%s\n", tbl)
-	}
-}
-
-func BenchmarkFig1_LatencyDistance(b *testing.B) {
-	sizes := []int{8, 64, 512, 4096, 32768, 131072}
-	for i := 0; i < b.N; i++ {
-		_, tbl, err := experiments.Fig1Latency(sizes)
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, "fig1", tbl)
-	}
-}
-
-func BenchmarkFig2_NBodyReuse(b *testing.B) {
-	// Paper: N = 4000 bodies, P = 4 (cmd/clampi-nbody -fig 2 -paper).
-	for i := 0; i < b.N; i++ {
-		rec, tbl, err := experiments.Fig2NBodyReuse(800, 4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, "fig2", tbl)
-		b.ReportMetric(float64(rec.MaxRepetition()), "max-reps")
-		b.ReportMetric(rec.ReuseFactor(), "reuse")
-	}
-}
-
-func BenchmarkFig3_LCCSizes(b *testing.B) {
-	// Paper: 2^16 vertices, 2^20 edges, P = 32 (clampi-lcc -fig 3 -paper).
-	for i := 0; i < b.N; i++ {
-		rec, tbl, err := experiments.Fig3LCCSizes(11, 8, 4, 128)
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, "fig3", tbl)
-		b.ReportMetric(rec.MeanSize(), "mean-B")
-	}
-}
-
-func BenchmarkFig7_AccessCosts(b *testing.B) {
-	sizes := []int{256, 4096, 16384, 65536}
-	for i := 0; i < b.N; i++ {
-		rows, tbl, err := experiments.Fig7AccessCosts(sizes, 30)
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, "fig7", tbl)
-		for _, r := range rows {
-			if r.Size == 4096 && r.Type == "hitting" {
-				b.ReportMetric(r.VsFoMPI, "hit-speedup-4K")
-			}
-		}
-	}
-}
-
-func BenchmarkFig8_Overlap(b *testing.B) {
-	sizes := []int{512, 4096, 16384, 65536}
-	for i := 0; i < b.N; i++ {
-		rows, tbl, err := experiments.Fig8Overlap(sizes)
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, "fig8", tbl)
-		for _, r := range rows {
-			if r.Size == 65536 && r.Type == "foMPI" {
-				b.ReportMetric(r.Overlap, "foMPI-64K-overlap")
-			}
-		}
-	}
-}
-
-func BenchmarkFig9_Adaptive(b *testing.B) {
-	// Paper: N = 1K, Z = 20K, |I_w| swept 200..6400.
-	const n, z = 512, 8192
-	for i := 0; i < b.N; i++ {
-		_, tbl, err := experiments.Fig9Adaptive([]int{n / 4, n / 2, n, 2 * n, 4 * n}, n, z)
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, "fig9", tbl)
-	}
-}
-
-func BenchmarkFig10_Fragmentation(b *testing.B) {
-	// Paper: Z = 100K, |I_w| = 1.5K.
-	const n, z = 256, 8192
-	for i := 0; i < b.N; i++ {
-		_, tbl, err := experiments.Fig10Fragmentation(n, z, n*3/2, 256<<10, 20)
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, "fig10", tbl)
-	}
-}
-
-func BenchmarkFig11_VictimSelection(b *testing.B) {
-	// Paper: Z = 100K, M = 16, |I_w| swept 1K..32K.
-	const n, z = 256, 8192
-	for i := 0; i < b.N; i++ {
-		_, tbl, err := experiments.Fig11VictimSelection([]int{n * 2, n * 4, n * 16}, n, z, 256<<10)
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, "fig11", tbl)
-	}
-}
-
-func BenchmarkFig12_NBodyParams(b *testing.B) {
-	// Paper: N = 20K, P = 16, |S_w| 1-4 MB (clampi-nbody -fig 12 -paper).
-	for i := 0; i < b.N; i++ {
-		_, tbl, err := experiments.Fig12NBodyParams(600, 4, 1024, []int{8 << 10, 64 << 10, 256 << 10})
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, "fig12", tbl)
-	}
-}
-
-func BenchmarkFig13_NBodyStats(b *testing.B) {
-	// Paper: |S_w| = 1 MB, N = 20K, P = 16.
-	for i := 0; i < b.N; i++ {
-		_, tbl, err := experiments.Fig13NBodyStats(600, 4, 256<<10, []int{64, 1024, 8192})
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, "fig13", tbl)
-	}
-}
-
-func BenchmarkFig14_NBodyWeak(b *testing.B) {
-	// Paper: 1.5K bodies/PE, P = 16..128, |S_w| = 2 MB, |I_w| = 30K.
-	// The paper's cache is smaller than the remote working set from
-	// P = 16 on (growing pressure is what separates the systems); the
-	// scaled cache size preserves that regime.
-	for i := 0; i < b.N; i++ {
-		_, tbl, err := experiments.Fig14NBodyWeak(150, []int{2, 4, 8}, 2048, 64<<10)
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, "fig14", tbl)
-	}
-}
-
-func BenchmarkFig15_LCCParams(b *testing.B) {
-	// Paper: 2^20 vertices, 2^24 edges, P = 32 (clampi-lcc -fig 15 -paper).
-	g := experiments.BuildLCCGraph(11, 8, 99)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, tbl, err := experiments.Fig15LCCParams(g, 4, 128, []int{32 << 10, 2 << 20}, []int{128, 8192})
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, "fig15", tbl)
-	}
-}
-
-func BenchmarkFig16_LCCStats(b *testing.B) {
-	// Paper: |S_w| = 64 MB, same graph as Fig 15.
-	g := experiments.BuildLCCGraph(11, 8, 99)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, tbl, err := experiments.Fig16LCCStats(g, 4, 128, 32<<10, []int{128, 8192})
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, "fig16", tbl)
-	}
-}
-
-func BenchmarkFig17_LCCWeak(b *testing.B) {
-	// Paper: scales 19..22, EF = 16, P = 16..128 (Fig 18 stats included).
-	for i := 0; i < b.N; i++ {
-		_, t17, t18, err := experiments.Fig17And18LCCWeak(9, 8, []int{2, 4, 8}, 96, 8192, 2<<20)
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, "fig17", t17)
-		report(b, "fig18", t18)
-	}
-}
-
-func BenchmarkFig18_LCCWeakStats(b *testing.B) {
-	// Fig 18 is produced by the same runs as Fig 17; this target
-	// regenerates just the stats table at a smaller scale.
-	for i := 0; i < b.N; i++ {
-		_, _, t18, err := experiments.Fig17And18LCCWeak(9, 8, []int{2, 4}, 64, 8192, 2<<20)
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, "fig18b", t18)
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Extension benchmarks (workloads and deployments beyond the paper).
-// ---------------------------------------------------------------------------
-
-func BenchmarkExtensionBFS(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, tbl, err := experiments.ExtensionBFS(10, 8, 4, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, "ext-bfs", tbl)
-		if len(rows) == 2 && rows[1].Time > 0 {
-			b.ReportMetric(float64(rows[0].Time)/float64(rows[1].Time), "speedup")
-		}
-	}
-}
-
-func BenchmarkExtensionPersistentWindow(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, tbl, err := experiments.ExtensionPersistentWindow(300, 2, 4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, "ext-persistent", tbl)
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Ablation benchmarks (design choices called out in DESIGN.md §6).
-// ---------------------------------------------------------------------------
-
-func BenchmarkAblationSampleSize(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, tbl, err := experiments.AblationSampleSize([]int{1, 4, 16, 64, 256}, 256, 4096)
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, "abl-m", tbl)
-	}
-}
-
-func BenchmarkAblationAllocPolicy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, tbl, err := experiments.AblationAllocPolicy(256, 8192)
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, "abl-alloc", tbl)
-	}
-}
-
-func BenchmarkAblationCuckooWalk(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, tbl, err := experiments.AblationCuckooWalk([]int{4, 16, 64, 256, 1024}, 4096, 3)
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, "abl-cuckoo", tbl)
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Per-operation benchmarks (real wall-clock cost of the implementation).
-// ---------------------------------------------------------------------------
 
 // benchWorld runs fn on rank 0 of a 2-rank world with a caching window
 // over a 1 MB target region.

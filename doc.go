@@ -20,7 +20,7 @@
 // replace blanket epoch invalidation with targeted coherence: only the
 // spans remote writers touched are invalidated (or patched from the
 // carried bytes), so regular producer/consumer workloads like the
-// bundled 2-D Jacobi halo exchange (internal/stencil, cmd/clampi-stencil
+// bundled 2-D Jacobi halo exchange (internal/stencil, `clampi stencil`
 // — the regular-access counterpoint to the LCC/BFS/N-body suite) keep
 // their unchanged halos cached across epochs.
 //

@@ -4,9 +4,8 @@
 // (the same rows/series the paper plots) and structured results that the
 // benchmark assertions and EXPERIMENTS.md generation consume.
 //
-// The paper's full-scale parameters are recorded next to each driver;
-// bench defaults are scaled down for a single-core host, and the cmd/
-// binaries expose flags to run the original sizes.
+// The subcommands of cmd/clampi run them at scaled defaults, whose
+// output is golden, and at the paper's full-scale parameters (-paper).
 package experiments
 
 import (

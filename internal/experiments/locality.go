@@ -1,7 +1,7 @@
 package experiments
 
 // Cost-aware caching experiments (DESIGN.md §15): the per-distance-class
-// micro breakdown behind cmd/clampi-micro's by_distance JSON object, and
+// micro breakdown behind the by_distance object of `clampi micro -json`, and
 // the skewed-placement LCC comparison of cost-aware vs locality-blind
 // caching — identical kernel results, less virtual network time.
 

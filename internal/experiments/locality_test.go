@@ -55,7 +55,7 @@ func TestMicroDistance(t *testing.T) {
 	}
 }
 
-// TestLCCLocalityCompare pins the cost-aware figure (clampi-lcc -fig
+// TestLCCLocalityCompare pins the cost-aware figure (clampi lcc -fig
 // locality, DESIGN.md §15.2) on its capacity-bound instance: kernel
 // results bit-identical with and without cost awareness, both rows equal
 // to their goldens, and — since virtual time is a function of the

@@ -1,15 +1,11 @@
 package experiments
 
 // Machine-readable micro-benchmark summary backing the -json flag of
-// cmd/clampi-micro: one capacity-bound always-cache run whose headline
-// numbers (ops, hit rate, virtual ns/op — and, since the vectorized-gets
-// PR, host wall ns/op, allocations/op and the batch coalescing ratio)
-// are tracked across PRs.
+// `clampi micro`: one capacity-bound always-cache run whose virtual-time
+// headline numbers (ops, hit rate, virtual ns/op, the batch coalescing
+// ratio and the per-distance breakdown) are tracked across changes.
 
 import (
-	"runtime"
-	"time"
-
 	"clampi/internal/rma"
 	"clampi/internal/workload"
 )
@@ -22,11 +18,6 @@ type MicroBenchResult struct {
 	HitRate        float64 `json:"hit_rate"`
 	VirtualNsPerOp float64 `json:"virtual_ns_per_op"`
 	TotalVirtualNs int64   `json:"total_virtual_ns"`
-	// Host-side cost of the same run: wall-clock nanoseconds and heap
-	// allocations per operation (the allocation-free hot path keeps the
-	// latter near zero at high hit rates).
-	WallNsPerOp float64 `json:"wall_ns_per_op"`
-	AllocsPerOp float64 `json:"allocs_per_op"`
 	// Headline numbers of the adjacent-range batch microbenchmark
 	// (BatchMicroBench with default geometry): constituent misses per
 	// merged message, and virtual ns/op batched vs sequential.
@@ -41,19 +32,13 @@ type MicroBenchResult struct {
 
 // MicroBench replays the §IV-A micro workload (N distinct gets sampled Z
 // times, Zipf-like) through a CLaMPI always-cache window and returns the
-// headline numbers, including the host-side wall time and allocation
-// rate of the run.
+// headline numbers.
 func MicroBench(n, z int) (MicroBenchResult, error) {
 	specs, seq, regionSize := workload.Micro(n, z, 31)
 	p := alwaysCacheParams(n*2, 256<<10)
 	var res MicroBenchResult
 	err := withMicro(regionSize, &p, func(env *microEnv) error {
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		w0 := time.Now() //clampi:walltime host ns/op is a benchmark output, not simulated time
 		t, err := env.runSequence(specs, seq)
-		wall := time.Since(w0) //clampi:walltime host ns/op is a benchmark output, not simulated time
-		runtime.ReadMemStats(&m1)
 		if err != nil {
 			return err
 		}
@@ -65,8 +50,6 @@ func MicroBench(n, z int) (MicroBenchResult, error) {
 			HitRate:        st.HitRate(),
 			TotalVirtualNs: int64(t),
 			VirtualNsPerOp: float64(t) / float64(st.Gets),
-			WallNsPerOp:    float64(wall.Nanoseconds()) / float64(st.Gets),
-			AllocsPerOp:    float64(m1.Mallocs-m0.Mallocs) / float64(st.Gets),
 		}
 		return nil
 	})

@@ -83,8 +83,8 @@ func PublishFleetStats(reg *obsv.Registry, system string, s core.Stats) {
 }
 
 // WriteObservability writes the merged metrics (and, when tracePath is
-// non-empty, the trace) to files — the shared tail of every cmd binary's
-// -metrics/-trace flag handling. Empty paths are skipped.
+// non-empty, the trace) to files — the shared tail of every clampi
+// subcommand's -metrics/-trace flag handling. Empty paths are skipped.
 func WriteObservability(metricsPath, tracePath string) error {
 	if metricsPath != "" {
 		if err := obsv.WriteMetricsFile(metricsPath, MetricsSnapshot()); err != nil {
