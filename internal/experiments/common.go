@@ -122,12 +122,15 @@ func (e *microEnv) runSequence(specs []workload.GetSpec, seq []int) (simtime.Dur
 	return e.clock.Now() - t0, nil
 }
 
+// microCacheSeed is the cache seed of every micro run.
+const microCacheSeed = 42
+
 // alwaysCacheParams returns a baseline parameter set for micro runs.
 func alwaysCacheParams(indexSlots, storageBytes int) core.Params {
 	return core.Params{
 		Mode:         core.AlwaysCache,
 		IndexSlots:   indexSlots,
 		StorageBytes: storageBytes,
-		Seed:         42,
+		Seed:         microCacheSeed,
 	}
 }

@@ -233,19 +233,44 @@ func TestFig11Shapes(t *testing.T) {
 	// the central claim of the figure. Hit rates are comparable across
 	// schemes in this reproduction (the paper shows Full slightly
 	// ahead; our differences stay within a few percent), with Full at
-	// least matching Positional-only.
-	for _, slots := range []int{1024, 4096} {
-		if get(slots, "temporal").FreeSpace < get(slots, "full").FreeSpace {
-			t.Errorf("|I_w|=%d: temporal free space %.3f below full %.3f — fragmentation ordering broken",
-				slots, get(slots, "temporal").FreeSpace, get(slots, "full").FreeSpace)
+	// least matching Positional-only. One end-of-run occupancy sample
+	// flips with the index placement of a single seed, so the orderings
+	// are asserted on means over cache seeds 1–20.
+	sizes := []int{1024, 4096}
+	type key struct {
+		slots  int
+		scheme string
+	}
+	free, hit := map[key]float64{}, map[key]float64{}
+	const seeds = 20
+	for seed := int64(1); seed <= seeds; seed++ {
+		rows, err := fig11Rows(sizes, n, z, 256<<10, seed)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if get(slots, "full").HitRate < get(slots, "positional").HitRate-0.01 {
-			t.Errorf("|I_w|=%d: full hit rate %.3f well below positional %.3f",
-				slots, get(slots, "full").HitRate, get(slots, "positional").HitRate)
+		for _, r := range rows {
+			k := key{r.IndexSlots, r.Scheme}
+			free[k] += r.FreeSpace / seeds
+			hit[k] += r.HitRate / seeds
 		}
-		if get(slots, "full").HitRate < get(slots, "temporal").HitRate-0.05 {
-			t.Errorf("|I_w|=%d: full hit rate %.3f far below temporal %.3f",
-				slots, get(slots, "full").HitRate, get(slots, "temporal").HitRate)
+	}
+	for _, slots := range sizes {
+		temporal, positional, full := key{slots, "temporal"}, key{slots, "positional"}, key{slots, "full"}
+		if testing.Verbose() {
+			t.Logf("|I_w|=%d, mean of %d seeds: free temporal %.3f positional %.3f full %.3f; hit temporal %.3f positional %.3f full %.3f",
+				slots, seeds, free[temporal], free[positional], free[full], hit[temporal], hit[positional], hit[full])
+		}
+		if free[temporal] < free[full] {
+			t.Errorf("|I_w|=%d: mean temporal free space %.3f below full %.3f — fragmentation ordering broken",
+				slots, free[temporal], free[full])
+		}
+		if hit[full] < hit[positional]-0.01 {
+			t.Errorf("|I_w|=%d: mean full hit rate %.3f well below positional %.3f",
+				slots, hit[full], hit[positional])
+		}
+		if hit[full] < hit[temporal]-0.05 {
+			t.Errorf("|I_w|=%d: mean full hit rate %.3f far below temporal %.3f",
+				slots, hit[full], hit[temporal])
 		}
 	}
 }

@@ -360,14 +360,29 @@ type Fig11Row struct {
 // ratio, and free space as functions of the hash table size, per victim
 // selection scheme. Paper parameters: Z = 100K, M = 16.
 func Fig11VictimSelection(indexSizes []int, n, z, storageBytes int) ([]Fig11Row, *lsb.Table, error) {
-	specs, seq, regionSize := workload.Micro(n, z, 999)
-	var rows []Fig11Row
+	rows, err := fig11Rows(indexSizes, n, z, storageBytes, microCacheSeed)
 	tbl := lsb.NewTable("Fig 11: victim selection vs hash table size",
 		"|I_w|", "scheme", "visited/evict", "hit rate", "free frac", "non-empty/visited")
+	for _, row := range rows {
+		tbl.AddRow(row.IndexSlots, row.Scheme,
+			fmt.Sprintf("%.1f", row.VisitedPerEvict),
+			fmt.Sprintf("%.3f", row.HitRate),
+			fmt.Sprintf("%.3f", row.FreeSpace),
+			fmt.Sprintf("%.3f", row.NonEmptyVisited))
+	}
+	return rows, tbl, err
+}
+
+// fig11Rows runs Fig. 11's configurations with the given cache seed (the
+// seed of the index's hash functions and eviction sampling).
+func fig11Rows(indexSizes []int, n, z, storageBytes int, seed int64) ([]Fig11Row, error) {
+	specs, seq, regionSize := workload.Micro(n, z, 999)
+	var rows []Fig11Row
 	for _, slots := range indexSizes {
 		for _, scheme := range []core.EvictionScheme{core.SchemeTemporal, core.SchemePositional, core.SchemeFull} {
 			p := alwaysCacheParams(slots, storageBytes)
 			p.Scheme = scheme
+			p.Seed = seed
 			var row Fig11Row
 			err := withMicro(regionSize, &p, func(env *microEnv) error {
 				if _, err := env.runSequence(specs, seq); err != nil {
@@ -385,15 +400,10 @@ func Fig11VictimSelection(indexSizes []int, n, z, storageBytes int) ([]Fig11Row,
 				return nil
 			})
 			if err != nil {
-				return rows, tbl, err
+				return rows, err
 			}
 			rows = append(rows, row)
-			tbl.AddRow(slots, row.Scheme,
-				fmt.Sprintf("%.1f", row.VisitedPerEvict),
-				fmt.Sprintf("%.3f", row.HitRate),
-				fmt.Sprintf("%.3f", row.FreeSpace),
-				fmt.Sprintf("%.3f", row.NonEmptyVisited))
 		}
 	}
-	return rows, tbl, nil
+	return rows, nil
 }
