@@ -298,7 +298,7 @@ func runExt(args []string, stdout, stderr io.Writer) error {
 			return out(w, tbl, err)
 		}},
 		{"cuckoo", func(w io.Writer) error {
-			_, tbl, err := experiments.AblationCuckooWalk([]int{4, 16, 64, 256, 1024}, 4096, 5)
+			_, tbl, err := experiments.AblationCuckooSearch([]int{4, 16, 64, 256, 1024}, 4096, 5)
 			return out(w, tbl, err)
 		}},
 		{"bfs", func(w io.Writer) error {

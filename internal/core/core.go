@@ -732,18 +732,13 @@ func (c *Cache) insertPending(key cuckoo.Key, src []byte, size int) AccessType {
 		c.last.Evict += evictT
 		if victimSlot < 0 {
 			// All candidate slots hold PENDING entries: cannot
-			// evict any; drop the homeless element. If the
-			// homeless element is not the new entry, the new
-			// entry was stored during the walk and stays PENDING.
-			c.dropHomeless(res.HomelessVal.e)
+			// evict any; drop the new entry, which the failed
+			// insert left homeless.
+			c.dropHomeless(e)
 			c.recordMgmt(mgmtT)
-			if res.HomelessKey == key {
-				return AccessFailing
-			}
-			c.indexed(e)
-			return AccessConflicting
+			return AccessFailing
 		}
-		if evictedKey, evicted := c.idx.ReplaceAt(victimSlot, res.HomelessKey, res.HomelessVal); evicted.e != nil {
+		if evictedKey, evicted := c.idx.ReplaceAt(victimSlot, key, res.HomelessVal); evicted.e != nil {
 			c.freeEvicted(evictedKey, evicted.e)
 		}
 		mgmtT += c.charge(CostInsert + CostFree)
@@ -822,18 +817,12 @@ func clearWaiters(e *entry) {
 	e.waiters = e.waiters[:0]
 }
 
-// dropHomeless releases the storage of a homeless element that could not
-// be indexed. If the homeless element is the brand-new entry, its region
-// is freed; otherwise the homeless element is an older entry whose index
-// slot was taken over during the walk — its storage is freed too, since
-// it is no longer reachable through the index.
-func (c *Cache) dropHomeless(homeless *entry) {
-	if homeless == nil {
-		return
-	}
-	homeless.state = stateEvicted
-	c.store.FreeRegion(homeless.region)
-	c.retire(homeless)
+// dropHomeless releases the storage of a new entry that could not be
+// indexed.
+func (c *Cache) dropHomeless(e *entry) {
+	e.state = stateEvicted
+	c.store.FreeRegion(e.region)
+	c.retire(e)
 }
 
 // freeEvicted releases an entry displaced by a conflict eviction. key is

@@ -25,7 +25,8 @@ const (
 	// (cuckoo.lookup_hit_ns) at a quarter of it, and model.lookup_ratio
 	// says so — the figures need the former, the host clock the latter.
 	CostLookup = 80 * simtime.Nanosecond
-	// CostInsert covers an average random-walk Cuckoo insertion.
+	// CostInsert covers an average Cuckoo insertion: the bounded
+	// breadth-first search for a displacement path and its moves.
 	CostInsert = 200 * simtime.Nanosecond
 	// CostAlloc covers the AVL best-fit search plus descriptor updates.
 	CostAlloc = 150 * simtime.Nanosecond

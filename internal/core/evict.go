@@ -165,9 +165,9 @@ func (c *Cache) dropVictimPool() {
 }
 
 // selectConflictVictim picks the victim of a conflicting access among the
-// homeless element's candidate slots (the tail of the Cuckoo insertion
-// path, §III-C1): the lowest-scoring CACHED occupant. Returns -1 if none
-// of the candidates is evictable (all PENDING).
+// candidate slots of the key a failed Cuckoo insertion search left
+// homeless (§III-C1): the lowest-scoring CACHED occupant. Returns -1 if
+// none of the candidates is evictable (all PENDING).
 func (c *Cache) selectConflictVictim(candidates [cuckoo.NumHashes]int) (int, simtime.Duration) {
 	victimSlot := -1
 	best := math.Inf(1)

@@ -115,9 +115,9 @@ func (c *Cache) CheckIntegrity() error {
 		return fmt.Errorf("core: ordered view holds %d entries, index %d", c.view.tree.Len(), indexed)
 	}
 	// Entries not reachable through the index must not hold storage:
-	// every allocated region belongs to an indexed entry, except the
-	// regions of PENDING entries that lost their index slot — which we
-	// forbid (dropHomeless frees them), so counts must match exactly.
+	// every allocated region belongs to an indexed entry (a new entry
+	// that finds no index slot is freed at once by dropHomeless), so
+	// counts must match exactly.
 	if c.store.Entries() != len(regions) {
 		return fmt.Errorf("core: storage holds %d regions, index references %d", c.store.Entries(), len(regions))
 	}

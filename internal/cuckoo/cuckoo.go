@@ -6,13 +6,16 @@
 // universal hash functions, giving constant lookup cost (at most p probes)
 // and up to ~97% space utilization (Fotakis et al.).
 //
-// Insertion uses the random-walk scheme: a new element is placed at one of
-// its p positions, displacing any occupant, which is then re-placed at one
-// of its other positions, and so on up to a maximum number of iterations.
-// Where a classical Cuckoo table would re-hash on insertion failure,
-// CLaMPI instead reports the failure as a *conflicting access*: the caller
-// picks a victim among the homeless element's candidate slots (the tail of
-// the insertion path) and completes the placement with ReplaceAt.
+// Insertion searches breadth-first for the shortest displacement path
+// (Li et al., EuroSys 2014): from the new element's p candidate slots it
+// follows each occupant to its other candidates, level by level, until it
+// reaches an empty slot or has examined a constant budget of slots. Only
+// then does it move anything: at most path-length elements, each one slot
+// along the path. Where a classical Cuckoo table would re-hash on
+// insertion failure, CLaMPI instead reports the failure as a *conflicting
+// access*: a failed search leaves the table unchanged and the new element
+// homeless, and the caller picks a victim among its candidate slots and
+// completes the placement with ReplaceAt.
 package cuckoo
 
 import (
@@ -25,12 +28,13 @@ import (
 // number of candidate slots per key.
 const NumHashes = 4
 
-// DefaultMaxIterations bounds the random-walk displacement chain; hitting
-// the bound signals a (possible) cycle in the Cuckoo graph. Random-walk
-// insertion needs O(log n) steps in expectation but has a heavy tail near
-// high load factors, so the bound is generous — a failed walk is not fatal
-// in CLaMPI, merely a conflicting access.
-const DefaultMaxIterations = 128
+// DefaultSearchBudget bounds the slots one insertion search examines,
+// the key's own p candidates included, so it bounds the cost of every
+// insert, failed or not. It is the smallest multiple of 8 at which inserts
+// into a table held at load 0.95 fail no more often (about 2 %) than under
+// the 128-step random walk the search replaced; a failed search is not
+// fatal in CLaMPI, merely a conflicting access.
+const DefaultSearchBudget = 168
 
 // Key identifies a cache entry: the paper's hit rule matches on target
 // rank and displacement only (§III-B1).
@@ -49,13 +53,22 @@ type Table[V any] struct {
 	// tags[s] is tagOf the key in slots[s], 0 while the slot is empty: the
 	// one record of occupancy. A probe reads the byte and touches the
 	// slot's own cache line only when it can match.
-	tags    []uint8
-	a, b    [NumHashes]uint64
-	fastM   uint64    // ^uint64(0)/len(slots) + 1, the fastmod constant of slot
-	rng     rand.Rand // held by value, so that tags adds no allocation per table
-	len     int
-	maxIter int
-	path    []int // reusable walk buffer; InsertResult.Path aliases it
+	tags  []uint8
+	a, b  [NumHashes]uint64
+	fastM uint64 // ^uint64(0)/len(slots) + 1, the fastmod constant of slot
+	// rng draws the hash family and RandomSlot's samples; Insert draws
+	// nothing. Held by value, so that tags adds no allocation per table.
+	rng    rand.Rand
+	len    int
+	budget int
+	queue  []bfsNode // the search's queue, one node per examinable slot
+}
+
+// bfsNode is one examined, occupied slot of an insertion search; parent is
+// the queue index of the slot whose occupant would move into this one's
+// place, -1 for the new key's own candidates.
+type bfsNode struct {
+	slot, parent int32
 }
 
 // slot is one key/value cell; an empty slot is the zero slot.
@@ -65,7 +78,7 @@ type slot[V any] struct {
 }
 
 // New creates a table with the given number of slots (minimum 2*p) and a
-// deterministic RNG seed for hash-function selection and walk randomness.
+// deterministic RNG seed for hash-function selection and RandomSlot.
 // The slot reduction is exact only below 2^32 slots; a larger size would
 // silently mis-slot keys, so it panics.
 func New[V any](size int, seed int64) *Table[V] {
@@ -76,12 +89,12 @@ func New[V any](size int, seed int64) *Table[V] {
 		panic(fmt.Sprintf("cuckoo: %d slots exceed the 2^32 limit of the slot reduction", size))
 	}
 	t := &Table[V]{
-		slots:   make([]slot[V], size),
-		tags:    make([]uint8, size),
-		fastM:   ^uint64(0)/uint64(size) + 1,
-		rng:     *rand.New(rand.NewSource(seed)),
-		maxIter: DefaultMaxIterations,
+		slots: make([]slot[V], size),
+		tags:  make([]uint8, size),
+		fastM: ^uint64(0)/uint64(size) + 1,
+		rng:   *rand.New(rand.NewSource(seed)),
 	}
+	t.SetSearchBudget(DefaultSearchBudget)
 	t.reseedHashes()
 	return t
 }
@@ -94,10 +107,13 @@ func (t *Table[V]) reseedHashes() {
 	}
 }
 
-// SetMaxIterations adjusts the displacement-walk bound (tests/ablations).
-func (t *Table[V]) SetMaxIterations(n int) {
+// SetSearchBudget adjusts the number of slots an insertion search may
+// examine (tests/ablations). The key's p candidates are always examined,
+// so a budget of at most p places a key only in an empty candidate.
+func (t *Table[V]) SetSearchBudget(n int) {
 	if n > 0 {
-		t.maxIter = n
+		t.budget = n
+		t.queue = make([]bfsNode, max(n, NumHashes))
 	}
 }
 
@@ -129,8 +145,14 @@ func mix(k Key) uint64 {
 // h % len(slots) without the division (Lemire's fastmod): exact because h
 // and the table size both fit 32 bits.
 func (t *Table[V]) slot(i int, x uint64) int {
-	h := (t.a[i]*x + t.b[i]) >> 32
-	s, _ := bits.Mul64(t.fastM*h, uint64(len(t.slots)))
+	return reduce(t.a[i], t.b[i], t.fastM, uint64(len(t.slots)), x)
+}
+
+// reduce is slot's arithmetic on its operands: hash x with multiplier a
+// and offset b, then reduce into [0, size) with fastM, the fastmod
+// constant of size.
+func reduce(a, b, fastM, size, x uint64) int {
+	s, _ := bits.Mul64(fastM*((a*x+b)>>32), size)
 	return int(s)
 }
 
@@ -220,18 +242,16 @@ func (t *Table[V]) Update(k Key, v V) bool {
 
 // InsertResult reports the outcome of an Insert.
 type InsertResult[V any] struct {
-	// Placed is true if every element found a slot. If false, the
-	// caller must resolve the conflict via ReplaceAt or drop the
-	// homeless element.
+	// Placed is true if the key found a slot. If false, the table is
+	// unchanged and the caller must resolve the conflict via ReplaceAt
+	// or drop the key.
 	Placed bool
-	// Path is the sequence of slot indices visited by the displacement
-	// walk (the paper's insertion path). It aliases a per-table scratch
-	// buffer and is only valid until the next Insert on the table.
-	Path []int
+	// Moves is the number of stored elements a successful insert moved
+	// one slot along its displacement path; 0 when the key went straight
+	// into an empty candidate or was not placed.
+	Moves int
 	// HomelessKey/HomelessVal identify the element left without a slot
-	// after a failed walk. It is not necessarily the key passed to
-	// Insert: displacements may leave a previously stored element
-	// homeless instead.
+	// by a failed insert: always the key and value passed to Insert.
 	HomelessKey Key
 	HomelessVal V
 	// CandidateSlots are the homeless element's p hash positions — the
@@ -240,57 +260,80 @@ type InsertResult[V any] struct {
 	CandidateSlots [NumHashes]int
 }
 
-// Insert places key/val using the random-walk scheme. The key must not
-// already be present (callers Lookup first; a duplicate insert panics, as
-// it would corrupt the structure).
+// Insert places key/val, moving stored elements along the shortest
+// displacement path the bounded breadth-first search finds. A full table
+// fails at once. The key must not already be present (callers Lookup
+// first; a duplicate insert panics, as it would corrupt the structure).
 func (t *Table[V]) Insert(k Key, v V) InsertResult[V] {
-	x := mix(k) // fold of the walking element
+	x := mix(k)
 	if t.find(k, x) >= 0 {
 		panic(fmt.Sprintf("cuckoo: duplicate insert of %v", k))
 	}
-	res := InsertResult[V]{Path: t.path[:0]}
-	curKey, curVal := k, v
-	// The hash-function index whose slot currently holds the walking
-	// element; -1 means unconstrained (first placement).
-	avoid := -1
-	for iter := 0; iter < t.maxIter; iter++ {
-		// Pick a random hash index, avoiding the position the
-		// element was just displaced from.
-		i := t.rng.Intn(NumHashes)
-		if i == avoid {
-			i = (i + 1 + t.rng.Intn(NumHashes-1)) % NumHashes
-		}
-		s := t.slot(i, x)
-		res.Path = append(res.Path, s)
-		if t.tags[s] == 0 {
-			t.set(s, curKey, curVal, x)
+	if t.len < len(t.slots) {
+		if empty, from := t.search(x); empty >= 0 {
+			// Shift every element on the path one slot towards the
+			// empty end; a moved element keeps its tag.
+			moves := 0
+			for n := from; n >= 0; n = t.queue[n].parent {
+				s := int(t.queue[n].slot)
+				t.slots[empty], t.tags[empty] = t.slots[s], t.tags[s]
+				empty = s
+				moves++
+			}
+			t.set(empty, k, v, x)
 			t.len++
-			res.Placed = true
-			t.path = res.Path[:0]
-			return res
+			return InsertResult[V]{Placed: true, Moves: moves}
 		}
-		// Displace the occupant and walk on with it, swapping in place.
-		sl := &t.slots[s]
-		sl.key, curKey = curKey, sl.key
-		sl.val, curVal = curVal, sl.val
-		t.tags[s] = tagOf(x)
-		// The displaced element sat in slot s; find which of its
-		// hash indices maps there so the next step avoids it.
-		x = mix(curKey)
-		avoid = t.hashIndex(x, s)
 	}
-	// Walk exhausted: curKey/curVal is homeless. Its candidate slots
-	// are all occupied (otherwise the walk would have placed it).
-	res.HomelessKey, res.HomelessVal = curKey, curVal
-	res.CandidateSlots = t.candidates(x)
-	t.path = res.Path[:0]
-	// The element that started the walk is now stored (unless the walk
-	// never displaced anyone, i.e. curKey == k after 0 swaps — then
-	// nothing was stored). Either way t.len reflects stored entries:
-	// every swap kept the count unchanged, and no empty slot was
-	// filled, so len is unchanged; the homeless element is simply not
-	// stored yet.
-	return res
+	return InsertResult[V]{HomelessKey: k, HomelessVal: v, CandidateSlots: t.candidates(x)}
+}
+
+// search looks breadth-first for an empty slot reachable from the key
+// whose fold is x. It returns the empty slot and the queue index of the
+// node whose occupant moves into it (-1 if it is one of the key's own
+// candidates), or -1 once budget occupied slots were examined.
+//
+// The queue keeps no visited set, so a slot may be reached twice, yet the
+// path to the first empty slot found never holds a slot twice (shifting
+// along such a cycle would move an element to a slot that is not one of
+// its candidates). Nothing moves during the search, so a slot's second
+// node has the same occupant, hence the same children, as its first, one
+// level or more higher; the search, going level by level, would have
+// found the empty slot below the first node before it.
+func (t *Table[V]) search(x uint64) (empty int, from int32) {
+	q := t.queue
+	for i := 0; i < NumHashes; i++ {
+		s := t.slot(i, x)
+		if t.tags[s] == 0 {
+			return s, -1
+		}
+		q[i] = bfsNode{slot: int32(s), parent: -1}
+	}
+	// The expansion runs up to budget times per insert: the table's
+	// fields are copied to locals so that the stores into q do not make
+	// the compiler reload them, and the node is stored before knowing
+	// whether it is the occupant's own slot, which then is not counted.
+	n, budget := NumHashes, t.budget
+	tags, slots := t.tags, t.slots
+	a, b, fastM, size := t.a, t.b, t.fastM, uint64(len(t.slots))
+	for head := 0; head < n; head++ {
+		at := q[head].slot
+		y := mix(slots[at].key)
+		for i := 0; i < NumHashes; i++ {
+			if n >= budget {
+				return -1, -1
+			}
+			s := reduce(a[i], b[i], fastM, size, y)
+			if tags[s] == 0 {
+				return s, int32(head)
+			}
+			q[n] = bfsNode{slot: int32(s), parent: int32(head)}
+			if int32(s) != at {
+				n++
+			}
+		}
+	}
+	return -1, -1
 }
 
 // ReplaceAt evicts the entry in slotIdx and stores key/val there. The

@@ -3,6 +3,7 @@ package cuckoo
 import (
 	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -78,7 +79,7 @@ func checkTags[V comparable](t *testing.T, tb *Table[V]) {
 // DeleteAt, Clear) on a table small enough to overflow.
 func TestTagsTrackEverySlotWrite(t *testing.T) {
 	tb := New[int](32, 9)
-	tb.SetMaxIterations(8)
+	tb.SetSearchBudget(8)
 	for i := 0; i < 300; i++ {
 		k := Key{Target: i % 3, Disp: i * 8}
 		if res := tb.Insert(k, i); !res.Placed {
@@ -110,8 +111,8 @@ func TestInsertLookupDelete(t *testing.T) {
 	if !res.Placed {
 		t.Fatalf("insert into empty table failed")
 	}
-	if len(res.Path) == 0 {
-		t.Fatalf("no insertion path recorded")
+	if res.Moves != 0 {
+		t.Fatalf("insert into empty table moved %d elements", res.Moves)
 	}
 	v, slot, ok := tb.Lookup(k)
 	if !ok || v != "hello" {
@@ -181,8 +182,8 @@ func TestDuplicateInsertPanics(t *testing.T) {
 
 func TestHighLoadFactor(t *testing.T) {
 	// Fotakis et al. report ~97% utilization with p=4 given long enough
-	// insertion walks. With the default walk bound, 85% must always
-	// succeed; with a generous bound, 95%.
+	// insertion searches. With the default search budget, 85% must
+	// always succeed; with a generous budget, 95%.
 	const n = 1024
 	tb := New[int](n, 42)
 	inserted := 0
@@ -190,7 +191,7 @@ func TestHighLoadFactor(t *testing.T) {
 		k := Key{Target: i % 16, Disp: i * 64}
 		res := tb.Insert(k, i)
 		if !res.Placed {
-			t.Fatalf("insert failed at load factor %.2f with default walk bound", tb.LoadFactor())
+			t.Fatalf("insert failed at load factor %.2f with the default search budget", tb.LoadFactor())
 		}
 		inserted++
 	}
@@ -203,11 +204,11 @@ func TestHighLoadFactor(t *testing.T) {
 	}
 
 	tb2 := New[int](n, 42)
-	tb2.SetMaxIterations(1024)
+	tb2.SetSearchBudget(1024)
 	for i := 0; tb2.Len() < n*95/100; i++ {
 		res := tb2.Insert(Key{Target: i % 16, Disp: i * 64}, i)
 		if !res.Placed {
-			t.Fatalf("insert failed at load factor %.2f with 1024-step walks", tb2.LoadFactor())
+			t.Fatalf("insert failed at load factor %.2f with a 1024-slot search budget", tb2.LoadFactor())
 		}
 	}
 	if tb2.Len() < n*95/100 {
@@ -216,50 +217,161 @@ func TestHighLoadFactor(t *testing.T) {
 }
 
 func TestInsertFailureReportsHomeless(t *testing.T) {
-	// Tiny table, forced to overflow: the walk must fail and report a
-	// homeless element whose candidate slots are all occupied.
+	// Tiny table, forced to overflow: the search must fail, report the
+	// new key as homeless with all its candidate slots occupied, and
+	// leave the table byte for byte as it was.
 	tb := New[int](8, 3)
-	tb.SetMaxIterations(8)
+	tb.SetSearchBudget(8)
 	stored := make(map[Key]int)
-	var fail InsertResult[int]
 	for i := 0; ; i++ {
 		k := Key{Target: 0, Disp: i * 8}
+		slots, tags := slices.Clone(tb.slots), slices.Clone(tb.tags)
 		res := tb.Insert(k, i)
-		if !res.Placed {
-			fail = res
-			break
-		}
-		stored[k] = i
-		if i > 100 {
-			t.Fatalf("table of 8 slots never overflowed")
-		}
-	}
-	for _, s := range fail.CandidateSlots {
-		if _, _, used := tb.At(s); !used {
-			t.Fatalf("candidate slot %d of homeless element is empty", s)
-		}
-	}
-	// The homeless element is either the new key or a displaced one;
-	// every *other* previously stored key must still be findable.
-	for k, v := range stored {
-		if k == fail.HomelessKey {
+		if res.Placed {
+			stored[k] = i
+			if i > 100 {
+				t.Fatalf("table of 8 slots never overflowed")
+			}
 			continue
 		}
-		got, _, ok := tb.Lookup(k)
-		if !ok || got != v {
+		if res.HomelessKey != k || res.HomelessVal != i {
+			t.Fatalf("homeless %v=%d, want the inserted %v=%d", res.HomelessKey, res.HomelessVal, k, i)
+		}
+		if res.Moves != 0 {
+			t.Fatalf("failed insert reports %d moves", res.Moves)
+		}
+		if res.CandidateSlots != tb.Candidates(k) {
+			t.Fatalf("candidate slots %v, want %v", res.CandidateSlots, tb.Candidates(k))
+		}
+		for _, s := range res.CandidateSlots {
+			if _, _, used := tb.At(s); !used {
+				t.Fatalf("candidate slot %d of homeless element is empty", s)
+			}
+		}
+		if !slices.Equal(slots, tb.slots) || !slices.Equal(tags, tb.tags) {
+			t.Fatalf("failed insert changed the table")
+		}
+		break
+	}
+	for k, v := range stored {
+		if got, _, ok := tb.Lookup(k); !ok || got != v {
 			t.Fatalf("stored key %v lost after failed insert", k)
 		}
 	}
-	// In both cases (homeless is the new key, or an old key displaced
-	// by the new one) the table holds exactly len(stored) entries.
 	if tb.Len() != len(stored) {
 		t.Fatalf("Len = %d, want %d", tb.Len(), len(stored))
 	}
 }
 
+// TestFullTableFailsAtOnce: with every slot used no search can succeed,
+// so Insert reports the key homeless without examining the table.
+func TestFullTableFailsAtOnce(t *testing.T) {
+	tb := New[int](16, 5)
+	for i := 0; tb.Len() < tb.Cap(); i++ {
+		k := Key{Target: 1, Disp: i * 8}
+		if res := tb.Insert(k, i); !res.Placed {
+			tb.ReplaceAt(res.CandidateSlots[0], k, i)
+		}
+	}
+	k := Key{Target: 2, Disp: 0}
+	if res := tb.Insert(k, 7); res.Placed || res.HomelessKey != k || res.CandidateSlots != tb.Candidates(k) {
+		t.Fatalf("insert into a full table = %+v", res)
+	}
+	if tb.Len() != tb.Cap() {
+		t.Fatalf("Len = %d after a failed insert into a full table of %d", tb.Len(), tb.Cap())
+	}
+}
+
+// TestInsertMovesAtMostBudget fills tables under several search budgets:
+// a successful insert moves at most budget elements, changes at most
+// Moves+1 slots, and every key stored before it still looks up.
+func TestInsertMovesAtMostBudget(t *testing.T) {
+	for _, budget := range []int{1, 4, 16, 64, DefaultSearchBudget} {
+		tb := New[int](256, int64(budget))
+		tb.SetSearchBudget(budget)
+		stored := make(map[Key]int)
+		for i := 0; i < 400; i++ {
+			k := Key{Target: i % 5, Disp: i * 16}
+			slots := slices.Clone(tb.slots)
+			res := tb.Insert(k, i)
+			if !res.Placed {
+				continue
+			}
+			if res.Moves > budget {
+				t.Fatalf("budget %d: insert %d moved %d elements", budget, i, res.Moves)
+			}
+			changed := 0
+			for s := range slots {
+				if slots[s] != tb.slots[s] {
+					changed++
+				}
+			}
+			if changed > res.Moves+1 {
+				t.Fatalf("budget %d: insert %d changed %d slots for %d moves", budget, i, changed, res.Moves)
+			}
+			stored[k] = i
+			for sk, sv := range stored {
+				if got, _, ok := tb.Lookup(sk); !ok || got != sv {
+					t.Fatalf("budget %d: %v=%d lost after insert %d (got %d,%v)", budget, sk, sv, i, got, ok)
+				}
+			}
+		}
+		if tb.Len() != len(stored) {
+			t.Fatalf("budget %d: Len = %d, want %d", budget, tb.Len(), len(stored))
+		}
+		checkTags(t, tb)
+	}
+}
+
+// TestTinyTablesStayConsistent fills 8-slot tables with a generous
+// budget, where searches revisit slots often: no path the search takes
+// shifts an element along a cycle, so after every insert each stored key
+// still looks up.
+func TestTinyTablesStayConsistent(t *testing.T) {
+	for seed := int64(0); seed < 200; seed++ {
+		tb := New[int](8, seed)
+		tb.SetSearchBudget(64)
+		stored := make(map[Key]int)
+		for i := 0; i < 16; i++ {
+			k := Key{Target: int(seed), Disp: i * 8}
+			if !tb.Insert(k, i).Placed {
+				continue
+			}
+			stored[k] = i
+			for sk, sv := range stored {
+				if got, _, ok := tb.Lookup(sk); !ok || got != sv {
+					t.Fatalf("seed %d: %v=%d lost after inserting %v", seed, sk, sv, k)
+				}
+			}
+		}
+		if tb.Len() != len(stored) {
+			t.Fatalf("seed %d: Len = %d, want %d", seed, tb.Len(), len(stored))
+		}
+		checkTags(t, tb)
+	}
+}
+
+// TestRandomSlotIgnoresInserts: inserts draw nothing from the table's
+// RNG, so the eviction sampler's start slots do not depend on how many
+// inserts ran in between.
+func TestRandomSlotIgnoresInserts(t *testing.T) {
+	quiet, busy := New[int](128, 17), New[int](128, 17)
+	for i := 0; i < 500; i++ {
+		for j := 0; j < 3; j++ {
+			k := Key{Target: 3, Disp: (3*i + j) * 8}
+			if res := busy.Insert(k, i); !res.Placed {
+				busy.ReplaceAt(res.CandidateSlots[j], k, i)
+			}
+		}
+		if q, b := quiet.RandomSlot(), busy.RandomSlot(); q != b {
+			t.Fatalf("draw %d: RandomSlot %d with inserts, %d without", i, b, q)
+		}
+	}
+}
+
 func TestReplaceAtResolvesConflict(t *testing.T) {
 	tb := New[int](8, 3)
-	tb.SetMaxIterations(8)
+	tb.SetSearchBudget(8)
 	var fail InsertResult[int]
 	for i := 0; ; i++ {
 		res := tb.Insert(Key{0, i * 8}, i)
@@ -497,19 +609,21 @@ func TestDeterministicWithSameSeed(t *testing.T) {
 		k := Key{0, i * 8}
 		r1 := t1.Insert(k, i)
 		r2 := t2.Insert(k, i)
-		if r1.Placed != r2.Placed || len(r1.Path) != len(r2.Path) {
+		if r1 != r2 {
 			t.Fatalf("same-seed tables diverged at insert %d", i)
 		}
 	}
 }
 
-func TestSetMaxIterationsIgnoresInvalid(t *testing.T) {
+func TestSetSearchBudgetIgnoresInvalid(t *testing.T) {
 	tb := New[int](64, 3)
-	tb.SetMaxIterations(0)
-	tb.SetMaxIterations(-1)
-	// Still able to insert (maxIter stayed positive).
+	tb.SetSearchBudget(0)
+	tb.SetSearchBudget(-1)
+	if tb.budget != DefaultSearchBudget {
+		t.Fatalf("budget = %d after invalid SetSearchBudget, want %d", tb.budget, DefaultSearchBudget)
+	}
 	if res := tb.Insert(Key{0, 0}, 1); !res.Placed {
-		t.Fatalf("insert failed after invalid SetMaxIterations")
+		t.Fatalf("insert failed after invalid SetSearchBudget")
 	}
 }
 
@@ -541,4 +655,47 @@ func BenchmarkInsert(b *testing.B) {
 		}
 		tb.Insert(Key{0, i * 8}, i)
 	}
+}
+
+// nearFullRef is shaped like the cache's index value: a pointer beside a
+// 16-byte hit record, 24 bytes in all.
+type nearFullRef struct {
+	e    *int
+	off  uint32
+	hit  int32
+	last int64
+}
+
+// BenchmarkInsertNearFull times inserts into a 512-slot table held at load
+// ≈ 0.97, the state of a churning cache's index, with a value shaped like
+// the cache's. Each placed key is paid for by deleting the next stored
+// entry after a cursor that sweeps the slots, so the load stays put
+// whichever entry a failed insert leaves homeless.
+func BenchmarkInsertNearFull(b *testing.B) {
+	const slots = 512
+	tb := New[nearFullRef](slots, 1)
+	next := 0
+	fresh := func() Key {
+		next++
+		return Key{Target: next % 7, Disp: next * 64}
+	}
+	for tb.LoadFactor() < 0.97 {
+		tb.Insert(fresh(), nearFullRef{})
+	}
+	var held int
+	cursor, fails := 0, 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !tb.Insert(fresh(), nearFullRef{e: &held, hit: -1, last: int64(i)}).Placed {
+			fails++
+			continue
+		}
+		for {
+			cursor = (cursor + 1) % slots
+			if _, _, ok := tb.DeleteAt(cursor); ok {
+				break
+			}
+		}
+	}
+	b.ReportMetric(float64(fails)/float64(b.N), "fails/op")
 }

@@ -3,12 +3,21 @@ package cuckoo
 import "testing"
 
 // FuzzTableOps drives the Cuckoo table with an op tape against a map
-// oracle: lookups must agree with the oracle at every step, and the
-// table must survive insertion failures (conflicting accesses) without
-// losing unrelated keys.
+// oracle: lookups must agree with the oracle at every step, and an
+// insertion failure (a conflicting access) must leave the table as it
+// was.
 func FuzzTableOps(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 200, 201, 100})
 	f.Add([]byte{9, 9, 9, 9, 9, 9, 9, 9, 9})
+	// Every byte that inserts, in order: the 64 slots fill up, so the
+	// full-table shortcut runs too.
+	var fill []byte
+	for op := 0; op < 256; op++ {
+		if op%3 != 0 {
+			fill = append(fill, byte(op))
+		}
+	}
+	f.Add(fill)
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		tb := New[int](64, 5)
 		oracle := make(map[Key]int)
@@ -29,15 +38,10 @@ func FuzzTableOps(f *testing.F) {
 				res := tb.Insert(k, i)
 				if res.Placed {
 					oracle[k] = i
-				} else {
-					// The homeless element (new or displaced)
-					// is no longer stored.
-					if res.HomelessKey == k {
-						// new key failed: oracle unchanged
-					} else {
-						delete(oracle, res.HomelessKey)
-						oracle[k] = i
-					}
+				} else if res.HomelessKey != k {
+					// A failure leaves the new key homeless and
+					// the oracle unchanged.
+					t.Fatalf("op %d: failed insert of %v left %v homeless", i, k, res.HomelessKey)
 				}
 			}
 			// The table and the oracle agree.

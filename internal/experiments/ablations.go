@@ -107,51 +107,50 @@ func AblationAllocPolicy(n, z int) ([]AllocPolicyRow, *lsb.Table, error) {
 	return rows, tbl, nil
 }
 
-// CuckooWalkRow records the utilization reached before the first
-// insertion failure for one walk bound.
-type CuckooWalkRow struct {
-	MaxIter     int
-	FirstFail   float64 // load factor at first insertion failure
-	AvgPathLen  float64 // mean insertion-path length until then
-	MaxPathSeen int
+// CuckooSearchRow records the utilization reached before the first
+// insertion failure for one search budget.
+type CuckooSearchRow struct {
+	Budget    int
+	FirstFail float64 // load factor at first insertion failure
+	AvgMoves  float64 // mean elements moved per insert until then
+	MaxMoves  int
 }
 
-// AblationCuckooWalk sweeps the insertion-walk bound of the Cuckoo index
-// (p = 4 hash functions): longer walks reach higher utilization before
-// the first conflicting access, at the price of a longer worst-case
-// insert. Fotakis et al. report ~97% achievable space utilization.
-func AblationCuckooWalk(maxIters []int, slots int, seeds int) ([]CuckooWalkRow, *lsb.Table, error) {
-	var rows []CuckooWalkRow
-	tbl := lsb.NewTable("Ablation: Cuckoo insertion-walk bound (p=4)",
-		"max iterations", "load at first failure", "avg path", "max path")
-	for _, mi := range maxIters {
-		var loadSum, pathSum float64
-		var pathCount, maxPath int
+// AblationCuckooSearch sweeps the insertion search budget of the Cuckoo
+// index (p = 4 hash functions): a larger budget reaches higher
+// utilization before the first conflicting access, at the price of a
+// dearer worst-case insert. Fotakis et al. report ~97% achievable space
+// utilization.
+func AblationCuckooSearch(budgets []int, slots int, seeds int) ([]CuckooSearchRow, *lsb.Table, error) {
+	var rows []CuckooSearchRow
+	tbl := lsb.NewTable("Ablation: Cuckoo insertion search budget (p=4)",
+		"budget", "load at first failure", "avg moves", "max moves")
+	for _, budget := range budgets {
+		var loadSum, movesSum float64
+		var inserts, maxMoves int
 		for seed := 0; seed < seeds; seed++ {
 			t := cuckoo.New[int](slots, int64(seed)*7+1)
-			t.SetMaxIterations(mi)
+			t.SetSearchBudget(budget)
 			for i := 0; ; i++ {
 				res := t.Insert(cuckoo.Key{Target: i & 7, Disp: i * 64}, i)
-				pathSum += float64(len(res.Path))
-				pathCount++
-				if len(res.Path) > maxPath {
-					maxPath = len(res.Path)
-				}
+				movesSum += float64(res.Moves)
+				inserts++
+				maxMoves = max(maxMoves, res.Moves)
 				if !res.Placed {
 					loadSum += t.LoadFactor()
 					break
 				}
 			}
 		}
-		row := CuckooWalkRow{
-			MaxIter:     mi,
-			FirstFail:   loadSum / float64(seeds),
-			AvgPathLen:  pathSum / float64(pathCount),
-			MaxPathSeen: maxPath,
+		row := CuckooSearchRow{
+			Budget:    budget,
+			FirstFail: loadSum / float64(seeds),
+			AvgMoves:  movesSum / float64(inserts),
+			MaxMoves:  maxMoves,
 		}
 		rows = append(rows, row)
-		tbl.AddRow(mi, fmt.Sprintf("%.3f", row.FirstFail),
-			fmt.Sprintf("%.2f", row.AvgPathLen), row.MaxPathSeen)
+		tbl.AddRow(budget, fmt.Sprintf("%.3f", row.FirstFail),
+			fmt.Sprintf("%.2f", row.AvgMoves), row.MaxMoves)
 	}
 	return rows, tbl, nil
 }

@@ -52,26 +52,34 @@ func TestAblationAllocPolicy(t *testing.T) {
 	}
 }
 
-func TestAblationCuckooWalk(t *testing.T) {
-	rows, tbl, err := AblationCuckooWalk([]int{4, 16, 64, 256}, 1024, 3)
+func TestAblationCuckooSearch(t *testing.T) {
+	budgets := []int{4, 16, 64, 256}
+	rows, tbl, err := AblationCuckooSearch(budgets, 1024, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if testing.Verbose() {
 		t.Log("\n" + tbl.String())
 	}
-	// Utilization at first failure grows monotonically with the walk
-	// bound and approaches the ~97% of Fotakis et al.
+	// Utilization at first failure grows monotonically with the search
+	// budget and approaches the ~97% of Fotakis et al.
 	for i := 1; i < len(rows); i++ {
 		if rows[i].FirstFail < rows[i-1].FirstFail-0.02 {
-			t.Errorf("utilization fell: maxIter %d → %.3f, %d → %.3f",
-				rows[i-1].MaxIter, rows[i-1].FirstFail, rows[i].MaxIter, rows[i].FirstFail)
+			t.Errorf("utilization fell: budget %d → %.3f, %d → %.3f",
+				rows[i-1].Budget, rows[i-1].FirstFail, rows[i].Budget, rows[i].FirstFail)
 		}
 	}
 	if last := rows[len(rows)-1]; last.FirstFail < 0.9 {
-		t.Errorf("256-step walks only reached %.3f utilization", last.FirstFail)
+		t.Errorf("a 256-slot search budget only reached %.3f utilization", last.FirstFail)
 	}
-	if rows[0].MaxPathSeen > 4 || rows[3].MaxPathSeen > 256 {
-		t.Errorf("path bounds violated: %+v", rows)
+	// A budget of p examines only the key's own candidates: nothing
+	// moves. No insert moves more elements than its budget examines.
+	if rows[0].MaxMoves != 0 {
+		t.Errorf("budget 4 moved up to %d elements", rows[0].MaxMoves)
+	}
+	for i, r := range rows {
+		if r.MaxMoves > budgets[i] {
+			t.Errorf("budget %d moved up to %d elements", budgets[i], r.MaxMoves)
+		}
 	}
 }

@@ -66,13 +66,13 @@ func TestLCCLocalityCompare(t *testing.T) {
 	defer SetExecMode(prev)
 	wantBlind := LCCLocalityRow{
 		System: "locality-blind", SumLCC: 614.6210620178122, Wedges: 3078064,
-		TotalVirtualNs: 436591341, CommVirtualNs: 369004654,
-		RemoteBytes: 81641496, HitRate: 0.29133186874918493, Evictions: 31561,
+		TotalVirtualNs: 436459653, CommVirtualNs: 368872966,
+		RemoteBytes: 81641496, HitRate: 0.28983719040597067, Evictions: 31618,
 	}
 	wantAware := LCCLocalityRow{
 		System: "cost-aware", SumLCC: wantBlind.SumLCC, Wedges: wantBlind.Wedges,
-		TotalVirtualNs: 290043174, CommVirtualNs: 222456487,
-		RemoteBytes: 81641496, HitRate: 0.2905694824801629, Evictions: 23337, CheapSkips: 16996,
+		TotalVirtualNs: 289955561, CommVirtualNs: 222368874,
+		RemoteBytes: 81641496, HitRate: 0.2889243331627996, Evictions: 23404, CheapSkips: 16996,
 	}
 	for _, mode := range []mpi.ExecMode{mpi.FidelityMeasured, mpi.Throughput} {
 		SetExecMode(mode)
