@@ -228,10 +228,10 @@ func TestHitPathDifferential(t *testing.T) {
 	}
 }
 
-// The Stats and virtual time of the seed-1 sequence, last moved by the
-// breadth-first Cuckoo insert (index placement decides which entries
-// conflict and which the eviction sample sees): a refactor that moves
-// either has changed behaviour, not only host time.
+// The Stats and virtual time of the seed-1 sequence: a refactor that
+// moves either has changed behaviour, not only host time. A change of
+// index placement moves them, since placement decides which entries
+// conflict and which the eviction sample sees.
 var (
 	goldenHitGet = Stats{Gets: 4465, Hits: 4004, FullHits: 4004, Direct: 298, Conflicting: 112, Capacity: 7, Failing: 44,
 		Evictions: 162, VisitedSlots: 800, NonEmptyVisited: 573, EvictionScans: 50,

@@ -15,8 +15,8 @@ const (
 	AccessHit AccessType = iota
 	// AccessDirect stored the new entry without any eviction.
 	AccessDirect
-	// AccessConflicting required evicting an entry on the Cuckoo
-	// insertion path (index conflict).
+	// AccessConflicting required evicting an entry from one of the new
+	// key's Cuckoo candidate slots (index conflict).
 	AccessConflicting
 	// AccessCapacity required evicting an entry to make room in S_w,
 	// after which the allocation succeeded.

@@ -263,91 +263,51 @@ func TestInsertFailureReportsHomeless(t *testing.T) {
 	}
 }
 
-// TestFullTableFailsAtOnce: with every slot used no search can succeed,
-// so Insert reports the key homeless without examining the table.
-func TestFullTableFailsAtOnce(t *testing.T) {
-	tb := New[int](16, 5)
-	for i := 0; tb.Len() < tb.Cap(); i++ {
-		k := Key{Target: 1, Disp: i * 8}
-		if res := tb.Insert(k, i); !res.Placed {
-			tb.ReplaceAt(res.CandidateSlots[0], k, i)
-		}
-	}
-	k := Key{Target: 2, Disp: 0}
-	if res := tb.Insert(k, 7); res.Placed || res.HomelessKey != k || res.CandidateSlots != tb.Candidates(k) {
-		t.Fatalf("insert into a full table = %+v", res)
-	}
-	if tb.Len() != tb.Cap() {
-		t.Fatalf("Len = %d after a failed insert into a full table of %d", tb.Len(), tb.Cap())
-	}
-}
-
 // TestInsertMovesAtMostBudget fills tables under several search budgets:
 // a successful insert moves at most budget elements, changes at most
-// Moves+1 slots, and every key stored before it still looks up.
+// Moves+1 slots, and every key stored before it still looks up. The
+// 8-slot tables with a generous budget make the search revisit slots
+// often; no path it takes may shift an element along a cycle.
 func TestInsertMovesAtMostBudget(t *testing.T) {
-	for _, budget := range []int{1, 4, 16, 64, DefaultSearchBudget} {
-		tb := New[int](256, int64(budget))
-		tb.SetSearchBudget(budget)
-		stored := make(map[Key]int)
-		for i := 0; i < 400; i++ {
-			k := Key{Target: i % 5, Disp: i * 16}
-			slots := slices.Clone(tb.slots)
-			res := tb.Insert(k, i)
-			if !res.Placed {
-				continue
-			}
-			if res.Moves > budget {
-				t.Fatalf("budget %d: insert %d moved %d elements", budget, i, res.Moves)
-			}
-			changed := 0
-			for s := range slots {
-				if slots[s] != tb.slots[s] {
-					changed++
+	for _, c := range []struct{ slots, budget, tables int }{
+		{256, 1, 1}, {256, 4, 1}, {256, 16, 1}, {256, 64, 1}, {256, DefaultSearchBudget, 1},
+		{8, 64, 200},
+	} {
+		for seed := 0; seed < c.tables; seed++ {
+			tb := New[int](c.slots, int64(c.budget+seed))
+			tb.SetSearchBudget(c.budget)
+			stored := make(map[Key]int)
+			for i := 0; i < 2*c.slots; i++ {
+				k := Key{Target: seed % 5, Disp: i * 16}
+				slots := slices.Clone(tb.slots)
+				res := tb.Insert(k, i)
+				if !res.Placed {
+					continue
+				}
+				if res.Moves > c.budget {
+					t.Fatalf("%+v seed %d: insert %d moved %d elements", c, seed, i, res.Moves)
+				}
+				changed := 0
+				for s := range slots {
+					if slots[s] != tb.slots[s] {
+						changed++
+					}
+				}
+				if changed > res.Moves+1 {
+					t.Fatalf("%+v seed %d: insert %d changed %d slots for %d moves", c, seed, i, changed, res.Moves)
+				}
+				stored[k] = i
+				for sk, sv := range stored {
+					if got, _, ok := tb.Lookup(sk); !ok || got != sv {
+						t.Fatalf("%+v seed %d: %v=%d lost after insert %d (got %d,%v)", c, seed, sk, sv, i, got, ok)
+					}
 				}
 			}
-			if changed > res.Moves+1 {
-				t.Fatalf("budget %d: insert %d changed %d slots for %d moves", budget, i, changed, res.Moves)
+			if tb.Len() != len(stored) {
+				t.Fatalf("%+v seed %d: Len = %d, want %d", c, seed, tb.Len(), len(stored))
 			}
-			stored[k] = i
-			for sk, sv := range stored {
-				if got, _, ok := tb.Lookup(sk); !ok || got != sv {
-					t.Fatalf("budget %d: %v=%d lost after insert %d (got %d,%v)", budget, sk, sv, i, got, ok)
-				}
-			}
+			checkTags(t, tb)
 		}
-		if tb.Len() != len(stored) {
-			t.Fatalf("budget %d: Len = %d, want %d", budget, tb.Len(), len(stored))
-		}
-		checkTags(t, tb)
-	}
-}
-
-// TestTinyTablesStayConsistent fills 8-slot tables with a generous
-// budget, where searches revisit slots often: no path the search takes
-// shifts an element along a cycle, so after every insert each stored key
-// still looks up.
-func TestTinyTablesStayConsistent(t *testing.T) {
-	for seed := int64(0); seed < 200; seed++ {
-		tb := New[int](8, seed)
-		tb.SetSearchBudget(64)
-		stored := make(map[Key]int)
-		for i := 0; i < 16; i++ {
-			k := Key{Target: int(seed), Disp: i * 8}
-			if !tb.Insert(k, i).Placed {
-				continue
-			}
-			stored[k] = i
-			for sk, sv := range stored {
-				if got, _, ok := tb.Lookup(sk); !ok || got != sv {
-					t.Fatalf("seed %d: %v=%d lost after inserting %v", seed, sk, sv, k)
-				}
-			}
-		}
-		if tb.Len() != len(stored) {
-			t.Fatalf("seed %d: Len = %d, want %d", seed, tb.Len(), len(stored))
-		}
-		checkTags(t, tb)
 	}
 }
 

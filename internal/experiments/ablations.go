@@ -2,7 +2,7 @@ package experiments
 
 // Ablations beyond the paper's figures, probing the design choices
 // DESIGN.md calls out: the eviction sample size M, the best-fit storage
-// allocator, and the Cuckoo insertion-walk bound.
+// allocator, and the Cuckoo insertion search budget.
 
 import (
 	"fmt"

@@ -132,9 +132,9 @@ func fig7One(typ string, size, reps int) (Fig7Row, error) {
 		return row, collect(&p, 0, fresh, core.AccessDirect)
 	case "conflicting":
 		// Tiny index, ample storage: once the index saturates, every
-		// new entry displaces one on its insertion path. The index is
-		// prefilled well past its capacity so the random-walk inserts
-		// of the measured gets fail deterministically.
+		// new entry evicts one of its candidate slots' occupants. The
+		// index is prefilled well past its capacity so the inserts of
+		// the measured gets fail deterministically.
 		p := alwaysCacheParams(16, region+1<<20)
 		p.SampleSize = 4
 		conflict := func(env *microEnv, i int) (simtime.Duration, core.Access, error) {
