@@ -434,8 +434,7 @@ func TestRangeViewDifferential(t *testing.T) {
 	for name, n := range map[string]int{
 		"range queries": cov.queries, "victims": cov.victims, "PENDING victims with waiters": cov.pendingWaiters,
 		"in-place extensions": cov.extensions, "conflicting accesses": cov.conflicts,
-		"capacity evictions": cov.capacity,
-		"index resizes":      cov.indexResizes, "patched writes": cov.patchedWrites,
+		"capacity evictions": cov.capacity, "index resizes": cov.indexResizes, "patched writes": cov.patchedWrites,
 		"writes patching several entries": cov.multiPatches, "writes both patching and dropping": cov.mixedWrites,
 		"notification invalidations": cov.notifyInvalidation,
 	} {

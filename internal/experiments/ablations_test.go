@@ -53,8 +53,7 @@ func TestAblationAllocPolicy(t *testing.T) {
 }
 
 func TestAblationCuckooSearch(t *testing.T) {
-	budgets := []int{4, 16, 64, 256}
-	rows, tbl, err := AblationCuckooSearch(budgets, 1024, 3)
+	rows, tbl, err := AblationCuckooSearch([]int{4, 16, 64, 256}, 1024, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,9 +76,9 @@ func TestAblationCuckooSearch(t *testing.T) {
 	if rows[0].MaxMoves != 0 {
 		t.Errorf("budget 4 moved up to %d elements", rows[0].MaxMoves)
 	}
-	for i, r := range rows {
-		if r.MaxMoves > budgets[i] {
-			t.Errorf("budget %d moved up to %d elements", budgets[i], r.MaxMoves)
+	for _, r := range rows {
+		if r.MaxMoves > r.Budget {
+			t.Errorf("budget %d moved up to %d elements", r.Budget, r.MaxMoves)
 		}
 	}
 }
