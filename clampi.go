@@ -36,7 +36,7 @@ var (
 // Re-exported runtime types. The transport-agnostic vocabulary (Info,
 // Op, LockType, RMA, Endpoint) anchors on internal/rma — it means the
 // same thing over the simulated runtime and over a socket connection.
-// Rank, RunConfig and ExecMode belong to the simulated path (Run); the
+// Rank and RunConfig belong to the simulated path (Run); the
 // wire path constructs windows with Dial instead.
 type (
 	// Rank is one simulated MPI process; see Run (the simulated path).
@@ -76,21 +76,7 @@ type (
 	// Notification is one delivered write descriptor (advanced use:
 	// draining a raw window's queue directly via NotifyWindow).
 	Notification = notify.Notification
-	// ExecMode selects how the simulated ranks execute (see Run).
-	ExecMode = mpi.ExecMode
 )
-
-// Execution modes. FidelityMeasured (the default) serializes ranks for
-// calibration-grade timing; Throughput runs them genuinely concurrently
-// with identical modelled virtual clocks.
-const (
-	FidelityMeasured = mpi.FidelityMeasured
-	Throughput       = mpi.Throughput
-)
-
-// ParseExecMode parses a mode name ("fidelity", "throughput" and
-// aliases) — for wiring -mode command-line flags to RunConfig.Mode.
-func ParseExecMode(s string) (ExecMode, error) { return mpi.ParseExecMode(s) }
 
 // Accumulate operators (MPI_REPLACE, MPI_SUM, MPI_MAX, MPI_MIN).
 const (
@@ -107,7 +93,8 @@ const (
 )
 
 // Run launches an SPMD program on size simulated ranks and waits for all
-// of them (the moral equivalent of mpirun).
+// of them (the moral equivalent of mpirun). The ranks run concurrently;
+// their virtual clocks advance by modelled costs only.
 func Run(size int, cfg RunConfig, program func(*Rank) error) error {
 	return mpi.Run(size, cfg, program)
 }
@@ -191,8 +178,8 @@ const InfoKey = core.InfoKey
 // an observer pays a single nil-check per access.
 type (
 	// Observer receives the structured events of a caching window.
-	// Implementations must be safe for concurrent use when the window
-	// runs under the Throughput execution mode.
+	// An implementation shared by several windows must be safe for
+	// concurrent use: the ranks of a Run execute concurrently.
 	Observer = core.Observer
 	// AccessEvent describes one classified Get.
 	AccessEvent = core.AccessEvent

@@ -22,13 +22,13 @@ func runChaos(args []string, stdout, stderr io.Writer) error {
 	}
 	apps := experiments.ChaosApps()
 
-	fs, s := newFlags("chaos", stderr, modeFlag|obsvFlags)
+	fs, s := newFlags("chaos", stderr, obsvFlags)
 	app := fs.String("app", "all", "application to run: "+oneOf(apps))
 	scenario := fs.String("scenario", "all", "canned scenario: "+oneOf(scenarioNames))
 	scenarioFile := fs.String("scenario-file", "", "load a custom scenario from this JSON file (overrides -scenario)")
 	seed := fs.Int64("seed", 42, "chaos seed: scenario RNGs derive from it, so a seed reproduces the exact fault sequence")
 	p := fs.Int("p", 4, "processing elements P")
-	if _, err := s.parse(fs, args); err != nil {
+	if err := s.parse(fs, args); err != nil {
 		return err
 	}
 

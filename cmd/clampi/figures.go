@@ -16,7 +16,7 @@ import (
 func runLatency(args []string, stdout, stderr io.Writer) error {
 	fs, s := newFlags("latency", stderr, obsvFlags)
 	maxSize := fs.Int("max", 128<<10, "largest message size in bytes")
-	if _, err := s.parse(fs, args); err != nil {
+	if err := s.parse(fs, args); err != nil {
 		return err
 	}
 	var sizes []int
@@ -37,13 +37,13 @@ func runLatency(args []string, stdout, stderr io.Writer) error {
 // 10-11). -json also runs the headline micro benchmark and writes its
 // virtual-time figures to BENCH_micro.json in the working directory.
 func runMicro(args []string, stdout, stderr io.Writer) error {
-	fs, s := newFlags("micro", stderr, modeFlag|obsvFlags|paperFlag)
+	fs, s := newFlags("micro", stderr, obsvFlags|paperFlag)
 	fig := fs.String("fig", "all", "figure to regenerate: all, 7, 8, 9, 10 or 11")
 	n := fs.Int("n", 512, "distinct gets N")
 	z := fs.Int("z", 8192, "sequence length Z")
 	reps := fs.Int("reps", 50, "repetitions per Fig 7 access-type sample")
 	jsonOut := fs.Bool("json", false, "additionally run the headline micro benchmark and write BENCH_micro.json")
-	if _, err := s.parse(fs, args); err != nil {
+	if err := s.parse(fs, args); err != nil {
 		return err
 	}
 	if s.paper {
@@ -118,11 +118,11 @@ func writeMicroBench(w io.Writer, n, z int) error {
 // at N=4000, P=4; Figs. 12-13 at N=20K, P=16, |S_w| up to 4 MB; Fig. 14
 // at 1.5K bodies/PE, P=16..128 — a long run.
 func runNBody(args []string, stdout, stderr io.Writer) error {
-	fs, s := newFlags("nbody", stderr, modeFlag|obsvFlags|paperFlag)
+	fs, s := newFlags("nbody", stderr, obsvFlags|paperFlag)
 	fig := fs.String("fig", "all", "figure to regenerate: all, 2, 12, 13 or 14")
 	n := fs.Int("n", 2000, "bodies N (Figs 12-13)")
 	p := fs.Int("p", 4, "processing elements P (Figs 12-13)")
-	if _, err := s.parse(fs, args); err != nil {
+	if err := s.parse(fs, args); err != nil {
 		return err
 	}
 
@@ -186,13 +186,13 @@ func runNBody(args []string, stdout, stderr io.Writer) error {
 // at 2^20 vertices, 2^24 edges, P=32; Figs. 17-18 at scales 19..22,
 // EF=16, P=16..128 — a very long run.
 func runLCC(args []string, stdout, stderr io.Writer) error {
-	fs, s := newFlags("lcc", stderr, modeFlag|obsvFlags|paperFlag)
+	fs, s := newFlags("lcc", stderr, obsvFlags|paperFlag)
 	fig := fs.String("fig", "all", "figure to regenerate: all, 3, 15, 16, 17 (includes 18) or locality")
 	scale := fs.Int("scale", 12, "R-MAT scale (vertices = 2^scale) for Figs 15-16")
 	ef := fs.Int("ef", 8, "R-MAT edge factor")
 	p := fs.Int("p", 4, "processing elements P")
 	maxVerts := fs.Int("maxverts", 256, "max vertices per rank (0 = all)")
-	if _, err := s.parse(fs, args); err != nil {
+	if err := s.parse(fs, args); err != nil {
 		return err
 	}
 
@@ -269,10 +269,10 @@ func runLCC(args []string, stdout, stderr io.Writer) error {
 // ablations of DESIGN.md §6 and the extension workloads (pull-BFS,
 // persistent-window Barnes-Hut).
 func runExt(args []string, stdout, stderr io.Writer) error {
-	fs, s := newFlags("ext", stderr, modeFlag|obsvFlags)
+	fs, s := newFlags("ext", stderr, obsvFlags)
 	exp := fs.String("exp", "all", "experiment: all, samplesize, allocpolicy, cuckoo, bfs or persistent")
 	csv := fs.Bool("csv", false, "emit CSV instead of aligned tables")
-	if _, err := s.parse(fs, args); err != nil {
+	if err := s.parse(fs, args); err != nil {
 		return err
 	}
 	// out prints tbl in the selected format unless its driver failed.

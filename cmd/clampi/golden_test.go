@@ -11,66 +11,54 @@ import (
 
 	"clampi/internal/experiments"
 	"clampi/internal/fault"
+	"clampi/internal/schedtest"
 )
 
 var update = flag.Bool("update", false, "rewrite the goldens and BENCH_micro.json from this run")
 
 // goldenCases are the figure modes at their scaled defaults. A case's
-// golden is testdata/<argv joined by "_", dashes dropped>.golden, with
-// the exec mode before the suffix where the output names the mode.
-var goldenCases = []struct {
-	args    []string
-	perMode bool // the output names the exec mode
-	noMode  bool // the subcommand takes no -mode
-}{
-	{args: []string{"latency"}, noMode: true},
-	{args: []string{"micro"}},
-	{args: []string{"lcc", "-fig", "3"}},
-	{args: []string{"lcc", "-fig", "15"}},
-	{args: []string{"lcc", "-fig", "16"}},
-	{args: []string{"lcc", "-fig", "17"}},
-	{args: []string{"lcc", "-fig", "locality"}},
-	{args: []string{"nbody", "-fig", "2"}},
-	{args: []string{"nbody", "-fig", "2", "-paper"}}, // the paper's N: its magnitude is the claim
-	{args: []string{"nbody", "-fig", "12"}},
-	{args: []string{"nbody", "-fig", "13"}},
-	{args: []string{"nbody", "-fig", "14"}},
-	{args: []string{"ext"}},
-	{args: []string{"stencil", "-compare"}},
-	{args: []string{"stencil", "-compare", "-writeback"}},
-	{args: []string{"chaos", "-app", "all", "-scenario", "all", "-seed", "42"}, perMode: true},
+// golden is testdata/<argv joined by "_", dashes dropped>.golden.
+var goldenCases = [][]string{
+	{"latency"},
+	{"micro"},
+	{"lcc", "-fig", "3"},
+	{"lcc", "-fig", "15"},
+	{"lcc", "-fig", "16"},
+	{"lcc", "-fig", "17"},
+	{"lcc", "-fig", "locality"},
+	{"nbody", "-fig", "2"},
+	{"nbody", "-fig", "2", "-paper"}, // the paper's N: its magnitude is the claim
+	{"nbody", "-fig", "12"},
+	{"nbody", "-fig", "13"},
+	{"nbody", "-fig", "14"},
+	{"ext"},
+	{"stencil", "-compare"},
+	{"stencil", "-compare", "-writeback"},
+	{"chaos", "-app", "all", "-scenario", "all", "-seed", "42"},
 }
 
-// TestGoldens runs every figure mode in-process in both exec modes and
-// diffs its stdout against its golden. With -update the fidelity run
-// rewrites the golden, which the throughput run is then held to.
+// TestGoldens runs every figure mode in-process under both goroutine
+// schedules (see schedtest) and diffs its stdout against its golden.
+// With -update the first schedule rewrites the golden, which the second
+// is then held to.
 func TestGoldens(t *testing.T) {
-	for _, c := range goldenCases {
-		name := strings.ReplaceAll(strings.Join(c.args, "_"), "-", "")
-		for _, mode := range []string{"fidelity", "throughput"} {
-			if c.noMode && mode != "fidelity" {
-				continue
-			}
-			t.Run(name+"/"+mode, func(t *testing.T) {
-				args, file := c.args, name+".golden"
-				if !c.noMode {
-					args = append(args[:len(args):len(args)], "-mode", mode)
-				}
-				if c.perMode {
-					file = name + "." + mode + ".golden"
-				}
+	for _, args := range goldenCases {
+		name := strings.ReplaceAll(strings.Join(args, "_"), "-", "")
+		for i, sched := range schedtest.Schedules {
+			t.Run(name+"/"+sched.Name, func(t *testing.T) {
+				sched.Set(t)
 				var stdout, stderr bytes.Buffer
 				if err := run(args, &stdout, &stderr); err != nil {
 					t.Fatalf("clampi %s: %v\n%s", strings.Join(args, " "), err, stderr.Bytes())
 				}
-				checkGolden(t, filepath.Join("testdata", file), stdout.Bytes(), mode == "fidelity" || c.perMode)
+				checkGolden(t, filepath.Join("testdata", name+".golden"), stdout.Bytes(), i == 0)
 			})
 		}
 	}
 }
 
 // TestBenchMicroJSON holds the committed BENCH_micro.json to what
-// `clampi micro -json` writes in fidelity mode, the mode the file records.
+// `clampi micro -json` writes.
 func TestBenchMicroJSON(t *testing.T) {
 	committed, err := filepath.Abs(filepath.Join("..", "..", "BENCH_micro.json"))
 	if err != nil {
@@ -86,7 +74,7 @@ func TestBenchMicroJSON(t *testing.T) {
 	}
 	t.Cleanup(func() { os.Chdir(wd) })
 
-	if err := run([]string{"micro", "-fig", "8", "-json", "-mode", "fidelity"}, io.Discard, io.Discard); err != nil {
+	if err := run([]string{"micro", "-fig", "8", "-json"}, io.Discard, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	got, err := os.ReadFile(filepath.Join(dir, "BENCH_micro.json"))

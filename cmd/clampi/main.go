@@ -9,17 +9,16 @@
 //	clampi stencil [-compare] [-writeback] [-counters] 2-D Jacobi halo exchange
 //	clampi chaos   [-app all|...] [-scenario all|...] seeded fault-injection suite
 //
-// The flags several subcommands share are declared once: -mode
-// fidelity|throughput selects the execution engine, -metrics FILE and
-// -trace FILE export the cache metrics and event trace, and -paper
+// The flags several subcommands share are declared once: -metrics FILE
+// and -trace FILE export the cache metrics and event trace, and -paper
 // switches a figure driver from its scaled defaults to the paper's
 // parameters. `clampi <subcommand> -h` lists a subcommand's flags.
 //
 // Every figure mode's stdout at its scaled defaults is a golden under
-// testdata/, diffed in both exec modes by this package's tests. The
-// process exits non-zero when a subcommand fails, including a chaos cell
-// that loses bit-identity and a stencil comparison whose grids diverge or
-// whose win falls below 30%.
+// testdata/, diffed by this package's tests. The process exits non-zero
+// when a subcommand fails, including a chaos cell that loses
+// bit-identity and a stencil comparison whose grids diverge or whose win
+// falls below 30%.
 package main
 
 import (
@@ -31,7 +30,6 @@ import (
 	"strings"
 
 	"clampi/internal/experiments"
-	"clampi/internal/mpi"
 )
 
 func main() {
@@ -80,8 +78,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 // Shared flags a subcommand can register with newFlags.
 const (
-	modeFlag = 1 << iota
-	metricsFlag
+	metricsFlag = 1 << iota
 	traceFlag
 	paperFlag
 
@@ -90,8 +87,8 @@ const (
 
 // shared holds the values of the flags several subcommands take.
 type shared struct {
-	mode, metrics, trace string
-	paper                bool
+	metrics, trace string
+	paper          bool
 }
 
 // newFlags returns a flag set for one subcommand with the shared flags
@@ -99,10 +96,7 @@ type shared struct {
 func newFlags(name string, stderr io.Writer, has int) (*flag.FlagSet, *shared) {
 	fs := flag.NewFlagSet("clampi "+name, flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	s := &shared{mode: "fidelity"}
-	if has&modeFlag != 0 {
-		fs.StringVar(&s.mode, "mode", s.mode, "execution mode: fidelity (serialized, calibration-grade timing) or throughput (concurrent ranks)")
-	}
+	s := &shared{}
 	if has&metricsFlag != 0 {
 		fs.StringVar(&s.metrics, "metrics", "", "write merged cache metrics to this file (.json selects JSON, anything else Prometheus text format)")
 	}
@@ -115,22 +109,16 @@ func newFlags(name string, stderr io.Writer, has int) (*flag.FlagSet, *shared) {
 	return fs, s
 }
 
-// parse parses args into fs, selects the exec mode for every experiment
-// (fidelity for a subcommand without -mode) and turns on metric and
-// trace collection when either file is asked for.
-func (s *shared) parse(fs *flag.FlagSet, args []string) (mpi.ExecMode, error) {
+// parse parses args into fs and turns on metric and trace collection
+// when either file is asked for.
+func (s *shared) parse(fs *flag.FlagSet, args []string) error {
 	if err := fs.Parse(args); err != nil {
-		return 0, err
+		return err
 	}
-	m, err := mpi.ParseExecMode(s.mode)
-	if err != nil {
-		return 0, err
-	}
-	experiments.SetExecMode(m)
 	if s.metrics != "" || s.trace != "" {
 		experiments.EnableObservability(0)
 	}
-	return m, nil
+	return nil
 }
 
 // writeObservability writes the collected metrics and trace to the files

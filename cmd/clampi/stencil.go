@@ -17,7 +17,7 @@ import (
 // virtual-time win. It fails if the grids diverge or the win falls below
 // 30%.
 func runStencil(args []string, stdout, stderr io.Writer) error {
-	fs, s := newFlags("stencil", stderr, modeFlag|metricsFlag)
+	fs, s := newFlags("stencil", stderr, metricsFlag)
 	ranks := fs.Int("ranks", 4, "ranks in the 1-D row decomposition")
 	rows := fs.Int("rows", 8, "owned grid rows per rank")
 	cols := fs.Int("cols", 64, "grid width in cells")
@@ -26,8 +26,7 @@ func runStencil(args []string, stdout, stderr io.Writer) error {
 	writeback := fs.Bool("writeback", false, "stage edge-row publishes write-back and flush coalesced at epoch close")
 	compare := fs.Bool("compare", false, "run blanket and notify modes, assert bit-identical grids, report the win")
 	counters := fs.Bool("counters", false, "print the notifiable-RMA cache counters")
-	m, err := s.parse(fs, args)
-	if err != nil {
+	if err := s.parse(fs, args); err != nil {
 		return err
 	}
 	cfg := stencil.Config{
@@ -39,7 +38,7 @@ func runStencil(args []string, stdout, stderr io.Writer) error {
 		WriteBack: *writeback,
 	}
 	if !*compare {
-		res, err := stencil.Run(cfg, m)
+		res, err := stencil.Run(cfg, 0)
 		if err != nil {
 			return err
 		}
@@ -53,13 +52,13 @@ func runStencil(args []string, stdout, stderr io.Writer) error {
 
 	base := cfg
 	base.Notify = false
-	bres, err := stencil.Run(base, m)
+	bres, err := stencil.Run(base, 0)
 	if err != nil {
 		return err
 	}
 	ntf := cfg
 	ntf.Notify = true
-	nres, err := stencil.Run(ntf, m)
+	nres, err := stencil.Run(ntf, 0)
 	if err != nil {
 		return err
 	}

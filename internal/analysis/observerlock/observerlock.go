@@ -2,7 +2,7 @@
 // (DESIGN.md §8): core.Observer implementations run arbitrary user code
 // synchronously on the rank goroutine, so notifying one while a mutex
 // is held turns every metric update into a critical-section extension —
-// a latency hazard under Throughput mode's window stripes and a
+// a latency hazard under the window stripes of concurrent ranks and a
 // deadlock hazard if the observer re-enters the locking layer. The
 // caching layer's contract is a nil-check-only dispatch outside any
 // lock; this analyzer keeps it that way.

@@ -2,47 +2,13 @@ package core
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
 
 	"clampi/internal/datatype"
 	"clampi/internal/mpi"
 	"clampi/internal/rma"
+	"clampi/internal/schedtest"
 )
-
-// withCacheMode is withCache with an explicit execution mode.
-func withCacheMode(t *testing.T, mode mpi.ExecMode, regionSize int, params Params, fn func(c *Cache, win *mpi.Win, r *mpi.Rank) error) {
-	t.Helper()
-	err := mpi.Run(2, mpi.Config{Mode: mode}, func(r *mpi.Rank) error {
-		region := make([]byte, regionSize)
-		if r.ID() == 1 {
-			for i := range region {
-				region[i] = pattern(i)
-			}
-		}
-		win := r.WinCreate(region, nil)
-		defer win.Free()
-		var fnErr error
-		if r.ID() == 0 {
-			var c *Cache
-			c, fnErr = New(win, params)
-			if fnErr == nil {
-				fnErr = win.LockAll()
-			}
-			if fnErr == nil {
-				fnErr = fn(c, win, r)
-				if err := win.UnlockAll(); fnErr == nil {
-					fnErr = err
-				}
-			}
-		}
-		r.Barrier()
-		return fnErr
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
 
 // batchOpsMix is a workload exercising every batch classification: cold
 // misses, adjacent runs, overlapping ranges, duplicate keys, a gap, and
@@ -222,70 +188,69 @@ func TestGetBatchMultiTarget(t *testing.T) {
 	}
 }
 
-// TestHotPathAllocs asserts the allocation discipline of the tentpole:
+// TestHotPathAllocs asserts the allocation discipline of the hot path:
 // steady-state full hits allocate nothing; steady-state misses (with
 // their eviction, insertion and pending bookkeeping) stay at or under 2
-// allocations per operation — in both execution modes.
+// allocations per operation — under both goroutine schedules (see
+// schedtest).
 func TestHotPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are perturbed by the race detector")
 	}
-	for _, mode := range []mpi.ExecMode{mpi.FidelityMeasured, mpi.Throughput} {
-		t.Run(fmt.Sprint(mode), func(t *testing.T) {
-			t.Run("FullHit", func(t *testing.T) {
-				withCacheMode(t, mode, 4096, alwaysParams(), func(c *Cache, win *mpi.Win, r *mpi.Rank) error {
-					dst := make([]byte, 256)
+	schedtest.Run(t, func(t *testing.T) {
+		t.Run("FullHit", func(t *testing.T) {
+			withCache(t, 4096, alwaysParams(), func(c *Cache, win *mpi.Win, r *mpi.Rank) error {
+				dst := make([]byte, 256)
+				if err := c.Get(dst, datatype.Byte, 256, 1, 128); err != nil {
+					return err
+				}
+				if err := win.FlushAll(); err != nil {
+					return err
+				}
+				allocs := testing.AllocsPerRun(100, func() {
 					if err := c.Get(dst, datatype.Byte, 256, 1, 128); err != nil {
-						return err
+						t.Error(err)
 					}
-					if err := win.FlushAll(); err != nil {
-						return err
-					}
-					allocs := testing.AllocsPerRun(100, func() {
-						if err := c.Get(dst, datatype.Byte, 256, 1, 128); err != nil {
-							t.Error(err)
-						}
-					})
-					if allocs != 0 {
-						t.Errorf("full hit allocates %.1f times per op, want 0", allocs)
-					}
-					return nil
 				})
-			})
-			t.Run("Miss", func(t *testing.T) {
-				p := alwaysParams()
-				p.StorageBytes = 8 << 10 // 128 64-byte entries: every round evicts
-				withCacheMode(t, mode, 64<<10, p, func(c *Cache, win *mpi.Win, r *mpi.Rank) error {
-					const perEpoch = 64
-					dst := make([]byte, 64)
-					round := 0
-					epoch := func() {
-						// 4 rotating key sets: every get misses, every
-						// miss evicts an entry two rounds old.
-						base := (round % 4) * perEpoch * 64
-						round++
-						for j := 0; j < perEpoch; j++ {
-							if err := c.Get(dst, datatype.Byte, 64, 1, base+j*64); err != nil {
-								t.Error(err)
-								return
-							}
-						}
-						if err := win.FlushAll(); err != nil {
-							t.Error(err)
-						}
-					}
-					for i := 0; i < 8; i++ { // warm pools to steady state
-						epoch()
-					}
-					allocs := testing.AllocsPerRun(8, epoch)
-					if perOp := allocs / perEpoch; perOp > 2 {
-						t.Errorf("miss path allocates %.2f times per op, want <= 2", perOp)
-					}
-					return nil
-				})
+				if allocs != 0 {
+					t.Errorf("full hit allocates %.1f times per op, want 0", allocs)
+				}
+				return nil
 			})
 		})
-	}
+		t.Run("Miss", func(t *testing.T) {
+			p := alwaysParams()
+			p.StorageBytes = 8 << 10 // 128 64-byte entries: every round evicts
+			withCache(t, 64<<10, p, func(c *Cache, win *mpi.Win, r *mpi.Rank) error {
+				const perEpoch = 64
+				dst := make([]byte, 64)
+				round := 0
+				epoch := func() {
+					// 4 rotating key sets: every get misses, every
+					// miss evicts an entry two rounds old.
+					base := (round % 4) * perEpoch * 64
+					round++
+					for j := 0; j < perEpoch; j++ {
+						if err := c.Get(dst, datatype.Byte, 64, 1, base+j*64); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+					if err := win.FlushAll(); err != nil {
+						t.Error(err)
+					}
+				}
+				for i := 0; i < 8; i++ { // warm pools to steady state
+					epoch()
+				}
+				allocs := testing.AllocsPerRun(8, epoch)
+				if perOp := allocs / perEpoch; perOp > 2 {
+					t.Errorf("miss path allocates %.2f times per op, want <= 2", perOp)
+				}
+				return nil
+			})
+		})
+	})
 }
 
 // TestGetBatchAllocs pins the batch path's steady-state allocation rate:

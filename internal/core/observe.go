@@ -11,9 +11,9 @@ package core
 //
 // Observers must be cheap and must not call back into the Cache: they
 // run inside Get and inside the epoch-closure listener, where the cache's
-// invariants are mid-update. In Throughput execution mode several ranks
-// may share one Observer, so implementations must be safe for concurrent
-// use (internal/obsv.Collector is).
+// invariants are mid-update. Several concurrent ranks may share one
+// Observer, so implementations must be safe for concurrent use
+// (internal/obsv.Collector is).
 //
 // Invariant (enforced by internal/analysis/observerlock): Observer
 // methods are never invoked while a shard or window mutex is held —

@@ -43,7 +43,7 @@ type chaosFleet struct {
 	sc     *fault.Scenario
 	seed   int64
 
-	mu     sync.Mutex // ranks run concurrently in Throughput mode
+	mu     sync.Mutex // ranks run concurrently
 	caches []*core.Cache
 	inj    []*fault.Window
 }
@@ -174,7 +174,7 @@ func chaosLCC(p int, sc *fault.Scenario, seed int64) (chaosOutcome, error) {
 	g := chaosGraph()
 	fleet := newChaosFleet(p, chaosParams(core.Transparent, seed), sc, seed)
 	results := make([]lcc.Result, p)
-	err := runWorld(p, func(r *mpi.Rank) error {
+	err := mpi.Run(p, mpi.Config{}, func(r *mpi.Rank) error {
 		d := graph.Distribute(g, p, r.ID())
 		win := r.WinCreate(d.LocalAdjBytes(), nil)
 		defer win.Free()
@@ -219,7 +219,7 @@ func chaosBFS(p int, sc *fault.Scenario, seed int64) (chaosOutcome, error) {
 		reached int
 	}
 	results := make([]rankResult, p)
-	err := runWorld(p, func(r *mpi.Rank) error {
+	err := mpi.Run(p, mpi.Config{}, func(r *mpi.Rank) error {
 		d := graph.Distribute(g, p, r.ID())
 		frontier := make([]byte, d.Hi-d.Lo)
 		win := r.WinCreate(frontier, nil)
@@ -256,7 +256,7 @@ func chaosNBody(p int, sc *fault.Scenario, seed int64) (chaosOutcome, error) {
 	cfg := nbody.SimConfig{Bodies: 64, Steps: 3, Seed: 11}
 	fleet := newChaosFleet(p, chaosParams(core.AlwaysCache, seed), sc, seed)
 	results := make([][]nbody.StepStats, p)
-	err := runWorld(p, func(r *mpi.Rank) error {
+	err := mpi.Run(p, mpi.Config{}, func(r *mpi.Rank) error {
 		stats, err := nbody.RunSimPersistent(r, cfg, fleet.factory)
 		if err != nil {
 			return err
@@ -302,7 +302,7 @@ func chaosStencil(p int, sc *fault.Scenario, seed int64) (chaosOutcome, error) {
 			return fw
 		}
 	}
-	res, err := stencil.Run(cfg, execMode)
+	res, err := stencil.Run(cfg, 0)
 	if err != nil {
 		return chaosOutcome{}, err
 	}
@@ -341,7 +341,7 @@ func ChaosBench(p int, seed int64, apps []string, scenarios []fault.Scenario) ([
 	if scenarios == nil {
 		scenarios = fault.Canned()
 	}
-	tbl := lsb.NewTable(fmt.Sprintf("Chaos: seeded fault injection (P=%d, seed=%d, mode=%s)", p, seed, execMode),
+	tbl := lsb.NewTable(fmt.Sprintf("Chaos: seeded fault injection (P=%d, seed=%d)", p, seed),
 		"app", "scenario", "faults", "retries", "timeouts", "corrupt", "breaker", "stale", "match", "replay")
 	var rows []ChaosRow
 	for _, app := range apps {

@@ -4,55 +4,49 @@ import (
 	"testing"
 
 	"clampi/internal/fault"
-	"clampi/internal/mpi"
+	"clampi/internal/schedtest"
 )
 
-// TestChaosBenchBothModes is the tentpole assertion of DESIGN.md §11:
-// under every canned fault scenario, in both execution modes, the three
-// applications produce results bit-identical to their fault-free runs,
-// and a same-seed rerun injects the identical fault sequence.
+// TestChaosBenchBothModes is the central assertion of DESIGN.md §11:
+// under every canned fault scenario, on both goroutine schedules (see
+// schedtest), the three applications produce results bit-identical to
+// their fault-free runs, and a same-seed rerun injects the identical
+// fault sequence.
 func TestChaosBenchBothModes(t *testing.T) {
-	prev := ExecMode()
-	defer SetExecMode(prev)
-	for _, mode := range []mpi.ExecMode{mpi.FidelityMeasured, mpi.Throughput} {
-		SetExecMode(mode)
+	schedtest.Do(func(sched schedtest.Schedule) {
 		rows, _, err := ChaosBench(4, 42, nil, nil)
 		if err != nil {
-			t.Fatalf("mode %v: ChaosBench: %v", mode, err)
+			t.Fatalf("%s: ChaosBench: %v", sched.Name, err)
 		}
 		if len(rows) != len(ChaosApps())*len(fault.Canned()) {
-			t.Fatalf("mode %v: %d rows, want %d", mode, len(rows), len(ChaosApps())*len(fault.Canned()))
+			t.Fatalf("%s: %d rows, want %d", sched.Name, len(rows), len(ChaosApps())*len(fault.Canned()))
 		}
 		injected := false
 		for _, row := range rows {
 			if !row.Match {
-				t.Errorf("mode %v: %s under %q diverged from the fault-free run (faults: %v)",
-					mode, row.App, row.Scenario, row.Faults)
+				t.Errorf("%s: %s under %q diverged from the fault-free run (faults: %v)",
+					sched.Name, row.App, row.Scenario, row.Faults)
 			}
 			if !row.Replay {
-				t.Errorf("mode %v: %s under %q: same-seed replay injected a different fault sequence",
-					mode, row.App, row.Scenario)
+				t.Errorf("%s: %s under %q: same-seed replay injected a different fault sequence",
+					sched.Name, row.App, row.Scenario)
 			}
 			if row.Faults.Total() > 0 {
 				injected = true
 			}
 			if row.Faults.Ops > 0 && row.Stats.Gets == 0 {
-				t.Errorf("mode %v: %s under %q saw injector ops but no cache gets", mode, row.App, row.Scenario)
+				t.Errorf("%s: %s under %q saw injector ops but no cache gets", sched.Name, row.App, row.Scenario)
 			}
 		}
 		if !injected {
-			t.Errorf("mode %v: no scenario injected any fault — chaos run vacuous", mode)
+			t.Errorf("%s: no scenario injected any fault — chaos run vacuous", sched.Name)
 		}
-	}
+	})
 }
 
 // TestChaosScenarioCoverage asserts each canned scenario exercises the
-// resilience machinery it is named for (fidelity mode, LCC).
+// resilience machinery it is named for (LCC).
 func TestChaosScenarioCoverage(t *testing.T) {
-	prev := ExecMode()
-	defer SetExecMode(prev)
-	SetExecMode(mpi.FidelityMeasured)
-
 	for _, tc := range []struct {
 		scenario string
 		check    func(ChaosRow) bool

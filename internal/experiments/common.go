@@ -12,32 +12,6 @@ import (
 // byteType is the contiguous byte datatype all drivers transfer with.
 var byteType = datatype.Byte
 
-// execMode is the execution mode every driver launches its worlds with.
-// FidelityMeasured (the default) reproduces the paper's calibration-grade
-// serialized timing; Throughput runs ranks concurrently. Set it once from
-// the entry point (cmd flags) before running drivers; drivers themselves
-// only read it through runWorld.
-var execMode = mpi.FidelityMeasured
-
-// SetExecMode selects the execution mode for subsequent experiment runs.
-func SetExecMode(m mpi.ExecMode) { execMode = m }
-
-// ExecMode reports the currently selected execution mode.
-func ExecMode() mpi.ExecMode { return execMode }
-
-// runWorld launches an SPMD program with the package's execution mode.
-func runWorld(size int, program func(*mpi.Rank) error) error {
-	return mpi.Run(size, mpi.Config{Mode: execMode}, program)
-}
-
-// runWorldCfg is runWorld with an explicit machine shape (rank placement,
-// network model) — the execution mode still comes from the package
-// setting, so -mode flags keep governing every experiment uniformly.
-func runWorldCfg(size int, cfg mpi.Config, program func(*mpi.Rank) error) error {
-	cfg.Mode = execMode
-	return mpi.Run(size, cfg, program)
-}
-
 // microEnv is the two-process environment of §IV-A: an initiator (rank 0)
 // and a target (rank 1) exposing a data region.
 type microEnv struct {
@@ -51,7 +25,7 @@ type microEnv struct {
 // exposes regionSize bytes. params == nil selects a plain (uncached)
 // window.
 func withMicro(regionSize int, params *core.Params, fn func(env *microEnv) error) error {
-	return runWorld(2, func(r *mpi.Rank) error {
+	return mpi.Run(2, mpi.Config{}, func(r *mpi.Rank) error {
 		region := make([]byte, regionSize)
 		if r.ID() == 1 {
 			for i := range region {

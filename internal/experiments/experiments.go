@@ -42,7 +42,7 @@ func Fig1Latency(sizes []int) ([]Fig1Row, *lsb.Table, error) {
 	// with the model for the default (one rank per node) mapping.
 	for _, s := range sizes {
 		var measured simtime.Duration
-		err := runWorld(2, func(r *mpi.Rank) error {
+		err := mpi.Run(2, mpi.Config{}, func(r *mpi.Rank) error {
 			win, _ := r.WinAllocate(s, nil)
 			defer win.Free()
 			if r.ID() == 0 {

@@ -40,7 +40,7 @@ func extensionBFS(g *graph.CSR, p, source int) ([]BFSRow, *lsb.Table, error) {
 		var total simtime.Duration
 		var remote int64
 		fleet := newClampiFleet(p, core.Params{Mode: core.AlwaysCache, IndexSlots: 1 << 14, StorageBytes: 1 << 20, Seed: 9})
-		err := runWorld(p, func(r *mpi.Rank) error {
+		err := mpi.Run(p, mpi.Config{}, func(r *mpi.Rank) error {
 			d := graph.Distribute(g, p, r.ID())
 			frontier := make([]byte, d.Hi-d.Lo)
 			win := r.WinCreate(frontier, nil)
@@ -106,7 +106,7 @@ func ExtensionPersistentWindow(n, p, steps int) ([]PersistentRow, *lsb.Table, er
 		fleet := newClampiFleet(p, params)
 		var perStepMu sync.Mutex
 		perStep := make([]simtime.Duration, steps)
-		err := runWorld(p, func(r *mpi.Rank) error {
+		err := mpi.Run(p, mpi.Config{}, func(r *mpi.Rank) error {
 			var stats []nbody.StepStats
 			var err error
 			if persistent {

@@ -36,7 +36,7 @@ func lccRunCfg(g *graph.CSR, p int, cfg mpi.Config, maxVerts int, mk func(win rm
 	// ulp depend on timing, not on the kernel's (per-rank bit-identical)
 	// output.
 	perRank := make([]lcc.Result, p)
-	err := runWorldCfg(p, cfg, func(r *mpi.Rank) error {
+	err := mpi.Run(p, cfg, func(r *mpi.Rank) error {
 		d := graph.Distribute(g, p, r.ID())
 		win := r.WinCreate(d.LocalAdjBytes(), nil)
 		defer win.Free()

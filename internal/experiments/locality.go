@@ -46,7 +46,7 @@ func MicroDistance() (map[string]DistClassBench, error) {
 	p.LocalityAware = true
 
 	out := make(map[string]DistClassBench, len(targets))
-	err := runWorldCfg(worldSize, cfg, func(r *mpi.Rank) error {
+	err := mpi.Run(worldSize, cfg, func(r *mpi.Rank) error {
 		region := make([]byte, distinct*opBytes)
 		for i := range region {
 			region[i] = byte(i * 31)

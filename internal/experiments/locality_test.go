@@ -3,8 +3,8 @@ package experiments
 import (
 	"testing"
 
-	"clampi/internal/mpi"
 	"clampi/internal/rma"
+	"clampi/internal/schedtest"
 )
 
 // TestMicroDistance checks the by_distance breakdown: every class
@@ -59,11 +59,9 @@ func TestMicroDistance(t *testing.T) {
 // locality, DESIGN.md §15.2) on its capacity-bound instance: kernel
 // results bit-identical with and without cost awareness, both rows equal
 // to their goldens, and — since virtual time is a function of the
-// program — every field identical over repetitions and across both
-// execution engines.
+// program — every field identical over repetitions and on both
+// goroutine schedules (see schedtest).
 func TestLCCLocalityCompare(t *testing.T) {
-	prev := ExecMode()
-	defer SetExecMode(prev)
 	wantBlind := LCCLocalityRow{
 		System: "locality-blind", SumLCC: 614.6210620178122, Wedges: 3078064,
 		TotalVirtualNs: 436459653, CommVirtualNs: 368872966,
@@ -74,19 +72,18 @@ func TestLCCLocalityCompare(t *testing.T) {
 		TotalVirtualNs: 289955561, CommVirtualNs: 222368874,
 		RemoteBytes: 81641496, HitRate: 0.2889243331627996, Evictions: 23404, CheapSkips: 16996,
 	}
-	for _, mode := range []mpi.ExecMode{mpi.FidelityMeasured, mpi.Throughput} {
-		SetExecMode(mode)
+	schedtest.Do(func(sched schedtest.Schedule) {
 		for rep := 0; rep < 3; rep++ {
 			blind, aware, _, err := LCCLocalityCompare(14, 8, 8, 4, 512, 1<<12, 1<<18)
 			if err != nil {
-				t.Fatalf("mode=%v: %v", mode, err)
+				t.Fatalf("%s: %v", sched.Name, err)
 			}
 			if blind != wantBlind {
-				t.Errorf("mode=%v rep %d: blind row\n got %+v\nwant %+v", mode, rep, blind, wantBlind)
+				t.Errorf("%s rep %d: blind row\n got %+v\nwant %+v", sched.Name, rep, blind, wantBlind)
 			}
 			if aware != wantAware {
-				t.Errorf("mode=%v rep %d: aware row\n got %+v\nwant %+v", mode, rep, aware, wantAware)
+				t.Errorf("%s rep %d: aware row\n got %+v\nwant %+v", sched.Name, rep, aware, wantAware)
 			}
 		}
-	}
+	})
 }

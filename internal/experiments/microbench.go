@@ -12,7 +12,6 @@ import (
 
 // MicroBenchResult is the structured outcome of one MicroBench run.
 type MicroBenchResult struct {
-	Mode           string  `json:"mode"`
 	DistinctGets   int     `json:"distinct_gets"`
 	Ops            int64   `json:"ops"`
 	HitRate        float64 `json:"hit_rate"`
@@ -44,7 +43,6 @@ func MicroBench(n, z int) (MicroBenchResult, error) {
 		}
 		st := env.cache.Stats()
 		res = MicroBenchResult{
-			Mode:           execMode.String(),
 			DistinctGets:   n,
 			Ops:            st.Gets,
 			HitRate:        st.HitRate(),

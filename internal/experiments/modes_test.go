@@ -1,14 +1,13 @@
 package experiments
 
-// Dual-mode integration coverage: the full LCC and Barnes-Hut workloads
-// must compute identical per-rank results in the serialized
-// FidelityMeasured engine and the concurrent Throughput engine. With
-// modelled (deterministic) costs the virtual clocks are mode-independent
-// too, so the comparison is exact — including times, cache hit counts
-// and remote-get counts.
+// Schedule-independence coverage: the full LCC and Barnes-Hut workloads,
+// run once under each goroutine schedule (see schedtest), must compute
+// identical per-rank results. The ranks run concurrently, but with
+// modelled (deterministic) costs the virtual clocks do not depend on the
+// schedule either, so the comparison is exact — including times, cache
+// hit counts and remote-get counts.
 
 import (
-	"sync"
 	"testing"
 
 	"clampi/internal/core"
@@ -18,16 +17,17 @@ import (
 	"clampi/internal/mpi"
 	"clampi/internal/nbody"
 	"clampi/internal/rma"
+	"clampi/internal/schedtest"
 )
 
 const modesRanks = 8
 
 // lccPerRank runs the distributed LCC kernel and returns each rank's
 // Result (indexed by rank id — a per-rank slot, so no locking needed).
-func lccPerRank(t *testing.T, g *graph.CSR, mode mpi.ExecMode, cached bool) []lcc.Result {
+func lccPerRank(t *testing.T, g *graph.CSR, cached bool) []lcc.Result {
 	t.Helper()
 	results := make([]lcc.Result, modesRanks)
-	err := mpi.Run(modesRanks, mpi.Config{Mode: mode}, func(r *mpi.Rank) error {
+	err := mpi.Run(modesRanks, mpi.Config{}, func(r *mpi.Rank) error {
 		d := graph.Distribute(g, modesRanks, r.ID())
 		win := r.WinCreate(d.LocalAdjBytes(), nil)
 		defer win.Free()
@@ -58,20 +58,22 @@ func lccPerRank(t *testing.T, g *graph.CSR, mode mpi.ExecMode, cached bool) []lc
 		return nil
 	})
 	if err != nil {
-		t.Fatalf("lcc mode=%v cached=%v: %v", mode, cached, err)
+		t.Fatalf("lcc cached=%v: %v", cached, err)
 	}
 	return results
 }
 
+// TestLCCModesIdentical runs the LCC kernel once per schedule and
+// compares every rank's result.
 func TestLCCModesIdentical(t *testing.T) {
 	g := BuildLCCGraph(10, 8, 77)
 	for _, cached := range []bool{false, true} {
-		serial := lccPerRank(t, g, mpi.FidelityMeasured, cached)
-		conc := lccPerRank(t, g, mpi.Throughput, cached)
-		for i := range serial {
-			if serial[i] != conc[i] {
-				t.Errorf("cached=%v rank %d: fidelity %+v != throughput %+v",
-					cached, i, serial[i], conc[i])
+		var runs [][]lcc.Result
+		schedtest.Do(func(schedtest.Schedule) { runs = append(runs, lccPerRank(t, g, cached)) })
+		for i := range runs[0] {
+			if runs[0][i] != runs[1][i] {
+				t.Errorf("cached=%v rank %d: %+v on one P, %+v on every P",
+					cached, i, runs[0][i], runs[1][i])
 			}
 		}
 	}
@@ -79,7 +81,7 @@ func TestLCCModesIdentical(t *testing.T) {
 
 // nbodyPerRank runs the Barnes-Hut simulation and returns each rank's
 // per-step statistics.
-func nbodyPerRank(t *testing.T, mode mpi.ExecMode, cached bool) [][]nbody.StepStats {
+func nbodyPerRank(t *testing.T, cached bool) [][]nbody.StepStats {
 	t.Helper()
 	results := make([][]nbody.StepStats, modesRanks)
 	cfg := nbody.SimConfig{Bodies: 640, Steps: 2, Theta: 0.5, Seed: 7}
@@ -95,7 +97,7 @@ func nbodyPerRank(t *testing.T, mode mpi.ExecMode, cached bool) [][]nbody.StepSt
 		}
 		return getter.NewCached(c), nil
 	}
-	err := mpi.Run(modesRanks, mpi.Config{Mode: mode}, func(r *mpi.Rank) error {
+	err := mpi.Run(modesRanks, mpi.Config{}, func(r *mpi.Rank) error {
 		stats, err := nbody.RunSim(r, cfg, mk)
 		if err != nil {
 			return err
@@ -104,60 +106,54 @@ func nbodyPerRank(t *testing.T, mode mpi.ExecMode, cached bool) [][]nbody.StepSt
 		return nil
 	})
 	if err != nil {
-		t.Fatalf("nbody mode=%v cached=%v: %v", mode, cached, err)
+		t.Fatalf("nbody cached=%v: %v", cached, err)
 	}
 	return results
 }
 
+// TestNBodyModesIdentical runs the Barnes-Hut simulation once per
+// schedule and compares every rank's per-step statistics.
 func TestNBodyModesIdentical(t *testing.T) {
 	for _, cached := range []bool{false, true} {
-		serial := nbodyPerRank(t, mpi.FidelityMeasured, cached)
-		conc := nbodyPerRank(t, mpi.Throughput, cached)
-		for i := range serial {
-			if len(serial[i]) != len(conc[i]) {
+		var runs [][][]nbody.StepStats
+		schedtest.Do(func(schedtest.Schedule) { runs = append(runs, nbodyPerRank(t, cached)) })
+		one, all := runs[0], runs[1]
+		for i := range one {
+			if len(one[i]) != len(all[i]) {
 				t.Fatalf("cached=%v rank %d: step counts %d != %d",
-					cached, i, len(serial[i]), len(conc[i]))
+					cached, i, len(one[i]), len(all[i]))
 			}
-			for s := range serial[i] {
-				if serial[i][s] != conc[i][s] {
-					t.Errorf("cached=%v rank %d step %d: fidelity %+v != throughput %+v",
-						cached, i, s, serial[i][s], conc[i][s])
+			for s := range one[i] {
+				if one[i][s] != all[i][s] {
+					t.Errorf("cached=%v rank %d step %d: %+v on one P, %+v on every P",
+						cached, i, s, one[i][s], all[i][s])
 				}
 			}
 		}
 	}
 }
 
-// TestDriversRunInThroughputMode exercises the package-level mode switch:
-// the aggregate figure drivers must produce the same totals in both modes
-// (every aggregated field is an integer or a virtual duration, so
-// summation order cannot change the outcome).
+// TestDriversRunInThroughputMode runs an aggregate figure driver once per
+// schedule: the totals must be identical (every aggregated field is an
+// integer or a virtual duration, so the order in which concurrent ranks
+// add their shares cannot change the outcome).
 func TestDriversRunInThroughputMode(t *testing.T) {
-	var mu sync.Mutex // guards execMode save/restore against parallel tests
-	mu.Lock()
-	defer mu.Unlock()
-	prev := ExecMode()
-	defer SetExecMode(prev)
-
 	g := BuildLCCGraph(9, 8, 11)
-	SetExecMode(mpi.FidelityMeasured)
-	serial, err := lccRun(g, 4, 32, func(win rma.Window) (getter.Getter, error) {
-		return getter.NewRaw(win), nil
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	SetExecMode(mpi.Throughput)
-	conc, err := lccRun(g, 4, 32, func(win rma.Window) (getter.Getter, error) {
-		return getter.NewRaw(win), nil
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial.Vertices != conc.Vertices || serial.Wedges != conc.Wedges ||
-		serial.Gets != conc.Gets || serial.RemoteGets != conc.RemoteGets ||
-		serial.RemoteBytes != conc.RemoteBytes || serial.Time != conc.Time ||
-		serial.CommTime != conc.CommTime {
-		t.Errorf("driver totals differ:\nfidelity   %+v\nthroughput %+v", serial, conc)
+	var runs []lcc.Result
+	schedtest.Do(func(schedtest.Schedule) {
+		res, err := lccRun(g, 4, 32, func(win rma.Window) (getter.Getter, error) {
+			return getter.NewRaw(win), nil
+		}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs = append(runs, res)
+	})
+	one, all := runs[0], runs[1]
+	if one.Vertices != all.Vertices || one.Wedges != all.Wedges ||
+		one.Gets != all.Gets || one.RemoteGets != all.RemoteGets ||
+		one.RemoteBytes != all.RemoteBytes || one.Time != all.Time ||
+		one.CommTime != all.CommTime {
+		t.Errorf("driver totals differ:\none P   %+v\nevery P %+v", one, all)
 	}
 }

@@ -56,13 +56,12 @@ func nbodyRun(n, p int, cfg nbody.SimConfig, mk nbody.GetterFactory) (simtime.Du
 	var mu sync.Mutex
 	var force simtime.Duration
 	var bodies int
-	err := runWorld(p, func(r *mpi.Rank) error {
+	err := mpi.Run(p, mpi.Config{}, func(r *mpi.Rank) error {
 		stats, err := nbody.RunSim(r, cfg, mk)
 		if err != nil {
 			return err
 		}
-		// Ranks may run concurrently in Throughput mode; serialize the
-		// shared accumulation.
+		// Ranks run concurrently; serialize the shared accumulation.
 		mu.Lock()
 		defer mu.Unlock()
 		for _, s := range stats {
@@ -82,7 +81,7 @@ func Fig2NBodyReuse(n, p int) (*trace.Recorder, *lsb.Table, error) {
 	for i := range recs {
 		recs[i] = trace.NewRecorder()
 	}
-	err := runWorld(p, func(r *mpi.Rank) error {
+	err := mpi.Run(p, mpi.Config{}, func(r *mpi.Rank) error {
 		cfg := nbody.SimConfig{Bodies: n, Steps: 1, Theta: 0.5, Seed: 2017, Recorder: recs[r.ID()]}
 		_, err := nbody.RunSim(r, cfg, func(win rma.Window) (getter.Getter, error) {
 			return getter.NewRaw(win), nil

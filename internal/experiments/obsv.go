@@ -41,7 +41,7 @@ func ObservabilityEnabled() bool {
 // newObserver returns the observer for one new cache: nil when collection
 // is off, otherwise a Collector with its own registry (recorded for the
 // final merge) and the shared ring. Per-cache registries keep the hot
-// path contention-free across concurrent ranks in Throughput mode.
+// path contention-free across concurrent ranks.
 func newObserver() core.Observer {
 	obsState.mu.Lock()
 	defer obsState.mu.Unlock()

@@ -6,15 +6,15 @@
 // time it out, corrupt or truncate its payload, add a latency spike, or
 // honour a scripted per-target outage window. Everything else — puts,
 // synchronization, epochs, window management — delegates untouched, so
-// the decorated window composes with the caching layer, both execution
-// modes, and any layer that only speaks the rma interfaces.
+// the decorated window composes with the caching layer, both backends,
+// and any layer that only speaks the rma interfaces.
 //
 // Determinism is the design center: the injector draws from its own RNG
 // (seeded at Wrap, one injector per window handle, i.e. per rank),
 // decisions are keyed to the rank's deterministic op stream, and every
 // injected delay is virtual time. A (Scenario, seed) pair therefore
-// reproduces the exact fault sequence on every run and in both execution
-// modes; Counts.Digest folds the sequence into one value so reruns can
+// reproduces the exact fault sequence on every run, however the
+// concurrent ranks are scheduled; Counts.Digest folds the sequence into one value so reruns can
 // assert it.
 package fault
 

@@ -4,9 +4,8 @@ package mpi
 // writes), but real RMA applications mix them with gets, so the runtime
 // substrate provides them. Unlike Put, concurrent same-target
 // accumulates are legal in MPI-3 (they are element-wise atomic); the
-// simulated runtime executes them under the world's run token in
-// FidelityMeasured mode and under the target's data-path shard in
-// Throughput mode.
+// simulated runtime executes them under the exclusive stripe locks of
+// the target range.
 
 import (
 	"errors"
@@ -61,9 +60,9 @@ func (w *Win) Accumulate(src []byte, dtype datatype.Datatype, count int, target,
 	if disp < 0 || disp+size > len(region) {
 		return ErrBounds
 	}
-	w.lockRange(target, disp, size, true)
+	w.shared.stripes.Lock(target, disp, size, true)
 	rma.Accumulate(region[disp:disp+size], src[:size], dtype, op)
-	w.unlockRange(target, disp, size, true)
+	w.shared.stripes.Unlock(target, disp, size, true)
 	w.enqueueOp(target, size)
 	return nil
 }

@@ -9,38 +9,6 @@ import (
 	"clampi/internal/simtime"
 )
 
-// TestParseExecMode covers the flag-string surface.
-func TestParseExecMode(t *testing.T) {
-	cases := []struct {
-		in   string
-		want ExecMode
-		err  bool
-	}{
-		{"", FidelityMeasured, false},
-		{"fidelity", FidelityMeasured, false},
-		{"serialized", FidelityMeasured, false},
-		{"measured", FidelityMeasured, false},
-		{"throughput", Throughput, false},
-		{"concurrent", Throughput, false},
-		{"parallel", Throughput, false},
-		{"Fidelity", FidelityMeasured, false},
-		{"THROUGHPUT", Throughput, false},
-		{"bogus", FidelityMeasured, true},
-	}
-	for _, c := range cases {
-		got, err := ParseExecMode(c.in)
-		if (err != nil) != c.err {
-			t.Errorf("ParseExecMode(%q) err = %v", c.in, err)
-		}
-		if err == nil && got != c.want {
-			t.Errorf("ParseExecMode(%q) = %v, want %v", c.in, got, c.want)
-		}
-	}
-	if FidelityMeasured.String() != "fidelity" || Throughput.String() != "throughput" {
-		t.Errorf("mode strings: %q %q", FidelityMeasured, Throughput)
-	}
-}
-
 // exchangeProgram is an 8-rank all-to-all pattern: every rank publishes a
 // deterministic pattern in its region, synchronizes, then reads and
 // verifies every other rank's region. It returns each rank's final
@@ -90,40 +58,37 @@ type errBadByte struct{ rank, target, off int }
 
 func (e errBadByte) Error() string { return "corrupt remote read" }
 
-// TestThroughputModeExchange runs a genuinely concurrent 8-rank
-// all-to-all read pattern in Throughput mode (exercising the per-target
-// shard locks under -race) and checks the virtual clocks agree exactly
-// with the serialized FidelityMeasured run: the modelled costs make the
-// two modes indistinguishable in virtual time.
+// TestThroughputModeExchange runs a concurrent 8-rank all-to-all read
+// pattern twice (exercising the per-target stripe locks under -race).
+// Every read is checked against the pattern its target published, and
+// the two runs must end on identical virtual clocks: the modelled costs
+// make the result independent of how the goroutines were scheduled.
 func TestThroughputModeExchange(t *testing.T) {
 	const p = 8
-	serial := make([]simtime.Duration, p)
-	if err := Run(p, Config{Mode: FidelityMeasured}, exchangeProgram(serial)); err != nil {
-		t.Fatalf("fidelity run: %v", err)
+	var runs [2][]simtime.Duration
+	for i := range runs {
+		runs[i] = make([]simtime.Duration, p)
+		if err := Run(p, Config{}, exchangeProgram(runs[i])); err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
 	}
-	conc := make([]simtime.Duration, p)
-	if err := Run(p, Config{Mode: Throughput}, exchangeProgram(conc)); err != nil {
-		t.Fatalf("throughput run: %v", err)
-	}
-	for i := range serial {
-		if serial[i] != conc[i] {
-			t.Errorf("rank %d: fidelity clock %v != throughput clock %v", i, serial[i], conc[i])
+	for r := 0; r < p; r++ {
+		if runs[0][r] != runs[1][r] {
+			t.Errorf("rank %d: clock %v in the first run, %v in the second", r, runs[0][r], runs[1][r])
 		}
 	}
 }
 
-// TestThroughputModeTrueConcurrency proves all ranks of a Throughput
-// world are genuinely runnable at once: every rank checks in on a plain
-// sync.WaitGroup and then waits for the others — a rendezvous outside
-// the runtime's collectives. Under the serialized token at most one rank
-// can execute user code, so this pattern would deadlock in
-// FidelityMeasured mode; completing it requires true rank concurrency
-// (and with it, as many cores as GOMAXPROCS offers).
-func TestThroughputModeTrueConcurrency(t *testing.T) {
+// TestRanksRunConcurrently proves all ranks of a world are runnable at
+// once: every rank checks in on a plain sync.WaitGroup and then waits
+// for the others — a rendezvous outside the runtime's collectives. A
+// runtime that let at most one rank execute user code at a time would
+// deadlock here.
+func TestRanksRunConcurrently(t *testing.T) {
 	const p = 8
 	var ready sync.WaitGroup
 	ready.Add(p)
-	err := Run(p, Config{Mode: Throughput}, func(r *Rank) error {
+	err := Run(p, Config{}, func(r *Rank) error {
 		ready.Done()
 		ready.Wait() // all p ranks are inside user code right now
 		r.Barrier()
@@ -134,14 +99,14 @@ func TestThroughputModeTrueConcurrency(t *testing.T) {
 	}
 }
 
-// TestThroughputModeAccumulate drives concurrent same-target accumulates
-// from every rank in Throughput mode: MPI-3 declares them element-wise
-// atomic, which the shard lock must uphold (and -race must agree).
-func TestThroughputModeAccumulate(t *testing.T) {
+// TestConcurrentAccumulate drives concurrent same-target accumulates
+// from every rank: MPI-3 declares them element-wise atomic, which the
+// stripe locks must uphold (and -race must agree).
+func TestConcurrentAccumulate(t *testing.T) {
 	const p = 8
 	const slots = 64
 	var region []byte
-	err := Run(p, Config{Mode: Throughput}, func(r *Rank) error {
+	err := Run(p, Config{}, func(r *Rank) error {
 		local := make([]byte, slots*8)
 		win := r.WinCreate(local, nil)
 		defer win.Free()

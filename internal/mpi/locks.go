@@ -2,9 +2,8 @@ package mpi
 
 // Passive-target lock management. MPI_Win_lock supports shared and
 // exclusive locks; exclusive locks mutually exclude every other lock on
-// the same target, which the simulated runtime enforces for real (a rank
-// blocking on a contended lock yields the world's run token so the
-// holder can progress).
+// the same target, which the simulated runtime enforces for real: a rank
+// blocks on a contended lock until its holder releases it.
 
 import (
 	"errors"
@@ -49,9 +48,9 @@ func (w *Win) lockState(target int) *targetLock {
 	return w.shared.locks[target]
 }
 
-// acquire blocks (yielding the run token) until the lock of the given
-// type is granted, then returns the virtual release time of the previous
-// conflicting holder (zero if uncontended).
+// acquire blocks until the lock of the given type is granted, then
+// returns the virtual release time of the previous conflicting holder
+// (zero if uncontended).
 func (w *Win) acquire(target int, typ LockType) simtime.Duration {
 	tl := w.lockState(target)
 	for {
@@ -70,11 +69,7 @@ func (w *Win) acquire(target int, typ LockType) simtime.Duration {
 		ch := make(chan struct{})
 		tl.waiters = append(tl.waiters, ch)
 		tl.mu.Unlock()
-		// Yield so the holder can run and release (a no-op in
-		// Throughput mode, where ranks already run concurrently).
-		w.rank.world.leave()
 		<-ch
-		w.rank.world.enter()
 	}
 }
 
@@ -101,10 +96,15 @@ func (w *Win) release(target int, typ LockType) {
 // LockWithType opens a passive-target access epoch towards target with
 // an explicit lock type (MPI_Win_lock). An exclusive lock blocks until
 // every other holder of the target releases; the acquirer's clock
-// advances past the previous holder's release.
+// advances past the previous holder's release. A type other than
+// LockShared and LockExclusive is refused with rma.ErrLockType before
+// the lock is touched.
 func (w *Win) LockWithType(typ LockType, target int) error {
 	if w.freed {
 		return ErrFreed
+	}
+	if typ != LockShared && typ != LockExclusive {
+		return rma.ErrLockType
 	}
 	if target < 0 || target >= len(w.shared.regions) {
 		return ErrRankRange

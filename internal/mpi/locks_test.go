@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"clampi/internal/datatype"
+	"clampi/internal/rma"
 )
 
 func TestLockTypeStrings(t *testing.T) {
@@ -187,6 +188,39 @@ func TestLockErrors(t *testing.T) {
 		if err := win.LockWithType(LockExclusive, 1); !errors.Is(err, ErrFreed) {
 			t.Errorf("freed win: %v", err)
 		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLockInvalidType: a lock type other than shared or exclusive is a
+// caller bug. It is refused with rma.ErrLockType — before the rank check,
+// and not as a transient error a retry policy would repeat — without
+// touching the lock: no epoch opens, and an exclusive lock on the same
+// target is granted afterwards.
+func TestLockInvalidType(t *testing.T) {
+	err := Run(2, Config{}, func(r *Rank) error {
+		win, _ := r.WinAllocate(64, nil)
+		defer win.Free()
+		if r.ID() == 0 {
+			for _, target := range []int{1, 9} {
+				if err := win.LockWithType(LockType(7), target); !errors.Is(err, rma.ErrLockType) || errors.Is(err, rma.ErrTransient) {
+					t.Errorf("lock type 7 on target %d: %v", target, err)
+				}
+			}
+			if err := win.Unlock(1); !errors.Is(err, ErrNoEpoch) {
+				t.Errorf("unlock after refused lock: %v", err)
+			}
+			if err := win.LockWithType(LockExclusive, 1); err != nil {
+				return err
+			}
+			if err := win.Unlock(1); err != nil {
+				return err
+			}
+		}
+		r.Barrier()
 		return nil
 	})
 	if err != nil {

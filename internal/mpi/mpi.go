@@ -37,7 +37,6 @@ package mpi
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -63,48 +62,19 @@ var (
 	ErrNilProgram = errors.New("mpi: nil rank program")
 )
 
-// ExecMode selects the execution engine ranks run under (see Run).
+// ExecMode is the type of FidelityMeasured and Throughput, and of
+// stencil.Run's ignored second parameter. It goes with the constants; it
+// carries no Deprecated marker of its own only because stencil.Run names
+// it, a use the CI's staticcheck (SA1019) would report.
 type ExecMode int
 
+// Deprecated: there is one execution engine (see Run), so both values
+// run it and nothing in this module reads them. The benchmark harness
+// (bench/) is their only user.
 const (
-	// FidelityMeasured is the serialized engine: exactly one rank
-	// goroutine runs user code at a time, yielding only inside
-	// blocking synchronization, so the interleaving of ranks is a
-	// function of the program. The default, because the paper's figures
-	// are regenerated under it; every cost is modelled, so its virtual
-	// times agree with Throughput's.
 	FidelityMeasured ExecMode = iota
-	// Throughput runs rank goroutines genuinely concurrently: the
-	// global run token is gone and cross-rank data movement is
-	// protected by per-target-region sharded mutexes instead. Clocks
-	// advance by modelled costs only, so results remain deterministic;
-	// with P runnable goroutines the engine uses as many cores as the
-	// host offers.
 	Throughput
 )
-
-func (m ExecMode) String() string {
-	switch m {
-	case FidelityMeasured:
-		return "fidelity"
-	case Throughput:
-		return "throughput"
-	default:
-		return fmt.Sprintf("execmode(%d)", int(m))
-	}
-}
-
-// ParseExecMode converts a flag value to an ExecMode. It accepts the
-// String() forms plus common aliases.
-func ParseExecMode(s string) (ExecMode, error) {
-	switch strings.ToLower(s) {
-	case "", "fidelity", "serialized", "measured":
-		return FidelityMeasured, nil
-	case "throughput", "concurrent", "parallel":
-		return Throughput, nil
-	}
-	return FidelityMeasured, fmt.Errorf("mpi: unknown exec mode %q (want fidelity or throughput)", s)
-}
 
 // Config controls the simulated machine a World runs on.
 type Config struct {
@@ -118,9 +88,6 @@ type Config struct {
 	// NodesPerGroup controls the node→Dragonfly-group mapping; <=0
 	// selects the Piz Daint group size.
 	NodesPerGroup int
-	// Mode selects the execution engine; the zero value is the
-	// serialized FidelityMeasured engine.
-	Mode ExecMode
 }
 
 // World is the communicator containing all ranks of a run.
@@ -137,40 +104,7 @@ type World struct {
 	collDone sync.Cond // on mu
 	wins     int       // window id counter
 
-	// token serializes rank execution in FidelityMeasured mode: exactly
-	// one rank goroutine runs user code at a time, yielding only inside
-	// blocking synchronization. Ranks interact solely through
-	// collectives (and through RMA data that epoch rules order across
-	// collectives), so serialization cannot change results — but it is
-	// essential for timing fidelity: the hybrid clocks can measure real
-	// durations of cache-management code, and with several runnable
-	// goroutines per core a measured section could absorb a whole
-	// scheduler quantum of *another* rank's work. In Throughput mode
-	// the token is unused and ranks run genuinely concurrently; the
-	// data path is then protected by per-(target, region-stripe)
-	// read-write locks instead (see winShared.stripes).
-	token sync.Mutex
-
 	ranks []*Rank
-}
-
-// serialized reports whether the world runs under the global run token.
-func (w *World) serialized() bool { return w.cfg.Mode == FidelityMeasured }
-
-// enter acquires the run token in serialized mode (no-op otherwise).
-func (w *World) enter() {
-	if w.serialized() {
-		w.token.Lock()
-	}
-}
-
-// leave releases the run token in serialized mode (no-op otherwise).
-// Blocking synchronization calls bracket their waits with leave/enter so
-// the remaining ranks can progress.
-func (w *World) leave() {
-	if w.serialized() {
-		w.token.Unlock()
-	}
 }
 
 // collSlot is one in-flight collective rendezvous, reset by its first
@@ -193,8 +127,12 @@ type Rank struct {
 
 // Run executes program on size simulated ranks, one goroutine each, and
 // blocks until all return. It is the moral equivalent of mpirun. The
-// cfg.Mode field selects between the serialized FidelityMeasured engine
-// (default) and the concurrent Throughput engine.
+// ranks run concurrently, like the processes of a real job: collectives
+// and passive-target locks block for real, and cross-rank data movement
+// is ordered by per-(target, region-stripe) read-write locks (see
+// winShared.stripes). Clocks advance by modelled costs only, so the
+// results and virtual times of a program that keeps the MPI epoch rules
+// do not depend on the schedule (DESIGN.md §7.2 names the exceptions).
 func Run(size int, cfg Config, program func(*Rank) error) error {
 	if size <= 0 {
 		return ErrWorldSize
@@ -220,8 +158,6 @@ func Run(size int, cfg Config, program func(*Rank) error) error {
 	for i := 0; i < size; i++ {
 		go func(r *Rank) {
 			defer wg.Done()
-			w.enter()
-			defer w.leave()
 			errs[r.id] = program(r)
 		}(w.ranks[i])
 	}
@@ -276,18 +212,12 @@ func (r *Rank) collective(contrib any, cost simtime.Duration) []any {
 		slot.done++
 		w.collDone.Broadcast()
 	} else {
-		// Yield the run token while blocked so the remaining ranks
-		// can reach the rendezvous (see World.token).
-		w.leave()
 		for done := slot.done; slot.done == done; {
 			w.collDone.Wait()
 		}
 	}
 	data, clock := slot.data, slot.clock
 	w.mu.Unlock()
-	if !last {
-		w.enter()
-	}
 	r.clock.AdvanceTo(clock + cost)
 	return data
 }
@@ -380,10 +310,8 @@ type winShared struct {
 	regions [][]byte
 	info    Info
 
-	// stripes orders cross-rank data movement in Throughput mode,
-	// replacing the global run token (see rma.Stripes). In
-	// FidelityMeasured mode the token already serializes ranks and the
-	// stripes are not touched.
+	// stripes orders cross-rank data movement: readers share, writers
+	// exclude, per (target, region stripe) (see rma.Stripes).
 	stripes *rma.Stripes
 
 	pscwOnce  sync.Once
@@ -516,26 +444,6 @@ var (
 	_ rma.Endpoint        = (*Rank)(nil)
 )
 
-// lockRange acquires the stripes covering [disp, disp+size) of target's
-// region in Throughput mode — shared for readers (gets, checksums),
-// exclusive for writers (puts, accumulates). In FidelityMeasured mode
-// the global run token already orders ranks, so the stripes are not
-// touched.
-func (w *Win) lockRange(target, disp, size int, excl bool) {
-	if w.rank.world.serialized() {
-		return
-	}
-	w.shared.stripes.Lock(target, disp, size, excl)
-}
-
-// unlockRange releases the stripes taken by the matching lockRange.
-func (w *Win) unlockRange(target, disp, size int, excl bool) {
-	if w.rank.world.serialized() {
-		return
-	}
-	w.shared.stripes.Unlock(target, disp, size, excl)
-}
-
 // blockSpan returns the byte span [off, off+size) covering a flattened
 // block list (0, 0 when empty), for stripe locking of strided transfers.
 func blockSpan(blocks []datatype.Block) (off, size int) {
@@ -632,9 +540,9 @@ func (w *Win) Get(dst []byte, dtype datatype.Datatype, count int, target, disp i
 		if disp < 0 || disp+size > len(region) {
 			return ErrBounds
 		}
-		w.lockRange(target, disp, size, false)
+		w.shared.stripes.Lock(target, disp, size, false)
 		copy(dst[:size], region[disp:disp+size])
-		w.unlockRange(target, disp, size, false)
+		w.shared.stripes.Unlock(target, disp, size, false)
 		w.enqueueOp(target, size)
 		return nil
 	}
@@ -645,9 +553,9 @@ func (w *Win) Get(dst []byte, dtype datatype.Datatype, count int, target, disp i
 		}
 	}
 	spanOff, spanSize := blockSpan(blocks)
-	w.lockRange(target, spanOff, spanSize, false)
+	w.shared.stripes.Lock(target, spanOff, spanSize, false)
 	datatype.CopyBlocks(dst, region, blocks)
-	w.unlockRange(target, spanOff, spanSize, false)
+	w.shared.stripes.Unlock(target, spanOff, spanSize, false)
 
 	w.enqueueOp(target, size)
 	return nil
@@ -676,9 +584,9 @@ func (w *Win) GetBatch(ops []rma.GetOp) error {
 		if op.Disp < 0 || op.Disp+n > len(region) {
 			return ErrBounds
 		}
-		w.lockRange(op.Target, op.Disp, n, false)
+		w.shared.stripes.Lock(op.Target, op.Disp, n, false)
 		copy(op.Dst, region[op.Disp:op.Disp+n])
-		w.unlockRange(op.Target, op.Disp, n, false)
+		w.shared.stripes.Unlock(op.Target, op.Disp, n, false)
 		w.enqueueOp(op.Target, n)
 	}
 	return nil
@@ -687,7 +595,7 @@ func (w *Win) GetBatch(ops []rma.GetOp) error {
 // Checksum returns the ground-truth rma.ChecksumBytes of target's region
 // bytes [disp, disp+size) (rma.IntegrityWindow). It reads the
 // authoritative target-side bytes — under the covering stripe read
-// locks in Throughput mode — so a fill verifier comparing against it detects any
+// locks — so a fill verifier comparing against it detects any
 // origin-side payload damage. The attestation is a control-channel read:
 // it charges no network latency and requires no open epoch.
 func (w *Win) Checksum(target, disp, size int) (uint64, error) {
@@ -701,9 +609,9 @@ func (w *Win) Checksum(target, disp, size int) (uint64, error) {
 	if size < 0 || disp < 0 || disp+size > len(region) {
 		return 0, ErrBounds
 	}
-	w.lockRange(target, disp, size, false)
+	w.shared.stripes.Lock(target, disp, size, false)
 	h := rma.ChecksumBytes(region[disp : disp+size])
-	w.unlockRange(target, disp, size, false)
+	w.shared.stripes.Unlock(target, disp, size, false)
 	return h, nil
 }
 
@@ -730,9 +638,9 @@ func (w *Win) Put(src []byte, dtype datatype.Datatype, count int, target, disp i
 		if disp < 0 || disp+size > len(region) {
 			return ErrBounds
 		}
-		w.lockRange(target, disp, size, true)
+		w.shared.stripes.Lock(target, disp, size, true)
 		copy(region[disp:disp+size], src[:size])
-		w.unlockRange(target, disp, size, true)
+		w.shared.stripes.Unlock(target, disp, size, true)
 		w.enqueueOp(target, size)
 		return nil
 	}
@@ -743,9 +651,9 @@ func (w *Win) Put(src []byte, dtype datatype.Datatype, count int, target, disp i
 		}
 	}
 	spanOff, spanSize := blockSpan(blocks)
-	w.lockRange(target, spanOff, spanSize, true)
+	w.shared.stripes.Lock(target, spanOff, spanSize, true)
 	datatype.ScatterBlocks(region, src, blocks)
-	w.unlockRange(target, spanOff, spanSize, true)
+	w.shared.stripes.Unlock(target, spanOff, spanSize, true)
 
 	w.enqueueOp(target, size)
 	return nil

@@ -112,33 +112,31 @@ func TestAllgatherResultsAreNotShared(t *testing.T) {
 }
 
 // TestBarrierAndFenceAllocateNothing: a rendezvous without contributions
-// reuses the world's two slots, in both engines.
+// reuses the world's two slots.
 func TestBarrierAndFenceAllocateNothing(t *testing.T) {
-	for _, mode := range []ExecMode{FidelityMeasured, Throughput} {
-		const runs = 200
-		err := Run(2, Config{Mode: mode}, func(r *Rank) error {
-			win := r.WinCreate(make([]byte, 64), nil)
-			defer win.Free()
-			round := func() {
-				r.Barrier()
-				if err := win.Fence(); err != nil {
-					t.Error(err)
-				}
+	const runs = 200
+	err := Run(2, Config{}, func(r *Rank) error {
+		win := r.WinCreate(make([]byte, 64), nil)
+		defer win.Free()
+		round := func() {
+			r.Barrier()
+			if err := win.Fence(); err != nil {
+				t.Error(err)
 			}
-			if r.ID() != 0 {
-				for i := 0; i < runs+1; i++ { // AllocsPerRun's warm-up call and its runs
-					round()
-				}
-				return nil
-			}
-			if n := testing.AllocsPerRun(runs, round); n != 0 {
-				t.Errorf("%v: Barrier+Fence allocate %.2f times per round", mode, n)
+		}
+		if r.ID() != 0 {
+			for i := 0; i < runs+1; i++ { // AllocsPerRun's warm-up call and its runs
+				round()
 			}
 			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
 		}
+		if n := testing.AllocsPerRun(runs, round); n != 0 {
+			t.Errorf("Barrier+Fence allocate %.2f times per round", n)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

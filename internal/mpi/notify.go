@@ -163,9 +163,7 @@ func (w *Win) NotifyPoll(buf []notify.Notification) (int, bool) {
 
 // NotifyWait blocks until a notification is queued or staged (the eager
 // exception to collective-ordered settlement — see the package comment)
-// or the window is freed. In FidelityMeasured mode the global run token
-// is released while blocked — exactly like a collective — so the writer
-// rank whose PutNotify will wake us can run.
+// or the window is freed.
 func (w *Win) NotifyWait() error {
 	if w.freed {
 		return ErrFreed
@@ -174,7 +172,6 @@ func (w *Win) NotifyWait() error {
 		return ErrNotSubscribed
 	}
 	sh := w.shared
-	w.rank.world.leave()
 	sh.notifyMu.Lock()
 	for {
 		w.settleLocked(true)
@@ -184,7 +181,6 @@ func (w *Win) NotifyWait() error {
 		sh.notifyCond.Wait()
 	}
 	sh.notifyMu.Unlock()
-	w.rank.world.enter()
 	return nil
 }
 

@@ -7,63 +7,62 @@ import (
 
 	"clampi/internal/datatype"
 	"clampi/internal/notify"
+	"clampi/internal/schedtest"
 )
 
-// TestPutNotifyDelivers checks the broadcast contract in both execution
-// modes: every subscribed rank except the origin receives a descriptor
-// carrying the written bytes, and polls after a Fence observe every
-// pre-fence push.
+// TestPutNotifyDelivers checks the broadcast contract under both
+// goroutine schedules (see schedtest): every subscribed rank except the
+// origin receives a descriptor carrying the written bytes, and polls
+// after a Fence observe every pre-fence push.
 func TestPutNotifyDelivers(t *testing.T) {
-	for _, mode := range []ExecMode{FidelityMeasured, Throughput} {
-		t.Run(mode.String(), func(t *testing.T) {
-			const ranks = 3
-			err := Run(ranks, Config{Mode: mode}, func(r *Rank) error {
-				win, _ := r.WinAllocate(256, Info{})
-				defer win.Free()
-				if err := win.NotifyEnable(16); err != nil {
-					return err
-				}
-				if err := win.Fence(); err != nil {
-					return err
-				}
-				if r.ID() == 0 {
-					src := []byte{1, 2, 3, 4}
-					if err := win.PutNotify(src, datatype.Byte, len(src), 1, 8, 42); err != nil {
-						return err
-					}
-				}
-				if err := win.Fence(); err != nil {
-					return err
-				}
-				buf := make([]notify.Notification, 8)
-				n, ov := win.NotifyPoll(buf)
-				if ov {
-					t.Errorf("rank %d: unexpected overflow", r.ID())
-				}
-				switch r.ID() {
-				case 0:
-					if n != 0 {
-						t.Errorf("origin received %d notifications, want 0", n)
-					}
-				default:
-					if n != 1 {
-						t.Fatalf("rank %d received %d notifications, want 1", r.ID(), n)
-					}
-					nf := buf[0]
-					if nf.Origin != 0 || nf.Target != 1 || nf.Disp != 8 || nf.Len != 4 || nf.Tag != 42 || nf.Seq != 1 {
-						t.Errorf("rank %d: notification %+v", r.ID(), nf)
-					}
-					if !bytes.Equal(nf.Data, []byte{1, 2, 3, 4}) {
-						t.Errorf("rank %d: data %v", r.ID(), nf.Data)
-					}
-				}
-				return win.Fence()
-			})
-			if err != nil {
-				t.Fatal(err)
+	schedtest.Run(t, func(t *testing.T) {
+		const ranks = 3
+		err := Run(ranks, Config{}, func(r *Rank) error {
+			win, _ := r.WinAllocate(256, Info{})
+			defer win.Free()
+			if err := win.NotifyEnable(16); err != nil {
+				return err
 			}
+			if err := win.Fence(); err != nil {
+				return err
+			}
+			if r.ID() == 0 {
+				src := []byte{1, 2, 3, 4}
+				if err := win.PutNotify(src, datatype.Byte, len(src), 1, 8, 42); err != nil {
+					return err
+				}
+			}
+			if err := win.Fence(); err != nil {
+				return err
+			}
+			buf := make([]notify.Notification, 8)
+			n, ov := win.NotifyPoll(buf)
+			if ov {
+				t.Errorf("rank %d: unexpected overflow", r.ID())
+			}
+			switch r.ID() {
+			case 0:
+				if n != 0 {
+					t.Errorf("origin received %d notifications, want 0", n)
+				}
+			default:
+				if n != 1 {
+					t.Fatalf("rank %d received %d notifications, want 1", r.ID(), n)
+				}
+				nf := buf[0]
+				if nf.Origin != 0 || nf.Target != 1 || nf.Disp != 8 || nf.Len != 4 || nf.Tag != 42 || nf.Seq != 1 {
+					t.Errorf("rank %d: notification %+v", r.ID(), nf)
+				}
+				if !bytes.Equal(nf.Data, []byte{1, 2, 3, 4}) {
+					t.Errorf("rank %d: data %v", r.ID(), nf.Data)
+				}
+			}
+			return win.Fence()
 		})
-	}
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestPutNotifyLargeWriteOmitsData checks writes above notify.DataMax

@@ -48,20 +48,6 @@ func (w *Win) pscw() *pscwState {
 	return w.shared.pscwState
 }
 
-// recvYield receives from ch, releasing the world's run token while
-// blocked so the peer rank can make progress (see World.token).
-func (r *Rank) recvYield(ch chan simtime.Duration) simtime.Duration {
-	select {
-	case v := <-ch:
-		return v
-	default:
-	}
-	r.world.leave()
-	v := <-ch
-	r.world.enter()
-	return v
-}
-
 // Post opens an exposure epoch towards the given origin ranks
 // (MPI_Win_post): each of them may access this rank's region between
 // their Start and Complete. Post does not block.
@@ -97,7 +83,7 @@ func (w *Win) Start(targets []int) error {
 		s.mu.Lock()
 		ch := pairChan(s.post, w.rank.id, t)
 		s.mu.Unlock()
-		postTime := w.rank.recvYield(ch)
+		postTime := <-ch
 		// The post notification travels one message latency.
 		w.rank.clock.AdvanceTo(postTime + w.rank.Model().GetLatency(0, w.rank.Distance(t)))
 	}
@@ -141,7 +127,7 @@ func (w *Win) Wait() error {
 		s.mu.Lock()
 		ch := pairChan(s.done, w.rank.id, o)
 		s.mu.Unlock()
-		doneTime := w.rank.recvYield(ch)
+		doneTime := <-ch
 		w.rank.clock.AdvanceTo(doneTime + w.rank.Model().GetLatency(0, w.rank.Distance(o)))
 	}
 	w.exposed = w.exposed[:0]

@@ -6,7 +6,7 @@ import (
 	"clampi/internal/datatype"
 )
 
-// TestStripeGranularity proves Throughput-mode data-path locking is
+// TestStripeGranularity proves data-path locking is
 // per-(target, region-stripe), not per-target: with one stripe of the
 // target region held exclusively, a Get touching a *different* stripe
 // completes, and two Gets of the *same* stripe proceed concurrently
@@ -14,7 +14,7 @@ import (
 func TestStripeGranularity(t *testing.T) {
 	const p = 2
 	const regionSize = 1 << 13 // 8 KiB → 8 stripes of 1 KiB
-	err := Run(p, Config{Mode: Throughput}, func(r *Rank) error {
+	err := Run(p, Config{}, func(r *Rank) error {
 		region := make([]byte, regionSize)
 		for i := range region {
 			region[i] = byte(i)
@@ -79,7 +79,7 @@ func TestStripeSpanningWrite(t *testing.T) {
 	const regionSize = 1 << 12 // 4 KiB → 8 stripes of 512 B
 	const span = 1024          // crosses two stripe boundaries at disp 256
 	const disp = 256
-	err := Run(p, Config{Mode: Throughput}, func(r *Rank) error {
+	err := Run(p, Config{}, func(r *Rank) error {
 		region := make([]byte, regionSize)
 		win := r.WinCreate(region, nil)
 		defer win.Free()

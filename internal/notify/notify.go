@@ -14,8 +14,8 @@
 // never silently lost, only degraded to the epoch-blanket behaviour the
 // cache had before notifications existed.
 //
-// Concurrency: Push and Poll are safe for concurrent use (many writer
-// ranks push into one reader's queue in Throughput mode). The empty
+// Concurrency: Push and Poll are safe for concurrent use (many
+// concurrent writer ranks push into one reader's queue). The empty
 // check (Depth) is one atomic load, so a caching hit path can probe the
 // queue at zero allocation and negligible cost.
 package notify
@@ -154,9 +154,7 @@ func (q *Queue) LastSeq() uint64 {
 }
 
 // Wait blocks until the queue is non-empty (returning nil) or closed
-// (returning ErrClosed). Backends whose execution mode cannot tolerate
-// a blocked goroutine (the serialized FidelityMeasured run token) must
-// bracket this call with their own leave/enter discipline.
+// (returning ErrClosed).
 func (q *Queue) Wait() error {
 	q.mu.Lock()
 	defer q.mu.Unlock()

@@ -15,7 +15,7 @@ const NumHistBuckets = 64
 
 // Histogram is a log2-bucketed distribution of virtual durations. All
 // operations are atomic: many ranks may observe into one histogram
-// concurrently (Throughput mode).
+// concurrently.
 type Histogram struct {
 	count   atomic.Int64                 // clampi:atomic
 	sum     atomic.Int64                 // clampi:atomic

@@ -7,8 +7,8 @@
 // The package connects to the caching layer through core.Observer: a
 // Collector translates the structured events emitted by internal/core
 // into registry updates and ring appends. Every primitive is safe for
-// concurrent use, so one Collector can be shared by all ranks of a
-// Throughput-mode world; in per-rank deployments each rank owns a
+// concurrent use, so one Collector can be shared by all the concurrent
+// ranks of a simulated world; in per-rank deployments each rank owns a
 // Registry and the results are combined with Registry.Merge.
 //
 // Invariant (enforced by internal/analysis/atomicfield): every field

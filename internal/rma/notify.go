@@ -47,9 +47,7 @@ type NotifyWindow interface {
 	// cost a round trip even when it returns zero.
 	NotifyPoll(buf []notify.Notification) (n int, overflowed bool)
 	// NotifyWait blocks until at least one notification is queued or
-	// the window is freed (notify.ErrClosed). Serialized execution
-	// modes release their run token while blocked, like any blocking
-	// completion call.
+	// the window is freed (notify.ErrClosed).
 	NotifyWait() error
 	// NotifyLastSeq returns the highest delivery sequence number the
 	// transport has assigned towards this rank (0 before the first

@@ -1,11 +1,12 @@
 package rma
 
 // Resilience vocabulary shared by every layer that retries, verifies or
-// degrades around transient transport failures (DESIGN.md §11). It lives
-// here — not in the caching layer — because both internal/getter (retry
-// shim over any Getter) and internal/core (retry + circuit breaker on
-// the fill path) need the same policy type, and internal/mpi needs the
-// same checksum function the verifiers compare against.
+// degrades around transient transport failures (DESIGN.md §11). The one
+// retry loop is internal/core's fill path, but the vocabulary lives here
+// — not in the caching layer — because the transports need part of it:
+// internal/mpi and internal/wire compute the checksum the fill verifiers
+// compare against, and internal/wire and internal/fault report a failed
+// batch as a BatchError.
 
 import (
 	"fmt"

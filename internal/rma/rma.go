@@ -55,6 +55,9 @@ var (
 	// ErrNoRequest reports a request-based operation that left no
 	// pending operation to attach a request to.
 	ErrNoRequest = errors.New("rma: no pending operation for request")
+	// ErrLockType reports a lock type other than LockShared and
+	// LockExclusive.
+	ErrLockType = errors.New("rma: lock type is neither shared nor exclusive")
 )
 
 // Transient-failure sentinels. Unlike the misuse family above — which

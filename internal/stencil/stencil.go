@@ -155,14 +155,15 @@ func Combine(ranks []RankResult) Result {
 
 // Run executes the workload on the simulated transport: cfg.Ranks
 // simulated ranks, each exposing its edge rows through a window and
-// running RunRank.
-func Run(cfg Config, mode mpi.ExecMode) (Result, error) {
+// running RunRank. The second parameter is ignored; it stays for the
+// benchmark harness (see mpi.ExecMode).
+func Run(cfg Config, _ mpi.ExecMode) (Result, error) {
 	if err := cfg.validate(); err != nil {
 		return Result{}, err
 	}
 	results := make([]RankResult, cfg.Ranks)
 	var mu sync.Mutex
-	err := mpi.Run(cfg.Ranks, mpi.Config{Mode: mode}, func(r *mpi.Rank) error {
+	err := mpi.Run(cfg.Ranks, mpi.Config{}, func(r *mpi.Rank) error {
 		region := make([]byte, cfg.RegionBytes())
 		var win rma.Window = r.WinCreate(region, nil)
 		defer win.Free()

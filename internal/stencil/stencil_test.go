@@ -3,7 +3,7 @@ package stencil
 import (
 	"testing"
 
-	"clampi/internal/mpi"
+	"clampi/internal/schedtest"
 )
 
 // referenceRun computes the same Jacobi evolution as Run in plain Go on
@@ -62,7 +62,7 @@ func TestStencilMatchesReference(t *testing.T) {
 			c := cfg
 			c.Notify = tc.notify
 			c.WriteBack = tc.writeBack
-			res, err := Run(c, mpi.FidelityMeasured)
+			res, err := Run(c, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -79,12 +79,12 @@ func TestStencilMatchesReference(t *testing.T) {
 // 30%, while computing a bit-identical grid.
 func TestStencilNotifyWin(t *testing.T) {
 	cfg := testConfig()
-	base, err := Run(cfg, mpi.FidelityMeasured)
+	base, err := Run(cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Notify = true
-	ntf, err := Run(cfg, mpi.FidelityMeasured)
+	ntf, err := Run(cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,24 +101,24 @@ func TestStencilNotifyWin(t *testing.T) {
 	}
 }
 
-// TestStencilExecModesAgree checks the two simulator execution engines
-// compute bit-identical grids: the fence-delimited BSP structure makes
-// the result independent of goroutine scheduling.
-func TestStencilExecModesAgree(t *testing.T) {
+// TestStencilSchedulesAgree runs the workload once per goroutine
+// schedule (see schedtest): the grids must be bit-identical, because the
+// fence-delimited BSP structure makes the result independent of how the
+// concurrent ranks are scheduled.
+func TestStencilSchedulesAgree(t *testing.T) {
 	for _, notify := range []bool{false, true} {
 		cfg := testConfig()
 		cfg.Notify = notify
-		fid, err := Run(cfg, mpi.FidelityMeasured)
-		if err != nil {
-			t.Fatal(err)
-		}
-		thr, err := Run(cfg, mpi.Throughput)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fid.Checksum != thr.Checksum {
-			t.Fatalf("notify=%v: FidelityMeasured %016x, Throughput %016x",
-				notify, fid.Checksum, thr.Checksum)
+		var sums []uint64
+		schedtest.Do(func(sched schedtest.Schedule) {
+			res, err := Run(cfg, 0)
+			if err != nil {
+				t.Fatalf("notify=%v %s: %v", notify, sched.Name, err)
+			}
+			sums = append(sums, res.Checksum)
+		})
+		if sums[0] != sums[1] {
+			t.Fatalf("notify=%v: %016x on one P, %016x on every P", notify, sums[0], sums[1])
 		}
 	}
 }
@@ -129,7 +129,7 @@ func TestStencilExecModesAgree(t *testing.T) {
 func TestStencilCounters(t *testing.T) {
 	cfg := testConfig()
 	cfg.Notify = true
-	res, err := Run(cfg, mpi.FidelityMeasured)
+	res, err := Run(cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestStencilCounters(t *testing.T) {
 	}
 
 	cfg.WriteBack = true
-	res, err = Run(cfg, mpi.FidelityMeasured)
+	res, err = Run(cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestStencilValidate(t *testing.T) {
 		{Ranks: 1, Rows: 1, Cols: 2, Iters: 1},
 		{Ranks: 1, Rows: 1, Cols: 3, Iters: 0},
 	} {
-		if _, err := Run(bad, mpi.FidelityMeasured); err == nil {
+		if _, err := Run(bad, 0); err == nil {
 			t.Errorf("config %+v: want error, got nil", bad)
 		}
 	}

@@ -141,40 +141,9 @@ func (w *Window) readPush() error {
 // flattened block — each block is a genuine write, so per-block
 // descriptors keep the spans exact.
 func (w *Window) PutNotify(src []byte, dtype datatype.Datatype, count int, target, disp int, tag uint32) error {
-	if w.freed {
-		return rma.ErrFreed
-	}
-	if !w.inEpoch() {
-		return rma.ErrNoEpoch
-	}
-	if target < 0 || target >= len(w.cl.regions) {
-		return rma.ErrRankRange
-	}
-	size := datatype.TransferSize(dtype, count)
-	if len(src) < size {
-		return rma.ErrShortBuf
-	}
-	region := int(w.cl.regions[target])
-	if size > 0 && dtype.Size() == dtype.Extent() {
-		if disp < 0 || disp+size > region {
-			return rma.ErrBounds
-		}
-		return w.putNotifyRange(src[:size], target, disp, tag)
-	}
-	blocks := datatype.FlattenTransfer(dtype, count, disp)
-	for _, b := range blocks {
-		if b.Offset < 0 || b.Offset+b.Size > region {
-			return rma.ErrBounds
-		}
-	}
-	n := 0
-	for _, b := range blocks {
-		if err := w.putNotifyRange(src[n:n+b.Size], target, b.Offset, tag); err != nil {
-			return err
-		}
-		n += b.Size
-	}
-	return nil
+	return w.transfer(src, dtype, count, target, disp, func(part []byte, disp int) error {
+		return w.putNotifyRange(part, target, disp, tag)
+	})
 }
 
 func (w *Window) putNotifyRange(src []byte, target, disp int, tag uint32) error {

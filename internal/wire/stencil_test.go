@@ -4,7 +4,6 @@ import (
 	"sync"
 	"testing"
 
-	"clampi/internal/mpi"
 	"clampi/internal/stencil"
 )
 
@@ -19,7 +18,7 @@ func TestStencilOverWire(t *testing.T) {
 	for _, notify := range []bool{false, true} {
 		cfg := base
 		cfg.Notify = notify
-		sim, err := stencil.Run(cfg, mpi.FidelityMeasured)
+		sim, err := stencil.Run(cfg, 0)
 		if err != nil {
 			t.Fatalf("notify=%v: sim run: %v", notify, err)
 		}

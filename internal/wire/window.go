@@ -269,11 +269,14 @@ func (w *Window) FillCost(target, size int) simtime.Duration {
 	return simtime.Duration(base + float64(size)*rttNsPerByte)
 }
 
-// Get reads count elements of dtype from target's region at byte
-// displacement disp into dst (packed). Validation mirrors internal/mpi
-// bit for bit: freed, epoch, rank range, short buffer, bounds — so the
-// two backends are indistinguishable to error-handling tests.
-func (w *Window) Get(dst []byte, dtype datatype.Datatype, count int, target, disp int) error {
+// transfer validates a Get, Put or PutNotify exactly as internal/mpi
+// does — freed, epoch, rank range, short buffer, bounds, so the two
+// backends are indistinguishable to error-handling tests — and then
+// calls one(part, disp) per contiguous range: once for a dense datatype,
+// once per flattened block of a strided one, part being that range's
+// share of the packed buffer. No range is sent unless every block is in
+// bounds.
+func (w *Window) transfer(buf []byte, dtype datatype.Datatype, count int, target, disp int, one func(part []byte, disp int) error) error {
 	if w.freed {
 		return rma.ErrFreed
 	}
@@ -284,7 +287,7 @@ func (w *Window) Get(dst []byte, dtype datatype.Datatype, count int, target, dis
 		return rma.ErrRankRange
 	}
 	size := datatype.TransferSize(dtype, count)
-	if len(dst) < size {
+	if len(buf) < size {
 		return rma.ErrShortBuf
 	}
 	region := int(w.cl.regions[target])
@@ -292,7 +295,7 @@ func (w *Window) Get(dst []byte, dtype datatype.Datatype, count int, target, dis
 		if disp < 0 || disp+size > region {
 			return rma.ErrBounds
 		}
-		return w.getRange(dst[:size], target, disp)
+		return one(buf[:size], disp)
 	}
 	blocks := datatype.FlattenTransfer(dtype, count, disp)
 	for _, b := range blocks {
@@ -302,7 +305,7 @@ func (w *Window) Get(dst []byte, dtype datatype.Datatype, count int, target, dis
 	}
 	n := 0
 	for _, b := range blocks {
-		if err := w.getRange(dst[n:n+b.Size], target, b.Offset); err != nil {
+		if err := one(buf[n:n+b.Size], b.Offset); err != nil {
 			return err
 		}
 		n += b.Size
@@ -310,43 +313,21 @@ func (w *Window) Get(dst []byte, dtype datatype.Datatype, count int, target, dis
 	return nil
 }
 
+// Get reads count elements of dtype from target's region at byte
+// displacement disp into dst (packed), one round trip per contiguous
+// range.
+func (w *Window) Get(dst []byte, dtype datatype.Datatype, count int, target, disp int) error {
+	return w.transfer(dst, dtype, count, target, disp, func(part []byte, disp int) error {
+		return w.getRange(part, target, disp)
+	})
+}
+
 // Put writes count elements of dtype from src (packed) into target's
-// region at byte displacement disp.
+// region at byte displacement disp, one round trip per contiguous range.
 func (w *Window) Put(src []byte, dtype datatype.Datatype, count int, target, disp int) error {
-	if w.freed {
-		return rma.ErrFreed
-	}
-	if !w.inEpoch() {
-		return rma.ErrNoEpoch
-	}
-	if target < 0 || target >= len(w.cl.regions) {
-		return rma.ErrRankRange
-	}
-	size := datatype.TransferSize(dtype, count)
-	if len(src) < size {
-		return rma.ErrShortBuf
-	}
-	region := int(w.cl.regions[target])
-	if size > 0 && dtype.Size() == dtype.Extent() {
-		if disp < 0 || disp+size > region {
-			return rma.ErrBounds
-		}
-		return w.putRange(src[:size], target, disp)
-	}
-	blocks := datatype.FlattenTransfer(dtype, count, disp)
-	for _, b := range blocks {
-		if b.Offset < 0 || b.Offset+b.Size > region {
-			return rma.ErrBounds
-		}
-	}
-	n := 0
-	for _, b := range blocks {
-		if err := w.putRange(src[n:n+b.Size], target, b.Offset); err != nil {
-			return err
-		}
-		n += b.Size
-	}
-	return nil
+	return w.transfer(src, dtype, count, target, disp, func(part []byte, disp int) error {
+		return w.putRange(part, target, disp)
+	})
 }
 
 func (w *Window) putRange(src []byte, target, disp int) error {
@@ -531,9 +512,14 @@ func (w *Window) Checksum(target, disp, size int) (uint64, error) {
 func (w *Window) Lock(target int) error { return w.LockWithType(rma.LockShared, target) }
 
 // LockWithType opens a passive-target epoch with an explicit lock type.
+// Like the simulated backend it refuses a type other than shared or
+// exclusive with rma.ErrLockType before sending anything.
 func (w *Window) LockWithType(typ rma.LockType, target int) error {
 	if w.freed {
 		return rma.ErrFreed
+	}
+	if typ != rma.LockShared && typ != rma.LockExclusive {
+		return rma.ErrLockType
 	}
 	if target < 0 || target >= len(w.cl.regions) {
 		return rma.ErrRankRange

@@ -220,6 +220,28 @@ func TestErrorParity(t *testing.T) {
 	if err := w.Get(dst, datatype.Byte, 16, 0, 250); !errors.Is(err, rma.ErrBounds) || !errors.Is(err, rma.ErrOutOfRange) {
 		t.Fatalf("bounds: %v", err)
 	}
+	// A strided write whose last block leaves the region is refused
+	// before any block is sent: the in-bounds blocks stay unwritten.
+	vec := datatype.Vector(3, 4, 16, datatype.Byte) // at 200: blocks 200..252 fit, 268 does not
+	src := bytes.Repeat([]byte{0xEE}, datatype.TransferSize(vec, 2))
+	before, after := make([]byte, 56), make([]byte, 56)
+	if err := w.Get(before, datatype.Byte, len(before), 0, 200); err != nil {
+		t.Fatalf("get before strided writes: %v", err)
+	}
+	for name, write := range map[string]func() error{
+		"put":        func() error { return w.Put(src, vec, 2, 0, 200) },
+		"put-notify": func() error { return w.PutNotify(src, vec, 2, 0, 200, 1) },
+	} {
+		if err := write(); !errors.Is(err, rma.ErrBounds) {
+			t.Fatalf("strided %s out of bounds: %v", name, err)
+		}
+		if err := w.Get(after, datatype.Byte, len(after), 0, 200); err != nil {
+			t.Fatalf("get after strided %s: %v", name, err)
+		}
+		if !bytes.Equal(before, after) {
+			t.Fatalf("strided %s out of bounds wrote its in-bounds blocks", name)
+		}
+	}
 	if err := w.Accumulate(dst, datatype.Bytes(16), 1, 0, 0, rma.OpSum); !errors.Is(err, ErrBadAccumulate) {
 		t.Fatalf("bad accumulate dtype: %v", err)
 	}
@@ -241,6 +263,14 @@ func TestErrorParity(t *testing.T) {
 	}
 	if err := w.Unlock(1); err != nil {
 		t.Fatalf("unlock: %v", err)
+	}
+	// An unknown lock type is a caller bug: refused before the rank
+	// check and before anything is sent, and not retryable.
+	if err := w.LockWithType(rma.LockType(7), 5); !errors.Is(err, rma.ErrLockType) || errors.Is(err, rma.ErrTransient) {
+		t.Fatalf("bad lock type: %v", err)
+	}
+	if err := w.Unlock(1); !errors.Is(err, rma.ErrNoEpoch) {
+		t.Fatalf("unlock after refused lock: %v", err)
 	}
 
 	if err := w.Free(); err != nil {

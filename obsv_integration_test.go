@@ -1,8 +1,8 @@
 // Integration tests for the observability subsystem through the public
 // API: one Collector installed via WithObserver, shared by every rank,
-// exercised under both execution modes. Under -race the Throughput run
-// doubles as a data-race check on the registry and the event ring, since
-// the ranks run genuinely concurrently there.
+// exercised under both goroutine schedules (see internal/schedtest).
+// Under -race the runs double as a data-race check on the registry and
+// the event ring, since the ranks run concurrently.
 package clampi_test
 
 import (
@@ -14,18 +14,19 @@ import (
 	"testing"
 
 	"clampi"
+	"clampi/internal/schedtest"
 )
 
 // observedWorkload runs a deterministic multi-rank caching workload with
 // a single shared Collector and returns its registry and ring. Every
 // rank issues the same get sequence (reuse plus a conflicting tail), so
 // the event counts are independent of rank interleaving.
-func observedWorkload(t *testing.T, mode clampi.ExecMode) (*clampi.Registry, *clampi.Ring) {
+func observedWorkload(t *testing.T) (*clampi.Registry, *clampi.Ring) {
 	t.Helper()
 	reg := clampi.NewRegistry()
 	ring := clampi.NewRing(1 << 15)
 	col := clampi.NewCollector(reg, ring)
-	err := clampi.Run(4, clampi.RunConfig{Mode: mode}, func(r *clampi.Rank) error {
+	err := clampi.Run(4, clampi.RunConfig{}, func(r *clampi.Rank) error {
 		w, _, err := clampi.Allocate(r, 64<<10, nil,
 			clampi.WithMode(clampi.AlwaysCache),
 			clampi.WithIndexSlots(64),
@@ -67,7 +68,7 @@ func observedWorkload(t *testing.T, mode clampi.ExecMode) (*clampi.Registry, *cl
 		return nil
 	})
 	if err != nil {
-		t.Fatalf("Run(%v): %v", mode, err)
+		t.Fatalf("Run: %v", err)
 	}
 	return reg, ring
 }
@@ -106,47 +107,51 @@ func counterTotals(t *testing.T, reg *clampi.Registry) map[string]int64 {
 	return out
 }
 
-// TestDualModeCountersAgree runs the identical workload under
-// FidelityMeasured and Throughput and asserts the two registries hold
-// identical counter totals: the observability layer must count events,
-// not scheduling artifacts. Under -race this also verifies the shared
-// collector is race-free with genuinely concurrent ranks.
+// TestDualModeCountersAgree runs the identical workload once per
+// goroutine schedule and asserts the two registries hold identical
+// counter totals: the observability layer must count events, not
+// scheduling artifacts. Under -race this also verifies the shared
+// collector is race-free with concurrent ranks.
 func TestDualModeCountersAgree(t *testing.T) {
-	fidReg, fidRing := observedWorkload(t, clampi.FidelityMeasured)
-	thrReg, thrRing := observedWorkload(t, clampi.Throughput)
+	var regs []*clampi.Registry
+	var rings []*clampi.Ring
+	schedtest.Do(func(schedtest.Schedule) {
+		reg, ring := observedWorkload(t)
+		regs, rings = append(regs, reg), append(rings, ring)
+	})
 
-	fid := counterTotals(t, fidReg)
-	thr := counterTotals(t, thrReg)
-	if len(fid) == 0 {
-		t.Fatal("fidelity run recorded no counters")
+	one := counterTotals(t, regs[0])
+	all := counterTotals(t, regs[1])
+	if len(one) == 0 {
+		t.Fatal("one-P run recorded no counters")
 	}
-	if fid[`clampi_accesses_total,type=hitting`] == 0 {
+	if one[`clampi_accesses_total,type=hitting`] == 0 {
 		t.Error("workload produced no cache hits; reuse pattern broken")
 	}
-	if fid[`clampi_evictions_total,kind=capacity`]+fid[`clampi_evictions_total,kind=conflict`] == 0 {
+	if one[`clampi_evictions_total,kind=capacity`]+one[`clampi_evictions_total,kind=conflict`] == 0 {
 		t.Error("workload produced no evictions; pressure pattern broken")
 	}
-	for name, v := range fid {
-		if got := thr[name]; got != v {
-			t.Errorf("counter %s: fidelity=%d throughput=%d", name, v, got)
+	for name, v := range one {
+		if got := all[name]; got != v {
+			t.Errorf("counter %s: %d on one P, %d on every P", name, v, got)
 		}
 	}
-	for name := range thr {
-		if _, ok := fid[name]; !ok {
-			t.Errorf("counter %s present only in throughput run", name)
+	for name := range all {
+		if _, ok := one[name]; !ok {
+			t.Errorf("counter %s present only in the every-P run", name)
 		}
 	}
 
-	if fidRing.Total() != thrRing.Total() {
-		t.Errorf("event totals differ: fidelity=%d throughput=%d", fidRing.Total(), thrRing.Total())
+	if rings[0].Total() != rings[1].Total() {
+		t.Errorf("event totals differ: %d on one P, %d on every P", rings[0].Total(), rings[1].Total())
 	}
-	if fidRing.Total() == 0 {
+	if rings[0].Total() == 0 {
 		t.Error("no events traced")
 	}
 
 	// The ring must retain a dense, ordered window of the event stream
 	// even after concurrent appends.
-	events := thrRing.Snapshot()
+	events := rings[1].Snapshot()
 	for i := 1; i < len(events); i++ {
 		if events[i].Seq != events[i-1].Seq+1 {
 			t.Fatalf("ring sequence gap at %d: %d -> %d", i, events[i-1].Seq, events[i].Seq)
