@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"clampi/internal/datatype"
+	"clampi/internal/schedtest"
 	"clampi/internal/simtime"
 )
 
@@ -59,22 +60,24 @@ type errBadByte struct{ rank, target, off int }
 func (e errBadByte) Error() string { return "corrupt remote read" }
 
 // TestThroughputModeExchange runs a concurrent 8-rank all-to-all read
-// pattern twice (exercising the per-target stripe locks under -race).
-// Every read is checked against the pattern its target published, and
-// the two runs must end on identical virtual clocks: the modelled costs
-// make the result independent of how the goroutines were scheduled.
+// pattern once per schedule (see schedtest), on every P exercising the
+// per-target stripe locks under -race. Every read is checked against
+// the pattern its target published, and the two runs must end on
+// identical virtual clocks: the modelled costs make the result
+// independent of how the goroutines were scheduled.
 func TestThroughputModeExchange(t *testing.T) {
 	const p = 8
-	var runs [2][]simtime.Duration
-	for i := range runs {
-		runs[i] = make([]simtime.Duration, p)
-		if err := Run(p, Config{}, exchangeProgram(runs[i])); err != nil {
-			t.Fatalf("run %d: %v", i, err)
+	var runs [][]simtime.Duration
+	schedtest.Do(func(s schedtest.Schedule) {
+		clocks := make([]simtime.Duration, p)
+		if err := Run(p, Config{}, exchangeProgram(clocks)); err != nil {
+			t.Fatalf("%s schedule: %v", s.Name, err)
 		}
-	}
+		runs = append(runs, clocks)
+	})
 	for r := 0; r < p; r++ {
 		if runs[0][r] != runs[1][r] {
-			t.Errorf("rank %d: clock %v in the first run, %v in the second", r, runs[0][r], runs[1][r])
+			t.Errorf("rank %d: clock %v on one P, %v on every P", r, runs[0][r], runs[1][r])
 		}
 	}
 }

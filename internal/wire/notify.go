@@ -141,9 +141,7 @@ func (w *Window) readPush() error {
 // flattened block — each block is a genuine write, so per-block
 // descriptors keep the spans exact.
 func (w *Window) PutNotify(src []byte, dtype datatype.Datatype, count int, target, disp int, tag uint32) error {
-	return w.transfer(src, dtype, count, target, disp, func(part []byte, disp int) error {
-		return w.putNotifyRange(part, target, disp, tag)
-	})
+	return w.transfer(OpPutNotify, src, dtype, count, target, disp, tag)
 }
 
 func (w *Window) putNotifyRange(src []byte, target, disp int, tag uint32) error {

@@ -269,14 +269,17 @@ func (w *Window) FillCost(target, size int) simtime.Duration {
 	return simtime.Duration(base + float64(size)*rttNsPerByte)
 }
 
-// transfer validates a Get, Put or PutNotify exactly as internal/mpi
+// transfer validates a Get, Put or PutNotify (op is OpGet, OpPut or
+// OpPutNotify; tag is read by OpPutNotify only) exactly as internal/mpi
 // does — freed, epoch, rank range, short buffer, bounds, so the two
 // backends are indistinguishable to error-handling tests — and then
-// calls one(part, disp) per contiguous range: once for a dense datatype,
-// once per flattened block of a strided one, part being that range's
-// share of the packed buffer. No range is sent unless every block is in
-// bounds.
-func (w *Window) transfer(buf []byte, dtype datatype.Datatype, count int, target, disp int, one func(part []byte, disp int) error) error {
+// sends one op per contiguous range: once for a dense datatype, once per
+// flattened block of a strided one, each carrying that range's share of
+// the packed buffer. No range is sent unless every block is in bounds.
+// The op is dispatched by code rather than by a callback so that buf
+// stays visible to escape analysis and a caller's buffer is not forced
+// onto the heap.
+func (w *Window) transfer(op byte, buf []byte, dtype datatype.Datatype, count int, target, disp int, tag uint32) error {
 	if w.freed {
 		return rma.ErrFreed
 	}
@@ -295,7 +298,7 @@ func (w *Window) transfer(buf []byte, dtype datatype.Datatype, count int, target
 		if disp < 0 || disp+size > region {
 			return rma.ErrBounds
 		}
-		return one(buf[:size], disp)
+		return w.sendRange(op, buf[:size], target, disp, tag)
 	}
 	blocks := datatype.FlattenTransfer(dtype, count, disp)
 	for _, b := range blocks {
@@ -305,7 +308,7 @@ func (w *Window) transfer(buf []byte, dtype datatype.Datatype, count int, target
 	}
 	n := 0
 	for _, b := range blocks {
-		if err := one(buf[n:n+b.Size], b.Offset); err != nil {
+		if err := w.sendRange(op, buf[n:n+b.Size], target, b.Offset, tag); err != nil {
 			return err
 		}
 		n += b.Size
@@ -313,21 +316,29 @@ func (w *Window) transfer(buf []byte, dtype datatype.Datatype, count int, target
 	return nil
 }
 
+// sendRange sends one validated contiguous range of a transfer.
+func (w *Window) sendRange(op byte, part []byte, target, disp int, tag uint32) error {
+	switch op {
+	case OpGet:
+		return w.getRange(part, target, disp)
+	case OpPut:
+		return w.putRange(part, target, disp)
+	default:
+		return w.putNotifyRange(part, target, disp, tag)
+	}
+}
+
 // Get reads count elements of dtype from target's region at byte
 // displacement disp into dst (packed), one round trip per contiguous
 // range.
 func (w *Window) Get(dst []byte, dtype datatype.Datatype, count int, target, disp int) error {
-	return w.transfer(dst, dtype, count, target, disp, func(part []byte, disp int) error {
-		return w.getRange(part, target, disp)
-	})
+	return w.transfer(OpGet, dst, dtype, count, target, disp, 0)
 }
 
 // Put writes count elements of dtype from src (packed) into target's
 // region at byte displacement disp, one round trip per contiguous range.
 func (w *Window) Put(src []byte, dtype datatype.Datatype, count int, target, disp int) error {
-	return w.transfer(src, dtype, count, target, disp, func(part []byte, disp int) error {
-		return w.putRange(part, target, disp)
-	})
+	return w.transfer(OpPut, src, dtype, count, target, disp, 0)
 }
 
 func (w *Window) putRange(src []byte, target, disp int) error {
