@@ -25,55 +25,77 @@ type CSR struct {
 }
 
 // Build constructs a simple undirected graph from raw R-MAT edges:
-// self-loops are dropped, both directions are added, and duplicate edges
-// are removed. Adjacency lists are sorted ascending.
+// self-loops and edges with an endpoint outside [0, n) are dropped, both
+// directions are added, and duplicate edges are removed. Adjacency lists
+// are sorted ascending.
+//
+// It sorts by counting, not by comparison: every kept edge is scattered
+// into an unordered bucket per source, and a transpose that visits the
+// sources in ascending order appends each one to its neighbours' lists,
+// which therefore come out ascending, with a duplicate next to its twin.
+// The transpose runs twice, first counting the distinct neighbours and
+// then filling, so the result is allocated at its exact size and no more
+// than the buckets and the result are alive at once.
 func Build(n int, edges []rmat.Edge) *CSR {
-	deg := make([]int64, n+1)
+	// Bucket bounds: both directions of every kept edge, duplicates too.
+	bounds := make([]int64, n+1)
 	for _, e := range edges {
-		if e.U == e.V || int(e.U) >= n || int(e.V) >= n || e.U < 0 || e.V < 0 {
-			continue
+		if keep(e, n) {
+			bounds[e.U+1]++
+			bounds[e.V+1]++
 		}
-		deg[e.U+1]++
-		deg[e.V+1]++
+	}
+	for v := 0; v < n; v++ {
+		bounds[v+1] += bounds[v]
+	}
+	buckets := make([]int32, bounds[n])
+	next := make([]int64, n) // per-list write cursor
+	copy(next, bounds)
+	for _, e := range edges {
+		if keep(e, n) {
+			buckets[next[e.U]] = e.V
+			next[e.U]++
+			buckets[next[e.V]] = e.U
+			next[e.V]++
+		}
+	}
+
+	// Transpose, counting: last[t] is the latest source appended to t.
+	last := make([]int32, n)
+	for t := range last {
+		last[t] = -1
 	}
 	offs := make([]int64, n+1)
-	for i := 0; i < n; i++ {
-		offs[i+1] = offs[i] + deg[i+1]
-	}
-	adj := make([]int32, offs[n])
-	fill := make([]int64, n)
-	for _, e := range edges {
-		if e.U == e.V || int(e.U) >= n || int(e.V) >= n || e.U < 0 || e.V < 0 {
-			continue
-		}
-		adj[offs[e.U]+fill[e.U]] = e.V
-		fill[e.U]++
-		adj[offs[e.V]+fill[e.V]] = e.U
-		fill[e.V]++
-	}
-	// Sort and dedup each adjacency list, compacting in place.
-	newOffs := make([]int64, n+1)
-	w := int64(0)
-	for v := 0; v < n; v++ {
-		lo, hi := offs[v], offs[v]+fill[v]
-		list := adj[lo:hi]
-		sort.Slice(list, func(i, j int) bool { return list[i] < list[j] })
-		start := w
-		var prev int32 = -1
-		for _, u := range list {
-			if u != prev {
-				adj[w] = u
-				w++
-				prev = u
+	for s := 0; s < n; s++ {
+		for _, t := range buckets[bounds[s]:bounds[s+1]] {
+			if last[t] != int32(s) {
+				last[t] = int32(s)
+				offs[t+1]++
 			}
 		}
-		newOffs[v] = start
 	}
-	newOffs[n] = w
-	// Shift starts: newOffs currently holds starts; convert to offsets.
-	offs2 := make([]int64, n+1)
-	copy(offs2, newOffs)
-	return &CSR{N: n, Offs: offs2, Adj: append([]int32(nil), adj[:w]...)}
+	for v := 0; v < n; v++ {
+		offs[v+1] += offs[v]
+	}
+
+	// Transpose, filling: sources arrive ascending, so a duplicate is the
+	// last entry written to its list.
+	adj := make([]int32, offs[n])
+	copy(next, offs)
+	for s := 0; s < n; s++ {
+		for _, t := range buckets[bounds[s]:bounds[s+1]] {
+			if next[t] == offs[t] || adj[next[t]-1] != int32(s) {
+				adj[next[t]] = int32(s)
+				next[t]++
+			}
+		}
+	}
+	return &CSR{N: n, Offs: offs, Adj: adj}
+}
+
+// keep reports whether Build keeps e in a graph of n vertices.
+func keep(e rmat.Edge, n int) bool {
+	return e.U != e.V && e.U >= 0 && e.V >= 0 && int(e.U) < n && int(e.V) < n
 }
 
 // Degree returns deg(v).
@@ -138,26 +160,6 @@ func (g *CSR) HasEdge(u, v int) bool {
 	list := g.Neighbors(u)
 	i := sort.Search(len(list), func(i int) bool { return list[i] >= int32(v) })
 	return i < len(list) && list[i] == int32(v)
-}
-
-// IntersectSortedCount returns |a ∩ b| for two ascending-sorted lists by
-// merging them: the paper's LCC inner kernel, here the oracle
-// (lcc.Reference) that lcc.Run's stamp count is checked against.
-func IntersectSortedCount(a, b []int32) int {
-	i, j, n := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			n++
-			i++
-			j++
-		}
-	}
-	return n
 }
 
 // Partition is a 1-D block partition of N vertices over P ranks: the

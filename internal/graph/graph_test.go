@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -64,23 +65,99 @@ func TestBuildFromRMAT(t *testing.T) {
 	}
 }
 
-func TestIntersectSortedCount(t *testing.T) {
-	cases := []struct {
-		a, b []int32
-		want int
-	}{
-		{nil, nil, 0},
-		{[]int32{1, 2, 3}, nil, 0},
-		{[]int32{1, 2, 3}, []int32{2, 3, 4}, 2},
-		{[]int32{1, 5, 9}, []int32{2, 6, 10}, 0},
-		{[]int32{1, 2, 3}, []int32{1, 2, 3}, 3},
+// setBuild is the definition Build is held to: a map of neighbour sets,
+// read out in ascending order.
+func setBuild(n int, edges []rmat.Edge) (offs []int64, adj []int32) {
+	sets := make([]map[int32]bool, n)
+	for _, e := range edges {
+		if e.U == e.V || e.U < 0 || e.V < 0 || int(e.U) >= n || int(e.V) >= n {
+			continue
+		}
+		for _, uv := range [2][2]int32{{e.U, e.V}, {e.V, e.U}} {
+			if sets[uv[0]] == nil {
+				sets[uv[0]] = map[int32]bool{}
+			}
+			sets[uv[0]][uv[1]] = true
+		}
 	}
-	for _, c := range cases {
-		if got := IntersectSortedCount(c.a, c.b); got != c.want {
-			t.Errorf("Intersect(%v, %v) = %d, want %d", c.a, c.b, got, c.want)
+	offs = make([]int64, n+1)
+	adj = []int32{}
+	for v, set := range sets {
+		list := make([]int32, 0, len(set))
+		for u := range set {
+			list = append(list, u)
+		}
+		slices.Sort(list)
+		adj = append(adj, list...)
+		offs[v+1] = int64(len(adj))
+	}
+	return offs, adj
+}
+
+// checkBuild holds Build(n, edges) to setBuild and to CSR.Validate.
+func checkBuild(t *testing.T, n int, edges []rmat.Edge) {
+	t.Helper()
+	g := Build(n, edges)
+	if err := g.Validate(); err != nil {
+		t.Fatalf("n=%d edges=%v: %v", n, edges, err)
+	}
+	offs, adj := setBuild(n, edges)
+	if g.N != n || !slices.Equal(g.Offs, offs) || !slices.Equal(g.Adj, adj) {
+		t.Fatalf("n=%d edges=%v:\n got Offs %v Adj %v\nwant Offs %v Adj %v", n, edges, g.Offs, g.Adj, offs, adj)
+	}
+}
+
+// buildCases are the seed inputs of TestBuildMatchesSetConstruction and
+// FuzzBuild: every kind of edge Build must drop, merge or keep.
+var buildCases = []struct {
+	name  string
+	n     int
+	edges []rmat.Edge
+}{
+	{"n0", 0, nil},
+	{"n0 edges", 0, []rmat.Edge{{U: 0, V: 0}, {U: 0, V: 1}}},
+	{"n1", 1, []rmat.Edge{{U: 0, V: 0}}},
+	{"n2", 2, []rmat.Edge{{U: 0, V: 1}}},
+	{"n2 reversed", 2, []rmat.Edge{{U: 1, V: 0}, {U: 0, V: 1}, {U: 1, V: 0}}},
+	{"self-loops", 3, []rmat.Edge{{U: 1, V: 1}, {U: 0, V: 2}, {U: 2, V: 2}}},
+	{"duplicates", 4, []rmat.Edge{{U: 3, V: 0}, {U: 3, V: 0}, {U: 0, V: 3}, {U: 3, V: 1}, {U: 3, V: 0}}},
+	{"out of range", 3, []rmat.Edge{{U: -1, V: 0}, {U: 0, V: -1}, {U: 3, V: 1}, {U: 1, V: 3}, {U: 1, V: 2}, {U: -1 << 31, V: 1<<31 - 1}}},
+	{"isolated", 8, []rmat.Edge{{U: 6, V: 2}, {U: 2, V: 4}}},
+	{"descending source order", 5, []rmat.Edge{{U: 4, V: 3}, {U: 4, V: 0}, {U: 3, V: 1}, {U: 2, V: 0}, {U: 1, V: 0}}},
+}
+
+func TestBuildMatchesSetConstruction(t *testing.T) {
+	for _, c := range buildCases {
+		t.Run(c.name, func(t *testing.T) { checkBuild(t, c.n, c.edges) })
+	}
+	for scale := 4; scale <= 10; scale++ {
+		for seed := int64(1); seed <= 3; seed++ {
+			checkBuild(t, 1<<scale, rmat.Generate(scale, 8, rmat.Graph500, seed))
 		}
 	}
 }
+
+// FuzzBuild decodes raw into edges, two bytes each: id b−2 makes −2 and
+// −1, and every id ≥ n, reachable for every n.
+func FuzzBuild(f *testing.F) {
+	for _, c := range buildCases {
+		raw := make([]byte, 0, 2*len(c.edges))
+		for _, e := range c.edges {
+			raw = append(raw, fuzzID(e.U), fuzzID(e.V))
+		}
+		f.Add(uint8(c.n), raw)
+	}
+	f.Fuzz(func(t *testing.T, n uint8, raw []byte) {
+		edges := make([]rmat.Edge, len(raw)/2)
+		for i := range edges {
+			edges[i] = rmat.Edge{U: int32(raw[2*i]) - 2, V: int32(raw[2*i+1]) - 2}
+		}
+		checkBuild(t, int(n), edges)
+	})
+}
+
+// fuzzID encodes id for FuzzBuild, clamped to the ids it can express.
+func fuzzID(id int32) byte { return byte(min(max(id+2, 0), 255)) }
 
 func TestPartitionCoversAllVertices(t *testing.T) {
 	f := func(nRaw, pRaw uint16) bool {

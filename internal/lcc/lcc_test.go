@@ -1,7 +1,9 @@
 package lcc
 
 import (
+	"fmt"
 	"math"
+	"strconv"
 	"testing"
 
 	"clampi/internal/core"
@@ -44,6 +46,165 @@ func TestReferenceOnKnownGraphs(t *testing.T) {
 	if Reference(star)[0] != 0 {
 		t.Errorf("star center LCC = %v", Reference(star)[0])
 	}
+}
+
+// intersectSortedCount returns |a ∩ b| for two ascending lists by
+// merging them: the paper's LCC inner kernel, and the definition that
+// Run's stamp count and Reference's forward count are both held to.
+func intersectSortedCount(a, b []int32) int {
+	i, j, n := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			n++
+			i++
+			j++
+		}
+	}
+	return n
+}
+
+func TestIntersectSortedCount(t *testing.T) {
+	cases := []struct {
+		a, b []int32
+		want int
+	}{
+		{nil, nil, 0},
+		{[]int32{1, 2, 3}, nil, 0},
+		{[]int32{1, 2, 3}, []int32{2, 3, 4}, 2},
+		{[]int32{1, 5, 9}, []int32{2, 6, 10}, 0},
+		{[]int32{1, 2, 3}, []int32{1, 2, 3}, 3},
+	}
+	for _, c := range cases {
+		if got := intersectSortedCount(c.a, c.b); got != c.want {
+			t.Errorf("intersect(%v, %v) = %d, want %d", c.a, c.b, got, c.want)
+		}
+	}
+}
+
+// mergeReference is LCC by definition, vertex by vertex: the sum of
+// |adj(v) ∩ adj(u)| over u ∈ adj(v), divided by deg(v)·(deg(v)−1).
+func mergeReference(g *graph.CSR) []float64 {
+	out := make([]float64, g.N)
+	for v := 0; v < g.N; v++ {
+		adjV := g.Neighbors(v)
+		deg := len(adjV)
+		if deg < 2 {
+			continue
+		}
+		var count int64
+		for _, u := range adjV {
+			count += int64(intersectSortedCount(adjV, g.Neighbors(int(u))))
+		}
+		out[v] = float64(count) / float64(deg*(deg-1))
+	}
+	return out
+}
+
+// checkReference requires Reference to give mergeReference's floats
+// exactly, vertex by vertex.
+func checkReference(t *testing.T, name string, g *graph.CSR) {
+	t.Helper()
+	got, want := Reference(g), mergeReference(g)
+	for v := range want {
+		if got[v] != want[v] {
+			t.Fatalf("%s: LCC(%d) = %v by the forward count, %v by the merge", name, v, got[v], want[v])
+		}
+	}
+}
+
+func complete(n int) []rmat.Edge {
+	var es []rmat.Edge
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			es = append(es, rmat.Edge{U: int32(u), V: int32(v)})
+		}
+	}
+	return es
+}
+
+func cycle(n int) []rmat.Edge {
+	es := make([]rmat.Edge, n)
+	for v := range es {
+		es[v] = rmat.Edge{U: int32(v), V: int32((v + 1) % n)}
+	}
+	return es
+}
+
+func star(leaves int) []rmat.Edge {
+	es := make([]rmat.Edge, leaves)
+	for v := range es {
+		es[v] = rmat.Edge{U: 0, V: int32(v + 1)}
+	}
+	return es
+}
+
+// petersen is the 3-regular Petersen graph: outer 5-cycle, spokes, inner
+// pentagram.
+func petersen() []rmat.Edge {
+	var es []rmat.Edge
+	for i := int32(0); i < 5; i++ {
+		es = append(es, rmat.Edge{U: i, V: (i + 1) % 5}, rmat.Edge{U: i, V: i + 5}, rmat.Edge{U: i + 5, V: 5 + (i+2)%5})
+	}
+	return es
+}
+
+// tieGraphs are made of degree ties — all of K_n, C_n and the 3-regular
+// Petersen graph, a star's leaves — so the (degree, id) order falls back
+// on the id to orient the edges between them.
+func tieGraphs() map[string]*graph.CSR {
+	gs := map[string]*graph.CSR{"petersen": graph.Build(10, petersen())}
+	for n := 0; n <= 7; n++ {
+		gs["K"+strconv.Itoa(n)] = graph.Build(n, complete(n))
+	}
+	for n := 3; n <= 8; n++ {
+		gs["C"+strconv.Itoa(n)] = graph.Build(n, cycle(n))
+	}
+	for l := 1; l <= 5; l++ {
+		gs["star"+strconv.Itoa(l)] = graph.Build(l+1, star(l))
+	}
+	return gs
+}
+
+func TestReferenceMatchesMergeDefinition(t *testing.T) {
+	for name, g := range tieGraphs() {
+		checkReference(t, name, g)
+	}
+	for scale := 8; scale <= 13; scale++ {
+		for seed := int64(1); seed <= 3; seed++ {
+			g := graph.Build(1<<scale, rmat.Generate(scale, 16, rmat.Graph500, seed))
+			checkReference(t, fmt.Sprintf("R-MAT scale %d seed %d", scale, seed), g)
+		}
+	}
+}
+
+// FuzzReference decodes raw into edges over ids 0..255, two bytes each,
+// of a graph with n vertices (Build drops the ids ≥ n).
+func FuzzReference(f *testing.F) {
+	seed := func(n int, es []rmat.Edge) {
+		raw := make([]byte, 0, 2*len(es))
+		for _, e := range es {
+			raw = append(raw, byte(e.U), byte(e.V))
+		}
+		f.Add(uint8(n), raw)
+	}
+	seed(10, petersen())
+	seed(6, complete(6))
+	seed(7, cycle(7))
+	seed(6, star(5))
+	seed(0, nil)
+	seed(255, rmat.Generate(8, 4, rmat.Graph500, 1))
+	f.Fuzz(func(t *testing.T, n uint8, raw []byte) {
+		edges := make([]rmat.Edge, len(raw)/2)
+		for i := range edges {
+			edges[i] = rmat.Edge{U: int32(raw[2*i]), V: int32(raw[2*i+1])}
+		}
+		checkReference(t, "fuzz", graph.Build(int(n), edges))
+	})
 }
 
 // runDistributed computes the distributed LCC sum over P ranks with the
