@@ -1,9 +1,149 @@
 package rmat
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"sort"
 	"testing"
 )
+
+// referenceGenerate is the definition Generate is held to: the plain
+// descent over rand.New(rand.NewSource(seed)), one switch per level.
+func referenceGenerate(scale, edgeFactor int, p Params, seed int64) []Edge {
+	rng := rand.New(rand.NewSource(seed))
+	edges := make([]Edge, 0, edgeFactor<<scale)
+	a, b, c := p.A, p.B, p.C
+	for i := 0; i < edgeFactor<<scale; i++ {
+		var u, v int32
+		for depth := 0; depth < scale; depth++ {
+			an := a * (0.9 + 0.2*rng.Float64())
+			bn := b * (0.9 + 0.2*rng.Float64())
+			cn := c * (0.9 + 0.2*rng.Float64())
+			dn := (1 - a - b - c) * (0.9 + 0.2*rng.Float64())
+			norm := an + bn + cn + dn
+			r := rng.Float64() * norm
+			u <<= 1
+			v <<= 1
+			switch {
+			case r < an:
+				// quadrant A: (0,0)
+			case r < an+bn:
+				v |= 1
+			case r < an+bn+cn:
+				u |= 1
+			default:
+				u |= 1
+				v |= 1
+			}
+		}
+		edges = append(edges, Edge{U: u, V: v})
+	}
+	return edges
+}
+
+// DegreeHistogram returns out-degree counts per vertex for raw edges,
+// ignoring sources outside [0, n).
+func DegreeHistogram(n int, edges []Edge) []int {
+	deg := make([]int, n)
+	for _, e := range edges {
+		if int(e.U) < n {
+			deg[e.U]++
+		}
+	}
+	return deg
+}
+
+// checkEdges fails t at the first edge where got and want differ.
+func checkEdges(t *testing.T, what string, got, want []Edge) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d edges, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s edge %d: %v, want %v", what, i, got[i], want[i])
+		}
+	}
+}
+
+var (
+	identitySeeds  = []int64{0, 1, -7, 42, 20170529}
+	identityParams = []Params{Graph500, {0.25, 0.25, 0.25, 0.25}, {0.45, 0.15, 0.15, 0.25}}
+)
+
+func TestSourceMatchesMathRand(t *testing.T) {
+	// 10^6 draws cross the first lagLong values taken from math/rand
+	// and 244 computed blocks, so the recurrence itself is checked.
+	for _, seed := range identitySeeds {
+		want := rand.New(rand.NewSource(seed))
+		got := newSource(seed)
+		for i := 0; i < 1e6; i++ {
+			if g, w := got.Float64(), want.Float64(); g != w {
+				t.Fatalf("seed %d draw %d: %v, math/rand %v", seed, i, g, w)
+			}
+		}
+	}
+}
+
+func TestSourceResamplesOne(t *testing.T) {
+	// float64(y)/2^63 rounds to 1 for y >= 1<<63-512: Float64 skips
+	// those values and returns the one after, as math/rand's goto does.
+	for _, tc := range []struct {
+		planted int64
+		kept    bool
+	}{
+		{math.MaxInt64, false},
+		{1<<63 - 512, false},
+		{1<<63 - 513, true},
+	} {
+		s := newSource(1)
+		s.y[s.next] = tc.planted
+		after := float64(s.y[s.next+1]) / (1 << 63)
+		if tc.kept {
+			if f := s.Float64(); f != float64(tc.planted)/(1<<63) {
+				t.Fatalf("planted %d: drew %v", tc.planted, f)
+			}
+		}
+		if got := s.Float64(); got != after {
+			t.Fatalf("planted %d (kept %v): next draw %v, want %v", tc.planted, tc.kept, got, after)
+		}
+	}
+}
+
+func TestGenerateMatchesReference(t *testing.T) {
+	// Edge i does not depend on the edge factor, so a small one checks
+	// a prefix of every sequence the callers generate; at scale 14 it is
+	// still 2.3·10^6 draws, hundreds of computed blocks.
+	const ef = 2
+	for _, p := range identityParams {
+		for _, seed := range identitySeeds {
+			for scale := 0; scale <= 14; scale++ {
+				what := fmt.Sprintf("%v seed %d scale %d", p, seed, scale)
+				checkEdges(t, what, Generate(scale, ef, p, seed), referenceGenerate(scale, ef, p, seed))
+			}
+		}
+	}
+}
+
+func FuzzGenerate(f *testing.F) {
+	f.Add(uint8(0), uint8(1), int64(0))
+	f.Add(uint8(5), uint8(4), int64(-7))
+	f.Add(uint8(12), uint8(8), int64(20170529))
+	f.Fuzz(func(t *testing.T, scale, ef uint8, seed int64) {
+		s, e := int(scale%13), int(ef%9)
+		what := fmt.Sprintf("scale %d edge factor %d seed %d", s, e, seed)
+		checkEdges(t, what, Generate(s, e, Graph500, seed), referenceGenerate(s, e, Graph500, seed))
+	})
+}
+
+func BenchmarkGenerate(b *testing.B) {
+	const scale, ef = 14, 16
+	for i := 0; i < b.N; i++ {
+		Generate(scale, ef, Graph500, 1)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*ef<<scale), "ns/edge")
+}
 
 func TestGenerateShape(t *testing.T) {
 	edges := Generate(10, 16, Graph500, 1)
@@ -93,70 +233,22 @@ func TestScaleValidation(t *testing.T) {
 	Generate(31, 1, Graph500, 1)
 }
 
+func TestEdgeFactorValidation(t *testing.T) {
+	for _, tc := range []struct{ scale, ef int }{{4, -1}, {0, math.MinInt}, {30, math.MaxInt>>30 + 1}} {
+		func() {
+			defer func() {
+				if r := recover(); r != "rmat: edge factor out of range" {
+					t.Fatalf("scale %d edge factor %d: recovered %v", tc.scale, tc.ef, r)
+				}
+			}()
+			Generate(tc.scale, tc.ef, Graph500, 1)
+		}()
+	}
+}
+
 func TestDegreeHistogramIgnoresOutOfRange(t *testing.T) {
 	deg := DegreeHistogram(2, []Edge{{0, 1}, {5, 0}})
 	if deg[0] != 1 || deg[1] != 0 {
 		t.Fatalf("deg = %v", deg)
-	}
-}
-
-func TestStreamMatchesGenerate(t *testing.T) {
-	// The buffered adapter and the stream must be bit-identical: same
-	// seed, same descent, same RNG consumption order.
-	edges := Generate(9, 12, Graph500, 19)
-	s := NewStream(9, 12, Graph500, 19)
-	if s.Len() != len(edges) {
-		t.Fatalf("Len = %d, Generate produced %d", s.Len(), len(edges))
-	}
-	for i, want := range edges {
-		got, ok := s.Next()
-		if !ok {
-			t.Fatalf("stream ended at %d of %d", i, len(edges))
-		}
-		if got != want {
-			t.Fatalf("edge %d: stream %v, slice %v", i, got, want)
-		}
-	}
-	if _, ok := s.Next(); ok {
-		t.Fatal("stream yielded past Len")
-	}
-	if s.Emitted() != s.Len() {
-		t.Fatalf("Emitted = %d, want %d", s.Emitted(), s.Len())
-	}
-}
-
-func TestStreamReset(t *testing.T) {
-	s := NewStream(6, 4, Graph500, 3)
-	var first []Edge
-	for {
-		e, ok := s.Next()
-		if !ok {
-			break
-		}
-		first = append(first, e)
-	}
-	s.Reset()
-	if s.Emitted() != 0 {
-		t.Fatalf("Emitted after Reset = %d", s.Emitted())
-	}
-	for i, want := range first {
-		got, ok := s.Next()
-		if !ok || got != want {
-			t.Fatalf("replay edge %d: %v %v, want %v", i, got, ok, want)
-		}
-	}
-}
-
-func TestStreamConstantMemory(t *testing.T) {
-	// The whole point of the stream: Next allocates nothing, so the
-	// edge count never enters the memory footprint.
-	s := NewStream(10, 16, Graph500, 5)
-	allocs := testing.AllocsPerRun(1000, func() {
-		if _, ok := s.Next(); !ok {
-			s.Reset()
-		}
-	})
-	if allocs > 0 {
-		t.Fatalf("Next allocates %.1f allocs/op, want 0", allocs)
 	}
 }
