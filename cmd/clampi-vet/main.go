@@ -7,7 +7,6 @@
 //	sentinelerr   sentinel errors are matched with errors.Is / wrapped with %w
 //	atomicfield   // clampi:atomic fields use sync/atomic only
 //	observerlock  core.Observer is never notified under a mutex
-//	lockorder     the DESIGN.md §12/§13 lock hierarchy holds across calls
 //	wireproto     the wire op/error tables stay in lockstep (DESIGN.md §13)
 //
 // Usage:

@@ -13,15 +13,15 @@ import (
 )
 
 // registeredNames is the one place the analyzer set is asserted (go test
-// ./... runs it in CI): the suite names exactly these seven analyzers,
+// ./... runs it in CI): the suite names exactly these six analyzers,
 // in reporting order.
 var registeredNames = []string{
 	"epochcheck", "simclock", "sentinelerr", "atomicfield",
-	"observerlock", "lockorder", "wireproto",
+	"observerlock", "wireproto",
 }
 
 // TestSuiteRegistration guards against silent deregistration: All()
-// must name exactly the seven analyzers -list advertises.
+// must name exactly the six analyzers -list advertises.
 func TestSuiteRegistration(t *testing.T) {
 	all := suite.All()
 	if len(all) != len(registeredNames) {
@@ -43,7 +43,7 @@ func fakeDiags() (*token.FileSet, []analysis.Diagnostic) {
 	f := fset.AddFile("x.go", -1, 100)
 	f.AddLine(10)
 	return fset, []analysis.Diagnostic{
-		{Pos: f.Pos(5), Analyzer: "lockorder", Message: `descending stripe "a"`},
+		{Pos: f.Pos(5), Analyzer: "observerlock", Message: `Observer notified under "mu"`},
 		{Pos: f.Pos(15), Analyzer: "wireproto", Message: "op OpX has no opNames entry"},
 	}
 }
@@ -53,7 +53,7 @@ func TestPrintDiagsHuman(t *testing.T) {
 	fset, diags := fakeDiags()
 	var buf bytes.Buffer
 	printDiags(&buf, fset, diags, false)
-	want := "x.go:1:6: lockorder: descending stripe \"a\"\nx.go:2:6: wireproto: op OpX has no opNames entry\n"
+	want := "x.go:1:6: observerlock: Observer notified under \"mu\"\nx.go:2:6: wireproto: op OpX has no opNames entry\n"
 	if buf.String() != want {
 		t.Errorf("human output:\n got %q\nwant %q", buf.String(), want)
 	}

@@ -8,8 +8,9 @@
 // virtual-time discipline of internal/simtime (simclock), the errors.Is
 // wrapping contract of the package sentinels (sentinelerr), atomic-only
 // field access in internal/obsv (atomicfield), the lock-free observer
-// hot path (observerlock), the lock hierarchy across calls (lockorder)
-// and the wire protocol tables (wireproto).
+// hot path (observerlock) and the wire protocol tables (wireproto). Each
+// analyzer sees one package at a time; none follows calls across
+// functions.
 //
 // The shape mirrors go/analysis deliberately — an Analyzer holds a Run
 // function over a Pass carrying the package's syntax and type
@@ -36,39 +37,15 @@ type Analyzer struct {
 
 // A Pass presents one package to an Analyzer: parsed files, the
 // type-checked package object, and full type information. Run reports
-// findings through Reportf. Prog is the whole-run view: every package
-// loaded alongside this one, for analyzers whose invariants span
-// function and package boundaries (interprocedural summaries).
+// findings through Reportf.
 type Pass struct {
 	Analyzer  *Analyzer
 	Fset      *token.FileSet
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
-	Prog      *Program
 
 	diags *[]Diagnostic
-}
-
-// A Program is the set of packages one Run call analyzes together. It
-// is the unit of interprocedural visibility: a call into a package of
-// the same Program resolves to that package's syntax (and therefore to
-// a computed summary); a call anywhere else is an unknown callee that
-// analyzers must treat conservatively.
-//
-// Cache lets expensive whole-program artifacts (call graphs, summary
-// tables) be computed once and shared across the per-package passes of
-// one Run. Keys follow the context.Context convention: each client
-// package owns an unexported key type. Run is sequential, so no
-// locking is needed.
-type Program struct {
-	Packages []*Package
-	Cache    map[any]any
-}
-
-// NewProgram wraps packages for analysis as one interprocedural unit.
-func NewProgram(pkgs []*Package) *Program {
-	return &Program{Packages: pkgs, Cache: make(map[any]any)}
 }
 
 // A Diagnostic is one finding: a position, the analyzer that produced
@@ -94,7 +71,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	var fset *token.FileSet
-	prog := NewProgram(pkgs)
 	for _, pkg := range pkgs {
 		fset = pkg.Fset
 		for _, a := range analyzers {
@@ -104,7 +80,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 				Files:     pkg.Files,
 				Pkg:       pkg.Types,
 				TypesInfo: pkg.Info,
-				Prog:      prog,
 				diags:     &diags,
 			}
 			if err := a.Run(pass); err != nil {

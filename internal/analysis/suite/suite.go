@@ -7,7 +7,6 @@ import (
 	"clampi/internal/analysis"
 	"clampi/internal/analysis/atomicfield"
 	"clampi/internal/analysis/epochcheck"
-	"clampi/internal/analysis/lockorder"
 	"clampi/internal/analysis/observerlock"
 	"clampi/internal/analysis/sentinelerr"
 	"clampi/internal/analysis/simclock"
@@ -22,7 +21,6 @@ func All() []*analysis.Analyzer {
 		sentinelerr.Analyzer,
 		atomicfield.Analyzer,
 		observerlock.Analyzer,
-		lockorder.Analyzer,
 		wireproto.Analyzer,
 	}
 }

@@ -346,3 +346,21 @@ func ScatterBlocks(dst, src []byte, blocks []Block) int {
 	}
 	return n
 }
+
+// BlockSpan returns the byte span [off, off+size) covering a flattened
+// block list (0, 0 when empty), the range a strided transfer touches.
+func BlockSpan(blocks []Block) (off, size int) {
+	if len(blocks) == 0 {
+		return 0, 0
+	}
+	lo, hi := blocks[0].Offset, blocks[0].Offset+blocks[0].Size
+	for _, b := range blocks[1:] {
+		if b.Offset < lo {
+			lo = b.Offset
+		}
+		if e := b.Offset + b.Size; e > hi {
+			hi = e
+		}
+	}
+	return lo, hi - lo
+}

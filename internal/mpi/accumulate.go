@@ -4,8 +4,8 @@ package mpi
 // writes), but real RMA applications mix them with gets, so the runtime
 // substrate provides them. Unlike Put, concurrent same-target
 // accumulates are legal in MPI-3 (they are element-wise atomic); the
-// simulated runtime executes them under the exclusive stripe locks of
-// the target range.
+// window memory applies each under the exclusive stripe locks of the
+// target range (rma.Memory.Accumulate).
 
 import (
 	"errors"
@@ -46,7 +46,7 @@ func (w *Win) Accumulate(src []byte, dtype datatype.Datatype, count int, target,
 	if !w.inEpoch() {
 		return ErrNoEpoch
 	}
-	if target < 0 || target >= len(w.shared.regions) {
+	if target < 0 || target >= w.shared.mem.Targets() {
 		return ErrRankRange
 	}
 	size := datatype.TransferSize(dtype, count)
@@ -56,13 +56,10 @@ func (w *Win) Accumulate(src []byte, dtype datatype.Datatype, count int, target,
 	if rma.AccumulateElemSize(dtype) == 0 {
 		return ErrBadAccumulate
 	}
-	region := w.shared.regions[target]
-	if disp < 0 || disp+size > len(region) {
-		return ErrBounds
+	if err := w.shared.mem.Check(target, disp, size); err != nil {
+		return err
 	}
-	w.shared.stripes.Lock(target, disp, size, true)
-	rma.Accumulate(region[disp:disp+size], src[:size], dtype, op)
-	w.shared.stripes.Unlock(target, disp, size, true)
+	w.shared.mem.Accumulate(src[:size], target, disp, dtype, op)
 	w.enqueueOp(target, size)
 	return nil
 }

@@ -40,7 +40,7 @@ type targetLock struct {
 // lockState returns the shared lock table of the window.
 func (w *Win) lockState(target int) *targetLock {
 	w.shared.lockOnce.Do(func() {
-		w.shared.locks = make([]*targetLock, len(w.shared.regions))
+		w.shared.locks = make([]*targetLock, w.shared.mem.Targets())
 		for i := range w.shared.locks {
 			w.shared.locks[i] = &targetLock{}
 		}
@@ -106,7 +106,7 @@ func (w *Win) LockWithType(typ LockType, target int) error {
 	if typ != LockShared && typ != LockExclusive {
 		return rma.ErrLockType
 	}
-	if target < 0 || target >= len(w.shared.regions) {
+	if target < 0 || target >= w.shared.mem.Targets() {
 		return ErrRankRange
 	}
 	if _, held := w.lockedTargets[target]; held {

@@ -130,7 +130,7 @@ type Rank struct {
 // ranks run concurrently, like the processes of a real job: collectives
 // and passive-target locks block for real, and cross-rank data movement
 // is ordered by per-(target, region-stripe) read-write locks (see
-// winShared.stripes). Clocks advance by modelled costs only, so the
+// rma.Memory). Clocks advance by modelled costs only, so the
 // results and virtual times of a program that keeps the MPI epoch rules
 // do not depend on the schedule (DESIGN.md §7.2 names the exceptions).
 func Run(size int, cfg Config, program func(*Rank) error) error {
@@ -306,13 +306,9 @@ type pendingOp struct {
 
 // winShared is the state shared by all ranks attached to one window.
 type winShared struct {
-	id      int
-	regions [][]byte
-	info    Info
-
-	// stripes orders cross-rank data movement: readers share, writers
-	// exclude, per (target, region stripe) (see rma.Stripes).
-	stripes *rma.Stripes
+	id   int
+	mem  *rma.Memory // every rank's region and the stripes ordering access to it
+	info Info
 
 	pscwOnce  sync.Once
 	pscwState *pscwState
@@ -383,17 +379,13 @@ func (r *Rank) WinCreate(region []byte, info Info) *Win {
 	// in exactly one place.
 	var shared *winShared
 	if r.id == 0 {
-		shared = &winShared{
-			id:      id,
-			regions: make([][]byte, len(gathered)),
-			info:    info,
-		}
+		regions := make([][]byte, len(gathered))
 		for i, g := range gathered {
 			if g != nil {
-				shared.regions[i] = g.([]byte)
+				regions[i] = g.([]byte)
 			}
 		}
-		shared.stripes = rma.NewStripes(shared.regions)
+		shared = &winShared{id: id, mem: rma.NewMemory(regions), info: info}
 		w.mu.Lock()
 		w.wins++
 		w.mu.Unlock()
@@ -444,37 +436,19 @@ var (
 	_ rma.Endpoint        = (*Rank)(nil)
 )
 
-// blockSpan returns the byte span [off, off+size) covering a flattened
-// block list (0, 0 when empty), for stripe locking of strided transfers.
-func blockSpan(blocks []datatype.Block) (off, size int) {
-	if len(blocks) == 0 {
-		return 0, 0
-	}
-	lo, hi := blocks[0].Offset, blocks[0].Offset+blocks[0].Size
-	for _, b := range blocks[1:] {
-		if b.Offset < lo {
-			lo = b.Offset
-		}
-		if e := b.Offset + b.Size; e > hi {
-			hi = e
-		}
-	}
-	return lo, hi - lo
-}
-
 // Epoch returns the number of epochs closed on this window by this origin
 // since creation (the w.eph counter of the paper's notation).
 func (w *Win) Epoch() int64 { return w.epoch }
 
 // Local returns this rank's exposed region.
-func (w *Win) Local() []byte { return w.shared.regions[w.rank.id] }
+func (w *Win) Local() []byte { return w.shared.mem.Local(w.rank.id) }
 
 // RegionSize returns the size of target's exposed region.
 func (w *Win) RegionSize(target int) (int, error) {
-	if target < 0 || target >= len(w.shared.regions) {
+	if target < 0 || target >= w.shared.mem.Targets() {
 		return 0, ErrRankRange
 	}
-	return len(w.shared.regions[target]), nil
+	return w.shared.mem.Size(target), nil
 }
 
 // AddEpochListener registers f to run at every epoch closure by this
@@ -525,38 +499,30 @@ func (w *Win) Get(dst []byte, dtype datatype.Datatype, count int, target, disp i
 	if !w.inEpoch() {
 		return ErrNoEpoch
 	}
-	if target < 0 || target >= len(w.shared.regions) {
+	if target < 0 || target >= w.shared.mem.Targets() {
 		return ErrRankRange
 	}
 	size := datatype.TransferSize(dtype, count)
 	if len(dst) < size {
 		return ErrShortBuf
 	}
-	region := w.shared.regions[target]
+	mem := w.shared.mem
 	if size > 0 && dtype.Size() == dtype.Extent() {
 		// Dense datatype: the whole transfer is one contiguous block,
 		// so skip the flattening (and its allocation) on the path every
 		// byte-range get takes.
-		if disp < 0 || disp+size > len(region) {
-			return ErrBounds
+		if err := mem.Check(target, disp, size); err != nil {
+			return err
 		}
-		w.shared.stripes.Lock(target, disp, size, false)
-		copy(dst[:size], region[disp:disp+size])
-		w.shared.stripes.Unlock(target, disp, size, false)
-		w.enqueueOp(target, size)
-		return nil
-	}
-	blocks := datatype.FlattenTransfer(dtype, count, disp)
-	for _, b := range blocks {
-		if b.Offset < 0 || b.Offset+b.Size > len(region) {
-			return ErrBounds
+		mem.Read(dst[:0], target, disp, size)
+	} else {
+		blocks := datatype.FlattenTransfer(dtype, count, disp)
+		off, n := datatype.BlockSpan(blocks)
+		if err := mem.Check(target, off, n); err != nil {
+			return err
 		}
+		mem.ReadBlocks(dst, target, blocks)
 	}
-	spanOff, spanSize := blockSpan(blocks)
-	w.shared.stripes.Lock(target, spanOff, spanSize, false)
-	datatype.CopyBlocks(dst, region, blocks)
-	w.shared.stripes.Unlock(target, spanOff, spanSize, false)
-
 	w.enqueueOp(target, size)
 	return nil
 }
@@ -576,18 +542,11 @@ func (w *Win) GetBatch(ops []rma.GetOp) error {
 	}
 	for i := range ops {
 		op := &ops[i]
-		if op.Target < 0 || op.Target >= len(w.shared.regions) {
-			return ErrRankRange
+		if err := w.shared.mem.Check(op.Target, op.Disp, len(op.Dst)); err != nil {
+			return err
 		}
-		n := len(op.Dst)
-		region := w.shared.regions[op.Target]
-		if op.Disp < 0 || op.Disp+n > len(region) {
-			return ErrBounds
-		}
-		w.shared.stripes.Lock(op.Target, op.Disp, n, false)
-		copy(op.Dst, region[op.Disp:op.Disp+n])
-		w.shared.stripes.Unlock(op.Target, op.Disp, n, false)
-		w.enqueueOp(op.Target, n)
+		w.shared.mem.Read(op.Dst[:0], op.Target, op.Disp, len(op.Dst))
+		w.enqueueOp(op.Target, len(op.Dst))
 	}
 	return nil
 }
@@ -602,17 +561,10 @@ func (w *Win) Checksum(target, disp, size int) (uint64, error) {
 	if w.freed {
 		return 0, ErrFreed
 	}
-	if target < 0 || target >= len(w.shared.regions) {
-		return 0, ErrRankRange
+	if err := w.shared.mem.Check(target, disp, size); err != nil {
+		return 0, err
 	}
-	region := w.shared.regions[target]
-	if size < 0 || disp < 0 || disp+size > len(region) {
-		return 0, ErrBounds
-	}
-	w.shared.stripes.Lock(target, disp, size, false)
-	h := rma.ChecksumBytes(region[disp : disp+size])
-	w.shared.stripes.Unlock(target, disp, size, false)
-	return h, nil
+	return w.shared.mem.Checksum(target, disp, size), nil
 }
 
 // Put writes count elements of dtype from src (packed) into target's
@@ -625,36 +577,28 @@ func (w *Win) Put(src []byte, dtype datatype.Datatype, count int, target, disp i
 	if !w.inEpoch() {
 		return ErrNoEpoch
 	}
-	if target < 0 || target >= len(w.shared.regions) {
+	if target < 0 || target >= w.shared.mem.Targets() {
 		return ErrRankRange
 	}
 	size := datatype.TransferSize(dtype, count)
 	if len(src) < size {
 		return ErrShortBuf
 	}
-	region := w.shared.regions[target]
+	mem := w.shared.mem
 	if size > 0 && dtype.Size() == dtype.Extent() {
 		// Dense datatype: single contiguous block (see Get).
-		if disp < 0 || disp+size > len(region) {
-			return ErrBounds
+		if err := mem.Check(target, disp, size); err != nil {
+			return err
 		}
-		w.shared.stripes.Lock(target, disp, size, true)
-		copy(region[disp:disp+size], src[:size])
-		w.shared.stripes.Unlock(target, disp, size, true)
-		w.enqueueOp(target, size)
-		return nil
-	}
-	blocks := datatype.FlattenTransfer(dtype, count, disp)
-	for _, b := range blocks {
-		if b.Offset < 0 || b.Offset+b.Size > len(region) {
-			return ErrBounds
+		mem.Write(src[:size], target, disp)
+	} else {
+		blocks := datatype.FlattenTransfer(dtype, count, disp)
+		off, n := datatype.BlockSpan(blocks)
+		if err := mem.Check(target, off, n); err != nil {
+			return err
 		}
+		mem.WriteBlocks(src, target, blocks)
 	}
-	spanOff, spanSize := blockSpan(blocks)
-	w.shared.stripes.Lock(target, spanOff, spanSize, true)
-	datatype.ScatterBlocks(region, src, blocks)
-	w.shared.stripes.Unlock(target, spanOff, spanSize, true)
-
 	w.enqueueOp(target, size)
 	return nil
 }
@@ -715,7 +659,7 @@ func (w *Win) Flush(target int) error {
 	if !w.inEpoch() {
 		return ErrNoEpoch
 	}
-	if target < 0 || target >= len(w.shared.regions) {
+	if target < 0 || target >= w.shared.mem.Targets() {
 		return ErrRankRange
 	}
 	w.completePending(target)

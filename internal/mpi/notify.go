@@ -64,9 +64,9 @@ func (w *Win) NotifyEnable(capacity int) error {
 	sh := w.shared
 	sh.notifyMu.Lock()
 	if sh.notifyQ == nil {
-		sh.notifyQ = make([]*notify.Queue, len(sh.regions))
-		sh.notifyStg = make([][]stagedNotify, len(sh.regions))
-		sh.notifyStgN = make([]atomic.Int64, len(sh.regions))
+		sh.notifyQ = make([]*notify.Queue, sh.mem.Targets())
+		sh.notifyStg = make([][]stagedNotify, sh.mem.Targets())
+		sh.notifyStgN = make([]atomic.Int64, sh.mem.Targets())
 		sh.notifyCond = sync.NewCond(&sh.notifyMu)
 	}
 	if sh.notifyQ[w.rank.id] == nil {
@@ -202,7 +202,7 @@ func (w *Win) PutNotify(src []byte, dtype datatype.Datatype, count int, target, 
 			data = append([]byte(nil), src[:size]...)
 		}
 	} else {
-		span, spanLen = blockSpan(datatype.FlattenTransfer(dtype, count, disp))
+		span, spanLen = datatype.BlockSpan(datatype.FlattenTransfer(dtype, count, disp))
 	}
 	// The descriptor rides the injection pipeline: one extra issue
 	// overhead on the origin, no second network message.

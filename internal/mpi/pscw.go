@@ -59,7 +59,7 @@ func (w *Win) Post(origins []int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, o := range origins {
-		if o < 0 || o >= len(w.shared.regions) {
+		if o < 0 || o >= w.shared.mem.Targets() {
 			return ErrRankRange
 		}
 		pairChan(s.post, o, w.rank.id) <- w.rank.clock.Now()
@@ -77,7 +77,7 @@ func (w *Win) Start(targets []int) error {
 	}
 	s := w.pscw()
 	for _, t := range targets {
-		if t < 0 || t >= len(w.shared.regions) {
+		if t < 0 || t >= w.shared.mem.Targets() {
 			return ErrRankRange
 		}
 		s.mu.Lock()

@@ -20,12 +20,11 @@ func AccumulateElemSize(dtype datatype.Datatype) int {
 	return 0
 }
 
-// Accumulate element-wise combines src into dst under op; both are packed
+// accumulate element-wise combines src into dst under op; both are packed
 // little-endian arrays of dtype, which AccumulateElemSize must accept.
-// It is the one arithmetic behind every window host's Accumulate, so the
-// simulated window and the daemon leave the same bytes. The caller holds
-// the covering stripes exclusively. OpReplace never reaches here: every
-// backend degenerates it to Put.
+// It is the one arithmetic behind Memory.Accumulate, so the simulated
+// window and the daemon leave the same bytes. OpReplace never reaches
+// here: every backend degenerates it to Put.
 //
 // Integer sums wrap (two's complement). Double MAX and MIN follow IEEE
 // 754-2019 maximum/minimum (Go's built-in max and min): a NaN on either
@@ -33,7 +32,7 @@ func AccumulateElemSize(dtype datatype.Datatype) int {
 // bytes left by concurrent accumulates do not depend on the order they
 // were applied in; a compare-and-keep rule (b > a) drops an incoming NaN
 // but keeps a resident one, and keeps whichever zero arrived first.
-func Accumulate(dst, src []byte, dtype datatype.Datatype, op Op) {
+func accumulate(dst, src []byte, dtype datatype.Datatype, op Op) {
 	le := binary.LittleEndian
 	switch dtype {
 	case datatype.Int32:

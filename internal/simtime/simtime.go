@@ -59,7 +59,7 @@ type Clock struct {
 	now Duration
 
 	// measured accumulates only the busy part of the timeline (Busy,
-	// Charge, ChargeDuration). The difference now-measured is the modelled
+	// Charge). The difference now-measured is the modelled
 	// part; benchmarks use the split to compute communication/computation
 	// overlap (paper Fig. 8).
 	measured Duration
@@ -71,8 +71,8 @@ func NewClock() *Clock { return &Clock{} }
 // Now returns the current virtual time since the clock's origin.
 func (c *Clock) Now() Duration { return c.now }
 
-// Measured returns the portion of virtual time accumulated through Busy,
-// Charge and ChargeDuration, i.e. the busy time of this rank.
+// Measured returns the portion of virtual time accumulated through Busy
+// and Charge, i.e. the busy time of this rank.
 func (c *Clock) Measured() Duration { return c.measured }
 
 // Modelled returns the portion of virtual time accumulated through Advance.
@@ -115,17 +115,6 @@ func (c *Clock) Charge(f func()) Duration {
 	start := time.Now()
 	f()
 	d := FromReal(time.Since(start))
-	if d < 0 {
-		d = 0
-	}
-	c.now += d
-	c.measured += d
-	return d
-}
-
-// ChargeDuration adds an externally measured real duration to the clock.
-func (c *Clock) ChargeDuration(real time.Duration) Duration {
-	d := FromReal(real)
 	if d < 0 {
 		d = 0
 	}

@@ -67,21 +67,10 @@ func TestChargeMeasuresRealTime(t *testing.T) {
 	}
 }
 
-func TestChargeDuration(t *testing.T) {
-	c := NewClock()
-	c.ChargeDuration(3 * time.Microsecond)
-	if c.Now() != 3*Microsecond {
-		t.Fatalf("Now() = %v, want 3µs", c.Now())
-	}
-	if c.Measured() != 3*Microsecond {
-		t.Fatalf("Measured() = %v, want 3µs", c.Measured())
-	}
-}
-
 func TestReset(t *testing.T) {
 	c := NewClock()
 	c.Advance(10)
-	c.ChargeDuration(time.Nanosecond)
+	c.Busy(FromReal(time.Nanosecond))
 	c.Reset()
 	if c.Now() != 0 || c.Measured() != 0 {
 		t.Fatalf("Reset left now=%v measured=%v", c.Now(), c.Measured())
@@ -97,7 +86,7 @@ func TestSplitInvariant(t *testing.T) {
 			if i%2 == 0 {
 				c.Advance(d)
 			} else if d >= 0 {
-				c.ChargeDuration(time.Duration(d))
+				c.Busy(FromReal(time.Duration(d)))
 			}
 		}
 		return c.Measured()+c.Modelled() == c.Now() && c.Measured() >= 0 && c.Modelled() >= 0

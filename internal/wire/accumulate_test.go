@@ -39,7 +39,7 @@ func accumulateVia(win rma.Window, src []byte, dtype datatype.Datatype, count in
 // part ways: NaN on either side, signed zeros, infinities, integer
 // overflow — through a simulated window and through a served one, and
 // compares the region bytes. The Double MAX/MIN rows also pin the rule
-// rma.Accumulate documents: NaN propagates, -0 orders below +0.
+// internal/rma's accumulate documents: NaN propagates, -0 orders below +0.
 func TestAccumulateHostsAgree(t *testing.T) {
 	nan, inf, negZero := math.NaN(), math.Inf(1), math.Copysign(0, -1)
 	// resident[i] is combined with incoming[i].

@@ -556,7 +556,7 @@ const (
 )
 
 // accDatatypes maps each element kind to its datatype: the client
-// encodes through it, the server hands the datatype to rma.Accumulate.
+// encodes through it, the server hands the datatype to rma.Memory.Accumulate.
 var accDatatypes = [...]datatype.Datatype{
 	accInt32:   datatype.Int32,
 	accInt64:   datatype.Int64,

@@ -5,11 +5,10 @@ package wire
 // processes. Each accepted connection gets its own goroutine, which on
 // Linux waits for the next request in read(2) while the process has at
 // most GOMAXPROCS connections open (conn_linux.go); cross-
-// client data movement is ordered by per-(window, region-stripe)
-// read-write locks mirroring the internal/mpi stripe scheme, so
-// concurrent readers of disjoint — or identical — stripes proceed in
-// parallel while writers take their covered stripes exclusively and a
-// get never observes a torn put.
+// client data movement goes through the window's rma.Memory, the same
+// striped store the simulated runtime uses, so concurrent readers
+// proceed in parallel while writers take their covered stripes
+// exclusively and a get never observes a torn put.
 //
 // The server is deliberately epoch-free: MPI epochs are origin-side
 // state, so the client half (window.go) tracks them and the server only
@@ -168,11 +167,10 @@ func (b *barrier) abort() {
 
 // serverWindow is the server-side state of one exposed window.
 type serverWindow struct {
-	name    string
-	regions [][]byte
-	stripes *rma.Stripes
-	locks   []targetLock
-	bar     barrier
+	name  string
+	mem   *rma.Memory
+	locks []targetLock
+	bar   barrier
 
 	mu       sync.Mutex
 	world    int // 0 until pinned by config or the first handshake
@@ -247,8 +245,8 @@ func (w *serverWindow) setWorld(world int32) error {
 // the world, which keeps short-lived diagnostic clients working without
 // ever minting an out-of-world identity.
 func (w *serverWindow) grantRank(req int32) (int32, error) {
-	if req >= int32(len(w.regions)) {
-		return 0, fmt.Errorf("%w: rank %d outside world of %d", ErrBadWorld, req, len(w.regions))
+	if req >= int32(w.mem.Targets()) {
+		return 0, fmt.Errorf("%w: rank %d outside world of %d", ErrBadWorld, req, w.mem.Targets())
 	}
 	if req >= 0 {
 		return req, nil
@@ -256,7 +254,7 @@ func (w *serverWindow) grantRank(req int32) (int32, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	r := w.nextRank
-	w.nextRank = (w.nextRank + 1) % int32(len(w.regions))
+	w.nextRank = (w.nextRank + 1) % int32(w.mem.Targets())
 	return r, nil
 }
 
@@ -333,8 +331,7 @@ func Serve(cfg ServeConfig) (*Server, error) {
 		if _, dup := s.windows[spec.Name]; dup {
 			return nil, fmt.Errorf("wire: duplicate window name %q", spec.Name)
 		}
-		sw := &serverWindow{name: spec.Name, regions: spec.Regions}
-		sw.stripes = rma.NewStripes(spec.Regions)
+		sw := &serverWindow{name: spec.Name, mem: rma.NewMemory(spec.Regions)}
 		sw.locks = make([]targetLock, len(spec.Regions))
 		for t := range sw.locks {
 			sw.locks[t].init()
@@ -633,9 +630,9 @@ func (c *serverConn) hello(f Frame) error {
 	}
 	c.win = w
 	c.rank = rank
-	sizes := make([]int64, len(w.regions))
-	for i, r := range w.regions {
-		sizes[i] = int64(len(r))
+	sizes := make([]int64, w.mem.Targets())
+	for i := range sizes {
+		sizes[i] = int64(w.mem.Size(i))
 	}
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
@@ -645,24 +642,14 @@ func (c *serverConn) hello(f Frame) error {
 
 // checkRange validates a (target, disp, size) triple against the window.
 func checkRange(w *serverWindow, r rangeReq) error {
-	if r.Target < 0 || int(r.Target) >= len(w.regions) {
-		return fmt.Errorf("%w: target %d of %d regions", rma.ErrRankRange, r.Target, len(w.regions))
+	switch err := w.mem.Check(int(r.Target), int(r.Disp), int(r.Size)); {
+	case err == nil:
+		return nil
+	case errors.Is(err, rma.ErrRankRange):
+		return fmt.Errorf("%w: target %d of %d regions", err, r.Target, w.mem.Targets())
+	default:
+		return fmt.Errorf("%w: [%d,%d) of %dB region", err, r.Disp, r.Disp+r.Size, w.mem.Size(int(r.Target)))
 	}
-	region := w.regions[r.Target]
-	if r.Size < 0 || r.Disp < 0 || r.Disp+r.Size > int64(len(region)) {
-		return fmt.Errorf("%w: [%d,%d) of %dB region", rma.ErrBounds, r.Disp, r.Disp+r.Size, len(region))
-	}
-	return nil
-}
-
-// lockRange takes the stripe locks covering one validated range, shared
-// for readers and exclusive for writers; unlockRange releases them.
-func (w *serverWindow) lockRange(r rangeReq, excl bool) {
-	w.stripes.Lock(int(r.Target), int(r.Disp), int(r.Size), excl)
-}
-
-func (w *serverWindow) unlockRange(r rangeReq, excl bool) {
-	w.stripes.Unlock(int(r.Target), int(r.Disp), int(r.Size), excl)
 }
 
 func (c *serverConn) get(f Frame) error {
@@ -679,20 +666,10 @@ func (c *serverConn) get(f Frame) error {
 	}
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	c.wbuf = w.appendRegion(beginFrame(c.wbuf[:0], OpData, f.Seq), r)
+	// The frame CRC is taken after Read, over the private copy, so
+	// payload and CRC agree whatever writers do next.
+	c.wbuf = w.mem.Read(beginFrame(c.wbuf[:0], OpData, f.Seq), int(r.Target), int(r.Disp), int(r.Size))
 	return c.send()
-}
-
-// appendRegion appends the bytes of one validated range to buf under the
-// stripe read locks, so they are a snapshot no concurrent put tears.
-// That copy is the only work done under the locks: the frame CRC is
-// taken afterwards over the private copy, so payload and CRC agree
-// whatever writers do next.
-func (w *serverWindow) appendRegion(buf []byte, r rangeReq) []byte {
-	w.lockRange(r, false)
-	buf = append(buf, w.regions[r.Target][r.Disp:r.Disp+r.Size]...)
-	w.unlockRange(r, false)
-	return buf
 }
 
 func (c *serverConn) getBatch(f Frame) error {
@@ -723,7 +700,8 @@ func (c *serverConn) getBatch(f Frame) error {
 	defer c.wmu.Unlock()
 	c.wbuf = beginFrame(c.wbuf[:0], OpData, f.Seq)
 	for i := 0; i < n; i++ {
-		c.wbuf = w.appendRegion(c.wbuf, batchRange(f.Payload, i))
+		r := batchRange(f.Payload, i)
+		c.wbuf = w.mem.Read(c.wbuf, int(r.Target), int(r.Disp), int(r.Size))
 	}
 	return c.send()
 }
@@ -741,9 +719,7 @@ func (c *serverConn) put(f Frame) error {
 	if verr := checkRange(w, r); verr != nil {
 		return c.fail(f.Seq, verr)
 	}
-	w.lockRange(r, true)
-	copy(w.regions[r.Target][r.Disp:], p.Data)
-	w.unlockRange(r, true)
+	w.mem.Write(p.Data, int(p.Target), int(p.Disp))
 	return c.ack(f.Seq)
 }
 
@@ -766,9 +742,7 @@ func (c *serverConn) putNotify(f Frame) error {
 	if verr := checkRange(w, r); verr != nil {
 		return c.fail(f.Seq, verr)
 	}
-	w.lockRange(r, true)
-	copy(w.regions[r.Target][r.Disp:], p.Data)
-	w.unlockRange(r, true)
+	w.mem.Write(p.Data, int(p.Target), int(p.Disp))
 	n := notifyPayload{
 		Origin: c.rank,
 		Target: p.Target,
@@ -824,10 +798,7 @@ func (c *serverConn) accumulate(f Frame) error {
 	if verr := checkRange(w, r); verr != nil {
 		return c.fail(f.Seq, verr)
 	}
-	region := w.regions[a.Target]
-	w.lockRange(r, true)
-	rma.Accumulate(region[r.Disp:r.Disp+r.Size], a.Data, dtype, rma.Op(a.Op))
-	w.unlockRange(r, true)
+	w.mem.Accumulate(a.Data, int(a.Target), int(a.Disp), dtype, rma.Op(a.Op))
 	return c.ack(f.Seq)
 }
 
@@ -843,10 +814,7 @@ func (c *serverConn) checksum(f Frame) error {
 	if verr := checkRange(w, r); verr != nil {
 		return c.fail(f.Seq, verr)
 	}
-	region := w.regions[r.Target]
-	w.lockRange(r, false)
-	sum := rma.ChecksumBytes(region[r.Disp : r.Disp+r.Size])
-	w.unlockRange(r, false)
+	sum := w.mem.Checksum(int(r.Target), int(r.Disp), int(r.Size))
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	c.wbuf = binary.LittleEndian.AppendUint64(beginFrame(c.wbuf[:0], OpData, f.Seq), sum)
@@ -862,8 +830,8 @@ func (c *serverConn) lock(f Frame, acquire bool) error {
 	if derr != nil {
 		return c.fail(f.Seq, derr)
 	}
-	if l.Target < 0 || int(l.Target) >= len(w.regions) {
-		return c.fail(f.Seq, fmt.Errorf("%w: target %d of %d regions", rma.ErrRankRange, l.Target, len(w.regions)))
+	if l.Target < 0 || int(l.Target) >= w.mem.Targets() {
+		return c.fail(f.Seq, fmt.Errorf("%w: target %d of %d regions", rma.ErrRankRange, l.Target, w.mem.Targets()))
 	}
 	typ := rma.LockType(l.Type)
 	if typ != rma.LockShared && typ != rma.LockExclusive {

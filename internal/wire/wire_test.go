@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math"
 	"net"
 	"path/filepath"
 	"sync/atomic"
@@ -468,6 +469,31 @@ func TestLockAbuse(t *testing.T) {
 	rc.c.Close()
 	lockFree(t, w, 1)
 	lockFree(t, w, 2)
+}
+
+// TestRangeOverflow sends ranges whose end overflows int64, which the
+// client library never would: each must come back as an ErrBounds error
+// frame, not wrap past the bounds check into a slice panic that kills
+// the server.
+func TestRangeOverflow(t *testing.T) {
+	s := testServer(t, ServeConfig{Windows: []WindowSpec{{Name: "w", Regions: MakeRegions(2, 1024)}}})
+	rc := dialRaw(t, s)
+	huge := rangeReq{Target: 1, Disp: 1 << 62, Size: 1 << 62}
+	batch := append(binary.LittleEndian.AppendUint32(nil, 1), appendRange(nil, huge)...)
+	for _, req := range []struct {
+		op      byte
+		payload []byte
+	}{
+		{OpGet, appendRange(nil, huge)},
+		{OpChecksum, appendRange(nil, huge)},
+		{OpGetBatch, batch},
+		{OpPut, appendPut(nil, putReq{Target: 1, Disp: math.MaxInt64 - 2, Data: make([]byte, 8)})},
+	} {
+		f := rc.call(req.op, req.payload)
+		if f.Op != OpError || !errors.Is(errorFromFrame(f.Payload), rma.ErrBounds) {
+			t.Errorf("%s: %s, want an ErrBounds error", OpName(req.op), OpName(f.Op))
+		}
+	}
 }
 
 // TestFence checks the barrier rendezvous: two clients of a world of
