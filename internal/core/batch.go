@@ -282,11 +282,12 @@ func sortMisses(ms []batchMiss) {
 // returned slice stays valid until the pending queue drains (epoch
 // closure or invalidation) even if the arena's backing array is replaced
 // mid-epoch: the old array remains referenced by the slices cut from it.
-// Capacity is kept across epochs, so steady-state batches allocate
-// nothing here.
+// Capacity is kept across epochs, and a replacement at least doubles it,
+// so steady-state batches allocate nothing here and a growing epoch
+// allocates O(log n) times, never a smaller arena than the one it drops.
 func (c *Cache) stageBuf(n int) []byte {
 	if len(c.arena)+n > cap(c.arena) {
-		c.arena = make([]byte, 0, max(n, 64<<10))
+		c.arena = make([]byte, 0, max(n, 2*cap(c.arena), 64<<10))
 	}
 	s := c.arena[len(c.arena) : len(c.arena)+n : len(c.arena)+n]
 	c.arena = c.arena[:len(c.arena)+n]

@@ -266,6 +266,10 @@ type Cache struct {
 	idx   *cuckoo.Table[ref]
 	store *storage.Manager
 	rng   *rand.Rand
+	// evictable counts the CACHED entries in idx, the ones a capacity
+	// scan may evict (evict.go). It rises at the epoch closure that
+	// completes a PENDING entry and falls in retire.
+	evictable int
 
 	getSeq      int64 // index in C_w.G
 	sumGetSizes int64 // for the average get size (ags)
@@ -777,15 +781,18 @@ func (c *Cache) newEntry(key cuckoo.Key, region *storage.Region, size int, src [
 	return e
 }
 
-// retire parks an evicted entry on the graveyard. Every entry that leaves
-// the index passes through here, so this is also where it leaves the
-// ordered view (range.go). Records are recycled onto the free list only
-// once the pending queue drains (epoch closure or invalidation), because
-// a stateEvicted record may still sit in c.pending until then. PENDING
-// entries are never retired directly: callers transition them to
-// stateEvicted first, and the record keeps carrying its waiters until
-// recycling.
+// retire marks an entry evicted and parks it on the graveyard. Every
+// entry that leaves the index passes through here, so this is also where
+// it leaves the ordered view (range.go) and the count of CACHED entries.
+// Records are recycled onto the free list only once the pending queue
+// drains (epoch closure or invalidation), because a stateEvicted record
+// may still sit in c.pending until then; a retired PENDING record keeps
+// carrying its waiters until recycling.
 func (c *Cache) retire(e *entry) {
+	if e.state == stateCached {
+		c.evictable--
+	}
+	e.state = stateEvicted
 	if c.view != nil {
 		c.view.remove(e)
 	}
@@ -820,7 +827,6 @@ func clearWaiters(e *entry) {
 // dropHomeless releases the storage of a new entry that could not be
 // indexed.
 func (c *Cache) dropHomeless(e *entry) {
-	e.state = stateEvicted
 	c.store.FreeRegion(e.region)
 	c.retire(e)
 }
@@ -830,7 +836,6 @@ func (c *Cache) dropHomeless(e *entry) {
 // cuckoo.Table.ReplaceAt), reported to OnEviction observers so they see
 // exactly which entry the conflict pushed out.
 func (c *Cache) freeEvicted(key cuckoo.Key, e *entry) {
-	e.state = stateEvicted
 	c.store.FreeRegion(e.region)
 	c.retire(e)
 	c.stats.Evictions++
@@ -840,7 +845,6 @@ func (c *Cache) freeEvicted(key cuckoo.Key, e *entry) {
 // evictEntry removes a capacity-eviction victim from index and storage.
 func (c *Cache) evictEntry(e *entry) {
 	c.idx.Delete(e.key)
-	e.state = stateEvicted
 	c.store.FreeRegion(e.region)
 	c.charge(CostLookup + CostFree)
 	c.retire(e)
@@ -910,6 +914,7 @@ func (c *Cache) onEpochClose(epoch int64) {
 			copiedBytes += e.payload
 			completed++
 			e.state = stateCached
+			c.evictable++
 			c.publishHit(e)
 			e.src = nil
 			for _, w := range e.waiters {
@@ -1017,18 +1022,17 @@ func (c *Cache) invalidate() {
 			continue
 		}
 		c.serveWaiters(e)
-		e.state = stateEvicted
 		c.retire(e)
 	}
 	if c.idx.Len() != 0 || c.store.Entries() != 0 {
-		// Remaining indexed entries (all CACHED now) are dropped wholesale
-		// by Clear/Reset. Their regions are reclaimed by Reset, so no
-		// per-entry FreeRegion. With nothing indexed or stored — every
-		// other fence of a blanket-mode halo exchange closes an epoch that
-		// fetched nothing — both are already as Clear and Reset would
-		// leave them; the model charges the invalidation all the same.
-		c.retireCached()
-		c.idx.Clear()
+		// The index is drained and its CACHED records retired in one
+		// pass over the entries it holds; their regions are reclaimed
+		// by Reset, so no per-entry FreeRegion. With nothing indexed or
+		// stored — every other fence of a blanket-mode halo exchange
+		// closes an epoch that fetched nothing — both are already as
+		// the drain and Reset would leave them. The model charges the
+		// paper's index memset all the same (costs.go).
+		c.drainIndex()
 		c.store.Reset()
 	}
 	c.charge(CostInvalidateBase + simtime.Duration(c.idx.Cap())*CostInvalidatePerSlot)
@@ -1038,19 +1042,17 @@ func (c *Cache) invalidate() {
 	c.stats.Invalidations++
 }
 
-// retireCached retires the record of every CACHED entry in the index,
-// ahead of the index being cleared or replaced as a whole; the ordered
-// view is emptied the same way rather than entry by entry.
-func (c *Cache) retireCached() {
+// drainIndex empties the index and retires the record of every CACHED
+// entry it held (a PENDING one still indexed was retired before); the
+// ordered view is emptied as a whole rather than entry by entry.
+func (c *Cache) drainIndex() {
 	if c.view != nil {
 		c.view.reset()
 	}
-	c.idx.Walk(func(_ cuckoo.Key, r ref) bool {
+	c.idx.Drain(func(_ cuckoo.Key, r ref) {
 		if r.e.state == stateCached {
-			r.e.state = stateEvicted
 			c.retire(r.e)
 		}
-		return true
 	})
 }
 

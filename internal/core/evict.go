@@ -59,39 +59,62 @@ func (c *Cache) score(r ref) float64 {
 	return s
 }
 
-// selectCapacityVictim implements the sampling procedure of §III-D: visit
-// M consecutive index slots from a random start (wrapping at most once),
-// extending the scan until at least one evictable entry has been seen —
-// v_i = max(M, k_i) — and return the lowest-scoring CACHED entry among
-// the visited ones. PENDING entries are not evictable: their payload is
-// still in flight and same-epoch waiters may reference them. Returns nil
-// if the index holds no evictable entry.
-func (c *Cache) selectCapacityVictim() (*entry, simtime.Duration) {
-	var (
-		victim   *entry
-		visited  int
-		nonEmpty int
-	)
-	best := math.Inf(1)
-	c.idx.Scan(c.idx.RandomSlot(), func(_ int, _ cuckoo.Key, r ref, used bool) bool {
-		visited++
-		if used && r.cached() {
-			nonEmpty++
-			if s := c.score(r); s < best {
-				best = s
-				victim = r.e
+// sampleScan is the sampling procedure of §III-D: visit M consecutive
+// index slots from a random start, wrapping at most once, and extend the
+// scan until want evictable entries have been seen — v_i = max(M, k_i)
+// for want = 1. keep receives the slot record of every CACHED occupant
+// visited; PENDING entries are not evictable: their payload is still in
+// flight and same-epoch waiters may reference them. The scan is charged
+// and counted per visited slot and scored entry; it returns the charge.
+//
+// The host walk stops once it has seen all c.evictable entries, and does
+// not start when there are none: the slots the scan would go on to visit
+// hold nothing keep could receive. They are counted and charged all the
+// same, as the model's scan visits them, so only the host time of a
+// futile scan changes, not what it reports.
+func (c *Cache) sampleScan(want int, keep func(r ref)) simtime.Duration {
+	var visited, nonEmpty int
+	n, m := c.idx.Cap(), c.params.SampleSize
+	start := c.idx.RandomSlot()
+	if c.evictable > 0 {
+		c.idx.Scan(start, func(_ int, _ cuckoo.Key, r ref, used bool) bool {
+			visited++
+			if used && r.cached() {
+				nonEmpty++
+				keep(r)
 			}
+			return (visited < m || nonEmpty < want) && nonEmpty < c.evictable
+		})
+	}
+	if nonEmpty == c.evictable {
+		// Where the scan would have stopped: at the wrap if it cannot
+		// see want entries, else after M slots or once it saw them.
+		if nonEmpty < want {
+			visited = n
+		} else {
+			visited = max(visited, min(m, n))
 		}
-		// Stop once the sample size is reached AND at least
-		// one candidate was seen; otherwise keep scanning
-		// (the paper's v_i = max(M, k_i)).
-		return visited < c.params.SampleSize || nonEmpty == 0
-	})
+	}
 	d := c.charge(simtime.Duration(visited)*CostPerScanSlot + simtime.Duration(nonEmpty)*CostPerScoredEntry)
 	c.stats.EvictionScans++
 	c.stats.VisitedSlots += int64(visited)
 	c.stats.NonEmptyVisited += int64(nonEmpty)
 	c.stats.EvictTime += d
+	return d
+}
+
+// selectCapacityVictim runs one sampling scan that needs one evictable
+// entry and returns the lowest-scoring CACHED entry among the visited
+// ones, or nil if the index holds no evictable entry.
+func (c *Cache) selectCapacityVictim() (*entry, simtime.Duration) {
+	var victim *entry
+	best := math.Inf(1)
+	d := c.sampleScan(1, func(r ref) {
+		if s := c.score(r); s < best {
+			best = s
+			victim = r.e
+		}
+	})
 	return victim, d
 }
 
@@ -102,26 +125,19 @@ type scoredVictim struct {
 	s float64
 }
 
-// fillVictimPool runs ONE sampling scan sized for a whole batch: visit
-// at least M consecutive slots from a random start, extending the scan
-// until `want` evictable entries have been seen (or the table wraps),
-// and keep every CACHED occupant sorted by descending score — so
-// nextBatchVictim pops the lowest-scoring candidates first. The scan is
-// charged once, amortizing the per-eviction sampling of §III-D across
-// the batch's capacity evictions.
+// fillVictimPool runs ONE sampling scan sized for a whole batch: it
+// needs `want` evictable entries, and keeps every CACHED occupant it
+// visits sorted by descending score — so nextBatchVictim pops the
+// lowest-scoring candidates first. The scan is charged once, amortizing
+// the per-eviction sampling of §III-D across the batch's capacity
+// evictions.
 func (c *Cache) fillVictimPool(want int) {
 	c.bvict = c.bvict[:0]
 	if want <= 0 {
 		return
 	}
-	var visited, nonEmpty int
-	c.idx.Scan(c.idx.RandomSlot(), func(_ int, _ cuckoo.Key, r ref, used bool) bool {
-		visited++
-		if used && r.cached() {
-			nonEmpty++
-			c.bvict = append(c.bvict, scoredVictim{e: r.e, s: c.score(r)})
-		}
-		return visited < c.params.SampleSize || nonEmpty < want
+	c.sampleScan(want, func(r ref) {
+		c.bvict = append(c.bvict, scoredVictim{e: r.e, s: c.score(r)})
 	})
 	slices.SortFunc(c.bvict, func(a, b scoredVictim) int {
 		switch {
@@ -133,11 +149,6 @@ func (c *Cache) fillVictimPool(want int) {
 			return 0
 		}
 	})
-	d := c.charge(simtime.Duration(visited)*CostPerScanSlot + simtime.Duration(nonEmpty)*CostPerScoredEntry)
-	c.stats.EvictionScans++
-	c.stats.VisitedSlots += int64(visited)
-	c.stats.NonEmptyVisited += int64(nonEmpty)
-	c.stats.EvictTime += d
 }
 
 // nextBatchVictim pops the lowest-scoring candidate that is still

@@ -20,6 +20,7 @@ import (
 //     allocated (not free),
 //   - no two entries share a region,
 //   - every PENDING entry is queued for epoch-closure processing,
+//   - the count of CACHED entries the capacity scan relies on is exact,
 //   - once the ordered view exists (range.go) it holds exactly the
 //     indexed entries, and no payload exceeds its maxPayload,
 //   - the storage manager's own invariants hold.
@@ -32,7 +33,7 @@ func (c *Cache) CheckIntegrity() error {
 		pendingSet[e] = true
 	}
 	regions := make(map[*storage.Region]cuckoo.Key)
-	indexed := 0
+	indexed, cached := 0, 0
 	var err error
 	c.idx.Walk(func(k cuckoo.Key, r ref) bool {
 		indexed++
@@ -59,6 +60,7 @@ func (c *Cache) CheckIntegrity() error {
 				return false
 			}
 		case stateCached:
+			cached++
 			if len(e.waiters) != 0 {
 				err = fmt.Errorf("core: CACHED entry %v has %d waiters", k, len(e.waiters))
 				return false
@@ -110,6 +112,9 @@ func (c *Cache) CheckIntegrity() error {
 	}
 	if indexed != c.idx.Len() {
 		return fmt.Errorf("core: walked %d entries, index reports %d", indexed, c.idx.Len())
+	}
+	if cached != c.evictable {
+		return fmt.Errorf("core: %d CACHED entries indexed, count says %d", cached, c.evictable)
 	}
 	if c.view != nil && c.view.tree.Len() != indexed {
 		return fmt.Errorf("core: ordered view holds %d entries, index %d", c.view.tree.Len(), indexed)

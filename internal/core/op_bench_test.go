@@ -307,6 +307,49 @@ func BenchmarkOpInvalidateRange16k(b *testing.B) {
 	})
 }
 
+// BenchmarkOpInvalidateSparse measures the blanket invalidation of the
+// paper's transparent mode on a sparse index, as a stencil rank runs it:
+// each iteration fetches two 512 B halos into a 4096-slot index and
+// closes the epoch, which completes both entries and invalidates the
+// cache. The model charges the index memset (CostInvalidateBase plus
+// 4096 × CostInvalidatePerSlot); the host drains the two occupied slots.
+func BenchmarkOpInvalidateSparse(b *testing.B) {
+	p := Params{Mode: Transparent, IndexSlots: 4096, StorageBytes: 64 << 10, Seed: 7}
+	benchCache(b, p, func(c *Cache, win *mpi.Win, clock *simtime.Clock) {
+		const row = 512
+		dst := make([]byte, 2*row)
+		epoch := func() bool {
+			for i := 0; i < 2; i++ {
+				if err := c.Get(dst[i*row:(i+1)*row], datatype.Byte, row, 1, i*row); err != nil {
+					b.Error(err)
+					return false
+				}
+			}
+			if err := win.FlushAll(); err != nil {
+				b.Error(err)
+				return false
+			}
+			return true
+		}
+		if !epoch() {
+			return
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		v0 := clock.Now()
+		for i := 0; i < b.N; i++ {
+			if !epoch() {
+				return
+			}
+		}
+		b.StopTimer()
+		if s := c.Stats(); s.Invalidations != int64(b.N)+1 || s.Hits != 0 {
+			b.Errorf("%d invalidations and %d hits in %d iterations", s.Invalidations, s.Hits, b.N+1)
+		}
+		b.ReportMetric(float64(clock.Now()-v0)/float64(b.N), "vns/op")
+	})
+}
+
 // BenchmarkOpPutHit measures a write hit: a dense 512 B Put exactly
 // covering a cached entry beside a non-overlapping neighbour, written
 // through. Each call is a range query over the 2-entry view that finds

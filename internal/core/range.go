@@ -136,7 +136,6 @@ func (c *Cache) cohere(target, disp, size int, data []byte) (patched, dropped in
 			c.serveWaiters(e)
 		}
 		c.idx.Delete(e.key)
-		e.state = stateEvicted
 		c.store.FreeRegion(e.region)
 		c.charge(CostLookup + CostFree)
 		c.retire(e)

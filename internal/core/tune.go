@@ -116,14 +116,13 @@ func resized(cur int, factor float64, lo, hi int) int {
 // resizeIndex applies factor to |I_w|. Returns false if clamping
 // nullified the change. The new table is created empty: a parameter
 // change implies invalidation anyway (§III-E), and the caller's
-// invalidate() sees only the new table, so the old one's records are
-// retired here.
+// invalidate() sees only the new table, so the old one is drained here.
 func (c *Cache) resizeIndex(factor float64) bool {
 	next := resized(c.idx.Cap(), factor, minIndexSlots, maxIndexSlots)
 	if next == c.idx.Cap() {
 		return false
 	}
-	c.retireCached()
+	c.drainIndex()
 	c.idx = newIndex(next, c.params.Seed)
 	c.charge(CostInvalidateBase)
 	return true

@@ -86,6 +86,16 @@ func TestCheckIntegrityDetectsCorruption(t *testing.T) {
 		}
 		c.store.FreeRegion(extra)
 
+		// 7. A count of CACHED entries the capacity scan would trust to
+		// stop early, or to skip its walk.
+		for _, off := range []int{-1, 1} {
+			c.evictable += off
+			if err := c.CheckIntegrity(); err == nil || !strings.Contains(err.Error(), "count says") {
+				t.Errorf("CACHED count off by %d not detected: %v", off, err)
+			}
+			c.evictable -= off
+		}
+
 		if err := c.CheckIntegrity(); err != nil {
 			t.Fatalf("cache did not recover after corruption repair: %v", err)
 		}

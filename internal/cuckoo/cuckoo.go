@@ -222,7 +222,7 @@ func (t *Table[V]) Lookup(k Key) (val V, slotIdx int, ok bool) {
 
 // Ptr returns the value stored for key in place, or nil if the key is
 // absent. The pointer stays valid until the next Insert, ReplaceAt,
-// Delete, DeleteAt or Clear on the table.
+// Delete, DeleteAt, Drain or Clear on the table.
 func (t *Table[V]) Ptr(k Key) *V {
 	if s := t.find(k, mix(k)); s >= 0 {
 		return &t.slots[s].val
@@ -387,11 +387,7 @@ func (t *Table[V]) DeleteAt(slotIdx int) (Key, V, bool) {
 }
 
 // Clear drops all entries, keeping the hash functions and capacity.
-func (t *Table[V]) Clear() {
-	clear(t.slots)
-	clear(t.tags)
-	t.len = 0
-}
+func (t *Table[V]) Clear() { t.Drain(nil) }
 
 // Scan visits slots circularly starting at start, calling visit with the
 // slot index and occupancy. The visitor returns false to stop. Scan wraps
@@ -421,16 +417,52 @@ func (t *Table[V]) Scan(start int, visit func(slotIdx int, k Key, v V, used bool
 // start of §III-D).
 func (t *Table[V]) RandomSlot() int { return t.rng.Intn(len(t.slots)) }
 
-// Walk visits every stored entry in slot order. Occupancy is read from
-// the tag bytes, so an empty slot costs one byte, not a slot's cache line.
-func (t *Table[V]) Walk(visit func(k Key, v V) bool) {
-	slots := t.slots
-	for s, tag := range t.tags[:len(slots)] {
-		if tag == 0 {
-			continue
+// emptyTags is a run of 64 empty slots' tags.
+var emptyTags [64]uint8
+
+// next returns the first occupied slot at or after s, or Cap() if there
+// is none. Occupancy is read from the tag bytes, so an empty slot never
+// costs a slot's cache line, and a run of 64 empty tags costs one compare
+// against emptyTags: a whole-table pass pays for the entries it finds
+// plus one compare per 64 empty slots.
+func (t *Table[V]) next(s int) int {
+	tags := t.tags
+	if s < len(tags) && tags[s] != 0 {
+		return s
+	}
+	for s+64 <= len(tags) && string(tags[s:s+64]) == string(emptyTags[:]) {
+		s += 64
+	}
+	for ; s < len(tags); s++ {
+		if tags[s] != 0 {
+			return s
 		}
-		if sl := &slots[s]; !visit(sl.key, sl.val) {
+	}
+	return s
+}
+
+// Walk visits every stored entry in slot order, stopping early when visit
+// returns false. It costs what next costs: the entries plus one compare
+// per 64 empty slots.
+func (t *Table[V]) Walk(visit func(k Key, v V) bool) {
+	for s := t.next(0); s < len(t.slots); s = t.next(s + 1) {
+		if sl := &t.slots[s]; !visit(sl.key, sl.val) {
 			return
 		}
 	}
+}
+
+// Drain empties the table, keeping the hash functions and capacity: it
+// visits every stored entry in slot order, if visit is not nil, after
+// emptying its slot. Unlike clearing the slot array it costs the entries
+// it finds, not the capacity.
+func (t *Table[V]) Drain(visit func(k Key, v V)) {
+	for s := t.next(0); s < len(t.slots); s = t.next(s + 1) {
+		sl := t.slots[s]
+		t.unset(s)
+		if visit != nil {
+			visit(sl.key, sl.val)
+		}
+	}
+	t.len = 0
 }

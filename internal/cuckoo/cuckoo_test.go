@@ -533,6 +533,131 @@ func TestWalkVisitsAllEntries(t *testing.T) {
 	tb.Walk(func(k Key, _ int) bool { t.Fatalf("Walk visited %v in a cleared table", k); return false })
 }
 
+// placeAt stores a fresh key with value v in slot s, whatever the
+// search would choose: it draws keys until one has s among its
+// candidates. next numbers the fresh keys.
+func placeAt(tb *Table[int], s int, v int, next *int) Key {
+	for {
+		*next++
+		k := Key{Target: 1 << 20, Disp: *next}
+		if c := tb.Candidates(k); slices.Contains(c[:], s) {
+			tb.ReplaceAt(s, k, v)
+			return k
+		}
+	}
+}
+
+// TestNextMatchesByteScan: next, the iterator under Walk and Drain, finds
+// the first occupied slot at or after every start, across runs of empty
+// 64-tag blocks and in the tail of a table whose size is not a multiple
+// of 64.
+func TestNextMatchesByteScan(t *testing.T) {
+	for _, n := range []int{8, 64, 65, 1000, 4096} {
+		tb := New[int](n, int64(n))
+		fresh := 0
+		for _, s := range []int{0, 63, 64, 200, 959, 960, n - 1} {
+			if s < n {
+				placeAt(tb, s, s, &fresh)
+			}
+		}
+		for s := 0; s <= n; s++ {
+			want := s
+			for want < n && tb.tags[want] == 0 {
+				want++
+			}
+			if got := tb.next(s); got != want {
+				t.Fatalf("n = %d: next(%d) = %d, want %d", n, s, got, want)
+			}
+		}
+	}
+}
+
+// TestWalkAndDrainAgainstOracle holds Walk and Drain to a map of what
+// was stored, on an empty table, a sparse one (two entries in 4096
+// slots, as a stencil rank's index holds, plus the slots at block and
+// table edges), a full one, and a half-full one whose size is not a
+// multiple of 64. Walk visits every entry once, in slot order; Drain
+// visits the same entries and leaves the table empty and reusable.
+func TestWalkAndDrainAgainstOracle(t *testing.T) {
+	type build func(tb *Table[int], oracle map[Key]int, fresh *int)
+	edges := func(slots ...int) build {
+		return func(tb *Table[int], oracle map[Key]int, fresh *int) {
+			for _, s := range slots {
+				oracle[placeAt(tb, s, s, fresh)] = s
+			}
+		}
+	}
+	cases := []struct {
+		name string
+		size int
+		fill build
+	}{
+		{"empty", 4096, func(*Table[int], map[Key]int, *int) {}},
+		{"sparse", 4096, edges(1234, 2345)},
+		{"sparse-edges", 4096, edges(0, 63, 64, 4031, 4095)},
+		{"full", 256, func(tb *Table[int], oracle map[Key]int, fresh *int) {
+			for s := 0; s < tb.Cap(); s++ {
+				if tb.tags[s] == 0 {
+					oracle[placeAt(tb, s, s, fresh)] = s
+				}
+			}
+		}},
+		{"half-1000", 1000, func(tb *Table[int], oracle map[Key]int, fresh *int) {
+			rng := rand.New(rand.NewSource(3))
+			for len(oracle) < 500 {
+				if s := rng.Intn(tb.Cap()); tb.tags[s] == 0 {
+					oracle[placeAt(tb, s, s, fresh)] = s
+				}
+			}
+			oracle[placeAt(tb, 999, 999, fresh)] = 999
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tb := New[int](tc.size, 1)
+			oracle := map[Key]int{}
+			fresh := 0
+			tc.fill(tb, oracle, &fresh)
+			if tb.Len() != len(oracle) {
+				t.Fatalf("Len %d, oracle %d", tb.Len(), len(oracle))
+			}
+			if tc.name == "full" && tb.Len() != tb.Cap() {
+				t.Fatalf("full table holds %d of %d", tb.Len(), tb.Cap())
+			}
+			// The value is the slot, so slot order is value order.
+			visit := func(what string, seen map[Key]int, last *int, k Key, v int) {
+				if w, ok := oracle[k]; !ok || w != v {
+					t.Fatalf("%s visited %v=%d, oracle %d (present %v)", what, k, v, w, ok)
+				}
+				if _, dup := seen[k]; dup || v <= *last {
+					t.Fatalf("%s visited %v (slot %d) twice or after slot %d", what, k, v, *last)
+				}
+				seen[k], *last = v, v
+			}
+			walked, last := map[Key]int{}, -1
+			tb.Walk(func(k Key, v int) bool { visit("Walk", walked, &last, k, v); return true })
+			drained, last := map[Key]int{}, -1
+			tb.Drain(func(k Key, v int) { visit("Drain", drained, &last, k, v) })
+			if len(walked) != len(oracle) || len(drained) != len(oracle) {
+				t.Fatalf("Walk visited %d, Drain %d, oracle holds %d", len(walked), len(drained), len(oracle))
+			}
+			if tb.Len() != 0 {
+				t.Fatalf("Len after Drain = %d", tb.Len())
+			}
+			checkTags(t, tb)
+			for k := range oracle {
+				if _, _, ok := tb.Lookup(k); ok {
+					t.Fatalf("%v survived Drain", k)
+				}
+			}
+			tb.Walk(func(k Key, _ int) bool { t.Fatalf("Walk visited %v in a drained table", k); return false })
+			if res := tb.Insert(Key{0, 0}, 1); !res.Placed || tb.Len() != 1 {
+				t.Fatalf("insert after Drain: placed %v, Len %d", res.Placed, tb.Len())
+			}
+		})
+	}
+}
+
 func TestCandidatesAreLookupPositions(t *testing.T) {
 	// Property: after a successful insert, the stored slot is one of
 	// the key's candidates.

@@ -1,11 +1,15 @@
 package cuckoo
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // FuzzTableOps drives the Cuckoo table with an op tape against a map
-// oracle: lookups must agree with the oracle at every step, and an
-// insertion failure (a conflicting access) must leave the table as it
-// was.
+// oracle: lookups must agree with the oracle at every step, an insertion
+// failure (a conflicting access) must leave the table as it was, and a
+// drain (byte 255) must visit exactly the oracle's entries and leave the
+// table empty.
 func FuzzTableOps(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 200, 201, 100})
 	f.Add([]byte{9, 9, 9, 9, 9, 9, 9, 9, 9})
@@ -18,12 +22,23 @@ func FuzzTableOps(f *testing.F) {
 		}
 	}
 	f.Add(fill)
+	f.Add(append(append(slices.Clip(fill), 255), fill[:40]...))
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		tb := New[int](64, 5)
 		oracle := make(map[Key]int)
 		for i, op := range ops {
 			k := Key{Target: int(op) % 4, Disp: (int(op) / 4) * 8}
 			switch {
+			case op == 255:
+				tb.Drain(func(k Key, v int) {
+					if w, ok := oracle[k]; !ok || w != v {
+						t.Fatalf("op %d: drain visited %v=%d, oracle %d (present %v)", i, k, v, w, ok)
+					}
+					delete(oracle, k)
+				})
+				if len(oracle) != 0 {
+					t.Fatalf("op %d: drain missed %d entries", i, len(oracle))
+				}
 			case op%3 == 0:
 				if _, present := oracle[k]; present {
 					tb.Delete(k)

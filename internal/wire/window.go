@@ -293,16 +293,15 @@ func (w *Window) transfer(op byte, buf []byte, dtype datatype.Datatype, count in
 	if len(buf) < size {
 		return rma.ErrShortBuf
 	}
-	region := int(w.cl.regions[target])
 	if size > 0 && dtype.Size() == dtype.Extent() {
-		if disp < 0 || disp+size > region {
+		if !w.inRegion(target, disp, size) {
 			return rma.ErrBounds
 		}
 		return w.sendRange(op, buf[:size], target, disp, tag)
 	}
 	blocks := datatype.FlattenTransfer(dtype, count, disp)
 	for _, b := range blocks {
-		if b.Offset < 0 || b.Offset+b.Size > region {
+		if !w.inRegion(target, b.Offset, b.Size) {
 			return rma.ErrBounds
 		}
 	}
@@ -314,6 +313,14 @@ func (w *Window) transfer(op byte, buf []byte, dtype datatype.Datatype, count in
 		n += b.Size
 	}
 	return nil
+}
+
+// inRegion reports whether bytes [disp, disp+size) lie in target's
+// region, for a target already known to be in range. Written like
+// rma.Memory.Check, it cannot overflow: a range whose end passes MaxInt
+// is refused here rather than sent for the server to refuse.
+func (w *Window) inRegion(target, disp, size int) bool {
+	return size >= 0 && disp >= 0 && disp <= int(w.cl.regions[target])-size
 }
 
 // sendRange sends one validated contiguous range of a transfer.
@@ -407,7 +414,7 @@ func (w *Window) Accumulate(src []byte, dtype datatype.Datatype, count int, targ
 	if kind < 0 {
 		return ErrBadAccumulate
 	}
-	if disp < 0 || disp+size > int(w.cl.regions[target]) {
+	if !w.inRegion(target, disp, size) {
 		return rma.ErrBounds
 	}
 	req := accReq{Target: int32(target), Disp: int64(disp), Op: byte(op), Kind: byte(kind), Data: src[:size]}
@@ -433,7 +440,7 @@ func (w *Window) GetBatch(ops []rma.GetOp) error {
 		if op.Target < 0 || op.Target >= len(w.cl.regions) {
 			return rma.ErrRankRange
 		}
-		if op.Disp < 0 || op.Disp+len(op.Dst) > int(w.cl.regions[op.Target]) {
+		if !w.inRegion(op.Target, op.Disp, len(op.Dst)) {
 			return rma.ErrBounds
 		}
 	}
@@ -502,7 +509,7 @@ func (w *Window) Checksum(target, disp, size int) (uint64, error) {
 	if target < 0 || target >= len(w.cl.regions) {
 		return 0, rma.ErrRankRange
 	}
-	if disp < 0 || size < 0 || disp+size > int(w.cl.regions[target]) {
+	if !w.inRegion(target, disp, size) {
 		return 0, rma.ErrBounds
 	}
 	var sum uint64

@@ -496,6 +496,53 @@ func TestRangeOverflow(t *testing.T) {
 	}
 }
 
+// TestClientRangeOverflow: a client call whose range ends past MaxInt is
+// refused locally with ErrBounds, on every path that checks a range —
+// dense and strided transfers, GetBatch, Accumulate and Checksum — and
+// sends no frame: the server's inbound frame count does not move.
+func TestClientRangeOverflow(t *testing.T) {
+	reg := obsv.NewRegistry()
+	s := testServer(t, ServeConfig{Windows: []WindowSpec{{Name: "w", Regions: MakeRegions(2, 1024)}}, Registry: reg})
+	w := dialWindow(t, s, DialConfig{})
+	if err := w.LockAll(); err != nil {
+		t.Fatalf("lock all: %v", err)
+	}
+	framesIn := reg.Counter("wire_server_frames_total", obsv.L("dir", "in"))
+	buf := make([]byte, 64)
+	// One 8-byte block in a 16-byte extent: not dense, so each flattened
+	// block is checked, and the block starts at disp itself.
+	strided := datatype.Indexed([]int{8, 0}, []int{0, 16}, datatype.Byte)
+	for _, disp := range []int{math.MaxInt, math.MaxInt - 2, math.MaxInt - 7} {
+		for _, c := range []struct {
+			name string
+			call func() error
+		}{
+			{"Get", func() error { return w.Get(buf, datatype.Byte, 8, 1, disp) }},
+			{"Put", func() error { return w.Put(buf, datatype.Byte, 8, 1, disp) }},
+			{"PutNotify", func() error { return w.PutNotify(buf, datatype.Byte, 8, 1, disp, 1) }},
+			{"Get strided", func() error { return w.Get(buf, strided, 1, 1, disp) }},
+			{"GetBatch", func() error { return w.GetBatch([]rma.GetOp{{Dst: buf[:8], Target: 1, Disp: disp}}) }},
+			{"Accumulate", func() error { return w.Accumulate(buf, datatype.Int64, 1, 1, disp, rma.OpSum) }},
+			{"Checksum", func() error { _, err := w.Checksum(1, disp, 8); return err }},
+		} {
+			before := framesIn.Value()
+			if err := c.call(); !errors.Is(err, rma.ErrBounds) {
+				t.Errorf("%s at %d: %v, want ErrBounds", c.name, disp, err)
+			}
+			if got := framesIn.Value(); got != before {
+				t.Errorf("%s at %d: the server received %d frames", c.name, disp, got-before)
+			}
+		}
+	}
+	// The same calls in range go through.
+	if err := w.Get(buf, datatype.Byte, 8, 1, 1016); err != nil {
+		t.Errorf("in-range Get: %v", err)
+	}
+	if _, err := w.Checksum(1, 1016, 8); err != nil {
+		t.Errorf("in-range Checksum: %v", err)
+	}
+}
+
 // TestFence checks the barrier rendezvous: two clients of a world of
 // two meet at Fence; neither returns until both arrive.
 func TestFence(t *testing.T) {
