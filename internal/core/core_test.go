@@ -13,7 +13,9 @@ import (
 func pattern(off int) byte { return byte((off*7 + 13) ^ (off >> 3)) }
 
 // withCache runs a 2-rank world; rank 0 gets a Cache over a window whose
-// rank-1 region holds regionSize bytes of pattern data, and runs fn.
+// rank-1 region holds regionSize bytes of pattern data, and runs fn. fn
+// runs on rank 0's goroutine: it reports failures with t.Errorf and
+// returns, since Fatalf's Goexit would leave rank 1 at the barrier.
 func withCache(t *testing.T, regionSize int, params Params, fn func(c *Cache, win *mpi.Win, r *mpi.Rank) error) {
 	t.Helper()
 	err := mpi.Run(2, mpi.Config{}, func(r *mpi.Rank) error {
@@ -453,7 +455,8 @@ func TestStridedDatatypeRoundTrip(t *testing.T) {
 		for b := 0; b < 4; b++ {
 			for i := 0; i < 8; i++ {
 				if want := pattern(64 + b*16 + i); dst[k] != want {
-					t.Fatalf("packed byte %d: got %d want %d", k, dst[k], want)
+					t.Errorf("packed byte %d: got %d want %d", k, dst[k], want)
+					return nil
 				}
 				k++
 			}
@@ -468,7 +471,8 @@ func TestStridedDatatypeRoundTrip(t *testing.T) {
 		}
 		for i := range dst {
 			if dst2[i] != dst[i] {
-				t.Fatalf("cached strided payload differs at %d", i)
+				t.Errorf("cached strided payload differs at %d", i)
+				return nil
 			}
 		}
 		return win.FlushAll()
@@ -740,7 +744,8 @@ func TestTemporalEvictionPrefersCold(t *testing.T) {
 			return err
 		}
 		if a := c.LastAccess(); a.Type != AccessCapacity {
-			t.Fatalf("expected capacity access, got %v", a.Type)
+			t.Errorf("expected capacity access, got %v", a.Type)
+			return nil
 		}
 		// A, B, C must still be hits.
 		for _, d := range []int{0, 256, 512} {

@@ -114,7 +114,8 @@ func TestCheapSkipAdmission(t *testing.T) {
 		}
 		ds := c.DistanceStats()
 		if len(ds) != rma.NumDistanceClasses {
-			t.Fatalf("DistanceStats len = %d, want %d", len(ds), rma.NumDistanceClasses)
+			t.Errorf("DistanceStats len = %d, want %d", len(ds), rma.NumDistanceClasses)
+			return nil
 		}
 		sock := ds[rma.DistanceSameSocket]
 		if sock.Gets != 4 || sock.Misses != 3 || sock.Hits != 1 {

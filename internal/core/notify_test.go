@@ -322,9 +322,8 @@ func TestNotifyDropFallsBack(t *testing.T) {
 					st := c.Stats()
 					fc := fw.Counts()
 					if fc.NotifyDrops == 0 {
-						t.Fatalf("scenario dropped nothing; pick another seed")
-					}
-					if st.Invalidations < 1 {
+						t.Errorf("scenario dropped nothing; pick another seed")
+					} else if st.Invalidations < 1 {
 						t.Errorf("Invalidations = %d, want >= 1 (gap fallback after %d drops)",
 							st.Invalidations, fc.NotifyDrops)
 					}
@@ -396,9 +395,8 @@ func TestNotifyTailDropFallsBack(t *testing.T) {
 					st := c.Stats()
 					fc := fw.Counts()
 					if fc.NotifyDrops == 0 {
-						t.Fatalf("injector dropped nothing despite rate 1.0")
-					}
-					if st.Invalidations < 1 {
+						t.Errorf("injector dropped nothing despite rate 1.0")
+					} else if st.Invalidations < 1 {
 						t.Errorf("Invalidations = %d, want >= 1 (tail-loss reconciliation after %d drops)",
 							st.Invalidations, fc.NotifyDrops)
 					}

@@ -26,7 +26,8 @@ func resilientParams(retry rma.RetryPolicy, brk *BreakerPolicy) Params {
 
 // withFaultyCache runs a size-rank world; rank 0 gets a Cache over a
 // fault-wrapped window (every non-zero region byte follows pattern) and
-// runs fn. The injector is seeded with seed.
+// runs fn. The injector is seeded with seed. As in withCache, fn reports
+// failures with t.Errorf and returns, never with Fatalf.
 func withFaultyCache(t *testing.T, size, regionSize int, params Params, sc fault.Scenario, seed int64, fn func(c *Cache, fw *fault.Window, r *mpi.Rank) error) {
 	t.Helper()
 	err := mpi.Run(size, mpi.Config{}, func(r *mpi.Rank) error {
@@ -187,7 +188,8 @@ func TestBreakerOpensFailsFastAndRecovers(t *testing.T) {
 			}
 		}
 		if c.Stats().BreakerOpens == 0 {
-			t.Fatal("breaker never opened")
+			t.Error("breaker never opened")
+			return nil
 		}
 		opsBefore := fw.Counts().Ops
 		// Fail-fast: with the breaker open and no cooldown elapsed, the
@@ -234,7 +236,8 @@ func TestVerifyFillsDetectsCorruption(t *testing.T) {
 			checkData(t, dst, disp)
 		}
 		if fw.Counts().Corrupts == 0 {
-			t.Fatal("scenario injected no corruption")
+			t.Error("scenario injected no corruption")
+			return nil
 		}
 		if c.Stats().CorruptFills == 0 {
 			t.Error("injected corruption was never detected")
@@ -264,7 +267,8 @@ func TestShortReadsRefetched(t *testing.T) {
 			checkData(t, dst, disp)
 		}
 		if fw.Counts().ShortReads == 0 {
-			t.Fatal("scenario injected no short reads")
+			t.Error("scenario injected no short reads")
+			return nil
 		}
 		if c.Stats().Retries == 0 {
 			t.Error("short reads were never retried")
@@ -292,7 +296,8 @@ func TestServeStaleAcrossEpochClosure(t *testing.T) {
 		}
 		// All breakers closed at that closure: transparent invalidation ran.
 		if got := c.Stats().Invalidations; got != 1 {
-			t.Fatalf("Invalidations = %d, want 1", got)
+			t.Errorf("Invalidations = %d, want 1", got)
+			return nil
 		}
 		// Refill, then open rank 2's breaker and close the epoch again:
 		// the invalidation must be deferred this time.
@@ -303,13 +308,15 @@ func TestServeStaleAcrossEpochClosure(t *testing.T) {
 			t.Errorf("get from dead rank = %v, want transient", err)
 		}
 		if c.Stats().BreakerOpens == 0 {
-			t.Fatal("breaker never opened")
+			t.Error("breaker never opened")
+			return nil
 		}
 		if err := c.Win().FlushAll(); err != nil {
 			return err
 		}
 		if got := c.Stats().Invalidations; got != 1 {
-			t.Fatalf("Invalidations after deferred closure = %d, want still 1", got)
+			t.Errorf("Invalidations after deferred closure = %d, want still 1", got)
+			return nil
 		}
 		// The retained entry serves stale hits with correct (read-only
 		// region) data.
@@ -349,7 +356,8 @@ func TestBatchPartialDeliveryUnderFaults(t *testing.T) {
 		}
 		s := c.Stats()
 		if fw.Counts().Total() == 0 {
-			t.Fatal("no faults injected into the batch")
+			t.Error("no faults injected into the batch")
+			return nil
 		}
 		if s.Retries == 0 {
 			t.Error("batch faults never retried")

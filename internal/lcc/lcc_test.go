@@ -182,6 +182,35 @@ func TestReferenceMatchesMergeDefinition(t *testing.T) {
 	}
 }
 
+// TestReferenceClearsMarks: vertices 0 and 1 come first in Reference's
+// pass and share the out-list member 4. 3 ∈ out(0) is also in out(2), and
+// 2 ∈ out(1), but 3 is no neighbour of 1: a mark on 3 left over from
+// vertex 0 would count a triangle 1-2-3 that does not exist.
+func TestReferenceClearsMarks(t *testing.T) {
+	g := graph.Build(5, []rmat.Edge{{U: 0, V: 3}, {U: 0, V: 4}, {U: 1, V: 2}, {U: 1, V: 4}, {U: 2, V: 3}, {U: 2, V: 4}, {U: 3, V: 4}})
+	checkReference(t, "shared out-lists", g)
+	// Triangles 0-3-4, 1-2-4 and 2-3-4.
+	want := []float64{1, 1, 2.0 / 3.0, 2.0 / 3.0, 0.5}
+	for v, c := range Reference(g) {
+		if c != want[v] {
+			t.Errorf("LCC(%d) = %v, want %v", v, c, want[v])
+		}
+	}
+}
+
+// TestReferenceAllocsIndependentOfScale: Reference allocates its out-lists,
+// counts, marks and result once each, however large the graph.
+func TestReferenceAllocsIndependentOfScale(t *testing.T) {
+	allocs := func(scale int) float64 {
+		g := testGraph(t, scale, 16)
+		return testing.AllocsPerRun(3, func() { sink = Reference(g) })
+	}
+	small, large := allocs(8), allocs(12)
+	if small != large {
+		t.Errorf("Reference allocates %.0f times at R-MAT scale 8, %.0f at scale 12", small, large)
+	}
+}
+
 // FuzzReference decodes raw into edges over ids 0..255, two bytes each,
 // of a graph with n vertices (Build drops the ids ≥ n).
 func FuzzReference(f *testing.F) {
