@@ -117,7 +117,7 @@ func TestPutInvalidatesThroughPublicAPI(t *testing.T) {
 	}
 }
 
-func TestWindowGetWithDerivedDatatype(t *testing.T) {
+func TestWindowGetWithElementDatatype(t *testing.T) {
 	err := Run(2, RunConfig{}, func(r *Rank) error {
 		region := make([]byte, 256)
 		for i := range region {
@@ -132,25 +132,20 @@ func TestWindowGetWithDerivedDatatype(t *testing.T) {
 			if err := w.LockAll(); err != nil {
 				return err
 			}
-			vt := Vector(4, 4, 8, Byte) // 16 payload bytes, strided
-			buf := make([]byte, vt.Size())
-			if err := w.Get(buf, vt, 1, 1, 16); err != nil {
+			buf := make([]byte, 4*Int32.Size())
+			if err := w.Get(buf, Int32, 4, 1, 16); err != nil {
 				return err
 			}
 			if err := w.FlushAll(); err != nil {
 				return err
 			}
-			k := 0
-			for blk := 0; blk < 4; blk++ {
-				for i := 0; i < 4; i++ {
-					if want := byte(16 + blk*8 + i); buf[k] != want {
-						t.Errorf("packed byte %d = %d, want %d", k, buf[k], want)
-					}
-					k++
+			for k := range buf {
+				if want := byte(16 + k); buf[k] != want {
+					t.Errorf("byte %d = %d, want %d", k, buf[k], want)
 				}
 			}
 			// Repeat hits.
-			if err := w.Get(buf, vt, 1, 1, 16); err != nil {
+			if err := w.Get(buf, Int32, 4, 1, 16); err != nil {
 				return err
 			}
 			if a := w.LastAccess(); a.Type != AccessHit {
@@ -257,7 +252,7 @@ func TestStatsRateHelpers(t *testing.T) {
 	}
 }
 
-func TestPublicPSCWAccumulateAndExclusiveLock(t *testing.T) {
+func TestPublicAccumulateAndExclusiveLock(t *testing.T) {
 	err := Run(2, RunConfig{}, func(r *Rank) error {
 		w, local, err := Allocate(r, 64, nil, WithMode(AlwaysCache))
 		if err != nil {
@@ -265,11 +260,11 @@ func TestPublicPSCWAccumulateAndExclusiveLock(t *testing.T) {
 		}
 		defer w.Free()
 
-		// PSCW epoch: rank 1 exposes, rank 0 accesses.
+		// Fence epoch: rank 0 accumulates into rank 1's region.
+		if err := w.Fence(); err != nil {
+			return err
+		}
 		if r.ID() == 0 {
-			if err := w.Start([]int{1}); err != nil {
-				return err
-			}
 			one := make([]byte, 8)
 			one[0] = 2 // int64(2) little-endian
 			if err := w.Accumulate(one, Int64, 1, 1, 0, OpSum); err != nil {
@@ -278,21 +273,13 @@ func TestPublicPSCWAccumulateAndExclusiveLock(t *testing.T) {
 			if err := w.Accumulate(one, Int64, 1, 1, 0, OpSum); err != nil {
 				return err
 			}
-			if err := w.Complete(); err != nil {
-				return err
-			}
-		} else {
-			if err := w.Post([]int{0}); err != nil {
-				return err
-			}
-			if err := w.Wait(); err != nil {
-				return err
-			}
-			if local[0] != 4 {
-				t.Errorf("accumulated value = %d, want 4", local[0])
-			}
 		}
-		r.Barrier()
+		if err := w.Fence(); err != nil {
+			return err
+		}
+		if r.ID() == 1 && local[0] != 4 {
+			t.Errorf("accumulated value = %d, want 4", local[0])
+		}
 
 		// Exclusive lock epoch through the public API.
 		if err := w.LockWithType(LockExclusive, 1-r.ID()); err != nil {

@@ -103,27 +103,17 @@ func Run(size int, cfg RunConfig, program func(*Rank) error) error {
 // Piz Daint (Cray Aries) measurements.
 func DefaultNetModel() *NetModel { return netsim.DefaultModel() }
 
-// Re-exported datatype system (MPI derived datatypes).
+// Datatype is the element type of a transfer: one of Byte, Int32, Int64
+// and Double. Every transfer is dense: count elements from one contiguous
+// target range.
 type Datatype = datatype.Datatype
 
-// Basic datatypes.
+// The element types.
 var (
 	Byte   = datatype.Byte
 	Int32  = datatype.Int32
 	Int64  = datatype.Int64
 	Double = datatype.Double
-)
-
-// Datatype constructors (see internal/datatype for semantics).
-var (
-	Bytes      = datatype.Bytes
-	Contiguous = datatype.Contiguous
-	Vector     = datatype.Vector
-	Indexed    = datatype.Indexed
-	Struct     = datatype.Struct
-	Hvector    = datatype.Hvector
-	Hindexed   = datatype.Hindexed
-	Subarray   = datatype.Subarray
 )
 
 // Caching-layer types re-exported from the core.
@@ -359,7 +349,7 @@ func WithBreaker(pol BreakerPolicy) Option {
 	return func(c *config) { cp := pol; c.params.Breaker = &cp }
 }
 
-// WithFillVerification checksums every dense remote fill against the
+// WithFillVerification checksums every remote fill against the
 // backend's integrity attestation: silently corrupted payloads are
 // rejected (and retried under WithRetry) instead of delivered or cached.
 func WithFillVerification() Option { return func(c *config) { c.params.VerifyFills = true } }
@@ -566,7 +556,7 @@ func (w *Window) GetUncached(dst []byte, dtype Datatype, count, target, disp int
 
 // Put writes src to target's region. By default it writes through; with
 // WithWriteBack the span is staged dirty and flushed coalesced at epoch
-// closure. Cached entries of this origin that lie inside a dense write
+// closure. Cached entries of this origin that lie inside the write
 // are patched in place (Stats.WriteHits); every other entry overlapping
 // the written range is invalidated, so a process never reads its own
 // stale writes back through the cache. Writes by *other*
@@ -635,26 +625,11 @@ func (w *Window) UnlockAll() error { return w.win.UnlockAll() }
 // Fence is the active-target collective synchronization.
 func (w *Window) Fence() error { return w.win.Fence() }
 
-// Post opens an exposure epoch towards the given origins
-// (MPI_Win_post; generalized active-target synchronization).
-func (w *Window) Post(origins []int) error { return w.win.Post(origins) }
-
-// Start opens an access epoch towards the given targets (MPI_Win_start),
-// blocking until each has posted.
-func (w *Window) Start(targets []int) error { return w.win.Start(targets) }
-
-// Complete closes the access epoch opened by Start (MPI_Win_complete);
-// like Flush and Unlock, it is an epoch-closure event for the cache.
-func (w *Window) Complete() error { return w.win.Complete() }
-
-// Wait closes the exposure epoch opened by Post (MPI_Win_wait).
-func (w *Window) Wait() error { return w.win.Wait() }
-
 // Accumulate combines src into target's region with op (MPI_Accumulate).
 // Like Put, it invalidates the origin-local cached entries overlapping
 // the written range before writing.
 func (w *Window) Accumulate(src []byte, dtype Datatype, count, target, disp int, op Op) error {
-	w.cache.InvalidateRange(target, disp, datatype.Span(dtype, count))
+	w.cache.InvalidateRange(target, disp, datatype.TransferSize(dtype, count))
 	return w.win.Accumulate(src, dtype, count, target, disp, op)
 }
 

@@ -277,21 +277,6 @@ func TestDatatypeReexports(t *testing.T) {
 	if Byte.Size() != 1 || Int32.Size() != 4 || Int64.Size() != 8 || Double.Size() != 8 {
 		t.Fatalf("basic datatype sizes wrong")
 	}
-	if Bytes(100).Size() != 100 {
-		t.Fatalf("Bytes re-export broken")
-	}
-	if Contiguous(4, Int32).Size() != 16 {
-		t.Fatalf("Contiguous re-export broken")
-	}
-	if Vector(2, 1, 2, Byte).Size() != 2 {
-		t.Fatalf("Vector re-export broken")
-	}
-	if Indexed([]int{2}, []int{0}, Byte).Size() != 2 {
-		t.Fatalf("Indexed re-export broken")
-	}
-	if Struct([]Datatype{Byte}, []int{0}).Size() != 1 {
-		t.Fatalf("Struct re-export broken")
-	}
 	if DefaultNetModel() == nil {
 		t.Fatalf("DefaultNetModel nil")
 	}

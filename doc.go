@@ -13,7 +13,7 @@
 //
 // The surface is read-write. Put writes through the cache (patching an
 // exactly-covering cached entry in place so the writer's own reads keep
-// hitting), WithWriteBack stages dense spans and flushes them as
+// hitting), WithWriteBack stages written spans and flushes them as
 // coalesced runs at epoch close, and PutNotify — the notifiable-RMA
 // extension — additionally enqueues a notification naming the written
 // span at every rank subscribed with WithNotify. Subscribed caches

@@ -1,23 +1,21 @@
 // Package epochcheck enforces the weak-consistency epoch contract of
-// internal/rma (paper §III): the destination buffer of a Get/Rget — or of
-// any GetOp issued through BatchWindow.GetBatch — is undefined until the
-// epoch closes (Flush/FlushAll/Unlock/UnlockAll/Fence/Complete, or
-// Request.Wait for Rget), and a window must not be used for data
-// movement after its epoch was closed.
+// internal/rma (paper §III): the destination buffer of a Get — or of any
+// GetOp issued through BatchWindow.GetBatch — is undefined until the
+// epoch closes (Flush/FlushAll/Unlock/UnlockAll/Fence), and a window must
+// not be used for data movement after its epoch was closed.
 //
 // The analysis is function-local and lexical: inside one function body
 // it orders issues, completions and buffer uses by source position and
 // flags
 //
-//  1. any read of a Get/Rget/GetBatch destination buffer between the
+//  1. any read of a Get/GetBatch destination buffer between the
 //     issuing call and the next completion call (foMPI catches this
 //     class with a runtime assertion mode; here it is a compile-time
 //     diagnostic) — for GetBatch, a buffer identifier named as the Dst
 //     field of a rma.GetOp composite literal becomes pending at the next
 //     GetBatch call — and
-//  2. any Get/Put/Rget/Rput/Accumulate on a window after an Unlock/
-//     UnlockAll/Complete in the same function with no intervening
-//     Lock/LockAll/Fence/Start.
+//  2. any Get/Put/Accumulate on a window after an Unlock/UnlockAll in
+//     the same function with no intervening Lock/LockAll/Fence.
 //
 // It deliberately keys on the static receiver type being the
 // clampi/internal/rma.Window interface: code written against the
@@ -51,13 +49,13 @@ import (
 // Analyzer flags uses of RMA results before the epoch closes.
 var Analyzer = &analysis.Analyzer{
 	Name: "epochcheck",
-	Doc: "reads of a Get/Rget/GetBatch destination buffer before Flush/Unlock/Wait, " +
+	Doc: "reads of a Get/GetBatch destination buffer before Flush/Unlock/Fence, " +
 		"and rma.Window data access after the epoch was closed",
 	Run: run,
 }
 
-// RMAPath is the import path of the package defining the Window and
-// Request contracts.
+// RMAPath is the import path of the package defining the Window
+// contract.
 const RMAPath = "clampi/internal/rma"
 
 // Directive suppresses one line, stated with a reason:
@@ -93,24 +91,22 @@ func suppressedLines(pass *analysis.Pass, file *ast.File) map[int]bool {
 type opKind int
 
 const (
-	opIssue       opKind = iota // w.Get(dst,...) / w.Rget(dst,...): dst becomes pending
+	opIssue       opKind = iota // w.Get(dst,...): dst becomes pending
 	opStage                     // rma.GetOp{Dst: buf, ...}: buf is staged for a batch issue
 	opBatchIssue                // w.GetBatch(ops): every staged buffer becomes pending
 	opCompleteAll               // epoch-closure call: every pending buffer completes
-	opCompleteReq               // req.Wait(): the buffer of that request completes
 	opUse                       // a pending buffer is read
 	opKill                      // the buffer variable is reassigned: stop tracking it
-	opLock                      // Lock/LockAll/LockWithType/Fence/Start: epoch (re)opens
-	opUnlock                    // Unlock/UnlockAll/Complete: epoch closes
-	opData                      // Get/Put/Rget/Rput/Accumulate/GetBatch: data movement on the window
+	opLock                      // Lock/LockAll/LockWithType/Fence: epoch (re)opens
+	opUnlock                    // Unlock/UnlockAll: epoch closes
+	opData                      // Get/Put/Accumulate/GetBatch: data movement on the window
 )
 
 // op is one event, ordered by source position.
 type op struct {
 	kind opKind
 	pos  token.Pos
-	obj  types.Object // buffer (issue/use/kill), request (completeReq) or window (lock/unlock/data)
-	req  types.Object // request object of an Rget issue
+	obj  types.Object // buffer (issue/use/kill) or window (lock/unlock/data)
 	name string       // method or identifier name, for diagnostics
 }
 
@@ -123,8 +119,7 @@ func checkBody(pass *analysis.Pass, body *ast.BlockStmt, suppressed map[int]bool
 	var ops []op
 	skipUse := make(map[*ast.Ident]bool) // idents that are not value reads
 	deferred := make(map[*ast.CallExpr]bool)
-	escaping := make(map[*ast.CallExpr]bool)      // issues inside a return: the caller completes them
-	reqOf := make(map[*ast.CallExpr]types.Object) // Rget call → assigned request var
+	escaping := make(map[*ast.CallExpr]bool) // issues inside a return: the caller completes them
 
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -167,24 +162,13 @@ func checkBody(pass *analysis.Pass, body *ast.BlockStmt, suppressed map[int]bool
 					}
 				}
 			}
-			// req, err := w.Rget(...): remember which request completes
-			// which buffer.
-			if len(n.Rhs) == 1 && len(n.Lhs) > 0 {
-				if call, ok := n.Rhs[0].(*ast.CallExpr); ok {
-					if id, ok := n.Lhs[0].(*ast.Ident); ok {
-						if o := objOf(info, id); o != nil {
-							reqOf[call] = o
-						}
-					}
-				}
-			}
 
 		case *ast.CallExpr:
 			// Deferred calls run at return: they neither complete
 			// epochs for lexically later reads nor count as mid-body
 			// accesses.
 			if !deferred[n] {
-				classifyCall(info, n, reqOf[n], escaping[n], skipUse, &ops)
+				classifyCall(info, n, escaping[n], skipUse, &ops)
 			}
 
 		case *ast.CompositeLit:
@@ -214,8 +198,7 @@ func checkBody(pass *analysis.Pass, body *ast.BlockStmt, suppressed map[int]bool
 
 	pending := make(map[types.Object]string) // buffer → issuing method
 	staged := make(map[types.Object]bool)    // buffer → named as a GetOp.Dst, batch not yet issued
-	reqBuf := make(map[types.Object]types.Object)
-	closed := make(map[types.Object]bool) // window → epoch closed earlier in this function
+	closed := make(map[types.Object]bool)    // window → epoch closed earlier in this function
 	for _, o := range ops {
 		switch o.kind {
 		case opKill:
@@ -224,9 +207,6 @@ func checkBody(pass *analysis.Pass, body *ast.BlockStmt, suppressed map[int]bool
 		case opIssue:
 			if o.obj != nil {
 				pending[o.obj] = o.name
-				if o.req != nil {
-					reqBuf[o.req] = o.obj
-				}
 			}
 		case opStage:
 			staged[o.obj] = true
@@ -237,15 +217,10 @@ func checkBody(pass *analysis.Pass, body *ast.BlockStmt, suppressed map[int]bool
 			clear(staged)
 		case opCompleteAll:
 			clear(pending)
-			clear(reqBuf)
-		case opCompleteReq:
-			if buf, ok := reqBuf[o.obj]; ok {
-				delete(pending, buf)
-			}
 		case opUse:
 			if m, ok := pending[o.obj]; ok {
 				if !suppressed[pass.Fset.Position(o.pos).Line] {
-					pass.Reportf(o.pos, "buffer %q is read before the %s completes: RMA results are undefined until the epoch closes (Flush/Unlock/Wait; rma.Window contract, paper §III), or annotate the line with //%s <reason>", o.name, m, Directive)
+					pass.Reportf(o.pos, "buffer %q is read before the %s completes: RMA results are undefined until the epoch closes (Flush/Unlock/Fence; rma.Window contract, paper §III), or annotate the line with //%s <reason>", o.name, m, Directive)
 				}
 				delete(pending, o.obj) // one report per issue
 			}
@@ -279,7 +254,7 @@ func windowKey(obj types.Object) types.Object {
 // escapes marks a call inside a return expression: its issue creates no
 // pending state (the caller completes the transfer), but it still
 // counts as data movement for the closed-epoch check.
-func classifyCall(info *types.Info, call *ast.CallExpr, req types.Object, escapes bool, skipUse map[*ast.Ident]bool, ops *[]op) {
+func classifyCall(info *types.Info, call *ast.CallExpr, escapes bool, skipUse map[*ast.Ident]bool, ops *[]op) {
 	// len/cap read only the slice header, never the transferred data.
 	if id, ok := call.Fun.(*ast.Ident); ok && (id.Name == "len" || id.Name == "cap") {
 		for _, a := range call.Args {
@@ -294,58 +269,49 @@ func classifyCall(info *types.Info, call *ast.CallExpr, req types.Object, escape
 		return
 	}
 	tv, ok := info.Types[sel.X]
-	if !ok {
+	if !ok || !(typeutil.IsNamed(tv.Type, RMAPath, "Window") ||
+		typeutil.IsNamed(tv.Type, RMAPath, "BatchWindow") ||
+		typeutil.IsNamed(tv.Type, RMAPath, "NotifyWindow")) {
 		return
 	}
-	switch {
-	case typeutil.IsNamed(tv.Type, RMAPath, "Window"),
-		typeutil.IsNamed(tv.Type, RMAPath, "BatchWindow"),
-		typeutil.IsNamed(tv.Type, RMAPath, "NotifyWindow"):
-		recv := typeutil.ObjectOf(info, sel.X)
-		name := sel.Sel.Name
-		switch name {
-		case "GetBatch":
-			// Every buffer staged in a GetOp literal up to here becomes
-			// pending; pos is the call's end so Dst identifiers in an
-			// inline ops literal stage before the issue.
-			if !escapes {
-				*ops = append(*ops, op{kind: opBatchIssue, pos: call.End(), name: "rma.BatchWindow.GetBatch"})
-			}
-			*ops = append(*ops, op{kind: opData, pos: call.Pos(), obj: recv, name: name})
-		case "Get", "Rget":
-			var dst types.Object
-			if len(call.Args) > 0 {
-				if id, ok := call.Args[0].(*ast.Ident); ok {
-					dst = info.Uses[id]
-				}
-			}
-			// pos is the call's end so the dst identifier inside the
-			// argument list is ordered before the issue, not flagged.
-			if !escapes {
-				*ops = append(*ops, op{kind: opIssue, pos: call.End(), obj: dst, req: req, name: "rma.Window." + name})
-			}
-			*ops = append(*ops, op{kind: opData, pos: call.Pos(), obj: recv, name: name})
-		case "Put", "Rput", "Accumulate", "PutNotify":
-			*ops = append(*ops, op{kind: opData, pos: call.Pos(), obj: recv, name: name})
-		case "Flush", "FlushAll", "Wait":
-			*ops = append(*ops, op{kind: opCompleteAll, pos: call.Pos()})
-		case "Unlock", "UnlockAll", "Complete":
-			*ops = append(*ops, op{kind: opCompleteAll, pos: call.Pos()})
-			*ops = append(*ops, op{kind: opUnlock, pos: call.Pos(), obj: recv})
-		case "Fence":
-			// Fence both completes the previous epoch and opens the
-			// next one.
-			*ops = append(*ops, op{kind: opCompleteAll, pos: call.Pos()})
-			*ops = append(*ops, op{kind: opLock, pos: call.Pos(), obj: recv})
-		case "Lock", "LockWithType", "LockAll", "Start", "Post":
-			*ops = append(*ops, op{kind: opLock, pos: call.Pos(), obj: recv})
+	recv := typeutil.ObjectOf(info, sel.X)
+	name := sel.Sel.Name
+	switch name {
+	case "GetBatch":
+		// Every buffer staged in a GetOp literal up to here becomes
+		// pending; pos is the call's end so Dst identifiers in an
+		// inline ops literal stage before the issue.
+		if !escapes {
+			*ops = append(*ops, op{kind: opBatchIssue, pos: call.End(), name: "rma.BatchWindow.GetBatch"})
 		}
-	case typeutil.IsNamed(tv.Type, RMAPath, "Request"):
-		if sel.Sel.Name == "Wait" {
-			if o := typeutil.ObjectOf(info, sel.X); o != nil {
-				*ops = append(*ops, op{kind: opCompleteReq, pos: call.Pos(), obj: o})
+		*ops = append(*ops, op{kind: opData, pos: call.Pos(), obj: recv, name: name})
+	case "Get":
+		var dst types.Object
+		if len(call.Args) > 0 {
+			if id, ok := call.Args[0].(*ast.Ident); ok {
+				dst = info.Uses[id]
 			}
 		}
+		// pos is the call's end so the dst identifier inside the
+		// argument list is ordered before the issue, not flagged.
+		if !escapes {
+			*ops = append(*ops, op{kind: opIssue, pos: call.End(), obj: dst, name: "rma.Window." + name})
+		}
+		*ops = append(*ops, op{kind: opData, pos: call.Pos(), obj: recv, name: name})
+	case "Put", "Accumulate", "PutNotify":
+		*ops = append(*ops, op{kind: opData, pos: call.Pos(), obj: recv, name: name})
+	case "Flush", "FlushAll":
+		*ops = append(*ops, op{kind: opCompleteAll, pos: call.Pos()})
+	case "Unlock", "UnlockAll":
+		*ops = append(*ops, op{kind: opCompleteAll, pos: call.Pos()})
+		*ops = append(*ops, op{kind: opUnlock, pos: call.Pos(), obj: recv})
+	case "Fence":
+		// Fence both completes the previous epoch and opens the
+		// next one.
+		*ops = append(*ops, op{kind: opCompleteAll, pos: call.Pos()})
+		*ops = append(*ops, op{kind: opLock, pos: call.Pos(), obj: recv})
+	case "Lock", "LockWithType", "LockAll":
+		*ops = append(*ops, op{kind: opLock, pos: call.Pos(), obj: recv})
 	}
 }
 
@@ -369,13 +335,6 @@ func getOpDstIdent(lit *ast.CompositeLit) *ast.Ident {
 		}
 	}
 	return nil
-}
-
-func objOf(info *types.Info, id *ast.Ident) types.Object {
-	if o := info.Defs[id]; o != nil {
-		return o
-	}
-	return info.Uses[id]
 }
 
 func isSliceVar(o types.Object) bool {

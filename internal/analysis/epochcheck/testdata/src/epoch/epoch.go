@@ -40,23 +40,6 @@ func lenIsNotARead(w rma.Window) int {
 	return n
 }
 
-// rgetReadBeforeWait reads the Rget destination before Request.Wait.
-func rgetReadBeforeWait(w rma.Window) byte {
-	dst := make([]byte, 64)
-	req, _ := w.Rget(dst, datatype.Byte, 64, 1, 0)
-	b := dst[0] // want `buffer "dst" is read before the rma.Window.Rget completes`
-	_ = req.Wait()
-	return b
-}
-
-// rgetReadAfterWait is the sanctioned request-based pattern.
-func rgetReadAfterWait(w rma.Window) byte {
-	dst := make([]byte, 64)
-	req, _ := w.Rget(dst, datatype.Byte, 64, 1, 0)
-	_ = req.Wait()
-	return dst[0]
-}
-
 // passedToCall leaks the undefined buffer into another function.
 func passedToCall(w rma.Window) {
 	dst := make([]byte, 64)

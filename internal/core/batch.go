@@ -67,7 +67,7 @@ func (c *Cache) GetBatch(ops []rma.GetOp) error {
 	for i := range ops {
 		op := &ops[i]
 		size := len(op.Dst)
-		r, err := c.openGet(datatype.Byte, size, op.Target, op.Disp, size)
+		r, err := c.openGet(op.Target, op.Disp, size)
 		if err != nil {
 			return err
 		}
@@ -75,7 +75,7 @@ func (c *Cache) GetBatch(ops []rma.GetOp) error {
 		case r != nil && size <= int(r.hit):
 			c.fullHit(r, op.Dst, op.Target)
 		case r != nil:
-			err = c.serveHit(r, op.Dst, datatype.Byte, size, op.Target, op.Disp, size)
+			err = c.serveHit(r, op.Dst, op.Target, op.Disp, size)
 		case size == 0:
 			// Empty transfer: scalar miss path.
 			key := cuckoo.Key{Target: op.Target, Disp: op.Disp}

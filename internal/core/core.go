@@ -123,7 +123,7 @@ type Params struct {
 	// of remote gets (breaker.go). Implies retrying: when Retry is nil,
 	// rma.DefaultRetryPolicy applies.
 	Breaker *BreakerPolicy
-	// VerifyFills checks every dense fill payload against the backend's
+	// VerifyFills checks every fill payload against the backend's
 	// integrity attestation (rma.IntegrityWindow) and stamps cached
 	// entries with their payload checksum; corrupted fills are refetched
 	// instead of served or cached. Ignored (with verification skipped)
@@ -159,11 +159,11 @@ type Params struct {
 	// (notify.DefaultCapacity when zero); overflow costs a conservative
 	// full invalidation at the next drain.
 	NotifyQueueCap int
-	// WriteBack buffers dense Put/PutNotify spans locally and flushes
+	// WriteBack buffers Put/PutNotify spans locally and flushes
 	// coalesced runs at epoch closure (or once DefaultWriteBackMaxSpans
 	// spans are staged) instead of writing through per call. Legal under
 	// the §II epoch contract: remote visibility of a put is only promised
-	// at the next closure. Strided writes always write through.
+	// at the next closure.
 	WriteBack bool
 }
 
@@ -460,7 +460,7 @@ func (c *Cache) Get(dst []byte, dtype datatype.Datatype, count int, target, disp
 	if len(dst) < size {
 		return rma.ErrShortBuf
 	}
-	r, err := c.openGet(dtype, count, target, disp, size)
+	r, err := c.openGet(target, disp, size)
 	if err != nil {
 		return err
 	}
@@ -470,7 +470,7 @@ func (c *Cache) Get(dst []byte, dtype datatype.Datatype, count int, target, disp
 	case size <= int(r.hit):
 		c.fullHit(r, dst[:size], target)
 	default:
-		err = c.serveHit(r, dst, dtype, count, target, disp, size)
+		err = c.serveHit(r, dst, target, disp, size)
 	}
 	c.emitAccess(target, disp, size, err)
 	return err
@@ -483,9 +483,9 @@ func (c *Cache) Get(dst []byte, dtype datatype.Datatype, count int, target, disp
 // staged dirty span flushes the write-back buffer (read-your-writes), and
 // pending write notifications are drained (access-time coherence,
 // DESIGN.md §16).
-func (c *Cache) openGet(dtype datatype.Datatype, count, target, disp, size int) (*ref, error) {
+func (c *Cache) openGet(target, disp, size int) (*ref, error) {
 	if len(c.dirty) > 0 {
-		if err := c.flushOverlap(target, disp, datatype.Span(dtype, count)); err != nil {
+		if err := c.flushOverlap(target, disp, size); err != nil {
 			return nil, err
 		}
 	}
@@ -568,7 +568,7 @@ func (c *Cache) observeAccess(target, disp, size int) {
 // the entry extended) and PENDING entries (the copy waits for the epoch
 // closure). Full hits on CACHED entries never get here; see fullHit. r is
 // the entry's slot record; it is not read after the first remote get.
-func (c *Cache) serveHit(r *ref, dst []byte, dtype datatype.Datatype, count, target, disp, size int) error {
+func (c *Cache) serveHit(r *ref, dst []byte, target, disp, size int) error {
 	r.last = c.getSeq
 	e := r.e
 	c.stats.Hits++
@@ -583,26 +583,12 @@ func (c *Cache) serveHit(r *ref, dst []byte, dtype datatype.Datatype, count, tar
 		c.last.Partial = true
 	}
 
-	// The suffix optimization below addresses the target region as a
-	// contiguous byte range; for strided datatypes the whole transfer
-	// is refetched instead (the cached prefix of a differently-shaped
-	// layout could not be trusted anyway).
-	contig := full || datatype.Contig(dtype, count)
 	served := min(size, e.payload)
 
 	if e.state == statePending {
 		// Same-epoch repeat: the data is already on the wire; defer
 		// the copy to epoch closure (§III-B1).
 		c.stats.PendingHits++
-		if !contig {
-			// Strided partial pending hit: refetch everything.
-			if err := c.netGet(dst, dtype, count, target, disp); err != nil {
-				return err
-			}
-			c.last.Issued = true
-			c.stats.BytesFromNetwork += int64(size)
-			return nil
-		}
 		e.waiters = append(e.waiters, waiter{dst: dst[:served], size: served})
 		c.stats.BytesFromCache += int64(served)
 		if full {
@@ -627,26 +613,18 @@ func (c *Cache) serveHit(r *ref, dst []byte, dtype datatype.Datatype, count, tar
 	c.last.Copy = copyT
 	c.stats.CopyTime += copyT
 	c.stats.BytesFromCache += int64(served)
-	from := served
-	if contig {
-		if err := c.netGet(dst[served:size], datatype.Byte, size-served, target, disp+served); err != nil {
-			return err
-		}
-	} else {
-		if err := c.netGet(dst, dtype, count, target, disp); err != nil {
-			return err
-		}
-		from = 0
+	if err := c.netGet(dst[served:size], datatype.Byte, size-served, target, disp+served); err != nil {
+		return err
 	}
 	c.last.Issued = true
-	c.stats.BytesFromNetwork += int64(size - from)
+	c.stats.BytesFromNetwork += int64(size - served)
 	grown := c.store.Grow(e.region, size-e.region.Size())
 	mgmtT := c.charge(CostAlloc)
 	c.last.Mgmt = mgmtT
 	c.stats.MgmtTime += mgmtT
 	if grown {
-		e.extSrc = dst[from:size]
-		e.extFrom = from
+		e.extSrc = dst[served:size]
+		e.extFrom = served
 		e.extTo = size
 		c.pending = append(c.pending, e)
 	}

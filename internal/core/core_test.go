@@ -2,11 +2,13 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"clampi/internal/datatype"
 	"clampi/internal/mpi"
+	"clampi/internal/rma"
 )
 
 // pattern is the deterministic content of the target's window region.
@@ -440,43 +442,69 @@ func TestShortBuffer(t *testing.T) {
 	})
 }
 
-func TestStridedDatatypeRoundTrip(t *testing.T) {
-	withCache(t, 4096, alwaysParams(), func(c *Cache, win *mpi.Win, r *mpi.Rank) error {
-		vt := datatype.Vector(4, 8, 16, datatype.Byte) // 32 payload bytes
-		dst := make([]byte, vt.Size())
-		if err := c.Get(dst, vt, 1, 1, 64); err != nil {
+// TestElementTypeMix reads the 32 bytes at disp 64 as 4 Int64, 8 Int32
+// and 32 Byte elements. Whichever type fills the entry, the other reads
+// are full hits that return the region's bytes, through Get in every
+// order and through GetBatch: a transfer is its bytes, whatever its
+// element type.
+func TestElementTypeMix(t *testing.T) {
+	types := []struct {
+		dtype datatype.Datatype
+		count int
+	}{{datatype.Int64, 4}, {datatype.Int32, 8}, {datatype.Byte, 32}}
+	// read issues one 32-byte access at disp 64 and checks its bytes and,
+	// unless it fills, that it was served from the cache alone.
+	read := func(t *testing.T, c *Cache, win *mpi.Win, fills bool, issue func(dst []byte) error) error {
+		dst := make([]byte, 32)
+		before := c.Stats()
+		if err := issue(dst); err != nil {
 			return err
 		}
 		if err := win.FlushAll(); err != nil {
 			return err
 		}
-		// Packed payload: blocks at 64+0, 64+16, 64+32, 64+48.
-		k := 0
-		for b := 0; b < 4; b++ {
-			for i := 0; i < 8; i++ {
-				if want := pattern(64 + b*16 + i); dst[k] != want {
-					t.Errorf("packed byte %d: got %d want %d", k, dst[k], want)
-					return nil
+		checkData(t, dst, 64)
+		if d := c.Stats().Sub(before); !fills && (d.FullHits != d.Gets || d.BytesFromNetwork != 0) {
+			t.Errorf("not a full hit: %+v", d)
+		}
+		return nil
+	}
+	for _, order := range [][3]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}} {
+		name := fmt.Sprintf("Get/%v,%v,%v", types[order[0]].dtype, types[order[1]].dtype, types[order[2]].dtype)
+		t.Run(name, func(t *testing.T) {
+			withCache(t, 4096, alwaysParams(), func(c *Cache, win *mpi.Win, r *mpi.Rank) error {
+				for i, k := range order {
+					tc := types[k]
+					if err := read(t, c, win, i == 0, func(dst []byte) error {
+						return c.Get(dst, tc.dtype, tc.count, 1, 64)
+					}); err != nil {
+						return err
+					}
 				}
-				k++
-			}
-		}
-		// Cached: repeat is a hit with identical payload.
-		dst2 := make([]byte, vt.Size())
-		if err := c.Get(dst2, vt, 1, 1, 64); err != nil {
-			return err
-		}
-		if a := c.LastAccess(); a.Type != AccessHit || a.Issued {
-			t.Errorf("strided repeat = %+v", a)
-		}
-		for i := range dst {
-			if dst2[i] != dst[i] {
-				t.Errorf("cached strided payload differs at %d", i)
 				return nil
-			}
-		}
-		return win.FlushAll()
-	})
+			})
+		})
+	}
+	for _, tc := range types {
+		t.Run("GetBatch/filled by "+tc.dtype.String(), func(t *testing.T) {
+			withCache(t, 4096, alwaysParams(), func(c *Cache, win *mpi.Win, r *mpi.Rank) error {
+				// The cached filler makes the batch two ops, so it takes
+				// the batch path rather than the single-op Get.
+				filler := rma.GetOp{Dst: make([]byte, 64), Target: 1, Disp: 1024}
+				if err := c.Get(filler.Dst, datatype.Byte, 64, 1, 1024); err != nil {
+					return err
+				}
+				if err := read(t, c, win, true, func(dst []byte) error {
+					return c.Get(dst, tc.dtype, tc.count, 1, 64)
+				}); err != nil {
+					return err
+				}
+				return read(t, c, win, false, func(dst []byte) error {
+					return c.GetBatch([]rma.GetOp{{Dst: dst, Target: 1, Disp: 64}, filler})
+				})
+			})
+		})
+	}
 }
 
 func TestAdaptiveGrowsIndexUnderConflicts(t *testing.T) {

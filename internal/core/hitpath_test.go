@@ -263,15 +263,13 @@ type hitCase struct {
 	write   func(win *mpi.Win) error // rank 1's notified write, before arrange
 	arrange func(c *Cache) error
 	op      rma.GetOp
-	dtype   datatype.Datatype // non-nil: op reads one dtype, issued through Get only
 	want    Stats
 	wantDst func(n int) []byte // nil: the target's pattern
 }
 
-var hitVector = datatype.Vector(4, 8, 16, datatype.Byte) // 32 B out of a 56 B span
-
 func hitCases() []hitCase {
 	const look, copy64 = CostLookup, simtime.Duration(22) // copyCost(64)
+	const copy32 = simtime.Duration(21)                   // copyCost(32)
 	buf := make([]byte, 256)
 	twoFull := Stats{Gets: 2, Hits: 2, FullHits: 2, BytesFromCache: 128, LookupTime: 2 * look, CopyTime: 2 * copy64}
 	with := func(s Stats, f func(*Stats)) Stats { f(&s); return s }
@@ -315,25 +313,17 @@ func hitCases() []hitCase {
 		}),
 		wantDst: func(n int) []byte { return fill(n, 0xCD) },
 	}, {
-		name: "strided datatype",
+		// The entry is filled by 4 Int64 elements and read as 32 Byte
+		// ones: a transfer is its dense bytes, whatever its element type.
+		name: "element-type mix",
 		arrange: func(c *Cache) error {
-			if err := c.Get(make([]byte, 32), hitVector, 1, 1, 2048); err != nil {
+			if err := c.Get(make([]byte, 32), datatype.Int64, 4, 1, 2048); err != nil {
 				return err
 			}
 			return c.Win().FlushAll()
 		},
-		op:    rma.GetOp{Dst: buf[:32], Target: 1, Disp: 2048},
-		dtype: hitVector,
-		want:  with(twoFull, func(s *Stats) { s.BytesFromCache, s.CopyTime = 96, copy64+21 }),
-		wantDst: func(int) []byte {
-			var out []byte
-			for b := 0; b < 4; b++ {
-				for i := 0; i < 8; i++ {
-					out = append(out, pattern(2048+16*b+i))
-				}
-			}
-			return out
-		},
+		op:   rma.GetOp{Dst: buf[:32], Target: 1, Disp: 2048},
+		want: with(twoFull, func(s *Stats) { s.BytesFromCache, s.CopyTime = 96, copy64+copy32 }),
 	}, {
 		name: "zero-length op",
 		arrange: func(c *Cache) error {
@@ -349,16 +339,11 @@ func hitCases() []hitCase {
 
 // TestHitPathConditions pins, for each such condition, the classification
 // and charges the get has had since before full hits got a routine of
-// their own, identically through Get and through GetBatch (a strided get
-// has no batch form).
+// their own, identically through Get and through GetBatch.
 func TestHitPathConditions(t *testing.T) {
 	for _, hc := range hitCases() {
 		var elapsed [2]simtime.Duration // through Get, through GetBatch
-		names := []string{hc.name + "/Get", hc.name + "/GetBatch"}
-		if hc.dtype != nil {
-			names = names[:1]
-		}
-		for i, name := range names {
+		for i, name := range []string{hc.name + "/Get", hc.name + "/GetBatch"} {
 			batched := i == 1
 			t.Run(name, func(t *testing.T) {
 				p := alwaysParams()
@@ -388,11 +373,7 @@ func TestHitPathConditions(t *testing.T) {
 							return err
 						}
 					} else {
-						dtype, count := datatype.Byte, len(hc.op.Dst)
-						if hc.dtype != nil {
-							dtype, count = hc.dtype, 1
-						}
-						if err := c.Get(hc.op.Dst, dtype, count, hc.op.Target, hc.op.Disp); err != nil {
+						if err := c.Get(hc.op.Dst, datatype.Byte, len(hc.op.Dst), hc.op.Target, hc.op.Disp); err != nil {
 							return err
 						}
 						if err := c.Get(filler.Dst, datatype.Byte, len(filler.Dst), filler.Target, filler.Disp); err != nil {
@@ -436,7 +417,7 @@ func TestHitPathConditions(t *testing.T) {
 				withNotifyWorld(t, 4096, p, reader, writer)
 			})
 		}
-		if len(names) == 2 && elapsed[0] != elapsed[1] {
+		if elapsed[0] != elapsed[1] {
 			t.Errorf("%s: clock advanced %d through Get, %d through GetBatch", hc.name, elapsed[0], elapsed[1])
 		}
 	}

@@ -29,7 +29,7 @@ package core
 //   - a duplicate or reordered redelivery → the span is invalidated but
 //     never patched (its carried bytes may predate a newer write).
 //
-// Params.WriteBack stages dense writes in a dirty buffer that flushes as
+// Params.WriteBack stages writes in a dirty buffer that flushes as
 // coalesced runs at epoch closure or under pressure, cutting per-call
 // network trips the way GetBatch coalesces misses.
 
@@ -102,18 +102,13 @@ func (c *Cache) write(src []byte, dtype datatype.Datatype, count, target, disp i
 	if len(src) < size {
 		return rma.ErrShortBuf
 	}
-	if contig := size > 0 && datatype.Contig(dtype, count); contig {
+	if size > 0 {
 		if patched, _ := c.cohere(target, disp, size, src[:size]); patched > 0 {
 			c.stats.WriteHits++
 		}
 		if c.params.WriteBack {
 			return c.stageDirty(target, disp, src[:size], tag, notified)
 		}
-	} else {
-		// Invalidate the full extent touched by the (possibly strided)
-		// write: the span is conservative for sparse datatypes. Strided
-		// writes never stage — flattening them buys nothing.
-		c.cohere(target, disp, datatype.Span(dtype, count), nil)
 	}
 	if notified {
 		return c.nw.PutNotify(src, dtype, count, target, disp, tag)
@@ -187,7 +182,7 @@ func (c *Cache) applyNotification(nf *notify.Notification, fellBack *bool) {
 	}
 }
 
-// stageDirty admits one dense write into the write-back buffer. A write
+// stageDirty admits one write into the write-back buffer. A write
 // overlapping an already-staged span forces a flush first: the
 // sort-and-merge flush below would otherwise reorder same-span writes.
 func (c *Cache) stageDirty(target, disp int, src []byte, tag uint32, notified bool) error {

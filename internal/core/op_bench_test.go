@@ -459,17 +459,19 @@ func BenchmarkOpPutNotifyUncovered(b *testing.B) {
 // capacity pressure: every get misses, evicts one entry and inserts a
 // pending one (pools keep it at <= 2 allocs/op).
 //
-// vns/op is the virtual time of the gets run, whole epochs of 64, divided
-// by their count. It repeats for one b.N but not across b.N, so it is not
-// in the perfgate's vnsCeiling: each epoch's victim scans follow the
-// seeded sampler and cost 1.3–2.6 k vns per get from one epoch to the
-// next, so the mean moves with how many epochs run (1565 at -benchtime
-// 640x, 1622 at 6400x, 1636 at 64000x, 1636–1638 from 256000x on).
+// vns/op is the virtual time of the measured gets, whole epochs of 64,
+// divided by their count. Only the first two epochs fill the storage; from
+// the third on, each epoch's victim scans follow the seeded sampler and
+// cost 1.3–2.6 k vns per get, so a mean over 10 epochs (-benchtime 640x)
+// strays from the long-run mean by 3 % (one standard deviation) however
+// long the warm-up. The figure therefore averages at least
+// minVNSEpochs epochs: the epochs past b.N run with the timer stopped, and
+// vns/op reads 1636 from 640x to 256000x and beyond.
 func BenchmarkOpMissEvict(b *testing.B) {
+	const perEpoch, minVNSEpochs = 64, 1024
 	p := alwaysParams()
 	p.StorageBytes = 8 << 10
 	benchCache(b, p, func(c *Cache, win *mpi.Win, clock *simtime.Clock) {
-		const perEpoch = 64
 		dst := make([]byte, 64)
 		round := 0
 		epoch := func() bool {
@@ -502,6 +504,11 @@ func BenchmarkOpMissEvict(b *testing.B) {
 			}
 		}
 		b.StopTimer()
+		for ; calls < minVNSEpochs*perEpoch; calls += perEpoch {
+			if !epoch() {
+				return
+			}
+		}
 		b.ReportMetric(float64(clock.Now()-v0)/float64(calls), "vns/op")
 	})
 }

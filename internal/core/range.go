@@ -158,7 +158,7 @@ func (c *Cache) InvalidateRange(target, disp, size int) int {
 // origin's own cache coherent with its writes (cohere): cached entries
 // inside the written span are patched in place, anything else overlapping
 // it is invalidated. Write-through by default; Params.WriteBack stages
-// dense spans for a coalesced flush at epoch closure.
+// spans for a coalesced flush at epoch closure.
 func (c *Cache) Put(src []byte, dtype datatype.Datatype, count, target, disp int) error {
 	return c.write(src, dtype, count, target, disp, 0, false)
 }

@@ -136,29 +136,6 @@ func TestPutInvalidatesOverlap(t *testing.T) {
 	}
 }
 
-func TestPutWithStridedDatatypeInvalidatesSpan(t *testing.T) {
-	withCache(t, 4096, alwaysParams(), func(c *Cache, win *mpi.Win, r *mpi.Rank) error {
-		dst := make([]byte, 64)
-		if err := c.Get(dst, datatype.Byte, 64, 1, 96); err != nil {
-			return err
-		}
-		if err := win.FlushAll(); err != nil {
-			return err
-		}
-		// Strided put whose extent [0, 128) covers the cached [96, 160)
-		// prefix even though its last block ends before 96.
-		vt := datatype.Vector(2, 16, 64, datatype.Byte) // blocks at 0 and 64, extent 80... spans into the entry once count considered
-		src := make([]byte, vt.Size()*2)
-		if err := c.Put(src, vt, 2, 1, 0); err != nil {
-			return err
-		}
-		if c.CachedEntries() != 0 {
-			t.Errorf("strided put left %d entries (span not invalidated)", c.CachedEntries())
-		}
-		return win.FlushAll()
-	})
-}
-
 // span is a byte range [disp, disp+size) of target 1.
 type span struct{ disp, size int }
 

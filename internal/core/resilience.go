@@ -9,7 +9,7 @@ package core
 //     in virtual time (Params.Retry);
 //   - a per-target circuit breaker that fails fast while a target is
 //     down and probes it half-open after a cooldown (Params.Breaker);
-//   - checksum verification of dense fills against the backend's
+//   - checksum verification of fills against the backend's
 //     integrity attestation, so silently corrupted payloads are rejected
 //     (and refetched) instead of being delivered or cached
 //     (Params.VerifyFills).
@@ -117,9 +117,7 @@ func (c *Cache) tryGet(dst []byte, dtype datatype.Datatype, count, target, disp 
 	}
 	err := c.win.Get(dst, dtype, count, target, disp)
 	if err == nil && c.verify && c.iw != nil {
-		if size := datatype.TransferSize(dtype, count); size > 0 && dtype.Size() == dtype.Extent() {
-			// Dense transfers only: a strided payload is not one
-			// contiguous target range, so no single attestation covers it.
+		if size := datatype.TransferSize(dtype, count); size > 0 {
 			err = c.verifyFill(dst[:size], target, disp, size) //clampi:epoch simulated transport fills dst at issue time; verification is the completion event (see verifyFill)
 		}
 	}

@@ -91,7 +91,7 @@ type Stats struct {
 	Notifications       int64 // notification descriptors drained
 	NotifyInvalidations int64 // descriptors applied to their span that patched nothing
 	NotifyPatches       int64 // descriptors that patched at least one cached entry
-	WriteHits           int64 // dense writes that patched at least one cached entry
+	WriteHits           int64 // writes that patched at least one cached entry
 	WriteBacks          int64 // dirty spans staged by write-back
 	DirtyFlushes        int64 // coalesced dirty runs flushed to the network
 

@@ -1,10 +1,10 @@
 // Package fault is a deterministic, seed-driven fault injector for RMA
 // transports, implemented as an rma.Window middleware (DESIGN.md §11).
 //
-// Wrap decorates any backend window; get-path operations (Get, GetBatch,
-// Rget) pass through an injection decision that can drop the operation,
-// time it out, corrupt or truncate its payload, add a latency spike, or
-// honour a scripted per-target outage window. Everything else — puts,
+// Wrap decorates any backend window; get-path operations (Get, GetBatch)
+// pass through an injection decision that can drop the operation, time
+// it out, corrupt or truncate its payload, add a latency spike, or honour
+// a scripted per-target outage window. Everything else — puts,
 // synchronization, epochs, window management — delegates untouched, so
 // the decorated window composes with the caching layer, both backends,
 // and any layer that only speaks the rma interfaces.
@@ -348,59 +348,6 @@ func (w *Window) GetBatch(ops []rma.GetOp) error {
 	return nil
 }
 
-// failedRequest is the request handle of an injected Rget failure: the
-// error surfaces at Wait (completion time), as it would on a real
-// network. An injected timeout additionally burns the scenario's timeout
-// at the Wait.
-type failedRequest struct {
-	clock *simtime.Clock
-	delay simtime.Duration
-	err   error
-	done  bool
-}
-
-// Wait implements rma.Request.
-func (r *failedRequest) Wait() error {
-	if r.done {
-		return rma.ErrDoneRequest
-	}
-	r.done = true
-	if r.delay > 0 {
-		r.clock.Advance(r.delay)
-	}
-	return r.err
-}
-
-// Test implements rma.Request: a failed op is complete by definition.
-func (r *failedRequest) Test() bool { return true }
-
-// Rget injects into the request-based read path. Drop, outage and
-// short-read faults return a request whose Wait reports the failure;
-// timeout faults additionally burn the timeout at the Wait. Corruption
-// and spikes behave as in Get.
-func (w *Window) Rget(dst []byte, dtype datatype.Datatype, count int, target, disp int) (rma.Request, error) {
-	size := datatype.TransferSize(dtype, count)
-	if size == 0 {
-		return w.inner.Rget(dst, dtype, count, target, disp)
-	}
-	switch w.decide(target) {
-	case KindDrop, KindOutage, KindShortRead:
-		return &failedRequest{clock: w.clock, err: rma.ErrTransient}, nil
-	case KindTimeout:
-		return &failedRequest{clock: w.clock, delay: w.sc.timeout(), err: rma.ErrTimeout}, nil
-	case KindSpike:
-		w.clock.Advance(w.sc.spike())
-		return w.inner.Rget(dst, dtype, count, target, disp)
-	case KindCorrupt:
-		req, err := w.inner.Rget(dst, dtype, count, target, disp)
-		if err == nil {
-			w.corrupt(dst[:size]) //clampi:epoch injector damages the payload the simulated transport materialized at issue time
-		}
-		return req, err
-	}
-	return w.inner.Rget(dst, dtype, count, target, disp)
-}
-
 // Checksum passes the attestation through un-faulted (rma.IntegrityWindow):
 // the integrity channel is the reliable control plane corruption
 // detection depends on.
@@ -437,11 +384,6 @@ func (w *Window) Put(src []byte, dtype datatype.Datatype, count int, target, dis
 	return w.inner.Put(src, dtype, count, target, disp)
 }
 
-// Rput implements rma.Window.
-func (w *Window) Rput(src []byte, dtype datatype.Datatype, count int, target, disp int) (rma.Request, error) {
-	return w.inner.Rput(src, dtype, count, target, disp)
-}
-
 // Accumulate implements rma.Window.
 func (w *Window) Accumulate(src []byte, dtype datatype.Datatype, count int, target, disp int, op rma.Op) error {
 	return w.inner.Accumulate(src, dtype, count, target, disp, op)
@@ -473,18 +415,6 @@ func (w *Window) FlushAll() error { return w.inner.FlushAll() }
 // Fence implements rma.Window.
 func (w *Window) Fence() error { return w.inner.Fence() }
 
-// Post implements rma.Window.
-func (w *Window) Post(origins []int) error { return w.inner.Post(origins) }
-
-// Start implements rma.Window.
-func (w *Window) Start(targets []int) error { return w.inner.Start(targets) }
-
-// Complete implements rma.Window.
-func (w *Window) Complete() error { return w.inner.Complete() }
-
-// Wait implements rma.Window.
-func (w *Window) Wait() error { return w.inner.Wait() }
-
 // Free implements rma.Window.
 func (w *Window) Free() error { return w.inner.Free() }
 
@@ -493,5 +423,4 @@ var (
 	_ rma.Window          = (*Window)(nil)
 	_ rma.BatchWindow     = (*Window)(nil)
 	_ rma.IntegrityWindow = (*Window)(nil)
-	_ rma.Request         = (*failedRequest)(nil)
 )

@@ -316,45 +316,6 @@ func TestGetBatchReportsFailingOp(t *testing.T) {
 	})
 }
 
-func TestRgetFailureSurfacesAtWait(t *testing.T) {
-	withInjector(t, 2, Scenario{DropRate: 1}, 1, func(w *Window, r *mpi.Rank) error {
-		dst := make([]byte, 64)
-		req, err := w.Rget(dst, datatype.Byte, len(dst), 1, 0)
-		if err != nil {
-			t.Fatalf("injected Rget failed at issue: %v (want failure at Wait)", err)
-		}
-		if !req.Test() {
-			t.Error("failed request not complete")
-		}
-		if err := req.Wait(); !errors.Is(err, rma.ErrTransient) {
-			t.Errorf("Wait = %v, want transient", err)
-		}
-		if err := req.Wait(); !errors.Is(err, rma.ErrDoneRequest) {
-			t.Errorf("second Wait = %v, want ErrDoneRequest", err)
-		}
-		return nil
-	})
-}
-
-func TestRgetTimeoutBurnsAtWait(t *testing.T) {
-	sc := Scenario{TimeoutRate: 1, Timeout: 6 * simtime.Microsecond}
-	withInjector(t, 2, sc, 1, func(w *Window, r *mpi.Rank) error {
-		dst := make([]byte, 64)
-		req, err := w.Rget(dst, datatype.Byte, len(dst), 1, 0)
-		if err != nil {
-			return err
-		}
-		t0 := r.Clock().Now()
-		if err := req.Wait(); !errors.Is(err, rma.ErrTimeout) {
-			t.Errorf("Wait = %v, want ErrTimeout", err)
-		}
-		if spent := r.Clock().Now() - t0; spent < sc.Timeout {
-			t.Errorf("Wait burned %v, want >= %v", spent, sc.Timeout)
-		}
-		return nil
-	})
-}
-
 func TestScenarioValidate(t *testing.T) {
 	bad := Scenario{DropRate: 0.6, TimeoutRate: 0.6}
 	if err := bad.Validate(); err == nil {

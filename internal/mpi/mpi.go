@@ -247,28 +247,6 @@ func (r *Rank) Allgather(v any) []any {
 	return make([]any, r.world.size) // every rank contributed nil
 }
 
-// AllgatherInt is a convenience wrapper for the common int payload.
-func (r *Rank) AllgatherInt(v int) []int {
-	raw := r.Allgather(v)
-	out := make([]int, len(raw))
-	for i, x := range raw {
-		out[i] = x.(int)
-	}
-	return out
-}
-
-// AllreduceMax returns the maximum of the per-rank contributions.
-func (r *Rank) AllreduceMax(v float64) float64 {
-	raw := r.Allgather(v)
-	m := v
-	for _, x := range raw {
-		if f := x.(float64); f > m {
-			m = f
-		}
-	}
-	return m
-}
-
 // AllreduceSum returns the sum of the per-rank contributions.
 func (r *Rank) AllreduceSum(v float64) float64 {
 	raw := r.Allgather(v)
@@ -299,7 +277,6 @@ type Info = rma.Info
 
 // pendingOp is one issued-but-not-completed RMA operation.
 type pendingOp struct {
-	seq        int64 // unique per window, for request-based completion
 	target     int
 	completion simtime.Duration
 }
@@ -309,9 +286,6 @@ type winShared struct {
 	id   int
 	mem  *rma.Memory // every rank's region and the stripes ordering access to it
 	info Info
-
-	pscwOnce  sync.Once
-	pscwState *pscwState
 
 	lockOnce sync.Once
 	locks    []*targetLock
@@ -354,9 +328,6 @@ type Win struct {
 	lockedTargets map[int]LockType
 	lockedAll     bool
 	fenceOpen     bool
-	started       []int            // PSCW: targets of the current Start epoch
-	exposed       []int            // PSCW: origins of the current Post exposure
-	opSeq         int64            // issued-operation counter (request ids)
 	lastInj       simtime.Duration // last network injection (LogGP gap pacing)
 	notifyQ       *notify.Queue    // this rank's subscription, nil until NotifyEnable
 	notifyStgN    *atomic.Int64    // this rank's staged-descriptor count, nil until NotifyEnable
@@ -375,7 +346,7 @@ func (r *Rank) WinCreate(region []byte, info Info) *Win {
 
 	gathered := r.collective(region, r.barrierCost())
 	// Rank 0 materializes the single shared window state and broadcasts
-	// it, so cross-rank synchronization state (PSCW handshakes) lives
+	// it, so cross-rank state (memory, locks, notification queues) lives
 	// in exactly one place.
 	var shared *winShared
 	if r.id == 0 {
@@ -479,13 +450,13 @@ func (w *Win) LockAll() error {
 
 // inEpoch reports whether RMA calls are currently legal.
 func (w *Win) inEpoch() bool {
-	return len(w.lockedTargets) > 0 || w.lockedAll || w.fenceOpen || len(w.started) > 0
+	return len(w.lockedTargets) > 0 || w.lockedAll || w.fenceOpen
 }
 
 // Get reads count elements of dtype from target's region at byte
-// displacement disp into dst (MPI_Get). The origin buffer dst receives the
-// packed payload (size = dtype.Size() * count); the target side is
-// interpreted with the full (possibly strided) datatype layout.
+// displacement disp into dst (MPI_Get): TransferSize(dtype, count) bytes
+// of one contiguous range. A zero-byte get succeeds at any displacement
+// and reads nothing, but is issued and charged like any other.
 //
 // The call is non-blocking in the MPI-3 sense: dst's contents may be
 // consumed only after the next Flush/Unlock on the window. The runtime
@@ -506,22 +477,11 @@ func (w *Win) Get(dst []byte, dtype datatype.Datatype, count int, target, disp i
 	if len(dst) < size {
 		return ErrShortBuf
 	}
-	mem := w.shared.mem
-	if size > 0 && dtype.Size() == dtype.Extent() {
-		// Dense datatype: the whole transfer is one contiguous block,
-		// so skip the flattening (and its allocation) on the path every
-		// byte-range get takes.
-		if err := mem.Check(target, disp, size); err != nil {
+	if size > 0 {
+		if err := w.shared.mem.Check(target, disp, size); err != nil {
 			return err
 		}
-		mem.Read(dst[:0], target, disp, size)
-	} else {
-		blocks := datatype.FlattenTransfer(dtype, count, disp)
-		off, n := datatype.BlockSpan(blocks)
-		if err := mem.Check(target, off, n); err != nil {
-			return err
-		}
-		mem.ReadBlocks(dst, target, blocks)
+		w.shared.mem.Read(dst[:0], target, disp, size)
 	}
 	w.enqueueOp(target, size)
 	return nil
@@ -567,9 +527,8 @@ func (w *Win) Checksum(target, disp, size int) (uint64, error) {
 	return w.shared.mem.Checksum(target, disp, size), nil
 }
 
-// Put writes count elements of dtype from src (packed) into target's
-// region at byte displacement disp (MPI_Put), with the target-side layout
-// given by dtype.
+// Put writes count elements of dtype from src into target's region at
+// byte displacement disp (MPI_Put). Zero-byte puts follow Get's rule.
 func (w *Win) Put(src []byte, dtype datatype.Datatype, count int, target, disp int) error {
 	if w.freed {
 		return ErrFreed
@@ -584,20 +543,11 @@ func (w *Win) Put(src []byte, dtype datatype.Datatype, count int, target, disp i
 	if len(src) < size {
 		return ErrShortBuf
 	}
-	mem := w.shared.mem
-	if size > 0 && dtype.Size() == dtype.Extent() {
-		// Dense datatype: single contiguous block (see Get).
-		if err := mem.Check(target, disp, size); err != nil {
+	if size > 0 {
+		if err := w.shared.mem.Check(target, disp, size); err != nil {
 			return err
 		}
-		mem.Write(src[:size], target, disp)
-	} else {
-		blocks := datatype.FlattenTransfer(dtype, count, disp)
-		off, n := datatype.BlockSpan(blocks)
-		if err := mem.Check(target, off, n); err != nil {
-			return err
-		}
-		mem.WriteBlocks(src, target, blocks)
+		w.shared.mem.Write(src[:size], target, disp)
 	}
 	w.enqueueOp(target, size)
 	return nil
@@ -618,9 +568,7 @@ func (w *Win) enqueueOp(target, size int) {
 		}
 	}
 	w.lastInj = inj
-	w.opSeq++
 	w.pending = append(w.pending, pendingOp{
-		seq:        w.opSeq,
 		target:     target,
 		completion: inj + model.GetLatency(size, dist) - model.IssueOverhead(dist),
 	})

@@ -186,23 +186,17 @@ func (w *Win) NotifyWait() error {
 
 // PutNotify writes like Put and then notifies every subscribed rank
 // except the origin (rma.NotifyWindow). The notification carries the
-// written bytes when the transfer is contiguous and at most
-// notify.DataMax long, enabling in-place patching at the readers;
-// larger or strided writes notify with Data == nil and readers fall
-// back to span invalidation.
+// written bytes when they are at most notify.DataMax long, enabling
+// in-place patching at the readers; larger writes notify with
+// Data == nil and readers fall back to span invalidation.
 func (w *Win) PutNotify(src []byte, dtype datatype.Datatype, count int, target, disp int, tag uint32) error {
 	if err := w.Put(src, dtype, count, target, disp); err != nil {
 		return err
 	}
 	size := datatype.TransferSize(dtype, count)
-	span, spanLen := disp, size
 	var data []byte
-	if dtype.Size() == dtype.Extent() {
-		if size > 0 && size <= notify.DataMax {
-			data = append([]byte(nil), src[:size]...)
-		}
-	} else {
-		span, spanLen = datatype.BlockSpan(datatype.FlattenTransfer(dtype, count, disp))
+	if size > 0 && size <= notify.DataMax {
+		data = append([]byte(nil), src[:size]...)
 	}
 	// The descriptor rides the injection pipeline: one extra issue
 	// overhead on the origin, no second network message.
@@ -210,8 +204,8 @@ func (w *Win) PutNotify(src []byte, dtype datatype.Datatype, count int, target, 
 	w.broadcastNotification(notify.Notification{
 		Origin: w.rank.id,
 		Target: target,
-		Disp:   span,
-		Len:    spanLen,
+		Disp:   disp,
+		Len:    size,
 		Tag:    tag,
 		Data:   data,
 	})

@@ -12,10 +12,10 @@ import (
 // exactly one, and it is the only code that touches region bytes.
 //
 // Each region is covered by up to dataStripes read-write locks over
-// power-of-two byte ranges. Readers (Read, ReadBlocks, Checksum) share a
-// stripe; writers (Write, WriteBlocks, Accumulate) take it exclusively,
-// so concurrent accumulates to one range stay element-wise atomic and a
-// read never sees a torn write. Every method takes the stripes of one
+// power-of-two byte ranges. Readers (Read, Checksum) share a stripe;
+// writers (Write, Accumulate) take it exclusively, so concurrent
+// accumulates to one range stay element-wise atomic and a read never sees
+// a torn write. Every method takes the stripes of one
 // range in ascending order and releases them before it returns: no
 // caller can hold a stripe, so the order is total and deadlock-free by
 // construction.
@@ -95,24 +95,6 @@ func (m *Memory) Write(src []byte, target, disp int) {
 	m.lock(target, disp, len(src), true)
 	copy(m.regions[target][disp:], src)
 	m.unlock(target, disp, len(src), true)
-}
-
-// ReadBlocks packs the blocks of target's region into dst, holding the
-// stripes of the blocks' whole span.
-func (m *Memory) ReadBlocks(dst []byte, target int, blocks []datatype.Block) {
-	off, size := datatype.BlockSpan(blocks)
-	m.lock(target, off, size, false)
-	datatype.CopyBlocks(dst, m.regions[target], blocks)
-	m.unlock(target, off, size, false)
-}
-
-// WriteBlocks scatters the packed src into the blocks of target's
-// region, holding the stripes of the blocks' whole span.
-func (m *Memory) WriteBlocks(src []byte, target int, blocks []datatype.Block) {
-	off, size := datatype.BlockSpan(blocks)
-	m.lock(target, off, size, true)
-	datatype.ScatterBlocks(m.regions[target], src, blocks)
-	m.unlock(target, off, size, true)
 }
 
 // Accumulate combines src into target's region at disp under op (see

@@ -26,7 +26,7 @@ import (
 // rank's queue at any time); the queue absorbs that.
 type NotifyWindow interface {
 	Window
-	// PutNotify writes count elements of dtype from src (packed) into
+	// PutNotify writes count elements of dtype from src into
 	// target's region at byte displacement disp — exactly like Put —
 	// and enqueues a notification carrying tag at every subscribed
 	// rank of the window except the origin itself.

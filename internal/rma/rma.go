@@ -1,16 +1,21 @@
 // Package rma defines the transport abstraction CLaMPI is layered on: the
-// exact RMA contract the caching layer (internal/core), the getter shims
+// RMA contract the caching layer (internal/core), the getter shims
 // (internal/getter) and the applications depend on, with the concrete
 // transport behind it pluggable.
 //
 // The paper stacks CLaMPI on foMPI, but §III notes the design only needs
-// three things from the layer below: (a) one-sided Get/Put data movement,
+// three things from the layer below: (a) one-sided Get data movement,
 // (b) the epoch-closure event of the MPI-3 synchronization calls, and
-// (c) window creation with info hints (see DESIGN.md §1). Window captures
-// exactly that surface — nothing in the caching layer may reach past it.
-// internal/mpi provides the first implementation (the simulated MPI-3
-// runtime); additional backends (shared-memory segments, TCP endpoints)
-// are pure additions behind these interfaces.
+// (c) window creation with info hints (see DESIGN.md §1). Window is that
+// surface plus what the applications call: dense Get and Put of element
+// types (internal/datatype), lock-all, fence and flush epochs, and Free.
+// Per-target Lock/Unlock/Flush and Accumulate stay for callers outside
+// the caching layer. The rest of MPI-3 RMA (derived datatypes, PSCW
+// epochs, request-based operations) is foMPI's job and is not carried.
+// Optional extensions (BatchWindow, NotifyWindow, LocalityWindow,
+// IntegrityWindow, DeadlineWindow) are probed by type assertion.
+// internal/mpi (the simulated MPI-3 runtime) and internal/wire (a socket
+// client of clampi-serve) implement it; internal/fault decorates either.
 package rma
 
 import (
@@ -50,11 +55,6 @@ var (
 	ErrBounds = fmt.Errorf("%w: outside window bounds", ErrOutOfRange)
 	// ErrShortBuf reports an origin buffer too small for the transfer.
 	ErrShortBuf = errors.New("rma: origin buffer too small for transfer")
-	// ErrDoneRequest reports a Wait on an already-completed request.
-	ErrDoneRequest = errors.New("rma: request already completed")
-	// ErrNoRequest reports a request-based operation that left no
-	// pending operation to attach a request to.
-	ErrNoRequest = errors.New("rma: no pending operation for request")
 	// ErrLockType reports a lock type other than LockShared and
 	// LockExclusive.
 	ErrLockType = errors.New("rma: lock type is neither shared nor exclusive")
@@ -124,20 +124,10 @@ const (
 // to trigger deferred copy-in and transparent-mode invalidation.
 //
 // The contract every backend must honour: the listener runs on the
-// origin's goroutine, inside the completion call (Flush/Unlock/Fence/
-// Complete), after the clock has advanced past all pending completions
-// and before the epoch counter increments.
+// origin's goroutine, inside the completion call (Flush/Unlock/Fence),
+// after the clock has advanced past all pending completions and before
+// the epoch counter increments.
 type EpochListener func(epoch int64)
-
-// Request is the handle of one request-based operation (Rget/Rput).
-type Request interface {
-	// Wait blocks (in virtual time) until the operation completes.
-	// Waiting twice returns ErrDoneRequest.
-	Wait() error
-	// Test reports whether the operation has completed by the origin's
-	// current virtual time, never advancing the clock.
-	Test() bool
-}
 
 // Endpoint is a rank's attachment to the transport: its identity in the
 // world and the virtual clock its operations are accounted on. Backends
@@ -153,11 +143,14 @@ type Endpoint interface {
 }
 
 // Window is one rank's handle on an RMA window: per-rank exposed byte
-// regions, one-sided data movement, and the epoch structure CLaMPI keys
-// on. All methods must be called from the owning rank's goroutine
-// (origin-side state is private per MPI semantics); the backend is
-// responsible for making cross-rank data movement safe under whatever
-// execution model it runs.
+// regions, dense one-sided data movement, and the epoch structure CLaMPI
+// keys on. Every transfer moves TransferSize(dtype, count) bytes between
+// the origin buffer and one contiguous range of the target's region. A
+// zero-byte transfer (count <= 0) to a target in range succeeds at any
+// displacement and moves nothing. All methods must be called from the
+// owning rank's goroutine (origin-side state is private per MPI
+// semantics); the backend is responsible for making cross-rank data
+// movement safe under whatever execution model it runs.
 type Window interface {
 	// Endpoint returns the owning rank's transport endpoint.
 	Endpoint() Endpoint
@@ -175,18 +168,14 @@ type Window interface {
 	AddEpochListener(f EpochListener)
 
 	// Get reads count elements of dtype from target's region at byte
-	// displacement disp into dst (packed). dst may be consumed only
+	// displacement disp into dst. dst may be consumed only
 	// after the next completion call on the window — the weak-
 	// consistency contract of paper §III, enforced at compile time by
 	// internal/analysis/epochcheck.
 	Get(dst []byte, dtype datatype.Datatype, count int, target, disp int) error
-	// Put writes count elements of dtype from src (packed) into
-	// target's region at byte displacement disp.
+	// Put writes count elements of dtype from src into target's region
+	// at byte displacement disp.
 	Put(src []byte, dtype datatype.Datatype, count int, target, disp int) error
-	// Rget is Get returning a completable request.
-	Rget(dst []byte, dtype datatype.Datatype, count int, target, disp int) (Request, error)
-	// Rput is Put returning a completable request.
-	Rput(src []byte, dtype datatype.Datatype, count int, target, disp int) (Request, error)
 	// Accumulate combines src into target's region with op.
 	Accumulate(src []byte, dtype datatype.Datatype, count int, target, disp int, op Op) error
 
@@ -208,12 +197,6 @@ type Window interface {
 	FlushAll() error
 	// Fence is the active-target collective synchronization.
 	Fence() error
-	// Post/Start/Complete/Wait implement generalized active-target
-	// synchronization; Complete is an epoch-closure event.
-	Post(origins []int) error
-	Start(targets []int) error
-	Complete() error
-	Wait() error
 	// Free collectively releases the window.
 	Free() error
 }

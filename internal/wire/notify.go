@@ -137,9 +137,7 @@ func (w *Window) readPush() error {
 
 // PutNotify writes like Put and asks the server to push a notification
 // descriptor to every subscribed rank except this one
-// (rma.NotifyWindow). A strided datatype becomes one OpPutNotify per
-// flattened block — each block is a genuine write, so per-block
-// descriptors keep the spans exact.
+// (rma.NotifyWindow), in one round trip.
 func (w *Window) PutNotify(src []byte, dtype datatype.Datatype, count int, target, disp int, tag uint32) error {
 	return w.transfer(OpPutNotify, src, dtype, count, target, disp, tag)
 }

@@ -157,9 +157,9 @@ func TestNotifyWireOverflow(t *testing.T) {
 	}
 }
 
-// TestNotifyWireStrided checks a strided PutNotify notifies per flattened
-// block with exact spans.
-func TestNotifyWireStrided(t *testing.T) {
+// TestNotifyWireElementType checks a PutNotify of Int32 elements notifies
+// one span of their bytes, carrying them.
+func TestNotifyWireElementType(t *testing.T) {
 	s := testServer(t, ServeConfig{
 		Windows: []WindowSpec{{Name: "w", Regions: MakeRegions(2, 256)}},
 		World:   2,
@@ -177,13 +177,12 @@ func TestNotifyWireStrided(t *testing.T) {
 			errs[rank] = f(ws[rank])
 		}()
 	}
-	vec := datatype.Vector(3, 4, 16, datatype.Byte)
+	src := bytes.Repeat([]byte{0xAB}, datatype.TransferSize(datatype.Int32, 3))
 	run(0, func(w *Window) error {
 		if err := w.Fence(); err != nil {
 			return err
 		}
-		src := bytes.Repeat([]byte{0xAB}, datatype.TransferSize(vec, 1))
-		if err := w.PutNotify(src, vec, 1, 1, 32, 9); err != nil {
+		if err := w.PutNotify(src, datatype.Int32, 3, 1, 32, 9); err != nil {
 			return err
 		}
 		if err := w.Fence(); err != nil {
@@ -201,16 +200,13 @@ func TestNotifyWireStrided(t *testing.T) {
 		if err := w.Fence(); err != nil {
 			return err
 		}
-		blocks := datatype.FlattenTransfer(vec, 1, 32)
 		buf := make([]notify.Notification, 8)
 		n, ov := w.NotifyPoll(buf)
-		if ov || n != len(blocks) {
-			t.Fatalf("Poll = (%d, %v), want (%d, false)", n, ov, len(blocks))
+		if ov || n != 1 {
+			t.Fatalf("Poll = (%d, %v), want (1, false)", n, ov)
 		}
-		for i, b := range blocks {
-			if buf[i].Disp != b.Offset || buf[i].Len != b.Size || buf[i].Tag != 9 {
-				t.Errorf("block %d notification %+v, want disp %d len %d", i, buf[i], b.Offset, b.Size)
-			}
+		if nf := buf[0]; nf.Disp != 32 || nf.Len != len(src) || nf.Tag != 9 || !bytes.Equal(nf.Data, src) {
+			t.Errorf("notification %+v, want disp 32 len %d tag 9 carrying the bytes", nf, len(src))
 		}
 		return w.Fence()
 	})

@@ -137,15 +137,17 @@ func OpName(op byte) string {
 // tests work identically against the simulated and the wire backend
 // (DESIGN.md §13 error mapping table).
 const (
-	CodeInternal    uint16 = 0 // unclassified server failure
-	CodeRankRange   uint16 = 1 // target rank outside the window's world
-	CodeBounds      uint16 = 2 // access outside the target region
-	CodeUnsupported uint16 = 3 // operation the transport cannot carry
-	CodeBadAcc      uint16 = 4 // unsupported accumulate datatype/op
-	CodeProto       uint16 = 5 // malformed request frame or payload
-	CodeBadWindow   uint16 = 6 // unknown window name in Hello
-	CodeBadWorld    uint16 = 7 // inconsistent world/rank declaration
-	CodeShutdown    uint16 = 8 // server is draining; connection retired
+	CodeInternal  uint16 = 0 // unclassified server failure
+	CodeRankRange uint16 = 1 // target rank outside the window's world
+	CodeBounds    uint16 = 2 // access outside the target region
+	// 3 is unassigned (it named an operation the socket transport could
+	// not carry, a code no server sent). A client treats it like any
+	// unknown code.
+	CodeBadAcc    uint16 = 4 // unsupported accumulate datatype/op
+	CodeProto     uint16 = 5 // malformed request frame or payload
+	CodeBadWindow uint16 = 6 // unknown window name in Hello
+	CodeBadWorld  uint16 = 7 // inconsistent world/rank declaration
+	CodeShutdown  uint16 = 8 // server is draining; connection retired
 )
 
 // Protocol-level errors. ErrProto covers structurally malformed frames
@@ -163,9 +165,6 @@ var (
 	// negotiated maximum. Matches rma.ErrCorrupt: an insane length field
 	// is wire damage until proven otherwise.
 	ErrFrameTooBig = fmt.Errorf("%w: wire frame exceeds payload limit", rma.ErrCorrupt)
-	// ErrUnsupported reports an operation this transport cannot carry
-	// (e.g. PSCW synchronization over sockets).
-	ErrUnsupported = errors.New("wire: operation not supported by the socket transport")
 	// ErrShutdown reports an operation refused because the server is
 	// draining. Matches rma.ErrTransient: a redial may reach a healthy
 	// (restarted or failed-over) server.
@@ -668,8 +667,6 @@ func codeToError(code uint16, msg string) error {
 		return rewrap(rma.ErrRankRange, msg)
 	case CodeBounds:
 		return rewrap(rma.ErrBounds, msg)
-	case CodeUnsupported:
-		return rewrap(ErrUnsupported, msg)
 	case CodeBadAcc:
 		return rewrap(ErrBadAccumulate, msg)
 	case CodeProto:
@@ -704,8 +701,6 @@ func errorToCode(err error) uint16 {
 		return CodeBounds
 	case errors.Is(err, ErrBadAccumulate):
 		return CodeBadAcc
-	case errors.Is(err, ErrUnsupported):
-		return CodeUnsupported
 	case errors.Is(err, ErrBadWindow):
 		return CodeBadWindow
 	case errors.Is(err, ErrBadWorld):

@@ -232,7 +232,6 @@ func TestErrorCodeRoundTrip(t *testing.T) {
 	sentinels := []error{
 		rma.ErrRankRange,
 		rma.ErrBounds,
-		ErrUnsupported,
 		ErrBadAccumulate,
 		ErrProto,
 		ErrBadWindow,

@@ -273,12 +273,10 @@ func (w *Window) FillCost(target, size int) simtime.Duration {
 // OpPutNotify; tag is read by OpPutNotify only) exactly as internal/mpi
 // does — freed, epoch, rank range, short buffer, bounds, so the two
 // backends are indistinguishable to error-handling tests — and then
-// sends one op per contiguous range: once for a dense datatype, once per
-// flattened block of a strided one, each carrying that range's share of
-// the packed buffer. No range is sent unless every block is in bounds.
-// The op is dispatched by code rather than by a callback so that buf
-// stays visible to escape analysis and a caller's buffer is not forced
-// onto the heap.
+// sends the one range as one op. A zero-byte transfer sends nothing and
+// succeeds at any displacement, as on the simulated backend. The op is
+// dispatched by code rather than by a callback so that buf stays visible
+// to escape analysis and a caller's buffer is not forced onto the heap.
 func (w *Window) transfer(op byte, buf []byte, dtype datatype.Datatype, count int, target, disp int, tag uint32) error {
 	if w.freed {
 		return rma.ErrFreed
@@ -293,38 +291,13 @@ func (w *Window) transfer(op byte, buf []byte, dtype datatype.Datatype, count in
 	if len(buf) < size {
 		return rma.ErrShortBuf
 	}
-	if size > 0 && dtype.Size() == dtype.Extent() {
-		if !w.inRegion(target, disp, size) {
-			return rma.ErrBounds
-		}
-		return w.sendRange(op, buf[:size], target, disp, tag)
+	if size == 0 {
+		return nil
 	}
-	blocks := datatype.FlattenTransfer(dtype, count, disp)
-	for _, b := range blocks {
-		if !w.inRegion(target, b.Offset, b.Size) {
-			return rma.ErrBounds
-		}
+	if !w.inRegion(target, disp, size) {
+		return rma.ErrBounds
 	}
-	n := 0
-	for _, b := range blocks {
-		if err := w.sendRange(op, buf[n:n+b.Size], target, b.Offset, tag); err != nil {
-			return err
-		}
-		n += b.Size
-	}
-	return nil
-}
-
-// inRegion reports whether bytes [disp, disp+size) lie in target's
-// region, for a target already known to be in range. Written like
-// rma.Memory.Check, it cannot overflow: a range whose end passes MaxInt
-// is refused here rather than sent for the server to refuse.
-func (w *Window) inRegion(target, disp, size int) bool {
-	return size >= 0 && disp >= 0 && disp <= int(w.cl.regions[target])-size
-}
-
-// sendRange sends one validated contiguous range of a transfer.
-func (w *Window) sendRange(op byte, part []byte, target, disp int, tag uint32) error {
+	part := buf[:size]
 	switch op {
 	case OpGet:
 		return w.getRange(part, target, disp)
@@ -335,15 +308,22 @@ func (w *Window) sendRange(op byte, part []byte, target, disp int, tag uint32) e
 	}
 }
 
+// inRegion reports whether bytes [disp, disp+size) lie in target's
+// region, for a target already known to be in range. Written like
+// rma.Memory.Check, it cannot overflow: a range whose end passes MaxInt
+// is refused here rather than sent for the server to refuse.
+func (w *Window) inRegion(target, disp, size int) bool {
+	return size >= 0 && disp >= 0 && disp <= int(w.cl.regions[target])-size
+}
+
 // Get reads count elements of dtype from target's region at byte
-// displacement disp into dst (packed), one round trip per contiguous
-// range.
+// displacement disp into dst in one round trip.
 func (w *Window) Get(dst []byte, dtype datatype.Datatype, count int, target, disp int) error {
 	return w.transfer(OpGet, dst, dtype, count, target, disp, 0)
 }
 
-// Put writes count elements of dtype from src (packed) into target's
-// region at byte displacement disp, one round trip per contiguous range.
+// Put writes count elements of dtype from src into target's region at
+// byte displacement disp in one round trip.
 func (w *Window) Put(src []byte, dtype datatype.Datatype, count int, target, disp int) error {
 	return w.transfer(OpPut, src, dtype, count, target, disp, 0)
 }
@@ -351,37 +331,6 @@ func (w *Window) Put(src []byte, dtype datatype.Datatype, count int, target, dis
 func (w *Window) putRange(src []byte, target, disp int) error {
 	req := putReq{Target: int32(target), Disp: int64(disp), Data: src}
 	return w.rpc(OpPut, func(b []byte) []byte { return appendPut(b, req) }, w.opDeadline, nil)
-}
-
-// doneRequest is the Request of a synchronous transport: the operation
-// completed before the issuing call returned.
-type doneRequest struct{ waited bool }
-
-func (r *doneRequest) Wait() error {
-	if r.waited {
-		return rma.ErrDoneRequest
-	}
-	r.waited = true
-	return nil
-}
-
-func (r *doneRequest) Test() bool { return true }
-
-// Rget is Get returning a completable request; on this transport the
-// request is already complete when Rget returns.
-func (w *Window) Rget(dst []byte, dtype datatype.Datatype, count int, target, disp int) (rma.Request, error) {
-	if err := w.Get(dst, dtype, count, target, disp); err != nil {
-		return nil, err
-	}
-	return &doneRequest{}, nil
-}
-
-// Rput is Put returning a completable request (already complete).
-func (w *Window) Rput(src []byte, dtype datatype.Datatype, count int, target, disp int) (rma.Request, error) {
-	if err := w.Put(src, dtype, count, target, disp); err != nil {
-		return nil, err
-	}
-	return &doneRequest{}, nil
 }
 
 // Accumulate combines src into target's region with op, element-wise
@@ -663,15 +612,6 @@ func (w *Window) Fence() error {
 	w.fenceOpen = true
 	return nil
 }
-
-// Post/Start/Complete/Wait (generalized active-target synchronization)
-// are not carried by the socket transport: PSCW needs origin/target
-// group bookkeeping this protocol does not model. The paper's workloads
-// use passive-target and fence epochs only.
-func (w *Window) Post(origins []int) error  { return fmt.Errorf("%w: Post", ErrUnsupported) }
-func (w *Window) Start(targets []int) error { return fmt.Errorf("%w: Start", ErrUnsupported) }
-func (w *Window) Complete() error           { return fmt.Errorf("%w: Complete", ErrUnsupported) }
-func (w *Window) Wait() error               { return fmt.Errorf("%w: Wait", ErrUnsupported) }
 
 // Free releases the window. When the window owns its client (the Open
 // path) the connection pool closes with it.
