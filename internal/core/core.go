@@ -651,6 +651,12 @@ func (c *Cache) serveMiss(key cuckoo.Key, dst []byte, dtype datatype.Datatype, c
 // still cannot be allocated the access fails and nothing is cached.
 // src must stay intact until the epoch closes.
 func (c *Cache) insertPending(key cuckoo.Key, src []byte, size int) AccessType {
+	if size == 0 {
+		// A zero-byte get holds nothing a later get could hit, at any
+		// displacement: delivered without a slot, a region or a
+		// management charge, classified direct as a cheap skip is.
+		return AccessDirect
+	}
 	if c.cheapSkip(key.Target, size) {
 		// Cost-aware admission bypass (DESIGN.md §15): the target is a
 		// memcpy away, so caching would spend storage and eviction

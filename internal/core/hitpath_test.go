@@ -325,6 +325,8 @@ func hitCases() []hitCase {
 		op:   rma.GetOp{Dst: buf[:32], Target: 1, Disp: 2048},
 		want: with(twoFull, func(s *Stats) { s.BytesFromCache, s.CopyTime = 96, copy64+copy32 }),
 	}, {
+		// A zero-byte get is never admitted, so its repeat misses too:
+		// direct, no bytes, no management charge.
 		name: "zero-length op",
 		arrange: func(c *Cache) error {
 			if err := c.Get(nil, datatype.Byte, 0, 1, 3000); err != nil {
@@ -332,8 +334,10 @@ func hitCases() []hitCase {
 			}
 			return c.Win().FlushAll()
 		},
-		op:   rma.GetOp{Dst: buf[:0], Target: 1, Disp: 3000},
-		want: with(twoFull, func(s *Stats) { s.BytesFromCache, s.CopyTime = 64, copy64+20 }),
+		op: rma.GetOp{Dst: buf[:0], Target: 1, Disp: 3000},
+		want: with(twoFull, func(s *Stats) {
+			s.Hits, s.FullHits, s.Direct, s.BytesFromCache, s.CopyTime = 1, 1, 1, 64, copy64
+		}),
 	}}
 }
 

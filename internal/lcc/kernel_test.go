@@ -61,28 +61,20 @@ func littleEndian(adj []int32) []byte {
 	return b
 }
 
-// stampBothWays checks the two stamp passes (CSR form and wire form)
+// stampBothWays checks the two mark passes (CSR form and wire form)
 // against the merge for one pair of lists over n vertex ids.
 func stampBothWays(t *testing.T, n int, a, b []int32) {
 	t.Helper()
 	want := intersectSortedCount(a, b)
-	mark := make([]int32, n)
-	for i := range mark {
-		mark[i] = -1
-	}
-	// A stale stamp of another vertex must not count.
-	for _, w := range b {
-		mark[w] = 6
-	}
-	const v = 7
+	mark := make([]byte, n)
 	for _, w := range a {
-		mark[w] = v
+		mark[w] = 1
 	}
-	if got := countStamped(mark, v, b); got != want {
-		t.Fatalf("countStamped(%v, %v) = %d, merge %d", a, b, got, want)
+	if got := countMarked(mark, b); got != want {
+		t.Fatalf("countMarked(%v, %v) = %d, merge %d", a, b, got, want)
 	}
-	if got, bad := countStampedLE(mark, v, littleEndian(b)); got != want || bad != -1 {
-		t.Fatalf("countStampedLE(%v, %v) = %d (bad %d), merge %d", a, b, got, bad, want)
+	if got, bad := countMarkedLE(mark, littleEndian(b)); got != want || bad != -1 {
+		t.Fatalf("countMarkedLE(%v, %v) = %d (bad %d), merge %d", a, b, got, bad, want)
 	}
 }
 
@@ -127,7 +119,7 @@ func FuzzStampVsMerge(f *testing.F) {
 					want += ref[v]
 				}
 				if res.SumLCC != want {
-					t.Fatalf("P=%d rank %d: ΣLCC = %v by stamp, %v by merge", p, d.Rank, res.SumLCC, want)
+					t.Fatalf("P=%d rank %d: ΣLCC = %v by mark, %v by merge", p, d.Rank, res.SumLCC, want)
 				}
 			}
 		}
@@ -137,7 +129,7 @@ func FuzzStampVsMerge(f *testing.F) {
 // parentResults are Run's per-rank results summed over the ranks, recorded
 // at the last commit whose kernel was the sorted merge (dcc2ba1) on
 // testGraph(10, 8). Nothing a caller can observe may differ under the
-// stamp kernel: same counts, same division, same modelled charge.
+// mark kernel: same counts, same division, same modelled charge.
 var parentResults = []struct {
 	p, maxVertices int
 	cached         bool
@@ -243,17 +235,92 @@ func TestRunRejectsFetchedGarbage(t *testing.T) {
 	if _, err := Run(simtime.NewClock(), d, garbageGetter{mem, owner, disp, int32(g.N - 1)}, Config{}); err != nil {
 		t.Fatalf("id N-1: %v", err)
 	}
-	// The wire form itself: a list cut inside an id is refused whole.
-	mark := make([]int32, 4)
-	if n, bad := countStampedLE(mark, 0, make([]byte, 7)); n != 0 || bad != 7 {
-		t.Fatalf("7-byte list: n %d bad %d, want 0 and 7", n, bad)
+}
+
+// TestCountMarkedLERejectsFirstBadID plants a bad id at every entry of
+// fetched lists of 1 to 9 ids — inside a four-id block, in the tail after
+// one, and in the block after a clean one — and a second bad id after it:
+// the first is the one reported, with its entry. A list cut inside an id
+// is refused whole, whatever its ids.
+func TestCountMarkedLERejectsFirstBadID(t *testing.T) {
+	const n = 16
+	mark := make([]byte, n)
+	for w := 0; w < n; w += 2 {
+		mark[w] = 1
 	}
-	if err := badAdjacency(1, 2, 3, make([]byte, 7), 7); !strings.Contains(err.Error(), "7 bytes") {
-		t.Fatalf("7-byte list: error %q", err)
+	for length := 1; length <= 9; length++ {
+		ids := make([]int32, length)
+		for i := range ids {
+			ids[i] = int32(i)
+		}
+		if got, bad := countMarkedLE(mark, littleEndian(ids)); got != (length+1)/2 || bad != -1 {
+			t.Fatalf("clean %d-id list: n %d bad %d, want %d and -1", length, got, bad, (length+1)/2)
+		}
+		for at := 0; at < length; at++ {
+			for _, garbage := range []int32{-1, n, -1 << 31} {
+				planted := append([]int32(nil), ids...)
+				planted[at] = garbage
+				for later := at + 1; later < length; later++ {
+					planted[later] = n + 1
+				}
+				b := littleEndian(planted)
+				if _, bad := countMarkedLE(mark, b); bad != 4*at {
+					t.Fatalf("%d-id list, id %d at entry %d: bad %d, want %d", length, garbage, at, bad, 4*at)
+				}
+				err := badAdjacency(0, 1, 2, b, 4*at)
+				for _, part := range []string{"id " + strconv.Itoa(int(garbage)), "entry " + strconv.Itoa(at)} {
+					if !strings.Contains(err.Error(), part) {
+						t.Errorf("%d-id list, entry %d: error %q does not name %q", length, at, err, part)
+					}
+				}
+			}
+		}
+	}
+	for k := 0; k <= 2; k++ {
+		for r := 1; r <= 3; r++ {
+			b := make([]byte, 4*k+r)
+			b[0] = 0xff // a bad first id does not change the verdict
+			if got, bad := countMarkedLE(mark, b); got != 0 || bad != len(b) {
+				t.Errorf("%d-byte list: n %d bad %d, want 0 and %d", len(b), got, bad, len(b))
+			}
+			if err := badAdjacency(0, 1, 2, b, len(b)); !strings.Contains(err.Error(), strconv.Itoa(len(b))+" bytes") {
+				t.Errorf("%d-byte list: error %q", len(b), err)
+			}
+		}
 	}
 }
 
-// TestRunAllocsIndependentOfVertexCount: Run allocates its stamp array,
+// TestRunClearsMarks: on the graph of TestReferenceClearsMarks, a mark
+// left on 2 ∈ adj(1) by vertex 1 would count in vertex 2's passes over
+// adj(1) and adj(3), and marks left by each vertex would pile up on the
+// later ones. On one rank every count reads the CSR; on two, ranks 0 and
+// 1 each count fetched lists.
+func TestRunClearsMarks(t *testing.T) {
+	g := graph.Build(5, []rmat.Edge{{U: 0, V: 3}, {U: 0, V: 4}, {U: 1, V: 2}, {U: 1, V: 4}, {U: 2, V: 3}, {U: 2, V: 4}, {U: 3, V: 4}})
+	// Triangles 0-3-4, 1-2-4 and 2-3-4; each wedge closes one of them.
+	lcc := []float64{1, 1, 2.0 / 3.0, 2.0 / 3.0, 0.5}
+	wedges := []int64{2, 2, 4, 4, 6}
+	for _, p := range []int{1, 2} {
+		gt, dists := newMemGetter(g, p)
+		for _, d := range dists {
+			res, err := Run(simtime.NewClock(), d, gt, Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wantSum float64
+			var wantWedges int64
+			for v := d.Lo; v < d.Hi; v++ {
+				wantSum += lcc[v]
+				wantWedges += wedges[v]
+			}
+			if res.SumLCC != wantSum || res.Wedges != wantWedges {
+				t.Errorf("P=%d rank %d: ΣLCC %v, %d wedges; want %v, %d", p, d.Rank, res.SumLCC, res.Wedges, wantSum, wantWedges)
+			}
+		}
+	}
+}
+
+// TestRunAllocsIndependentOfVertexCount: Run allocates its mark array,
 // and its fetch arena and op list a few times while they grow to the
 // largest vertex — not per vertex, not per neighbour.
 func TestRunAllocsIndependentOfVertexCount(t *testing.T) {
@@ -275,9 +342,11 @@ func TestRunAllocsIndependentOfVertexCount(t *testing.T) {
 
 // BenchmarkLCCKernel puts the host clock beside DefaultComputeCost, whole
 // graph, R-MAT scale 13 EF 16: host ns per touched element (the unit the
-// model charges 1 vns for) of Run's stamp kernel (stamp) and of the
-// per-vertex merge the model describes (merge), and ns/op of the forward
-// oracle (oracle), which touches other elements than the ones charged.
+// model charges 1 vns for) of Run's byte-mark kernel (stamp, the name it
+// has had since Run stopped merging) and of the per-vertex merge the
+// model describes (merge), and ns/op of the forward oracle (oracle),
+// which touches other elements than the ones charged. Quote figures from
+// -cpu 1 runs.
 // Over memGetter nothing but the compute charge advances the clock, so a
 // Run's Time in ns is its touched-element count.
 func BenchmarkLCCKernel(b *testing.B) {

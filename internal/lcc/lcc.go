@@ -12,13 +12,15 @@
 // divided by deg(v)·(deg(v)−1): every triangle edge (u,w) with
 // u,w ∈ adj(v) is counted once in u's intersection and once in w's.
 //
-// Run counts each intersection by stamp, not by merge: it writes v into
-// one mark slot per member of adj(v), then makes a single pass over each
+// Run counts each intersection by byte mark, not by merge: it sets the
+// mark of each member of adj(v) to 1, then makes a single pass over each
 // adj(u) — owned lists in the CSR, fetched lists still in their
-// little-endian wire bytes — counting the slots that hold v. The pass has
-// no data-dependent branch and no decode copy. The modelled compute
-// charge is still the merge's len(adj(v)) + len(adj(u)) per neighbour.
-// Reference, the serial oracle, stamps too, but enumerates otherwise: it
+// little-endian wire bytes — adding up the marks of its ids, four per
+// step, and clears the marks after v. The sum has no compare and no
+// decode copy; a fetched id is range-checked, once, before its mark is
+// read. The modelled compute charge is still the merge's
+// len(adj(v)) + len(adj(u)) per neighbour.
+// Reference, the serial oracle, marks too, but enumerates otherwise: it
 // counts each triangle once, at its lowest-ranked corner, over
 // degree-ordered out-lists, where Run counts every wedge of each vertex
 // over full lists. Every comparison of Run with Reference so checks one
@@ -49,12 +51,12 @@ type Config struct {
 
 // DefaultComputeCost is the modelled per-element intersection cost
 // (~a few simple ALU ops per merge step on a 2.6 GHz core). It models the
-// paper's sorted merge on the paper's core, not this host's stamp kernel:
-// BenchmarkLCCKernel (R-MAT scale 13, EF 16, in-memory getter, 2-vCPU
-// Xeon VM) reads 1.0–1.1 host ns per touched element for Run, fetch
-// copies included, and 4.1–5.4 for the per-vertex merge; Reference's
-// stamp-forward count takes 11.5–12.6 ms for the whole graph, the merge
-// 450–590 ms.
+// paper's sorted merge on the paper's core, not this host's mark kernel:
+// BenchmarkLCCKernel (R-MAT scale 13, EF 16, in-memory getter, one CPU of
+// a 2-vCPU Xeon VM) reads 0.34–0.43 host ns per touched element for Run,
+// fetch copies included, and 3.0–3.2 for the per-vertex merge; Reference's
+// mark-forward count takes 9.9–10.4 ms for the whole graph, the merge
+// 330–345 ms.
 const DefaultComputeCost = simtime.Nanosecond
 
 // Result summarizes one rank's computation.
@@ -84,7 +86,7 @@ func (r Result) TimePerVertex() simtime.Duration {
 // wire connection to clampi-serve. The caller must have opened a
 // passive access epoch (LockAll) on the window behind gt.
 //
-// The stamp count equals |adj(v) ∩ adj(u)| only for adjacency lists that
+// The mark count equals |adj(v) ∩ adj(u)| only for adjacency lists that
 // are strictly ascending — no vertex twice in one list — which is what
 // graph.Build produces and CSR.Validate checks. Fetched ids are
 // untrusted: one outside [0, d.G.N) ends the run with an error.
@@ -109,12 +111,9 @@ func Run(clock *simtime.Clock, d *graph.Dist, gt getter.Getter, cfg Config) (Res
 	// get-flush-consume loop (paper Fig. 15).
 	var buf []byte           // arena holding all remote fetches of one vertex
 	var ops []getter.BatchOp // batched remote gets of one vertex
-	// mark[w] == v exactly while w ∈ adj(v) for the v being processed; no
-	// vertex id is −1, and every later v overwrites only its own members.
-	mark := make([]int32, d.G.N)
-	for i := range mark {
-		mark[i] = -1
-	}
+	// mark[w] == 1 exactly while w ∈ adj(v) for the v being processed:
+	// set before v's count and cleared after it.
+	mark := make([]byte, d.G.N)
 	for v := d.Lo; v < hi; v++ {
 		adjV := d.G.Neighbors(v)
 		deg := len(adjV)
@@ -166,11 +165,10 @@ func Run(clock *simtime.Clock, d *graph.Dist, gt getter.Getter, cfg Config) (Res
 				}
 			}
 		}
-		// Pass 2: stamp adj(v), then consume in neighbour order, exactly
+		// Pass 2: mark adj(v), then consume in neighbour order, exactly
 		// like the scalar kernel.
-		stamp := int32(v)
 		for _, w := range adjV {
-			mark[w] = stamp
+			mark[w] = 1
 		}
 		var count int64
 		var touched int64
@@ -178,12 +176,12 @@ func Run(clock *simtime.Clock, d *graph.Dist, gt getter.Getter, cfg Config) (Res
 		for _, u := range adjV {
 			if d.Owned(int(u)) {
 				adjU := d.G.Neighbors(int(u))
-				count += int64(countStamped(mark, stamp, adjU))
+				count += int64(countMarked(mark, adjU))
 				touched += int64(len(adjV) + len(adjU))
 			} else {
 				op := &ops[k]
 				k++
-				n, bad := countStampedLE(mark, stamp, op.Dst)
+				n, bad := countMarkedLE(mark, op.Dst)
 				if bad >= 0 {
 					return res, badAdjacency(v, int(u), op.Target, op.Dst, bad)
 				}
@@ -191,6 +189,9 @@ func Run(clock *simtime.Clock, d *graph.Dist, gt getter.Getter, cfg Config) (Res
 				touched += int64(len(adjV) + len(op.Dst)/4)
 			}
 			res.Gets++
+		}
+		for _, w := range adjV {
+			mark[w] = 0
 		}
 		clock.Advance(simtime.Duration(touched) * cfg.ComputePerElem)
 		res.Wedges += count
@@ -203,38 +204,55 @@ func Run(clock *simtime.Clock, d *graph.Dist, gt getter.Getter, cfg Config) (Res
 	return res, nil
 }
 
-// countStamped returns how many members of adj carry the stamp v in mark.
-func countStamped(mark []int32, v int32, adj []int32) int {
+// countMarked returns how many members of adj are marked in mark, four
+// ids per step. CSR lists are validated, so every id indexes mark.
+func countMarked(mark []byte, adj []int32) int {
 	n := 0
-	for _, w := range adj {
-		if mark[w] == v {
-			n++
-		}
+	i := 0
+	for ; i+4 <= len(adj); i += 4 {
+		q := adj[i : i+4 : i+4]
+		n += int(mark[q[0]]) + int(mark[q[1]]) + int(mark[q[2]]) + int(mark[q[3]])
+	}
+	for ; i < len(adj); i++ {
+		n += int(mark[adj[i]])
 	}
 	return n
 }
 
-// countStampedLE is countStamped over a fetched adjacency list still in
-// its wire form, little-endian int32 ids. The bytes come from another
+// countMarkedLE is countMarked over a fetched adjacency list still in its
+// wire form, little-endian int32 ids. The bytes come from another
 // process: bad is −1, or the byte offset of the first id outside
-// [0, len(mark)) — len(b) when b does not hold a whole number of ids.
-func countStampedLE(mark []int32, v int32, b []byte) (n, bad int) {
+// [0, len(mark)) — len(b) when b does not hold a whole number of ids. A
+// four-id block that holds a bad id is left to the per-id loop, which
+// finds the first.
+func countMarkedLE(mark []byte, b []byte) (n, bad int) {
 	if len(b)%4 != 0 {
 		return 0, len(b)
 	}
-	for i := 0; i < len(b); i += 4 {
-		w := graph.Int32At(b[i : i+4])
-		if uint32(w) >= uint32(len(mark)) { // also catches w < 0
+	m := uint(len(mark))
+	i := 0
+	for ; i+16 <= len(b); i += 16 {
+		q := b[i : i+16 : i+16]
+		w0 := uint(uint32(graph.Int32At(q[0:])))
+		w1 := uint(uint32(graph.Int32At(q[4:])))
+		w2 := uint(uint32(graph.Int32At(q[8:])))
+		w3 := uint(uint32(graph.Int32At(q[12:])))
+		if w0 >= m || w1 >= m || w2 >= m || w3 >= m { // a negative id is ≥ m too
+			break
+		}
+		n += int(mark[w0]) + int(mark[w1]) + int(mark[w2]) + int(mark[w3])
+	}
+	for ; i < len(b); i += 4 {
+		w := uint(uint32(graph.Int32At(b[i : i+4])))
+		if w >= m {
 			return n, i
 		}
-		if mark[w] == v {
-			n++
-		}
+		n += int(mark[w])
 	}
 	return n, -1
 }
 
-// badAdjacency describes what countStampedLE refused at byte offset bad
+// badAdjacency describes what countMarkedLE refused at byte offset bad
 // of neighbour u's fetched list.
 func badAdjacency(v, u, target int, fetched []byte, bad int) error {
 	if bad == len(fetched) {

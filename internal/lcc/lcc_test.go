@@ -50,7 +50,7 @@ func TestReferenceOnKnownGraphs(t *testing.T) {
 
 // intersectSortedCount returns |a ∩ b| for two ascending lists by
 // merging them: the paper's LCC inner kernel, and the definition that
-// Run's stamp count and Reference's forward count are both held to.
+// Run's mark count and Reference's forward count are both held to.
 func intersectSortedCount(a, b []int32) int {
 	i, j, n := 0, 0, 0
 	for i < len(a) && j < len(b) {

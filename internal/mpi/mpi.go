@@ -502,10 +502,15 @@ func (w *Win) GetBatch(ops []rma.GetOp) error {
 	}
 	for i := range ops {
 		op := &ops[i]
-		if err := w.shared.mem.Check(op.Target, op.Disp, len(op.Dst)); err != nil {
-			return err
+		if op.Target < 0 || op.Target >= w.shared.mem.Targets() {
+			return ErrRankRange
 		}
-		w.shared.mem.Read(op.Dst[:0], op.Target, op.Disp, len(op.Dst))
+		if len(op.Dst) > 0 {
+			if err := w.shared.mem.Check(op.Target, op.Disp, len(op.Dst)); err != nil {
+				return err
+			}
+			w.shared.mem.Read(op.Dst[:0], op.Target, op.Disp, len(op.Dst))
+		}
 		w.enqueueOp(op.Target, len(op.Dst))
 	}
 	return nil

@@ -99,17 +99,32 @@ type clientConn struct {
 	armed bool // a socket deadline is set
 }
 
-// send builds one request frame in place in the connection's write
-// buffer — body appends the payload, nil for none — and writes it with a
-// single Write. A buffer that grew past frameBufKeep is dropped after
-// the write.
-func (cc *clientConn) send(op byte, seq uint64, body func(buf []byte) []byte) error {
+// send builds one request frame in the connection's write buffer — body
+// appends the start of the payload, nil for none, and data, the caller's
+// bytes, follow it — and writes it with a single Write. A frame that
+// would grow the buffer past frameBufKeep leaves in three Writes instead:
+// header and body, then data where it lies, then the CRC chained over
+// both, so a large put costs no copy of its bytes. A buffer that grew
+// past frameBufKeep anyway (a huge body) is dropped after the write.
+func (cc *clientConn) send(op byte, seq uint64, body func(buf []byte) []byte, data []byte) error {
 	cc.wb = beginFrame(cc.wb[:0], op, seq)
 	if body != nil {
 		cc.wb = body(cc.wb)
 	}
-	cc.wb = sealFrame(cc.wb, 0)
-	_, err := cc.c.Write(cc.wb)
+	var err error
+	if n := len(cc.wb); n+len(data)+checksumSize > frameBufKeep {
+		cc.wb = sealFrame(cc.wb, 0, data)
+		_, err = cc.c.Write(cc.wb[:n])
+		if err == nil {
+			_, err = cc.c.Write(data)
+		}
+		if err == nil {
+			_, err = cc.c.Write(cc.wb[n:])
+		}
+	} else {
+		cc.wb = sealFrame(append(cc.wb, data...), 0, nil)
+		_, err = cc.c.Write(cc.wb)
+	}
 	if cap(cc.wb) > frameBufKeep {
 		cc.wb = nil
 	}
@@ -173,7 +188,7 @@ func (cl *Client) Close() error {
 	for _, cc := range idle {
 		// Best-effort goodbye; the server also handles abrupt closes.
 		cc.setDeadline(time.Second)
-		if err := cc.send(OpDetach, cl.seq.Add(1), nil); err == nil {
+		if err := cc.send(OpDetach, cl.seq.Add(1), nil, nil); err == nil {
 			cc.fr.next()
 		}
 		cc.c.Close()
@@ -212,7 +227,7 @@ func (cl *Client) handshake(cc *clientConn) error {
 	hello := helloPayload{Rank: int32(rank), World: int32(cl.cfg.World), Window: cl.cfg.Window}
 	cc.setDeadline(cl.cfg.DialTimeout)
 	seq := cl.seq.Add(1)
-	if err := cc.send(OpHello, seq, func(b []byte) []byte { return appendHello(b, hello) }); err != nil {
+	if err := cc.send(OpHello, seq, func(b []byte) []byte { return appendHello(b, hello) }, nil); err != nil {
 		return classify(err)
 	}
 	f, err := cc.fr.next()
@@ -277,16 +292,17 @@ func (cl *Client) put(cc *clientConn) {
 
 // RPC performs one synchronous exchange: request out, response in.
 // body appends the request payload to the frame under construction in
-// the connection's write buffer (nil for an empty payload). deadline,
+// the connection's write buffer (nil for an empty payload), and data,
+// the caller's bytes of a put, ends the payload (nil for none). deadline,
 // when positive, bounds the whole exchange in wall time (rma.ErrTimeout
 // on expiry). onData consumes an OpData response's payload — valid only
 // during the call; pass nil to require a bare Ack.
-func (cl *Client) RPC(op byte, body func(buf []byte) []byte, deadline time.Duration, onData func(data []byte) error) error {
+func (cl *Client) RPC(op byte, body func(buf []byte) []byte, data []byte, deadline time.Duration, onData func(data []byte) error) error {
 	cc, err := cl.get()
 	if err != nil {
 		return err
 	}
-	healthy, err := cl.exchange(cc, op, body, deadline, onData)
+	healthy, err := cl.exchange(cc, op, body, data, deadline, onData)
 	if healthy {
 		cl.put(cc)
 	} else {
@@ -299,10 +315,10 @@ func (cl *Client) RPC(op byte, body func(buf []byte) []byte, deadline time.Durat
 // whether the stream is still aligned afterwards — true after a
 // success or a server-reported error, false after any transport or
 // protocol failure, which poisons the connection.
-func (cl *Client) exchange(cc *clientConn, op byte, body func(buf []byte) []byte, deadline time.Duration, onData func(data []byte) error) (healthy bool, err error) {
+func (cl *Client) exchange(cc *clientConn, op byte, body func(buf []byte) []byte, data []byte, deadline time.Duration, onData func(data []byte) error) (healthy bool, err error) {
 	cc.setDeadline(deadline)
 	seq := cl.seq.Add(1)
-	if err := cc.send(op, seq, body); err != nil {
+	if err := cc.send(op, seq, body, data); err != nil {
 		return false, classify(err)
 	}
 	f, err := cc.fr.next()

@@ -115,7 +115,11 @@ func stalledPeer(t *testing.T) string {
 // so SO_SNDTIMEO hands the wait back to it, and the exchange fails with
 // rma.ErrTimeout within twice its deadline. (With SO_SNDTIMEO at the time
 // left it took 399.1–399.9 ms of a 200 ms deadline: net.Conn.Write
-// repeats a partial write(2) with the same relative timeout.)
+// repeats a partial write(2) with the same relative timeout.) The 32 MiB
+// put leaves from the caller's buffer in three writes, so the deadline
+// is not spent copying it into a frame first: under -race, on a 2-vCPU
+// VM, that copy took 72–142 ms of the 200 on an idle host, more on a busy
+// one.
 func TestWriteDeadline(t *testing.T) {
 	roomToBlock(t, 1)
 	cl, err := Dial(DialConfig{Network: "unix", Addr: stalledPeer(t), Rank: RankAuto})
@@ -128,8 +132,8 @@ func TestWriteDeadline(t *testing.T) {
 	data := make([]byte, 32<<20) // far beyond what both socket buffers hold
 	start := time.Now()          //clampi:walltime the deadline under test is wall-clock
 	err = cl.RPC(OpPut, func(b []byte) []byte {
-		return appendPut(b, putReq{Target: 0, Data: data})
-	}, deadline, nil)
+		return appendPut(b, putReq{Target: 0})
+	}, data, deadline, nil)
 	took := time.Since(start) //clampi:walltime see above
 	t.Logf("write into a stalled peer failed after %v: %v", took, err)
 	if !errors.Is(err, rma.ErrTimeout) {

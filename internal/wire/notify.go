@@ -48,7 +48,7 @@ func (w *Window) NotifyEnable(capacity int) error {
 	if err != nil {
 		return err
 	}
-	if _, err := w.cl.exchange(cc, OpSubscribe, nil, w.cl.cfg.DialTimeout, nil); err != nil {
+	if _, err := w.cl.exchange(cc, OpSubscribe, nil, nil, w.cl.cfg.DialTimeout, nil); err != nil {
 		cc.c.Close()
 		return err
 	}
@@ -143,8 +143,8 @@ func (w *Window) PutNotify(src []byte, dtype datatype.Datatype, count int, targe
 }
 
 func (w *Window) putNotifyRange(src []byte, target, disp int, tag uint32) error {
-	req := putNotifyReq{Target: int32(target), Disp: int64(disp), Tag: tag, Data: src}
-	return w.rpc(OpPutNotify, func(b []byte) []byte { return appendPutNotify(b, req) }, w.opDeadline, nil)
+	req := putNotifyReq{Target: int32(target), Disp: int64(disp), Tag: tag}
+	return w.rpc(OpPutNotify, func(b []byte) []byte { return appendPutNotify(b, req) }, src, w.opDeadline, nil)
 }
 
 // pumpNotify drains every push the server has already written into the
@@ -171,7 +171,7 @@ func (w *Window) notifyIO(exchange func() error) error {
 func (w *Window) pumpOnce() error {
 	seq := w.cl.seq.Add(1)
 	w.nc.setDeadline(w.opDeadline.Real())
-	if err := w.nc.send(OpFlush, seq, nil); err != nil {
+	if err := w.nc.send(OpFlush, seq, nil, nil); err != nil {
 		return classify(err)
 	}
 	for {

@@ -186,10 +186,13 @@ func beginFrame(buf []byte, op byte, seq uint64) []byte {
 
 // sealFrame completes the frame that beginFrame started at buf[start]:
 // it writes the payload length into the header and appends the CRC of
-// header and payload.
-func sealFrame(buf []byte, start int) []byte {
-	binary.LittleEndian.PutUint32(buf[start+12:], uint32(len(buf)-start-headerSize))
-	return binary.LittleEndian.AppendUint32(buf, crc32.Update(0, castagnoli, buf[start:]))
+// header and payload. The payload ends in tail, bytes kept out of buf
+// (nil for none): the frame is then buf[start:len(buf)-checksumSize],
+// tail, and the CRC, which is chained over both.
+func sealFrame(buf []byte, start int, tail []byte) []byte {
+	binary.LittleEndian.PutUint32(buf[start+12:], uint32(len(buf)-start-headerSize+len(tail)))
+	sum := crc32.Update(crc32.Update(0, castagnoli, buf[start:]), castagnoli, tail)
+	return binary.LittleEndian.AppendUint32(buf, sum)
 }
 
 // AppendFrame appends one complete frame (header, payload, checksum) to
@@ -197,7 +200,7 @@ func sealFrame(buf []byte, start int) []byte {
 // enforced at decode time and by callers that split oversized batches.
 func AppendFrame(buf []byte, op byte, seq uint64, payload []byte) []byte {
 	start := len(buf)
-	return sealFrame(append(beginFrame(buf, op, seq), payload...), start)
+	return sealFrame(append(beginFrame(buf, op, seq), payload...), start, nil)
 }
 
 // Frame is one decoded frame.
@@ -592,12 +595,20 @@ func decodeAcc(p []byte) (accReq, error) {
 }
 
 // appendBatch encodes an OpGetBatch body: op count then one rangeReq per
-// op. The response is the concatenated payloads in request order.
+// op that moves bytes; zero-byte ops are left out. The response is the
+// concatenated payloads in request order.
 func appendBatch(buf []byte, ops []rma.GetOp) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ops)))
+	at := len(buf)
+	buf = binary.LittleEndian.AppendUint32(buf, 0)
+	n := 0
 	for i := range ops {
+		if len(ops[i].Dst) == 0 {
+			continue
+		}
 		buf = appendRange(buf, rangeReq{Target: int32(ops[i].Target), Disp: int64(ops[i].Disp), Size: int64(len(ops[i].Dst))})
+		n++
 	}
+	binary.LittleEndian.PutUint32(buf[at:], uint32(n))
 	return buf
 }
 

@@ -556,7 +556,7 @@ func (c *serverConn) handle(f Frame) (stop bool) {
 // against notification pushes from other connections' goroutines. A
 // buffer that grew past frameBufKeep is dropped after the write.
 func (c *serverConn) send() error {
-	c.wbuf = sealFrame(c.wbuf, 0)
+	c.wbuf = sealFrame(c.wbuf, 0, nil)
 	if c.s.mFramesOu != nil {
 		c.s.mFramesOu.Inc()
 		c.s.mBytesOut.Add(int64(len(c.wbuf)))

@@ -172,9 +172,9 @@ func (w *Window) SetOpDeadline(d simtime.Duration) {
 // rpc performs one exchange and charges its measured wall duration to
 // the virtual clock — the sanctioned bridge that makes virtual-time
 // budgets (RetryPolicy.Deadline, stats) meaningful on a real transport.
-func (w *Window) rpc(op byte, body func(buf []byte) []byte, deadline simtime.Duration, onData func(data []byte) error) error {
+func (w *Window) rpc(op byte, body func(buf []byte) []byte, data []byte, deadline simtime.Duration, onData func(data []byte) error) error {
 	var err error
-	w.ep.clock.Charge(func() { err = w.cl.RPC(op, body, deadline.Real(), onData) })
+	w.ep.clock.Charge(func() { err = w.cl.RPC(op, body, data, deadline.Real(), onData) })
 	return err
 }
 
@@ -198,7 +198,7 @@ func (w *Window) closeEpoch() {
 func (w *Window) getRange(dst []byte, target, disp int) error {
 	req := rangeReq{Target: int32(target), Disp: int64(disp), Size: int64(len(dst))}
 	start := w.ep.clock.Now() // rpc charges measured wall time, so the clock delta IS the RTT
-	err := w.rpc(OpGet, func(b []byte) []byte { return appendRange(b, req) }, w.opDeadline, func(data []byte) error {
+	err := w.rpc(OpGet, func(b []byte) []byte { return appendRange(b, req) }, nil, w.opDeadline, func(data []byte) error {
 		if len(data) != len(dst) {
 			return fmt.Errorf("%w: get returned %dB (want %d)", ErrProto, len(data), len(dst))
 		}
@@ -329,8 +329,8 @@ func (w *Window) Put(src []byte, dtype datatype.Datatype, count int, target, dis
 }
 
 func (w *Window) putRange(src []byte, target, disp int) error {
-	req := putReq{Target: int32(target), Disp: int64(disp), Data: src}
-	return w.rpc(OpPut, func(b []byte) []byte { return appendPut(b, req) }, w.opDeadline, nil)
+	req := putReq{Target: int32(target), Disp: int64(disp)}
+	return w.rpc(OpPut, func(b []byte) []byte { return appendPut(b, req) }, src, w.opDeadline, nil)
 }
 
 // Accumulate combines src into target's region with op, element-wise
@@ -366,8 +366,8 @@ func (w *Window) Accumulate(src []byte, dtype datatype.Datatype, count int, targ
 	if !w.inRegion(target, disp, size) {
 		return rma.ErrBounds
 	}
-	req := accReq{Target: int32(target), Disp: int64(disp), Op: byte(op), Kind: byte(kind), Data: src[:size]}
-	return w.rpc(OpAccumulate, func(b []byte) []byte { return appendAcc(b, req) }, w.opDeadline, nil)
+	req := accReq{Target: int32(target), Disp: int64(disp), Op: byte(op), Kind: byte(kind)}
+	return w.rpc(OpAccumulate, func(b []byte) []byte { return appendAcc(b, req) }, src[:size], w.opDeadline, nil)
 }
 
 // GetBatch issues every op in one (or, above the frame payload limit, a
@@ -389,18 +389,28 @@ func (w *Window) GetBatch(ops []rma.GetOp) error {
 		if op.Target < 0 || op.Target >= len(w.cl.regions) {
 			return rma.ErrRankRange
 		}
-		if !w.inRegion(op.Target, op.Disp, len(op.Dst)) {
+		if len(op.Dst) > 0 && !w.inRegion(op.Target, op.Disp, len(op.Dst)) {
 			return rma.ErrBounds
 		}
 	}
 	// Chunk so neither the request nor the response frame exceeds the
 	// payload limit. The response is the binding constraint in practice
-	// (the data dwarfs the 20-byte descriptors).
+	// (the data dwarfs the 20-byte descriptors). A zero-byte op moves
+	// nothing, as with Get: it is left out of every frame, and a batch of
+	// nothing else sends none.
 	limit := w.cl.cfg.MaxPayload
 	for start := 0; start < len(ops); {
+		if len(ops[start].Dst) == 0 {
+			start++
+			continue
+		}
 		end := start
 		reqBytes, respBytes := 4, 0
 		for end < len(ops) {
+			if len(ops[end].Dst) == 0 {
+				end++
+				continue
+			}
 			r := reqBytes + rangeReqSize
 			p := respBytes + len(ops[end].Dst)
 			if end > start && (r > limit || p > limit) {
@@ -422,13 +432,14 @@ func (w *Window) GetBatch(ops []rma.GetOp) error {
 func (w *Window) getBatchChunk(ops []rma.GetOp, want int) error {
 	// A single-target chunk is one more RTT sample for that target;
 	// mixed-target chunks are not attributed (no way to split the
-	// round trip fairly).
-	sameTarget := len(ops) > 0
+	// round trip fairly). The chunk's first op is never zero-byte; the
+	// others are not sent.
+	sameTarget := true
 	for i := 1; i < len(ops) && sameTarget; i++ {
-		sameTarget = ops[i].Target == ops[0].Target
+		sameTarget = len(ops[i].Dst) == 0 || ops[i].Target == ops[0].Target
 	}
 	start := w.ep.clock.Now()
-	err := w.rpc(OpGetBatch, func(b []byte) []byte { return appendBatch(b, ops) }, w.opDeadline, func(data []byte) error {
+	err := w.rpc(OpGetBatch, func(b []byte) []byte { return appendBatch(b, ops) }, nil, w.opDeadline, func(data []byte) error {
 		if len(data) != want {
 			return fmt.Errorf("%w: batch returned %dB (want %d)", ErrProto, len(data), want)
 		}
@@ -463,7 +474,7 @@ func (w *Window) Checksum(target, disp, size int) (uint64, error) {
 	}
 	var sum uint64
 	req := rangeReq{Target: int32(target), Disp: int64(disp), Size: int64(size)}
-	err := w.rpc(OpChecksum, func(b []byte) []byte { return appendRange(b, req) }, w.opDeadline, func(data []byte) error {
+	err := w.rpc(OpChecksum, func(b []byte) []byte { return appendRange(b, req) }, nil, w.opDeadline, func(data []byte) error {
 		if len(data) != 8 {
 			return fmt.Errorf("%w: checksum returned %dB", ErrProto, len(data))
 		}
@@ -497,7 +508,7 @@ func (w *Window) LockWithType(typ rma.LockType, target int) error {
 	req := lockReq{Target: int32(target), Type: byte(typ)}
 	// No op deadline on lock acquisition: blocking on a contended
 	// exclusive lock is the intended semantics, not a fault.
-	if err := w.rpc(OpLock, func(b []byte) []byte { return appendLock(b, req) }, 0, nil); err != nil {
+	if err := w.rpc(OpLock, func(b []byte) []byte { return appendLock(b, req) }, nil, 0, nil); err != nil {
 		return err
 	}
 	if w.lockedTargets == nil {
@@ -530,7 +541,7 @@ func (w *Window) Unlock(target int) error {
 		return rma.ErrNoEpoch
 	}
 	req := lockReq{Target: int32(target), Type: byte(typ)}
-	if err := w.rpc(OpUnlock, func(b []byte) []byte { return appendLock(b, req) }, w.opDeadline, nil); err != nil {
+	if err := w.rpc(OpUnlock, func(b []byte) []byte { return appendLock(b, req) }, nil, w.opDeadline, nil); err != nil {
 		return err
 	}
 	w.closeEpoch()
@@ -598,7 +609,7 @@ func (w *Window) Fence() error {
 		w.closeEpoch()
 	}
 	// No op deadline: waiting for stragglers is the point of a barrier.
-	if err := w.rpc(OpBarrier, nil, 0, nil); err != nil {
+	if err := w.rpc(OpBarrier, nil, nil, 0, nil); err != nil {
 		return err
 	}
 	// Pump the subscribe connection after the rendezvous: every PutNotify

@@ -738,6 +738,59 @@ func TestBatchChunking(t *testing.T) {
 	}
 }
 
+// TestBatchLeavesOutZeroByteOps checks GetBatch's zero-byte rule, Get's:
+// a zero-byte op succeeds at any displacement of a target in range and
+// is left out of every frame, so the chunks are those of the batch
+// without it, and a batch of nothing else sends no frame.
+func TestBatchLeavesOutZeroByteOps(t *testing.T) {
+	const size = 1 << 12
+	regions := patternRegions(1, size)
+	want := append([]byte(nil), regions[0]...)
+	reg := obsv.NewRegistry()
+	s := testServer(t, ServeConfig{Windows: []WindowSpec{{Name: "w", Regions: regions}}, Registry: reg})
+	w := dialWindow(t, s, DialConfig{MaxPayload: 600})
+	if err := w.LockAll(); err != nil {
+		t.Fatalf("lock all: %v", err)
+	}
+	framesIn := reg.Counter("wire_server_frames_total", obsv.L("dir", "in"))
+	zeroDisps := []int{-8, 64, size, size + 64}
+	var ops []rma.GetOp
+	for i := 0; i < 16; i++ {
+		ops = append(ops, rma.GetOp{Target: 0, Disp: zeroDisps[i%len(zeroDisps)]})
+		ops = append(ops, rma.GetOp{Dst: make([]byte, 200), Target: 0, Disp: i * 200})
+	}
+	ops = append(ops, rma.GetOp{Target: 0, Disp: -1})
+	before := framesIn.Value()
+	if err := w.GetBatch(ops); err != nil {
+		t.Fatalf("batch with zero-byte ops: %v", err)
+	}
+	// Three 200-byte ops fill a 600-byte response: six chunks.
+	if n := framesIn.Value() - before; n != 6 {
+		t.Errorf("batch of sixteen 200-byte ops sent %d frames, want 6", n)
+	}
+	for i := 1; i < 32; i += 2 {
+		if d := ops[i].Disp; !bytes.Equal(ops[i].Dst, want[d:d+200]) {
+			t.Fatalf("op %d mismatch", i)
+		}
+	}
+	before = framesIn.Value()
+	if err := w.GetBatch(ops[:1]); err != nil {
+		t.Fatalf("zero-byte batch: %v", err)
+	}
+	if err := w.GetBatch([]rma.GetOp{{Target: 0, Disp: size + 64}, {Target: 0, Disp: -8}}); err != nil {
+		t.Fatalf("zero-byte batch: %v", err)
+	}
+	if n := framesIn.Value() - before; n != 0 {
+		t.Errorf("zero-byte batches sent %d frames", n)
+	}
+	if err := w.GetBatch([]rma.GetOp{{Target: 1}}); !errors.Is(err, rma.ErrRankRange) {
+		t.Errorf("zero-byte op at target 1 of 1: %v, want ErrRankRange", err)
+	}
+	if err := w.UnlockAll(); err != nil {
+		t.Fatalf("unlock all: %v", err)
+	}
+}
+
 // TestDeadlineWindow checks the rma.DeadlineWindow extension: an op
 // bounded by a deadline shorter than the server's response time fails
 // with rma.ErrTimeout, and clearing the deadline restores service. A
@@ -759,7 +812,7 @@ func TestDeadlineWindow(t *testing.T) {
 	cl := w.Client()
 	err := cl.RPC(OpLock, func(b []byte) []byte {
 		return appendLock(b, lockReq{Target: 0, Type: byte(rma.LockExclusive)})
-	}, 100*time.Millisecond, nil)
+	}, nil, 100*time.Millisecond, nil)
 	if !errors.Is(err, rma.ErrTimeout) {
 		t.Fatalf("bounded blocked op error = %v, want rma.ErrTimeout", err)
 	}

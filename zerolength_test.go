@@ -13,26 +13,29 @@ import (
 type transferer interface {
 	Get(dst []byte, dtype Datatype, count, target, disp int) error
 	Put(src []byte, dtype Datatype, count, target, disp int) error
+	GetBatch(ops []GetOp) error
 	LockAll() error
 	FlushAll() error
 	UnlockAll() error
 }
 
 // TestZeroLengthTransfers pins the zero-byte rule of rma.Window: a Get or
-// Put of count 0 to a target in range succeeds at any displacement — in
-// range, at the region's end, past it, negative — and moves nothing. It
+// Put of count 0, or a GetBatch op of no bytes, to a target in range
+// succeeds at any displacement — in range, at the region's end, past it,
+// negative — and moves nothing. It
 // holds on the simulated backend, on the wire backend, where no frame
 // reaches the server, and through the caching Window over either, which
-// counts the get as a direct miss that moves no bytes.
+// counts each get as a direct miss that moves no bytes and admits nothing.
 func TestZeroLengthTransfers(t *testing.T) {
 	const size = 256
 	disps := []struct {
 		name string
 		disp int
 	}{{"in range", 64}, {"at the end", size}, {"past the end", size + 64}, {"negative", -8}}
-	// The caching Window's Stats delta over the zero-byte get and put at
-	// one displacement: one direct get, no bytes from either side.
-	wantStats := Stats{Gets: 1, Direct: 1, LookupTime: 80, MgmtTime: 350}
+	// The caching Window's Stats delta over the zero-byte get, batched get
+	// and put at one displacement: two direct gets (one a batch op), no
+	// bytes from either side, no management charge.
+	wantStats := Stats{Gets: 2, Direct: 2, BatchOps: 1, LookupTime: 160}
 
 	check := func(t *testing.T, w transferer, stats func() Stats, frames func() int64) {
 		t.Helper()
@@ -49,6 +52,9 @@ func TestZeroLengthTransfers(t *testing.T) {
 			if err := w.Get(buf, Byte, 0, 1, d.disp); err != nil {
 				t.Errorf("%s: Get = %v, want nil", d.name, err)
 			}
+			if err := w.GetBatch([]GetOp{{Dst: buf[:0], Target: 1, Disp: d.disp}}); err != nil {
+				t.Errorf("%s: GetBatch = %v, want nil", d.name, err)
+			}
 			if err := w.Put(buf, Byte, 0, 1, d.disp); err != nil {
 				t.Errorf("%s: Put = %v, want nil", d.name, err)
 			}
@@ -63,6 +69,9 @@ func TestZeroLengthTransfers(t *testing.T) {
 					t.Errorf("%s: Stats delta\ngot  %#v\nwant %#v", d.name, got, wantStats)
 				}
 			}
+		}
+		if c, ok := w.(interface{ CachedEntries() int }); ok && c.CachedEntries() != 0 {
+			t.Errorf("the cache holds %d entries after zero-byte gets only", c.CachedEntries())
 		}
 		if err := w.UnlockAll(); err != nil {
 			t.Fatal(err)
