@@ -26,7 +26,16 @@ const (
 	// says so — the figures need the former, the host clock the latter.
 	CostLookup = 80 * simtime.Nanosecond
 	// CostInsert covers an average Cuckoo insertion: the bounded
-	// breadth-first search for a displacement path and its moves.
+	// breadth-first search for a displacement path and its moves. It is
+	// one constant whatever the search examined, so the model is the
+	// same whether or not the host's search re-hashes the occupants it
+	// expands (it does not: cuckoo package comment). On the host (2-vCPU
+	// VM, three 1 s runs of the cuckoo benchmarks), an insert that fails
+	// after spending its 168-slot budget in a 4096-slot table with one
+	// empty slot takes 255–263 ns, one that fails at once because no
+	// occupant names an empty slot 33 ns, and an insert into a 512-slot
+	// table held at load 0.97, nine in ten of which place their key,
+	// 130–132 ns with the delete that makes room for the next.
 	CostInsert = 200 * simtime.Nanosecond
 	// CostAlloc covers the AVL best-fit search plus descriptor updates.
 	CostAlloc = 150 * simtime.Nanosecond

@@ -23,9 +23,13 @@ import (
 //   - the count of CACHED entries the capacity scan relies on is exact,
 //   - once the ordered view exists (range.go) it holds exactly the
 //     indexed entries, and no payload exceeds its maxPayload,
-//   - the storage manager's own invariants hold.
+//   - the storage manager's own invariants hold, and so do the index's
+//     (cuckoo.Table.Check: tags, candidate records and counts).
 func (c *Cache) CheckIntegrity() error {
 	if err := c.store.CheckInvariants(); err != nil {
+		return err
+	}
+	if err := c.idx.Check(); err != nil {
 		return err
 	}
 	pendingSet := make(map[*entry]bool, len(c.pending))

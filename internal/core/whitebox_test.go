@@ -2,8 +2,10 @@ package core
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"clampi/internal/cuckoo"
 	"clampi/internal/datatype"
@@ -96,6 +98,20 @@ func TestCheckIntegrityDetectsCorruption(t *testing.T) {
 			}
 			c.evictable -= off
 		}
+
+		// 8. A stale candidate record in the index, which the insertion
+		// search would follow to a slot the occupant does not hash to.
+		// The record is private to the cuckoo package: reflection
+		// reaches it.
+		_, s, _ := c.idx.Lookup(victim.key)
+		alts := reflect.ValueOf(c.idx).Elem().FieldByName("alts")
+		rec := reflect.NewAt(alts.Type(), unsafe.Pointer(alts.UnsafeAddr())).Elem().Index(s).Index(0)
+		oldRec := rec.Uint()
+		rec.SetUint(oldRec ^ 1)
+		if err := c.CheckIntegrity(); err == nil || !strings.Contains(err.Error(), "candidate record") {
+			t.Errorf("stale candidate record not detected: %v", err)
+		}
+		rec.SetUint(oldRec)
 
 		if err := c.CheckIntegrity(); err != nil {
 			t.Errorf("cache did not recover after corruption repair: %v", err)

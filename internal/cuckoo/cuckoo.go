@@ -16,6 +16,17 @@
 // access*: a failed search leaves the table unchanged and the new element
 // homeless, and the caller picks a victim among its candidate slots and
 // completes the placement with ReplaceAt.
+//
+// The search never re-hashes a stored key. Each occupied slot keeps its
+// occupant's p candidate slots in a parallel record, written when the
+// element is stored and moved with it along a displacement path, so
+// expanding a node is one 16-byte load. The table also counts, per slot,
+// how many (occupied slot, hash function) pairs name it, and keeps the
+// sum of those counts over the empty slots. A search can only reach an
+// empty slot through an occupant that names one, so when that sum is 0
+// and the key's own candidates are occupied, the search fails at once
+// with the answer the full breadth-first search would give. Check
+// recomputes both records from the keys.
 package cuckoo
 
 import (
@@ -62,7 +73,20 @@ type Table[V any] struct {
 	len    int
 	budget int
 	queue  []bfsNode // the search's queue, one node per examinable slot
+	// alts[s] is the candidate slots of the key in slots[s], in hash
+	// order, while the slot is occupied: what search expands. It and the
+	// counts come after the fields a probe reads, which thus stay in the
+	// struct's first two cache lines.
+	alts []alt
+	// indeg[c] counts the (occupied slot, hash function) pairs whose
+	// candidate is slot c; open is its sum over the empty slots, 0
+	// exactly when no stored element could move into an empty slot.
+	indeg []uint32
+	open  int
 }
+
+// alt is one occupant's candidate record.
+type alt [NumHashes]uint32
 
 // bfsNode is one examined, occupied slot of an insertion search; parent is
 // the queue index of the slot whose occupant would move into this one's
@@ -91,6 +115,8 @@ func New[V any](size int, seed int64) *Table[V] {
 	t := &Table[V]{
 		slots: make([]slot[V], size),
 		tags:  make([]uint8, size),
+		alts:  make([]alt, size),
+		indeg: make([]uint32, size),
 		fastM: ^uint64(0)/uint64(size) + 1,
 		rng:   *rand.New(rand.NewSource(seed)),
 	}
@@ -156,11 +182,20 @@ func reduce(a, b, fastM, size, x uint64) int {
 	return int(s)
 }
 
+// alt returns the candidate record of a key folded by mix.
+func (t *Table[V]) alt(x uint64) alt {
+	var c alt
+	for i := range c {
+		c[i] = uint32(t.slot(i, x))
+	}
+	return c
+}
+
 // candidates returns the p candidate slots of a key folded by mix.
 func (t *Table[V]) candidates(x uint64) [NumHashes]int {
 	var c [NumHashes]int
-	for i := range c {
-		c[i] = t.slot(i, x)
+	for i, s := range t.alt(x) {
+		c[i] = int(s)
 	}
 	return c
 }
@@ -184,31 +219,43 @@ func (t *Table[V]) find(k Key, x uint64) int {
 	return -1
 }
 
-// set stores k/v, whose fold is x, in slot s. The fields are stored one
-// by one: assigning a composite literal builds the slot on the stack and
-// copies it out in wider words than it was written, which stalls store
-// forwarding once V is a multi-word struct.
-func (t *Table[V]) set(s int, k Key, v V, x uint64) {
+// set stores k/v, whose fold is x and candidate record c, in slot s and
+// adds its p counts. The counts must already take s for occupied (open
+// leaves out indeg[s]) and must hold no previous occupant of s. The
+// fields are stored one by one: assigning a composite literal builds the
+// slot on the stack and copies it out in wider words than it was
+// written, which stalls store forwarding once V is a multi-word struct.
+func (t *Table[V]) set(s int, k Key, v V, x uint64, c alt) {
 	sl := &t.slots[s]
 	sl.key = k
 	sl.val = v
 	t.tags[s] = tagOf(x)
+	t.alts[s] = c
+	for _, d := range c {
+		t.indeg[d]++
+		if t.tags[d] == 0 {
+			t.open++
+		}
+	}
+}
+
+// unlink withdraws the occupant of slot s from the counts, while s is
+// still occupied.
+func (t *Table[V]) unlink(s int) {
+	for _, d := range t.alts[s] {
+		t.indeg[d]--
+		if t.tags[d] == 0 {
+			t.open--
+		}
+	}
 }
 
 // unset empties slot s.
 func (t *Table[V]) unset(s int) {
+	t.unlink(s)
 	t.slots[s] = slot[V]{}
 	t.tags[s] = 0
-}
-
-// hashIndex returns which hash function maps the fold x to slot s, or -1.
-func (t *Table[V]) hashIndex(x uint64, s int) int {
-	for i := 0; i < NumHashes; i++ {
-		if t.slot(i, x) == s {
-			return i
-		}
-	}
-	return -1
+	t.open += int(t.indeg[s])
 }
 
 // Lookup returns the value stored for key and the slot holding it.
@@ -272,15 +319,18 @@ func (t *Table[V]) Insert(k Key, v V) InsertResult[V] {
 	if t.len < len(t.slots) {
 		if empty, from := t.search(x); empty >= 0 {
 			// Shift every element on the path one slot towards the
-			// empty end; a moved element keeps its tag.
+			// empty end; a moved element keeps its tag and its
+			// candidates, so the counts change only because the empty
+			// end becomes occupied.
+			t.open -= int(t.indeg[empty])
 			moves := 0
 			for n := from; n >= 0; n = t.queue[n].parent {
 				s := int(t.queue[n].slot)
-				t.slots[empty], t.tags[empty] = t.slots[s], t.tags[s]
+				t.slots[empty], t.tags[empty], t.alts[empty] = t.slots[s], t.tags[s], t.alts[s]
 				empty = s
 				moves++
 			}
-			t.set(empty, k, v, x)
+			t.set(empty, k, v, x, t.alt(x))
 			t.len++
 			return InsertResult[V]{Placed: true, Moves: moves}
 		}
@@ -291,7 +341,14 @@ func (t *Table[V]) Insert(k Key, v V) InsertResult[V] {
 // search looks breadth-first for an empty slot reachable from the key
 // whose fold is x. It returns the empty slot and the queue index of the
 // node whose occupant moves into it (-1 if it is one of the key's own
-// candidates), or -1 once budget occupied slots were examined.
+// candidates), or -1 once budget occupied slots were examined. A node
+// is expanded from its occupant's candidate record, without reading the
+// slot or hashing its key.
+//
+// When every candidate of the key is occupied and no occupied slot names
+// an empty one (open is 0), no node can have an empty child: the search
+// returns -1 at once, as the full search would after examining budget
+// slots or running out of nodes.
 //
 // The queue keeps no visited set, so a slot may be reached twice, yet the
 // path to the first empty slot found never holds a slot twice (shifting
@@ -309,23 +366,25 @@ func (t *Table[V]) search(x uint64) (empty int, from int32) {
 		}
 		q[i] = bfsNode{slot: int32(s), parent: -1}
 	}
+	if t.open == 0 {
+		return -1, -1
+	}
 	// The expansion runs up to budget times per insert: the table's
 	// fields are copied to locals so that the stores into q do not make
 	// the compiler reload them, and the node is stored before knowing
 	// whether it is the occupant's own slot, which then is not counted.
 	n, budget := NumHashes, t.budget
-	tags, slots := t.tags, t.slots
-	a, b, fastM, size := t.a, t.b, t.fastM, uint64(len(t.slots))
+	tags, alts := t.tags, t.alts
 	for head := 0; head < n; head++ {
 		at := q[head].slot
-		y := mix(slots[at].key)
+		c := &alts[at]
 		for i := 0; i < NumHashes; i++ {
 			if n >= budget {
 				return -1, -1
 			}
-			s := reduce(a[i], b[i], fastM, size, y)
+			s := c[i]
 			if tags[s] == 0 {
-				return s, int32(head)
+				return int(s), int32(head)
 			}
 			q[n] = bfsNode{slot: int32(s), parent: int32(head)}
 			if int32(s) != at {
@@ -341,15 +400,29 @@ func (t *Table[V]) search(x uint64) (empty int, from int32) {
 // key would fail, so ReplaceAt panics. It returns the evicted key/value.
 func (t *Table[V]) ReplaceAt(slotIdx int, k Key, v V) (Key, V) {
 	x := mix(k)
-	if t.hashIndex(x, slotIdx) < 0 {
+	c := t.alt(x)
+	if !c.has(slotIdx) {
 		panic(fmt.Sprintf("cuckoo: slot %d is not a candidate of %v", slotIdx, k))
 	}
-	old, used := t.slots[slotIdx], t.tags[slotIdx] != 0
-	t.set(slotIdx, k, v, x)
-	if !used {
+	old := t.slots[slotIdx]
+	if t.tags[slotIdx] != 0 {
+		t.unlink(slotIdx)
+	} else {
+		t.open -= int(t.indeg[slotIdx])
 		t.len++
 	}
+	t.set(slotIdx, k, v, x, c)
 	return old.key, old.val
+}
+
+// has reports whether slot s is one of the candidates.
+func (c *alt) has(s int) bool {
+	for _, d := range c {
+		if int(d) == s {
+			return true
+		}
+	}
+	return false
 }
 
 // At returns the occupant of slotIdx.
@@ -455,7 +528,8 @@ func (t *Table[V]) Walk(visit func(k Key, v V) bool) {
 // Drain empties the table, keeping the hash functions and capacity: it
 // visits every stored entry in slot order, if visit is not nil, after
 // emptying its slot. Unlike clearing the slot array it costs the entries
-// it finds, not the capacity.
+// it finds, not the capacity: each unset withdraws its occupant's p
+// counts, so every count is 0 again once the last entry is gone.
 func (t *Table[V]) Drain(visit func(k Key, v V)) {
 	for s := t.next(0); s < len(t.slots); s = t.next(s + 1) {
 		sl := t.slots[s]
@@ -465,4 +539,52 @@ func (t *Table[V]) Drain(visit func(k Key, v V)) {
 		}
 	}
 	t.len = 0
+}
+
+// Check recomputes what the table keeps beside its keys and reports the
+// first disagreement: every occupied slot's tag and candidate record
+// must be its key's, the key must hash to the slot it sits in, and the
+// per-slot counts, their sum over the empty slots and Len must match a
+// recount. It costs a fold per entry plus a pass over the slots; it is
+// meant for tests and integrity checks.
+func (t *Table[V]) Check() error {
+	indeg := make([]uint32, len(t.slots))
+	n := 0
+	for s := range t.slots {
+		if t.tags[s] == 0 {
+			continue
+		}
+		n++
+		k := t.slots[s].key
+		x := mix(k)
+		if tag := tagOf(x); t.tags[s] != tag {
+			return fmt.Errorf("cuckoo: slot %d (key %v): tag %#x, want %#x", s, k, t.tags[s], tag)
+		}
+		c := t.alt(x)
+		if t.alts[s] != c {
+			return fmt.Errorf("cuckoo: slot %d (key %v): candidate record %v, want %v", s, k, t.alts[s], c)
+		}
+		if !c.has(s) {
+			return fmt.Errorf("cuckoo: slot %d holds %v, whose candidates are %v", s, k, c)
+		}
+		for _, d := range c {
+			indeg[d]++
+		}
+	}
+	if n != t.len {
+		return fmt.Errorf("cuckoo: %d slots occupied, Len %d", n, t.len)
+	}
+	open := 0
+	for s, d := range indeg {
+		if t.indeg[s] != d {
+			return fmt.Errorf("cuckoo: slot %d named by %d candidates, count says %d", s, d, t.indeg[s])
+		}
+		if t.tags[s] == 0 {
+			open += int(d)
+		}
+	}
+	if open != t.open {
+		return fmt.Errorf("cuckoo: empty slots named %d times, open says %d", open, t.open)
+	}
+	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"math/bits"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -55,21 +56,53 @@ func TestSlotReductionExact(t *testing.T) {
 	}
 }
 
-// checkTags fails unless every non-zero tag is the fingerprint of its
-// slot's key and every zero tag sits on a zero slot: the tags are the
-// table's only occupancy record, and find trusts them without reading the
-// slot.
+// checkTags fails unless every zero tag sits on a zero slot and Check
+// finds every occupied slot's tag, candidate record and counts as a
+// recount from the keys gives them: the tags are the table's only
+// occupancy record, find trusts them without reading the slot, and
+// search trusts the records without hashing the key.
 func checkTags[V comparable](t *testing.T, tb *Table[V]) {
 	t.Helper()
 	for s, sl := range tb.slots {
-		if tb.tags[s] == 0 {
-			if sl != (slot[V]{}) {
-				t.Fatalf("slot %d: empty tag on a non-zero slot (key %v, value %v)", s, sl.key, sl.val)
-			}
-			continue
+		if tb.tags[s] == 0 && sl != (slot[V]{}) {
+			t.Fatalf("slot %d: empty tag on a non-zero slot (key %v, value %v)", s, sl.key, sl.val)
 		}
-		if want := tagOf(mix(sl.key)); tb.tags[s] != want {
-			t.Fatalf("slot %d (key %v): tag %#x, want %#x", s, sl.key, tb.tags[s], want)
+	}
+	if err := tb.Check(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCheckDetectsStaleRecords corrupts each record Check recomputes, one
+// at a time, and restores it.
+func TestCheckDetectsStaleRecords(t *testing.T) {
+	tb := New[int](64, 2)
+	for i := 0; i < 40; i++ {
+		tb.Insert(Key{Target: 1, Disp: i * 8}, i)
+	}
+	checkTags(t, tb)
+	occupied, empty := tb.next(0), 0
+	for tb.tags[empty] != 0 {
+		empty++
+	}
+	for _, c := range []struct {
+		name, want string
+		corrupt    func()
+	}{
+		{"record", "candidate record", func() { tb.alts[occupied][1] ^= 1 }},
+		{"tag", "tag", func() { tb.tags[occupied] ^= 1 }},
+		{"count", "count says", func() { tb.indeg[empty]++ }},
+		{"open", "open says", func() { tb.open++ }},
+		{"len", "Len", func() { tb.len-- }},
+	} {
+		alts, tags, indeg, open, n := slices.Clone(tb.alts), slices.Clone(tb.tags), slices.Clone(tb.indeg), tb.open, tb.len
+		c.corrupt()
+		if err := tb.Check(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s corruption: Check = %v, want an error naming %q", c.name, err, c.want)
+		}
+		tb.alts, tb.tags, tb.indeg, tb.open, tb.len = alts, tags, indeg, open, n
+		if err := tb.Check(); err != nil {
+			t.Fatalf("after restoring the %s: %v", c.name, err)
 		}
 	}
 }
@@ -225,7 +258,7 @@ func TestInsertFailureReportsHomeless(t *testing.T) {
 	stored := make(map[Key]int)
 	for i := 0; ; i++ {
 		k := Key{Target: 0, Disp: i * 8}
-		slots, tags := slices.Clone(tb.slots), slices.Clone(tb.tags)
+		slots, tags, alts, indeg, open := slices.Clone(tb.slots), slices.Clone(tb.tags), slices.Clone(tb.alts), slices.Clone(tb.indeg), tb.open
 		res := tb.Insert(k, i)
 		if res.Placed {
 			stored[k] = i
@@ -248,7 +281,8 @@ func TestInsertFailureReportsHomeless(t *testing.T) {
 				t.Fatalf("candidate slot %d of homeless element is empty", s)
 			}
 		}
-		if !slices.Equal(slots, tb.slots) || !slices.Equal(tags, tb.tags) {
+		if !slices.Equal(slots, tb.slots) || !slices.Equal(tags, tb.tags) ||
+			!slices.Equal(alts, tb.alts) || !slices.Equal(indeg, tb.indeg) || open != tb.open {
 			t.Fatalf("failed insert changed the table")
 		}
 		break
@@ -783,4 +817,175 @@ func BenchmarkInsertNearFull(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(fails)/float64(b.N), "fails/op")
+}
+
+// rehashSearch is the insertion search as it was before the candidate
+// record and the open count: it folds and reduces the key of every
+// occupant it expands, and runs until it finds an empty slot, examines
+// budget slots or runs out of nodes. It fills q, not the table's queue.
+func rehashSearch[V any](t *Table[V], x uint64, q []bfsNode) (empty int, from int32) {
+	for i := 0; i < NumHashes; i++ {
+		s := t.slot(i, x)
+		if t.tags[s] == 0 {
+			return s, -1
+		}
+		q[i] = bfsNode{slot: int32(s), parent: -1}
+	}
+	n := NumHashes
+	for head := 0; head < n; head++ {
+		at := q[head].slot
+		y := mix(t.slots[at].key)
+		for i := 0; i < NumHashes; i++ {
+			if n >= t.budget {
+				return -1, -1
+			}
+			s := t.slot(i, y)
+			if t.tags[s] == 0 {
+				return s, int32(head)
+			}
+			q[n] = bfsNode{slot: int32(s), parent: int32(head)}
+			if int32(s) != at {
+				n++
+			}
+		}
+	}
+	return -1, -1
+}
+
+// chain lists the slots of a search's displacement path, from the node
+// whose occupant moves into the empty slot back to the key's candidate.
+func chain(q []bfsNode, from int32) []int32 {
+	var c []int32
+	for n := from; n >= 0; n = q[n].parent {
+		c = append(c, q[n].slot)
+	}
+	return c
+}
+
+// TestSearchMatchesRehashingSearch holds search to rehashSearch before
+// every insert of mixed Insert/Delete/DeleteAt/ReplaceAt tapes: the same
+// empty slot and the same parent chain, so the same placement. Failed
+// inserts are resolved with ReplaceAt on a candidate, as the cache
+// resolves a conflict, which keeps the tables near full. The tapes must
+// reach all four outcomes: a free candidate, a displacement path, the
+// open-count exit, and a search that fails after expanding nodes.
+func TestSearchMatchesRehashingSearch(t *testing.T) {
+	var direct, path, futile, spent int
+	for _, size := range []int{8, 64, 512, 4096} {
+		for _, budget := range []int{4, 8, DefaultSearchBudget, 1000} {
+			tb := New[int](size, int64(size+budget))
+			tb.SetSearchBudget(budget)
+			rng := rand.New(rand.NewSource(int64(size * budget)))
+			q := make([]bfsNode, max(budget, NumHashes))
+			universe := 2 * size
+			ops := 6 * size
+			if size == 4096 {
+				ops = 2 * size
+			}
+			for i := 0; i < ops; i++ {
+				k := Key{Target: rng.Intn(3), Disp: rng.Intn(universe) * 8}
+				switch r := rng.Intn(10); {
+				case r == 0:
+					tb.Delete(k)
+				case r == 1:
+					tb.DeleteAt(rng.Intn(size))
+				default:
+					if _, _, ok := tb.Lookup(k); ok {
+						continue
+					}
+					x := mix(k)
+					wantEmpty, wantFrom := rehashSearch(tb, x, q)
+					open := tb.open
+					gotEmpty, gotFrom := tb.search(x)
+					if gotEmpty != wantEmpty || !slices.Equal(chain(tb.queue, gotFrom), chain(q, wantFrom)) {
+						t.Fatalf("size %d budget %d op %d: search = %d via %v, rehashing search %d via %v",
+							size, budget, i, gotEmpty, chain(tb.queue, gotFrom), wantEmpty, chain(q, wantFrom))
+					}
+					switch {
+					case wantEmpty >= 0 && wantFrom < 0:
+						direct++
+					case wantEmpty >= 0:
+						path++
+					case open == 0:
+						futile++
+					default:
+						spent++
+					}
+					if res := tb.Insert(k, i); !res.Placed {
+						tb.ReplaceAt(res.CandidateSlots[rng.Intn(NumHashes)], k, i)
+					}
+				}
+				if size <= 64 || i%64 == 0 {
+					checkTags(t, tb)
+				}
+			}
+			checkTags(t, tb)
+		}
+	}
+	t.Logf("searches: %d direct, %d by a path, %d futile, %d out of budget or nodes", direct, path, futile, spent)
+	if direct == 0 || path == 0 || futile == 0 || spent == 0 {
+		t.Fatalf("the tapes missed an outcome: %d direct, %d by a path, %d futile, %d spent", direct, path, futile, spent)
+	}
+}
+
+// BenchmarkInsertFailing times the inserts a churning cache fails, its
+// conflicting accesses, in a 4096-slot table with one empty slot. In
+// "budget" some occupant names that slot, so a search whose candidates
+// are occupied almost always examines its whole budget and fails; in
+// "futile" no occupant names it, so such a search fails at once. A key
+// that is placed anyway is deleted again, which keeps one slot empty.
+func BenchmarkInsertFailing(b *testing.B) {
+	for _, futile := range []bool{false, true} {
+		name := "budget"
+		if futile {
+			name = "futile"
+		}
+		b.Run(name, func(b *testing.B) {
+			const slots = 4096
+			tb := New[int](slots, 1)
+			hole, next := 0, 0
+			fresh := func() Key {
+				next++
+				return Key{Target: next % 7, Disp: next * 64}
+			}
+			// Fill every slot but the hole, through keys that do not
+			// name it in "futile"; in "budget" fill it too, then empty
+			// the slot most candidates name.
+			for tb.Len() < slots-1 || !futile && tb.Len() < slots {
+				k := fresh()
+				c := tb.Candidates(k)
+				if futile && slices.Contains(c[:], hole) {
+					continue
+				}
+				for _, s := range c {
+					if _, _, used := tb.At(s); !used && (s != hole || !futile) {
+						tb.ReplaceAt(s, k, 0)
+						break
+					}
+				}
+			}
+			if !futile {
+				for s := range tb.indeg {
+					if tb.indeg[s] > tb.indeg[hole] {
+						hole = s
+					}
+				}
+				tb.DeleteAt(hole)
+			}
+			if (tb.open == 0) != futile {
+				b.Fatalf("%s: open count %d", name, tb.open)
+			}
+			fails := 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k := fresh()
+				if !tb.Insert(k, i).Placed {
+					fails++
+					continue
+				}
+				tb.Delete(k)
+			}
+			b.ReportMetric(float64(fails)/float64(b.N), "fails/op")
+		})
+	}
 }

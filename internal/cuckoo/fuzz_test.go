@@ -7,9 +7,13 @@ import (
 
 // FuzzTableOps drives the Cuckoo table with an op tape against a map
 // oracle: lookups must agree with the oracle at every step, an insertion
-// failure (a conflicting access) must leave the table as it was, and a
-// drain (byte 255) must visit exactly the oracle's entries and leave the
-// table empty.
+// failure (a conflicting access) must leave the table as it was and is
+// then resolved as the cache resolves it, by ReplaceAt on one of the
+// key's candidates, and a drain (byte 255) must visit exactly the
+// oracle's entries and leave the table empty. Bytes divisible by 6
+// empty a slot with DeleteAt, other multiples of 3 delete by key, the
+// rest insert or update. After every op checkTags recounts the candidate
+// records and the open count.
 func FuzzTableOps(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 200, 201, 100})
 	f.Add([]byte{9, 9, 9, 9, 9, 9, 9, 9, 9})
@@ -26,6 +30,19 @@ func FuzzTableOps(f *testing.F) {
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		tb := New[int](64, 5)
 		oracle := make(map[Key]int)
+		// agree fails unless the table and the oracle agree.
+		agree := func(i int) {
+			for k, v := range oracle {
+				got, _, ok := tb.Lookup(k)
+				if !ok || got != v {
+					t.Fatalf("op %d: oracle has %v=%d, table has %d,%v", i, k, v, got, ok)
+				}
+			}
+			if tb.Len() != len(oracle) {
+				t.Fatalf("op %d: len %d vs oracle %d", i, tb.Len(), len(oracle))
+			}
+			checkTags(t, tb)
+		}
 		for i, op := range ops {
 			k := Key{Target: int(op) % 4, Disp: (int(op) / 4) * 8}
 			switch {
@@ -39,6 +56,15 @@ func FuzzTableOps(f *testing.F) {
 				if len(oracle) != 0 {
 					t.Fatalf("op %d: drain missed %d entries", i, len(oracle))
 				}
+			case op%6 == 0:
+				s := int(op) * 7 % tb.Cap()
+				dk, dv, ok := tb.DeleteAt(s)
+				if w, present := oracle[dk]; ok && (!present || w != dv) {
+					t.Fatalf("op %d: DeleteAt(%d) removed %v=%d, oracle %d (present %v)", i, s, dk, dv, w, present)
+				}
+				if ok {
+					delete(oracle, dk)
+				}
 			case op%3 == 0:
 				if _, present := oracle[k]; present {
 					tb.Delete(k)
@@ -51,25 +77,23 @@ func FuzzTableOps(f *testing.F) {
 					continue
 				}
 				res := tb.Insert(k, i)
-				if res.Placed {
-					oracle[k] = i
-				} else if res.HomelessKey != k {
+				if !res.Placed {
 					// A failure leaves the new key homeless and
-					// the oracle unchanged.
-					t.Fatalf("op %d: failed insert of %v left %v homeless", i, k, res.HomelessKey)
+					// the table as the oracle has it; the key
+					// then evicts the occupant of a candidate.
+					if res.HomelessKey != k {
+						t.Fatalf("op %d: failed insert of %v left %v homeless", i, k, res.HomelessKey)
+					}
+					agree(i)
+					ek, ev := tb.ReplaceAt(res.CandidateSlots[i%NumHashes], k, i)
+					if w, present := oracle[ek]; !present || w != ev {
+						t.Fatalf("op %d: ReplaceAt evicted %v=%d, oracle %d (present %v)", i, ek, ev, w, present)
+					}
+					delete(oracle, ek)
 				}
+				oracle[k] = i
 			}
-			// The table and the oracle agree.
-			for k, v := range oracle {
-				got, _, ok := tb.Lookup(k)
-				if !ok || got != v {
-					t.Fatalf("op %d: oracle has %v=%d, table has %d,%v", i, k, v, got, ok)
-				}
-			}
-			if tb.Len() != len(oracle) {
-				t.Fatalf("op %d: len %d vs oracle %d", i, tb.Len(), len(oracle))
-			}
-			checkTags(t, tb)
+			agree(i)
 		}
 	})
 }

@@ -492,7 +492,9 @@ func (w *Win) Get(dst []byte, dtype datatype.Datatype, count int, target, disp i
 // Each op is validated and charged exactly like an individual Get (one
 // LogGP issue overhead per op, i.e. per network message: callers
 // coalesce adjacent ranges before issuing); the per-call epoch and
-// window checks are paid once for the whole batch.
+// window checks are paid once for the whole batch. Every op is validated
+// before any is read or charged, so a refused batch delivers nothing and
+// leaves the clock where it was.
 func (w *Win) GetBatch(ops []rma.GetOp) error {
 	if w.freed {
 		return ErrFreed
@@ -509,6 +511,11 @@ func (w *Win) GetBatch(ops []rma.GetOp) error {
 			if err := w.shared.mem.Check(op.Target, op.Disp, len(op.Dst)); err != nil {
 				return err
 			}
+		}
+	}
+	for i := range ops {
+		op := &ops[i]
+		if len(op.Dst) > 0 {
 			w.shared.mem.Read(op.Dst[:0], op.Target, op.Disp, len(op.Dst))
 		}
 		w.enqueueOp(op.Target, len(op.Dst))

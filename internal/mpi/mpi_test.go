@@ -7,6 +7,7 @@ import (
 
 	"clampi/internal/datatype"
 	"clampi/internal/netsim"
+	"clampi/internal/rma"
 	"clampi/internal/simtime"
 )
 
@@ -706,5 +707,63 @@ func TestMessageGapPacesInjection(t *testing.T) {
 	// 32 ops at g=1000ns: at least 31µs of injection serialization.
 	if withGap < 31*simtime.Microsecond {
 		t.Fatalf("gapped run %v, want >= 31µs", withGap)
+	}
+}
+
+// TestGetBatchRefusedWhole: a batch with an op out of range is refused
+// before any op is read or charged, as wire.Window.GetBatch refuses it
+// before sending a frame. The first op is in range; its buffer keeps its
+// sentinel bytes, and neither the issue nor a flush moves the clock.
+func TestGetBatchRefusedWhole(t *testing.T) {
+	err := Run(2, Config{}, func(r *Rank) error {
+		win, local := r.WinAllocate(64, nil)
+		defer win.Free()
+		for i := range local {
+			local[i] = byte(i + 1)
+		}
+		r.Barrier()
+		if r.ID() == 0 {
+			if err := win.LockAll(); err != nil {
+				return err
+			}
+			first, second := make([]byte, 8), make([]byte, 8)
+			for i := range first {
+				first[i], second[i] = 0xEE, 0xEE
+			}
+			before := r.Clock().Now()
+			ops := []rma.GetOp{{Dst: first, Target: 1, Disp: 0}, {Dst: second, Target: 1, Disp: 100}}
+			if err := win.GetBatch(ops); !errors.Is(err, ErrBounds) {
+				t.Errorf("GetBatch with disp 100 of 64 B: %v, want ErrBounds", err)
+			}
+			if err := win.FlushAll(); err != nil {
+				return err
+			}
+			if now := r.Clock().Now(); now != before {
+				t.Errorf("refused batch moved the clock by %v", now-before)
+			}
+			for i, b := range first {
+				if b != 0xEE {
+					t.Errorf("refused batch wrote %#x into the first op's byte %d", b, i)
+				}
+			}
+			// The in-range op alone goes through.
+			if err := win.GetBatch(ops[:1]); err != nil {
+				return err
+			}
+			if err := win.FlushAll(); err != nil {
+				return err
+			}
+			if first[0] != 1 || first[7] != 8 {
+				t.Errorf("in-range op read %v", first)
+			}
+			if err := win.UnlockAll(); err != nil {
+				return err
+			}
+		}
+		r.Barrier()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -530,6 +530,48 @@ func TestClientRangeOverflow(t *testing.T) {
 	}
 }
 
+// TestGetBatchRefusedWhole is internal/mpi's test of the same name on
+// the wire: a batch with an op out of range sends no frame, leaves the
+// first op's buffer as it was and does not move the clock.
+func TestGetBatchRefusedWhole(t *testing.T) {
+	regions := MakeRegions(2, 64)
+	for i := range regions[1] {
+		regions[1][i] = byte(i + 1)
+	}
+	reg := obsv.NewRegistry()
+	s := testServer(t, ServeConfig{Windows: []WindowSpec{{Name: "w", Regions: regions}}, Registry: reg})
+	w := dialWindow(t, s, DialConfig{})
+	if err := w.LockAll(); err != nil {
+		t.Fatalf("lock all: %v", err)
+	}
+	framesIn := reg.Counter("wire_server_frames_total", obsv.L("dir", "in"))
+	first, second := bytes.Repeat([]byte{0xEE}, 8), make([]byte, 8)
+	frames, before := framesIn.Value(), w.Endpoint().Clock().Now()
+	ops := []rma.GetOp{{Dst: first, Target: 1, Disp: 0}, {Dst: second, Target: 1, Disp: 100}}
+	if err := w.GetBatch(ops); !errors.Is(err, rma.ErrBounds) {
+		t.Errorf("GetBatch with disp 100 of 64 B: %v, want ErrBounds", err)
+	}
+	if err := w.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	if got := framesIn.Value(); got != frames {
+		t.Errorf("refused batch sent %d frames", got-frames)
+	}
+	if now := w.Endpoint().Clock().Now(); now != before {
+		t.Errorf("refused batch moved the clock by %v", now-before)
+	}
+	if !bytes.Equal(first, bytes.Repeat([]byte{0xEE}, 8)) {
+		t.Errorf("refused batch wrote %v into the first op's buffer", first)
+	}
+	// The in-range op alone goes through.
+	if err := w.GetBatch(ops[:1]); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first, regions[1][:8]) {
+		t.Errorf("in-range op read %v", first)
+	}
+}
+
 // TestFence checks the barrier rendezvous: two clients of a world of
 // two meet at Fence; neither returns until both arrive.
 func TestFence(t *testing.T) {
