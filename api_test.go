@@ -198,6 +198,84 @@ func TestWindowFence(t *testing.T) {
 	}
 }
 
+// TestNotifyKeepsCacheAcrossClosure: a Transparent-mode window created
+// WithNotify keeps its cache across an epoch closure and drops or
+// patches only the span another rank wrote with PutNotify. Without the
+// subscription the closure would empty the cache.
+func TestNotifyKeepsCacheAcrossClosure(t *testing.T) {
+	err := Run(2, RunConfig{}, func(r *Rank) error {
+		w, local, err := Allocate(r, 256, nil, WithMode(Transparent), WithNotify())
+		if err != nil {
+			return err
+		}
+		defer w.Free()
+		if r.ID() == 1 {
+			for i := range local {
+				local[i] = byte(i)
+			}
+		}
+		if err := w.Fence(); err != nil {
+			return err
+		}
+		head, tail := make([]byte, 64), make([]byte, 64)
+		if r.ID() == 0 {
+			if err := w.GetBytes(head, 1, 0); err != nil {
+				return err
+			}
+			if err := w.GetBytes(tail, 1, 128); err != nil {
+				return err
+			}
+		}
+		if err := w.Fence(); err != nil {
+			return err
+		}
+		if r.ID() == 1 {
+			fresh := make([]byte, 64)
+			for i := range fresh {
+				fresh[i] = 0xEE
+			}
+			if err := w.PutNotify(fresh, Byte, len(fresh), 1, 128, 7); err != nil {
+				return err
+			}
+		}
+		if err := w.Fence(); err != nil {
+			return err
+		}
+		if r.ID() == 0 {
+			if err := w.GetBytes(head, 1, 0); err != nil {
+				return err
+			}
+			if a := w.LastAccess(); a.Type != AccessHit || a.Partial || a.Issued {
+				t.Errorf("unwritten span after the closure: %+v, want a full hit", a)
+			}
+			for i, b := range head {
+				if b != byte(i) {
+					t.Errorf("head[%d] = %#x, want %#x", i, b, byte(i))
+					break
+				}
+			}
+			if err := w.GetBytes(tail, 1, 128); err != nil {
+				return err
+			}
+		}
+		if err := w.Fence(); err != nil {
+			return err
+		}
+		if r.ID() == 0 {
+			for i, b := range tail {
+				if b != 0xEE {
+					t.Errorf("tail[%d] = %#x, want the written 0xee", i, b)
+					break
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestAdaptiveOptionThroughPublicAPI(t *testing.T) {
 	err := Run(2, RunConfig{}, func(r *Rank) error {
 		w, _, err := Allocate(r, 1<<16, nil,
@@ -294,78 +372,6 @@ func TestPublicAccumulateAndExclusiveLock(t *testing.T) {
 		}
 		r.Barrier()
 		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestPrefetchStatsAccounting pins down the counter contract of
-// Window.Prefetch: each call increments Prefetches and its payload is
-// charged to BytesFromNetwork; the warmed Get serves from cache, adding
-// to BytesFromCache only.
-func TestPrefetchStatsAccounting(t *testing.T) {
-	err := Run(2, RunConfig{}, func(r *Rank) error {
-		w, local, err := Allocate(r, 1024, nil, WithMode(AlwaysCache), WithSeed(1))
-		if err != nil {
-			return err
-		}
-		defer w.Free()
-		for i := range local {
-			local[i] = byte(r.ID())
-		}
-		r.Barrier()
-
-		target := (r.ID() + 1) % r.Size()
-		if err := w.LockAll(); err != nil {
-			return err
-		}
-		if err := w.Prefetch(target, 0, 256); err != nil {
-			return err
-		}
-		if err := w.Prefetch(target, 256, 128); err != nil {
-			return err
-		}
-		if err := w.Prefetch(target, 0, 0); err != nil { // no-op, not counted
-			return err
-		}
-		if err := w.FlushAll(); err != nil { // epoch closure: entries become CACHED
-			return err
-		}
-		before := w.Stats()
-		if before.Prefetches != 2 {
-			t.Errorf("Prefetches = %d, want 2", before.Prefetches)
-		}
-		if before.BytesFromNetwork != 256+128 {
-			t.Errorf("BytesFromNetwork = %d, want %d", before.BytesFromNetwork, 256+128)
-		}
-		if before.BytesFromCache != 0 {
-			t.Errorf("BytesFromCache = %d before any user Get", before.BytesFromCache)
-		}
-
-		// The warmed range now serves locally: no new network bytes.
-		buf := make([]byte, 256)
-		if err := w.GetBytes(buf, target, 0); err != nil {
-			return err
-		}
-		if a := w.LastAccess(); a.Type != AccessHit || a.Issued {
-			t.Errorf("post-prefetch access = %+v, want unissued hit", a)
-		}
-		delta := w.Stats().Sub(before)
-		if delta.Gets != 1 || delta.Hits != 1 || delta.Prefetches != 0 {
-			t.Errorf("delta = %+v, want exactly one hitting get", delta)
-		}
-		if delta.BytesFromNetwork != 0 || delta.BytesFromCache != 256 {
-			t.Errorf("delta bytes network=%d cache=%d, want 0/256",
-				delta.BytesFromNetwork, delta.BytesFromCache)
-		}
-		for _, b := range buf {
-			if b != byte(target) {
-				t.Errorf("prefetched data corrupt: got %d want %d", b, target)
-				break
-			}
-		}
-		return w.UnlockAll()
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -354,21 +354,12 @@ func WithBreaker(pol BreakerPolicy) Option {
 // rejected (and retried under WithRetry) instead of delivered or cached.
 func WithFillVerification() Option { return func(c *config) { c.params.VerifyFills = true } }
 
-// WithStaleWhenOpen defers the Transparent mode's epoch-closure
-// invalidation while any target's circuit breaker is open, serving stale
-// hits instead of alternating breaker failures with cold misses — legal
-// under the paper's §II weak-consistency contract. Requires WithBreaker;
-// the deferred invalidation runs at the first closure with all breakers
-// closed.
-func WithStaleWhenOpen() Option { return func(c *config) { c.params.ServeStale = true } }
-
 // WithLocalityAwareness makes the caching layer cost-aware (DESIGN.md
 // §15) on backends that report per-target distance (the simulated
 // runtime's placement model, the wire transport's measured RTT): cheap
 // same-socket fills bypass admission, the eviction victim score is
-// weighted by refill cost, and retry backoffs and breaker cooldowns
-// scale with the target's distance class. Ignored on backends without
-// locality information.
+// weighted by refill cost. Ignored on backends without locality
+// information.
 func WithLocalityAwareness() Option {
 	return func(c *config) { c.params.LocalityAware = true }
 }
@@ -380,15 +371,10 @@ func WithLocalityAwareness() Option {
 // Transparent-mode window keeps its cache across epoch boundaries
 // instead of dropping everything at every closure. Queue overflow and
 // out-of-order delivery degrade conservatively to blanket invalidation,
-// never to stale data. Construction fails if the backend does not
-// implement rma.NotifyWindow. queueCap bounds the per-rank descriptor
-// queue; <= 0 selects the backend default.
-func WithNotify(queueCap int) Option {
-	return func(c *config) {
-		c.params.NotifyTargeted = true
-		c.params.NotifyQueueCap = queueCap
-	}
-}
+// never to stale data. Inert on a backend that does not implement
+// rma.NotifyWindow. The per-rank descriptor queue has the backend's
+// default capacity.
+func WithNotify() Option { return func(c *config) { c.params.NotifyTargeted = true } }
 
 // WithWriteBack switches Put/PutNotify from write-through to write-back:
 // contiguous writes are staged as dirty spans and flushed — sorted,
@@ -588,13 +574,6 @@ func (w *Window) NotifyQueueDepth() int { return w.cache.NotifyQueueDepth() }
 // notification) without invalidating the whole cache.
 func (w *Window) InvalidateRange(target, disp, size int) int {
 	return w.cache.InvalidateRange(target, disp, size)
-}
-
-// Prefetch warms the cache with a remote range without delivering data to
-// the application; a later Get of the range (in a subsequent epoch) is a
-// pure local hit. Extension beyond the paper.
-func (w *Window) Prefetch(target, disp, size int) error {
-	return w.cache.Prefetch(target, disp, size)
 }
 
 // Lock opens a passive-target epoch towards target with a shared lock.

@@ -79,36 +79,6 @@ func ExampleWindow_Invalidate() {
 	// Output: hits=2 invalidations=1
 }
 
-// ExampleWindow_Prefetch warms the cache ahead of use.
-func ExampleWindow_Prefetch() {
-	err := clampi.Run(2, clampi.RunConfig{}, func(r *clampi.Rank) error {
-		w, _, err := clampi.Allocate(r, 256, nil, clampi.WithMode(clampi.AlwaysCache))
-		if err != nil {
-			return err
-		}
-		defer w.Free()
-		if r.ID() != 0 {
-			r.Barrier()
-			return nil
-		}
-		if err := w.LockAll(); err != nil {
-			return err
-		}
-		_ = w.Prefetch(1, 0, 64)
-		_ = w.FlushAll()
-		buf := make([]byte, 64)
-		_ = w.GetBytes(buf, 1, 0)
-		fmt.Printf("first get: %v\n", w.LastAccess().Type)
-		_ = w.UnlockAll()
-		r.Barrier()
-		return nil
-	})
-	if err != nil {
-		fmt.Println(err)
-	}
-	// Output: first get: hitting
-}
-
 // Example_quickstart is the smallest complete program. Four ranks each
 // expose 1 MB through a caching window and read a block from their right
 // neighbour twice: the first read is a miss (a remote get), the second a

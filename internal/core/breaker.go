@@ -78,7 +78,6 @@ type targetBreaker struct {
 type breaker struct {
 	pol     BreakerPolicy
 	targets []targetBreaker
-	open    int // targets currently not closed (open or half-open)
 }
 
 func newBreaker(pol BreakerPolicy, worldSize int) *breaker {
@@ -115,17 +114,14 @@ func (b *breaker) onSuccess(target int) {
 		if t.successes >= b.pol.HalfOpenProbes {
 			t.state = breakerClosed
 			t.fails = 0
-			b.open--
 		}
 	}
 }
 
 // onFailure records a transient failure towards target and returns true
 // when it transitions the breaker to open (including a failed half-open
-// probe reopening it). cooldown is the fail-fast window to apply — the
-// policy's Cooldown, distance-scaled by the caller in cost-aware mode
-// (Cache.breakerCooldown).
-func (b *breaker) onFailure(target int, now, cooldown simtime.Duration) bool {
+// probe reopening it).
+func (b *breaker) onFailure(target int, now simtime.Duration) bool {
 	t := &b.targets[target]
 	switch t.state {
 	case breakerClosed:
@@ -134,12 +130,11 @@ func (b *breaker) onFailure(target int, now, cooldown simtime.Duration) bool {
 			return false
 		}
 		t.state = breakerOpen
-		t.openUntil = now + cooldown
-		b.open++
+		t.openUntil = now + b.pol.Cooldown
 		return true
 	case breakerHalfOpen:
 		t.state = breakerOpen
-		t.openUntil = now + cooldown
+		t.openUntil = now + b.pol.Cooldown
 		return true
 	}
 	return false
@@ -149,6 +144,3 @@ func (b *breaker) onFailure(target int, now, cooldown simtime.Duration) bool {
 func (b *breaker) closed(target int) bool {
 	return b.targets[target].state == breakerClosed
 }
-
-// anyOpen reports whether any target's breaker is open or half-open.
-func (b *breaker) anyOpen() bool { return b.open > 0 }

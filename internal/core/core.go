@@ -129,20 +129,12 @@ type Params struct {
 	// instead of served or cached. Ignored (with verification skipped)
 	// when the backend cannot attest. Implies retrying, as Breaker.
 	VerifyFills bool
-	// ServeStale keeps the cache across transparent-mode epoch closures
-	// while any target's breaker is open or half-open, serving possibly
-	// stale hits instead of guaranteed breaker failures — graceful
-	// degradation that is legal under the §II weak-consistency contract
-	// (DESIGN.md §11). The deferred invalidation runs at the first
-	// closure after all breakers close. Requires Breaker.
-	ServeStale bool
 
 	// LocalityAware makes the cache cost-aware (DESIGN.md §15): cheap
 	// same-socket fills (under DefaultCheapFillThreshold) bypass
-	// admission, eviction victim scores are weighted by per-target refill
-	// cost, and retry backoff / breaker cooldowns scale with distance.
-	// Requires the window to implement rma.LocalityWindow; silently inert
-	// otherwise.
+	// admission and eviction victim scores are weighted by per-target
+	// refill cost. Requires the window to implement rma.LocalityWindow;
+	// silently inert otherwise.
 	LocalityAware bool
 
 	// NotifyTargeted subscribes the cache to the window's write
@@ -155,10 +147,6 @@ type Params struct {
 	// notification degrades to a full invalidation, never to silent
 	// staleness. Silently inert when the backend lacks the extension.
 	NotifyTargeted bool
-	// NotifyQueueCap bounds the local notification queue
-	// (notify.DefaultCapacity when zero); overflow costs a conservative
-	// full invalidation at the next drain.
-	NotifyQueueCap int
 	// WriteBack buffers Put/PutNotify spans locally and flushes
 	// coalesced runs at epoch closure (or once DefaultWriteBackMaxSpans
 	// spans are staged) instead of writing through per call. Legal under
@@ -293,9 +281,8 @@ type Cache struct {
 
 	last Access // last processed get_c
 
-	// arena is epoch-lifetime staging storage for batched miss payloads
-	// and prefetches; see stageBuf. Reset (capacity kept) when the
-	// pending queue drains.
+	// arena is epoch-lifetime staging storage for batched miss payloads;
+	// see stageBuf. Reset (capacity kept) when the pending queue drains.
 	arena []byte
 
 	// GetBatch working state (see batch.go), reused across calls.
@@ -316,7 +303,6 @@ type Cache struct {
 	verify      bool                // fill verification enabled
 	iw          rma.IntegrityWindow // backend attestation, nil if unsupported
 	dw          rma.DeadlineWindow  // per-op deadline propagation, nil if unsupported
-	staleDefer  bool                // transparent invalidation deferred (stale serving)
 
 	// Locality state (locality.go); lw is nil unless Params.LocalityAware
 	// is set and the backend implements rma.LocalityWindow.
@@ -406,7 +392,7 @@ func New(win rma.Window, params Params) (*Cache, error) {
 	c.initLocality()
 	c.nw, _ = win.(rma.NotifyWindow)
 	if params.NotifyTargeted && c.nw != nil {
-		if err := c.nw.NotifyEnable(params.NotifyQueueCap); err != nil {
+		if err := c.nw.NotifyEnable(0); err != nil {
 			return nil, err
 		}
 		c.nsub = true
@@ -515,11 +501,6 @@ func (c *Cache) fullHit(r *ref, dst []byte, target int) {
 	c.stats.FullHits++
 	c.stats.CopyTime += copyT
 	c.stats.BytesFromCache += int64(len(dst))
-	if c.staleDefer {
-		// The entry survived a deferred transparent invalidation: this
-		// hit is served stale (DESIGN.md §11).
-		c.stats.StaleServes++
-	}
 	c.noteDistHit(target)
 }
 
@@ -604,11 +585,6 @@ func (c *Cache) serveHit(r *ref, dst []byte, target, disp, size int) error {
 
 	// Partial hit on a CACHED entry: serve the cached prefix, fetch the
 	// missing part remotely and try to extend the entry (§III-B1).
-	if c.staleDefer {
-		// The entry survived a deferred transparent invalidation: this
-		// hit is served stale (DESIGN.md §11).
-		c.stats.StaleServes++
-	}
 	copyT := c.copyOut(dst[:served], c.store.Slice(int(r.off), served))
 	c.last.Copy = copyT
 	c.stats.CopyTime += copyT
@@ -947,23 +923,9 @@ func (c *Cache) onEpochClose(epoch int64) {
 		c.drainNotifications()
 	}
 	if c.mode == Transparent && !c.nsub {
-		if c.params.ServeStale && c.brk != nil && c.brk.anyOpen() {
-			// Graceful degradation: a target's breaker is open, so the
-			// next epoch would alternate between guaranteed breaker
-			// failures and cold misses. Keep the cache across this
-			// closure and serve stale hits instead — legal under the
-			// §II weak-consistency contract, which lets get_c return
-			// any value the target range held since the last epoch the
-			// origin synchronized with it (DESIGN.md §11). The deferred
-			// invalidation runs at the first closure with all breakers
-			// closed (the else branch below).
-			c.staleDefer = true
-		} else {
-			// Tuning is pointless when every epoch starts cold.
-			c.staleDefer = false
-			c.invalidate()
-			invalidated = true
-		}
+		// Tuning is pointless when every epoch starts cold.
+		c.Invalidate()
+		invalidated = true
 	} else if c.params.Adaptive && c.stats.Gets-c.tuneSnap.Gets >= c.params.TuneInterval {
 		c.tune()
 	}
@@ -987,14 +949,8 @@ func (c *Cache) publishHit(e *entry) {
 
 // Invalidate drops every cache entry (the CLAMPI_Invalidate call of the
 // user-defined mode). In-flight PENDING copies of the current epoch are
-// cancelled. An explicit invalidation always runs — it also clears any
-// stale-serving deferral left by an open breaker (Params.ServeStale).
+// cancelled.
 func (c *Cache) Invalidate() {
-	c.staleDefer = false
-	c.invalidate()
-}
-
-func (c *Cache) invalidate() {
 	// A mid-epoch invalidation must not lose same-epoch PENDING hits:
 	// their destination buffers are normally filled at the epoch
 	// closure from the cached copy, which is about to disappear. The

@@ -289,11 +289,6 @@ func hitCases() []hitCase {
 		op:      rma.GetOp{Dst: buf[:64], Target: 1, Disp: 512},
 		want:    with(twoFull, func(s *Stats) { s.PendingHits, s.CopyTime = 1, copy64 }),
 	}, {
-		name:    "staleDefer",
-		arrange: func(c *Cache) error { c.staleDefer = true; return nil },
-		op:      rma.GetOp{Dst: buf[:64], Target: 1, Disp: 0},
-		want:    with(twoFull, func(s *Stats) { s.StaleServes = 2 }),
-	}, {
 		name:    "dirty-span overlap",
 		params:  func(p *Params) { p.WriteBack = true },
 		arrange: func(c *Cache) error { return c.Put(fill(64, 0xAB), datatype.Byte, 64, 1, 0) },
@@ -418,7 +413,7 @@ func TestHitPathConditions(t *testing.T) {
 					r.Barrier()
 					return err
 				}
-				withNotifyWorld(t, 4096, p, reader, writer)
+				withNotifyWorld(t, 4096, 0, p, reader, writer)
 			})
 		}
 		if elapsed[0] != elapsed[1] {

@@ -13,11 +13,8 @@ package core
 //   - Eviction: the §III-D victim score is multiplied by the entry's
 //     refill cost, so at equal recency a cheap-to-refill entry loses to
 //     an expensive one.
-//   - Resilience: retry backoff and breaker cooldowns scale with the
-//     target's distance — a flapping far target is probed on its own
-//     RTT scale, not a same-socket one.
 //
-// Everything here lives on the miss/evict/retry paths only — the
+// Everything here lives on the miss/evict paths only — the
 // full-hit path stays lock-free, allocation-free and at its 108 vns/op
 // budget.
 
@@ -26,23 +23,12 @@ import (
 	"clampi/internal/simtime"
 )
 
-// Locality constants.
-const (
-	// DefaultCheapFillThreshold is the fill-cost ceiling under which a
-	// same-process/same-socket miss is served direct without admission
-	// (Stats.CheapSkips). It keeps small same-socket fills
-	// (DefaultModel: ~130 ns same-process, ~420 ns same-socket at
-	// 256 B) out of the cache while still admitting large ones, whose
-	// transfer term dominates.
-	DefaultCheapFillThreshold = 600 * simtime.Nanosecond
-
-	// distScaleRefNs is the same-socket reference fill cost (ns) the
-	// backoff/cooldown scale is measured against (DefaultModel, 256 B).
-	distScaleRefNs = 424.0
-	// distScaleMax caps the backoff/cooldown stretch for very far (or
-	// wire-measured, ~100 µs RTT) targets.
-	distScaleMax = 8.0
-)
+// DefaultCheapFillThreshold is the fill-cost ceiling under which a
+// same-process/same-socket miss is served direct without admission
+// (Stats.CheapSkips). It keeps small same-socket fills (DefaultModel:
+// ~130 ns same-process, ~420 ns same-socket at 256 B) out of the cache
+// while still admitting large ones, whose transfer term dominates.
+const DefaultCheapFillThreshold = 600 * simtime.Nanosecond
 
 // DistanceStats aggregates per-distance-class cache activity. Tracked
 // only when the backend reports locality (otherwise all zero).
@@ -70,8 +56,8 @@ func (c *Cache) initLocality() {
 	c.distStats = make([]DistanceStats, rma.NumDistanceClasses)
 }
 
-// costAware reports whether cost-aware admission/eviction/resilience is
-// armed. A single branch on non-locality runs.
+// costAware reports whether cost-aware admission/eviction is armed. A
+// single branch on non-locality runs.
 func (c *Cache) costAware() bool { return c.lw != nil }
 
 // classOf returns target's distance class, clamped to the rma scale.
@@ -103,37 +89,6 @@ func (c *Cache) cheapSkip(target, size int) bool {
 // expensive ones at equal recency (DESIGN.md §15).
 func (c *Cache) evictWeight(e *entry) float64 {
 	return float64(c.lw.FillCost(e.key.Target, e.payload))
-}
-
-// distScale returns the backoff/cooldown multiplier for target: its
-// fill cost relative to a same-socket reference, clamped to
-// [1, distScaleMax]. Deterministic, so retry schedules stay replayable.
-func (c *Cache) distScale(target int) float64 {
-	f := float64(c.lw.FillCost(target, 256)) / distScaleRefNs
-	if f < 1 {
-		return 1
-	}
-	if f > distScaleMax {
-		return distScaleMax
-	}
-	return f
-}
-
-// scaledBackoff stretches one retry backoff by the target's distance.
-func (c *Cache) scaledBackoff(d simtime.Duration, target int) simtime.Duration {
-	if !c.costAware() {
-		return d
-	}
-	return simtime.Duration(float64(d) * c.distScale(target))
-}
-
-// breakerCooldown is the distance-scaled fail-fast window for target.
-func (c *Cache) breakerCooldown(target int) simtime.Duration {
-	d := c.brk.pol.Cooldown
-	if !c.costAware() {
-		return d
-	}
-	return simtime.Duration(float64(d) * c.distScale(target))
 }
 
 // noteDistHit attributes one locally served get to target's class.

@@ -10,7 +10,6 @@ import (
 	"clampi/internal/datatype"
 	"clampi/internal/mpi"
 	"clampi/internal/rma"
-	"clampi/internal/simtime"
 )
 
 // withWorld runs fn on every rank of a size-rank world under cfg; every
@@ -198,57 +197,6 @@ func TestCostAwareEviction(t *testing.T) {
 			}
 			if !aware && farHit {
 				t.Errorf("locality-blind: far entry survived, want oldest (far) evicted")
-			}
-			return nil
-		})
-	}
-}
-
-// TestDistanceScaledResilience: backoff and breaker cooldowns stretch
-// with the target's distance class, deterministically, and only in
-// cost-aware mode.
-func TestDistanceScaledResilience(t *testing.T) {
-	cfg := mpi.Config{RanksPerNode: 2, NodesPerGroup: 1}
-	for _, aware := range []bool{false, true} {
-		params := alwaysParams()
-		params.LocalityAware = aware
-		retry := rma.DefaultRetryPolicy()
-		brk := DefaultBreakerPolicy()
-		params.Retry = &retry
-		params.Breaker = &brk
-		withWorld(t, 6, cfg, 4096, func(r *mpi.Rank, win *mpi.Win) error {
-			if r.ID() != 0 {
-				return nil
-			}
-			c, err := New(win, params)
-			if err != nil {
-				return err
-			}
-			const base = 1000 * simtime.Nanosecond
-			near := c.scaledBackoff(base, 1) // same node
-			far := c.scaledBackoff(base, 4)  // other group
-			nearCD := c.breakerCooldown(1)
-			farCD := c.breakerCooldown(4)
-			if !aware {
-				if near != base || far != base {
-					t.Errorf("blind backoffs = %v/%v, want %v unchanged", near, far, base)
-				}
-				if nearCD != brk.Cooldown || farCD != brk.Cooldown {
-					t.Errorf("blind cooldowns = %v/%v, want %v", nearCD, farCD, brk.Cooldown)
-				}
-				return nil
-			}
-			if near < base || far <= near {
-				t.Errorf("aware backoffs near=%v far=%v, want base <= near < far", near, far)
-			}
-			if far > simtime.Duration(distScaleMax*float64(base)) {
-				t.Errorf("far backoff %v exceeds the %vx cap", far, distScaleMax)
-			}
-			if farCD <= nearCD {
-				t.Errorf("aware cooldowns near=%v far=%v, want near < far", nearCD, farCD)
-			}
-			if again := c.scaledBackoff(base, 4); again != far {
-				t.Errorf("backoff not deterministic: %v then %v", far, again)
 			}
 			return nil
 		})

@@ -129,7 +129,7 @@ func (c *Cache) drainNotifications() {
 			// coherence is restored conservatively. Once per drain — the
 			// cache is already empty afterwards.
 			fellBack = true
-			c.invalidate()
+			c.Invalidate()
 		}
 		for i := range c.nbuf[:n] {
 			c.applyNotification(&c.nbuf[i], &fellBack)
@@ -145,7 +145,7 @@ func (c *Cache) drainNotifications() {
 	// delivered-count register proves deliveries were missed.
 	if last := c.nw.NotifyLastSeq(); last >= c.nextSeq {
 		if !fellBack {
-			c.invalidate()
+			c.Invalidate()
 		}
 		c.nextSeq = last + 1
 	}
@@ -163,7 +163,7 @@ func (c *Cache) applyNotification(nf *notify.Notification, fellBack *bool) {
 	if nf.Seq > c.nextSeq {
 		if !*fellBack {
 			*fellBack = true
-			c.invalidate()
+			c.Invalidate()
 		}
 		c.nextSeq = nf.Seq + 1
 		return

@@ -99,8 +99,12 @@ func FuzzNotifyCoherence(f *testing.F) {
 			var fnErr error
 			if r.ID() == 0 {
 				// A deliberately tiny queue: long write bursts overflow it
-				// and must fall back to full invalidation.
-				c, fnErr = New(win, Params{NotifyTargeted: true, NotifyQueueCap: 8})
+				// and must fall back to full invalidation. The cache keeps
+				// the queue this subscription creates.
+				if fnErr = win.NotifyEnable(8); fnErr != nil {
+					return fnErr
+				}
+				c, fnErr = New(win, Params{NotifyTargeted: true})
 				if fnErr != nil {
 					return fnErr
 				}

@@ -13,10 +13,12 @@ import (
 
 // withNotifyWorld runs a 2-rank world: rank 1 owns a pattern-filled
 // region and plays the remote writer, rank 0 attaches a Cache with
-// params and plays the cached reader. Both ranks hold a passive LockAll
-// epoch; reader and writer must issue matching r.Barrier() counts to
-// sequence their scripts.
-func withNotifyWorld(t *testing.T, regionSize int, params Params,
+// params and plays the cached reader. A positive queueCap subscribes
+// rank 0 with that queue capacity before the cache does (NotifyEnable
+// is idempotent, so the cache keeps that queue). Both ranks hold a
+// passive LockAll epoch; reader and writer must issue matching
+// r.Barrier() counts to sequence their scripts.
+func withNotifyWorld(t *testing.T, regionSize, queueCap int, params Params,
 	reader func(c *Cache, win *mpi.Win, r *mpi.Rank) error,
 	writer func(win *mpi.Win, r *mpi.Rank) error) {
 	t.Helper()
@@ -32,7 +34,12 @@ func withNotifyWorld(t *testing.T, regionSize int, params Params,
 		var fnErr error
 		if r.ID() == 0 {
 			var c *Cache
-			c, fnErr = New(win, params)
+			if queueCap > 0 {
+				fnErr = win.NotifyEnable(queueCap)
+			}
+			if fnErr == nil {
+				c, fnErr = New(win, params)
+			}
 			if fnErr == nil {
 				fnErr = win.LockAll()
 			}
@@ -123,7 +130,7 @@ func TestNotifyTargetedInvalidation(t *testing.T) {
 		r.Barrier()
 		return err
 	}
-	withNotifyWorld(t, 512, params, reader, writer)
+	withNotifyWorld(t, 512, 0, params, reader, writer)
 }
 
 // TestNotifyPatchKeepsHit: an exactly-covering notified write patches
@@ -169,7 +176,7 @@ func TestNotifyPatchKeepsHit(t *testing.T) {
 		r.Barrier()
 		return err
 	}
-	withNotifyWorld(t, 512, params, reader, writer)
+	withNotifyWorld(t, 512, 0, params, reader, writer)
 }
 
 // TestNotifyOverflowFallsBack: when the bounded queue sheds descriptors
@@ -177,7 +184,7 @@ func TestNotifyPatchKeepsHit(t *testing.T) {
 // one conservative full invalidation — bounded staleness degrades to
 // correctness, never to silent staleness.
 func TestNotifyOverflowFallsBack(t *testing.T) {
-	params := Params{NotifyTargeted: true, NotifyQueueCap: 4}
+	params := Params{NotifyTargeted: true}
 	const pushes = 8
 	reader := func(c *Cache, win *mpi.Win, r *mpi.Rank) error {
 		buf := make([]byte, 64)
@@ -218,7 +225,7 @@ func TestNotifyOverflowFallsBack(t *testing.T) {
 		r.Barrier()
 		return nil
 	}
-	withNotifyWorld(t, 512, params, reader, writer)
+	withNotifyWorld(t, 512, 4, params, reader, writer)
 }
 
 // TestNotifyDuplicateNeverPatches: under duplicate delivery (fault
@@ -475,7 +482,7 @@ func TestWriteHitPatch(t *testing.T) {
 	}
 	// NotifyTargeted keeps entries across the FlushAll closures; the
 	// write-hit machinery itself works in any mode.
-	withNotifyWorld(t, 512, Params{NotifyTargeted: true}, reader, writer)
+	withNotifyWorld(t, 512, 0, Params{NotifyTargeted: true}, reader, writer)
 }
 
 // TestWriteBackCoalesces: write-back staging holds dense puts in the

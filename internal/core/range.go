@@ -162,22 +162,3 @@ func (c *Cache) InvalidateRange(target, disp, size int) int {
 func (c *Cache) Put(src []byte, dtype datatype.Datatype, count, target, disp int) error {
 	return c.write(src, dtype, count, target, disp, 0, false)
 }
-
-// Prefetch warms the cache with size bytes at target's displacement disp
-// without delivering data to the application (an extension beyond the
-// paper): the remote get lands in a cache-owned buffer and the entry
-// becomes CACHED at the next epoch closure, so a later Get in a
-// subsequent epoch is a pure local hit. A prefetch of already-cached
-// data only refreshes its temporal score. Prefetches flow through the
-// normal get path and are classified in the statistics like any get.
-func (c *Cache) Prefetch(target, disp, size int) error {
-	if size <= 0 {
-		return nil
-	}
-	c.stats.Prefetches++
-	// The destination lives in the epoch-lifetime arena: it must stay
-	// intact until the closure copy-in, and carving it off the arena
-	// keeps the prefetch path allocation-free in steady state.
-	buf := c.stageBuf(size)
-	return c.Get(buf, datatype.Byte, size, target, disp)
-}

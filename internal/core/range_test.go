@@ -255,7 +255,7 @@ func TestWriteCoherenceOverlap(t *testing.T) {
 				}
 				p := alwaysParams()
 				p.NotifyTargeted = true
-				withNotifyWorld(t, 1024, p, reader, writer)
+				withNotifyWorld(t, 1024, 0, p, reader, writer)
 			})
 		}
 	}

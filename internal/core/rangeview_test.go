@@ -54,7 +54,6 @@ const (
 	rvGetBatch
 	rvPut
 	rvPutNotify
-	rvPrefetch
 	rvFlush
 	rvInvalidateRange
 	rvRemoteWrite
@@ -86,7 +85,7 @@ func decodeRangeScript(data []byte) (cfg byte, ops []rvOp) {
 			op.size = rvRegion - op.disp
 		}
 		switch k % 16 {
-		case 0, 1, 2, 3, 4:
+		case 0, 1, 2, 3, 4, 9:
 			op.kind = rvGet
 		case 5, 6:
 			op.kind = rvGetBatch
@@ -94,8 +93,6 @@ func decodeRangeScript(data []byte) (cfg byte, ops []rvOp) {
 			op.kind = rvPut
 		case 8:
 			op.kind = rvPutNotify
-		case 9:
-			op.kind = rvPrefetch
 		case 10:
 			op.kind = rvFlush
 			if b%3 != 0 { // long epochs: a full index of PENDING entries
@@ -282,8 +279,6 @@ func rvStep(t *testing.T, c *Cache, win *mpi.Win, op rvOp, cov *rvCoverage) erro
 			batch = append(batch, rma.GetOp{Dst: make([]byte, min(op.size, rvRegion-d)), Target: op.target, Disp: d})
 		}
 		err = c.GetBatch(batch)
-	case rvPrefetch:
-		err = c.Prefetch(op.target, op.disp, op.size)
 	case rvFlush:
 		if c.view != nil {
 			for _, e := range before {
@@ -348,7 +343,7 @@ func rvStep(t *testing.T, c *Cache, win *mpi.Win, op rvOp, cov *rvCoverage) erro
 		t.Errorf("op %+v: range query answered without the view", op)
 	}
 	switch op.kind {
-	case rvGet, rvGetBatch, rvPrefetch:
+	case rvGet, rvGetBatch:
 		// Only CACHED entries are ever chosen as eviction victims, and
 		// a failed Cuckoo insert leaves only the new key homeless, so
 		// an indexed PENDING entry stays indexed.
@@ -581,7 +576,7 @@ func TestViewSurvivesInvalidateAndResize(t *testing.T) {
 				if !c.resizeIndex(2) {
 					t.Error("index not resized")
 				}
-				c.invalidate() // as tune() does
+				c.Invalidate() // as tune() does
 			}},
 		} {
 			step.do()

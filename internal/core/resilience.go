@@ -96,9 +96,7 @@ func (c *Cache) retryGet(dst []byte, dtype datatype.Datatype, count, target, dis
 		if c.retry.Budget > 0 && c.retryBudget >= c.retry.Budget {
 			return err
 		}
-		// Cost-aware mode stretches the backoff by the target's distance:
-		// a far peer is probed on its own RTT scale (DESIGN.md §15).
-		d := c.scaledBackoff(c.retry.Backoff(attempt, c.retryRng), target)
+		d := c.retry.Backoff(attempt, c.retryRng)
 		if c.retry.Deadline > 0 && c.clock.Now()-start+d > c.retry.Deadline {
 			return err
 		}
@@ -125,10 +123,7 @@ func (c *Cache) tryGet(dst []byte, dtype datatype.Datatype, count, target, disp 
 		if err == nil {
 			c.brk.onSuccess(target)
 		} else if errors.Is(err, rma.ErrTransient) {
-			// The fail-fast window scales with the target's distance in
-			// cost-aware mode: re-certifying a far peer takes longer
-			// than a same-socket one (DESIGN.md §15).
-			if c.brk.onFailure(target, c.clock.Now(), c.breakerCooldown(target)) {
+			if c.brk.onFailure(target, c.clock.Now()) {
 				c.stats.BreakerOpens++
 			}
 		}

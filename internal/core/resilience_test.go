@@ -277,65 +277,6 @@ func TestShortReadsRefetched(t *testing.T) {
 	})
 }
 
-func TestServeStaleAcrossEpochClosure(t *testing.T) {
-	retry := rma.RetryPolicy{MaxAttempts: 1}
-	brk := BreakerPolicy{FailureThreshold: 1, Cooldown: simtime.Second, HalfOpenProbes: 1}
-	// Rank 2 is permanently down; rank 1 is healthy.
-	sc := fault.Scenario{Name: "down2", Outages: []fault.Outage{{Target: 2, From: 0, To: 3600 * simtime.Second}}}
-	params := resilientParams(retry, &brk)
-	params.Mode = Transparent
-	params.ServeStale = true
-	withFaultyCache(t, 3, 4096, params, sc, 7, func(c *Cache, fw *fault.Window, r *mpi.Rank) error {
-		dst := make([]byte, 128)
-		// Fill from the healthy target and complete the epoch normally.
-		if err := c.Get(dst, datatype.Byte, len(dst), 1, 0); err != nil {
-			return err
-		}
-		if err := c.Win().FlushAll(); err != nil {
-			return err
-		}
-		// All breakers closed at that closure: transparent invalidation ran.
-		if got := c.Stats().Invalidations; got != 1 {
-			t.Errorf("Invalidations = %d, want 1", got)
-			return nil
-		}
-		// Refill, then open rank 2's breaker and close the epoch again:
-		// the invalidation must be deferred this time.
-		if err := c.Get(dst, datatype.Byte, len(dst), 1, 0); err != nil {
-			return err
-		}
-		if err := c.Get(dst, datatype.Byte, len(dst), 2, 0); !errors.Is(err, rma.ErrTransient) {
-			t.Errorf("get from dead rank = %v, want transient", err)
-		}
-		if c.Stats().BreakerOpens == 0 {
-			t.Error("breaker never opened")
-			return nil
-		}
-		if err := c.Win().FlushAll(); err != nil {
-			return err
-		}
-		if got := c.Stats().Invalidations; got != 1 {
-			t.Errorf("Invalidations after deferred closure = %d, want still 1", got)
-			return nil
-		}
-		// The retained entry serves stale hits with correct (read-only
-		// region) data.
-		if err := c.Get(dst, datatype.Byte, len(dst), 1, 0); err != nil {
-			return err
-		}
-		checkData(t, dst, 0)
-		if c.Stats().StaleServes == 0 {
-			t.Error("no stale serve counted for the retained entry")
-		}
-		// An explicit Invalidate overrides the deferral.
-		c.Invalidate()
-		if got := c.Stats().Invalidations; got != 2 {
-			t.Errorf("Invalidations after explicit call = %d, want 2", got)
-		}
-		return nil
-	})
-}
-
 func TestBatchPartialDeliveryUnderFaults(t *testing.T) {
 	retry := rma.DefaultRetryPolicy()
 	retry.MaxAttempts = 0

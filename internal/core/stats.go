@@ -59,7 +59,6 @@ type Stats struct {
 	Capacity    int64
 	Failing     int64
 
-	Prefetches       int64 // Prefetch calls (each also counted in Gets)
 	Evictions        int64 // victim evictions (capacity + conflict)
 	VisitedSlots     int64 // index slots visited by capacity/failed eviction scans
 	NonEmptyVisited  int64 // of those, slots holding an entry
@@ -77,7 +76,6 @@ type Stats struct {
 	// Resilience counters (DESIGN.md §11).
 	Retries      int64 // remote-get attempts re-issued after a transient failure
 	Timeouts     int64 // transient failures that were timeouts (rma.ErrTimeout)
-	StaleServes  int64 // hits served from entries kept across a deferred invalidation
 	BreakerOpens int64 // circuit-breaker transitions to open (incl. reopens)
 	CorruptFills int64 // fills rejected by integrity verification
 
@@ -178,7 +176,6 @@ func (s *Stats) add(o *Stats) {
 	s.Conflicting += o.Conflicting
 	s.Capacity += o.Capacity
 	s.Failing += o.Failing
-	s.Prefetches += o.Prefetches
 	s.Evictions += o.Evictions
 	s.VisitedSlots += o.VisitedSlots
 	s.NonEmptyVisited += o.NonEmptyVisited
@@ -192,7 +189,6 @@ func (s *Stats) add(o *Stats) {
 	s.BatchMessages += o.BatchMessages
 	s.Retries += o.Retries
 	s.Timeouts += o.Timeouts
-	s.StaleServes += o.StaleServes
 	s.BreakerOpens += o.BreakerOpens
 	s.CorruptFills += o.CorruptFills
 	s.CheapSkips += o.CheapSkips
@@ -223,7 +219,6 @@ func (s Stats) Sub(prev Stats) Stats {
 	d.Conflicting -= prev.Conflicting
 	d.Capacity -= prev.Capacity
 	d.Failing -= prev.Failing
-	d.Prefetches -= prev.Prefetches
 	d.Evictions -= prev.Evictions
 	d.VisitedSlots -= prev.VisitedSlots
 	d.NonEmptyVisited -= prev.NonEmptyVisited
@@ -237,7 +232,6 @@ func (s Stats) Sub(prev Stats) Stats {
 	d.BatchMessages -= prev.BatchMessages
 	d.Retries -= prev.Retries
 	d.Timeouts -= prev.Timeouts
-	d.StaleServes -= prev.StaleServes
 	d.BreakerOpens -= prev.BreakerOpens
 	d.CorruptFills -= prev.CorruptFills
 	d.CheapSkips -= prev.CheapSkips

@@ -85,7 +85,7 @@ func (c *Cache) tune() {
 	}
 	if adjusted {
 		c.stats.Adjustments++
-		c.invalidate()
+		c.Invalidate()
 		if c.obs != nil {
 			c.obs.OnAdjustment(AdjustmentEvent{
 				Rank:             c.rank,
@@ -116,7 +116,7 @@ func resized(cur int, factor float64, lo, hi int) int {
 // resizeIndex applies factor to |I_w|. Returns false if clamping
 // nullified the change. The new table is created empty: a parameter
 // change implies invalidation anyway (§III-E), and the caller's
-// invalidate() sees only the new table, so the old one is drained here.
+// Invalidate() sees only the new table, so the old one is drained here.
 func (c *Cache) resizeIndex(factor float64) bool {
 	next := resized(c.idx.Cap(), factor, minIndexSlots, maxIndexSlots)
 	if next == c.idx.Cap() {

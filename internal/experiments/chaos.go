@@ -7,8 +7,8 @@ package experiments
 // seed — and checks:
 //
 //   - the chaos result signature equals the fault-free one (retries,
-//     breaker fail-over, stale serving and corruption refetch never
-//     change what the application computes), and
+//     breaker fail-over and corruption refetch never change what the
+//     application computes), and
 //   - the replay injected the *identical* fault sequence (fault.Counts
 //     including the order-sensitive digest match), the reproducibility
 //     contract of the injector.
@@ -105,9 +105,7 @@ func (f *chaosFleet) faults() fault.Counts {
 
 // chaosParams is the resilience configuration every chaos run uses:
 // unlimited retries (the run must converge under any injected rate),
-// circuit breaker, fill verification, and — in transparent mode, where
-// epoch closures would otherwise discard everything mid-outage — stale
-// serving.
+// circuit breaker and fill verification.
 func chaosParams(mode core.Mode, seed int64) core.Params {
 	retry := rma.DefaultRetryPolicy()
 	retry.MaxAttempts = 0 // unlimited; deadline-free, the outage scripts bound it
@@ -120,7 +118,6 @@ func chaosParams(mode core.Mode, seed int64) core.Params {
 		Retry:        &retry,
 		Breaker:      &brk,
 		VerifyFills:  true,
-		ServeStale:   mode == core.Transparent,
 	}
 }
 
@@ -168,8 +165,8 @@ func ChaosApps() []string { return []string{"lcc", "bfs", "nbody", "stencil"} }
 // chaosGraph is the shared small R-MAT input of the LCC and BFS cells.
 func chaosGraph() *graph.CSR { return BuildLCCGraph(8, 8, 77) }
 
-// chaosLCC runs LCC (read-only adjacency → transparent mode with stale
-// serving) and signs (Vertices, Wedges, SumLCC) per rank in rank order.
+// chaosLCC runs LCC (read-only adjacency → transparent mode) and signs
+// (Vertices, Wedges, SumLCC) per rank in rank order.
 func chaosLCC(p int, sc *fault.Scenario, seed int64) (chaosOutcome, error) {
 	g := chaosGraph()
 	fleet := newChaosFleet(p, chaosParams(core.Transparent, seed), sc, seed)
@@ -342,7 +339,7 @@ func ChaosBench(p int, seed int64, apps []string, scenarios []fault.Scenario) ([
 		scenarios = fault.Canned()
 	}
 	tbl := lsb.NewTable(fmt.Sprintf("Chaos: seeded fault injection (P=%d, seed=%d)", p, seed),
-		"app", "scenario", "faults", "retries", "timeouts", "corrupt", "breaker", "stale", "match", "replay")
+		"app", "scenario", "faults", "retries", "timeouts", "corrupt", "breaker", "match", "replay")
 	var rows []ChaosRow
 	for _, app := range apps {
 		ref, err := chaosApp(app, p, nil, seed)
@@ -370,7 +367,7 @@ func ChaosBench(p int, seed int64, apps []string, scenarios []fault.Scenario) ([
 			rows = append(rows, row)
 			tbl.AddRow(app, sc.Name, row.Faults.Total(),
 				row.Stats.Retries, row.Stats.Timeouts, row.Stats.CorruptFills,
-				row.Stats.BreakerOpens, row.Stats.StaleServes,
+				row.Stats.BreakerOpens,
 				passFail(row.Match), passFail(row.Replay))
 		}
 	}

@@ -70,10 +70,10 @@ func TestChaosScenarioCoverage(t *testing.T) {
 			t.Errorf("%s: match=%v replay=%v", tc.scenario, row.Match, row.Replay)
 		}
 		if !tc.check(row) {
-			t.Errorf("%s: expected %s; faults=%v stats: retries=%d timeouts=%d corrupt=%d breaker=%d stale=%d",
+			t.Errorf("%s: expected %s; faults=%v stats: retries=%d timeouts=%d corrupt=%d breaker=%d",
 				tc.scenario, tc.what, row.Faults,
 				row.Stats.Retries, row.Stats.Timeouts, row.Stats.CorruptFills,
-				row.Stats.BreakerOpens, row.Stats.StaleServes)
+				row.Stats.BreakerOpens)
 		}
 	}
 }

@@ -192,7 +192,6 @@ func PublishStats(reg *Registry, s core.Stats, labels ...Label) {
 	set("clampi_stats_conflicting", s.Conflicting)
 	set("clampi_stats_capacity", s.Capacity)
 	set("clampi_stats_failing", s.Failing)
-	set("clampi_stats_prefetches", s.Prefetches)
 	set("clampi_stats_evictions", s.Evictions)
 	set("clampi_stats_visited_slots", s.VisitedSlots)
 	set("clampi_stats_nonempty_visited", s.NonEmptyVisited)
@@ -206,7 +205,6 @@ func PublishStats(reg *Registry, s core.Stats, labels ...Label) {
 	set("clampi_stats_batch_messages", s.BatchMessages)
 	set("clampi_stats_retries", s.Retries)
 	set("clampi_stats_timeouts", s.Timeouts)
-	set("clampi_stats_stale_serves", s.StaleServes)
 	set("clampi_stats_breaker_opens", s.BreakerOpens)
 	set("clampi_stats_corrupt_fills", s.CorruptFills)
 	set("clampi_stats_notifications", s.Notifications)
